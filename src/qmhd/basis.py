@@ -118,39 +118,49 @@ class GalerkinBasis:
             )
         return VectorField.from_arrays(self.grid, arrays)
 
+    @cached_property
+    def _readout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per mode: flat index of its wavevector in the half spectrum and the
+        weights that turn that coefficient into the mode's L2 coefficient.
+
+        A mode whose last active wavevector component is negative is read
+        from the stored mirror entry -k, whose coefficient is the conjugate.
+        """
+        grid = self.grid
+        vol = grid.volume
+        index = np.empty(self.n, dtype=np.intp)
+        re_w = np.zeros(self.n)
+        im_w = np.zeros(self.n)
+        for i, m in enumerate(self.modes):
+            k = m.wavevector[: grid.dim]
+            mirrored = k[-1] < 0
+            if mirrored:
+                k = tuple(-v for v in k)
+            index[i] = np.ravel_multi_index(
+                tuple(v % n for v, n in zip(k, grid.shape)), grid.spectral_shape
+            )
+            if all(v == 0 for v in k):
+                re_w[i] = np.sqrt(vol)
+            elif m.trig == "cos":
+                re_w[i] = np.sqrt(2.0 * vol)
+            else:
+                im_w[i] = np.sqrt(2.0 * vol) if mirrored else -np.sqrt(2.0 * vol)
+        return index, re_w, im_w
+
     def project(self, v: VectorField) -> np.ndarray:
         """L2 projection coefficients, read off the Fourier spectra."""
-        grid = self.grid
-        vol = grid.volume
-        spectra = [c.spectrum for c in v.components]
-        out = np.empty(self.n)
-        for i, m in enumerate(self.modes):
-            spec = spectra[m.component]
-            idx = tuple(m.wavevector[axis] % grid.shape[axis] for axis in range(grid.dim))
-            c = spec[idx]
-            if all(v_ == 0 for v_ in m.wavevector):
-                out[i] = np.sqrt(vol) * c.real
-            elif m.trig == "cos":
-                out[i] = np.sqrt(2.0 * vol) * c.real
-            else:
-                out[i] = -np.sqrt(2.0 * vol) * c.imag
-        return out
+        return self.project_force_spectra([c.spectrum for c in v.components])
 
     def project_force_spectra(self, spectra: list[np.ndarray]) -> np.ndarray:
-        """Same as :meth:`project` but straight from component spectra."""
-        grid = self.grid
-        vol = grid.volume
-        out = np.empty(self.n)
-        for i, m in enumerate(self.modes):
-            idx = tuple(m.wavevector[axis] % grid.shape[axis] for axis in range(grid.dim))
-            c = spectra[m.component][idx]
-            if all(v_ == 0 for v_ in m.wavevector):
-                out[i] = np.sqrt(vol) * c.real
-            elif m.trig == "cos":
-                out[i] = np.sqrt(2.0 * vol) * c.real
-            else:
-                out[i] = -np.sqrt(2.0 * vol) * c.imag
-        return out
+        """Same as :meth:`project` but straight from half-spectrum component
+        spectra."""
+        index, re_w, im_w = self._readout
+        c = np.empty(self.n, dtype=np.complex128)
+        for comp in range(3):
+            sel = self.components == comp
+            if np.any(sel):
+                c[sel] = spectra[comp].reshape(-1)[index[sel]]
+        return re_w * c.real + im_w * c.imag
 
     def gram(self, rho: ScalarField) -> np.ndarray:
         """Density-weighted Gram matrix, assembled pseudo-spectrally."""

@@ -58,14 +58,10 @@ def benchmark_fields(name: str, grid: TorusGrid, seed: int = 0):
     elif name == "random_smooth":
         rng = np.random.default_rng(seed)
         def band_limited():
-            spec = np.zeros(grid.shape, dtype=np.complex128)
-            for axis_k in np.ndindex(*([5] * grid.dim)):
-                k = tuple(kk - 2 for kk in axis_k)
-                if all(v == 0 for v in k):
-                    continue
-                idx = tuple(k[a] % grid.shape[a] for a in range(grid.dim))
-                spec[idx] = rng.normal() + 1j * rng.normal()
-            f = ScalarField.from_spectrum(grid, spec)
+            keys = [tuple(kk - 2 for kk in axis_k) for axis_k in np.ndindex(*([5] * grid.dim))]
+            f = ScalarField.from_modes(
+                grid, [(k, rng.normal() + 1j * rng.normal()) for k in keys if any(k)]
+            )
             m = np.max(np.abs(f.values))
             return f.values / max(m, 1e-300)
         rho = 1.0 + 0.25 * band_limited()

@@ -1,11 +1,31 @@
 """Scalar and vector fields on a periodic grid, plus spectral operators.
 
 Fields are immutable; every operator returns a new field.  Real-space samples
-and normalized spectral coefficients (``f = sum_k c_k exp(i k.x)``) are kept
-in sync lazily so chains of spectral operators do not transform back and
-forth.  Vector fields always carry three components (2.5D convention): for
-dim < 3 the components still exist but only vary along the active axes, so
-curls and cross products keep their usual meaning.
+and spectral coefficients are kept in sync lazily so chains of spectral
+operators do not transform back and forth.  Vector fields always carry three
+components (2.5D convention): for dim < 3 the components still exist but only
+vary along the active axes, so curls and cross products keep their usual
+meaning.
+
+Spectral conventions
+--------------------
+* Normalization: ``f(x) = sum_k c_k exp(i k.x)``, so ``c_0`` is the mean of
+  ``f``.  This module owns the only transform pair, ``_forward`` (real samples
+  to coefficients) and ``_backward`` (coefficients to real samples); nothing
+  else in the package calls ``numpy.fft``.
+* Layout: real fields have Hermitian spectra, ``c_{-k} = conj(c_k)``, so only
+  the ``numpy.fft.rfftn`` half is stored: leading axes hold all wavenumbers in
+  transform order, the last axis holds 0..N/2.  Shapes are
+  ``TorusGrid.spectral_shape``.
+* Weights: a sum over the full spectrum is a sum over the half with
+  ``TorusGrid.hermitian_weights``: 1 on the last axis's k=0 and Nyquist
+  planes, whose mirror images are stored in the same plane, 2 elsewhere.
+  Norms, quadrature, tail checks and convergence tests use these weights.
+* Nyquist rule: the Nyquist wavenumber N/2 of any axis has no sign, so an odd
+  derivative along that axis cannot keep the field real there.  ``grid.kvec``
+  is zero at every axis's Nyquist entry; gradients, divergences, curls and
+  the divergence-free projection drop that content, while even operators
+  (Laplacian powers, heat factors, Sobolev weights) keep ``(N/2)^2``.
 """
 
 from __future__ import annotations
@@ -20,11 +40,30 @@ from .grid import TorusGrid
 
 
 def _forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.fftn(values) / grid.num_points
+    """Real samples to half-spectrum coefficients."""
+    # with ``out`` numpy runs the leading-axis passes in that one array
+    # instead of allocating a new one per axis (about 1/3 faster at 32^3)
+    out = np.empty(grid.spectral_shape, dtype=np.complex128)
+    return np.fft.rfftn(values, norm="forward", out=out)
 
 
 def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.ifftn(coeffs * grid.num_points).real
+    """Half-spectrum coefficients to real samples."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
+
+
+def _dealiased_forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Coefficients of real samples with the top third (2/3 rule) zeroed."""
+    spec = _forward(values, grid)
+    spec[grid.tail_mask] = 0.0
+    return spec
+
+
+def _spectral_norm(spec: np.ndarray, grid: TorusGrid) -> float:
+    """l2 norm of the full Hermitian spectrum whose half is ``spec``."""
+    total = np.vdot(spec, spec).real
+    edges = np.vdot(spec[..., 0], spec[..., 0]).real + np.vdot(spec[..., -1], spec[..., -1]).real
+    return float(np.sqrt(2.0 * total - edges))
 
 
 class ScalarField:
@@ -46,9 +85,12 @@ class ScalarField:
 
     @classmethod
     def from_spectrum(cls, grid: TorusGrid, coeffs: np.ndarray) -> "ScalarField":
+        """Field from half-spectrum coefficients (shape ``grid.spectral_shape``)."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != grid.shape:
-            raise ValueError(f"spectrum shape {coeffs.shape} != grid shape {grid.shape}")
+        if coeffs.shape != grid.spectral_shape:
+            raise ValueError(
+                f"spectrum shape {coeffs.shape} != half-spectrum shape {grid.spectral_shape}"
+            )
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("spectral coefficients must be finite")
         self = cls.__new__(cls)
@@ -57,6 +99,25 @@ class ScalarField:
         self._spectrum = coeffs.copy()
         self._spectrum.setflags(write=False)
         return self
+
+    @classmethod
+    def from_modes(cls, grid: TorusGrid, modes: Iterable[tuple[tuple[int, ...], complex]]) -> "ScalarField":
+        """The real field ``Re sum c exp(i k.x)`` over ``(k, c)`` pairs.
+
+        The pairs need not be Hermitian: each one contributes ``c/2`` at k and
+        ``conj(c)/2`` at -k, whichever of the two the half spectrum stores.
+        Repeated wavevectors add up.
+        """
+        spec = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        last = grid.shape[-1] // 2
+        for k, c in modes:
+            pos = tuple(int(k[a]) % grid.shape[a] for a in range(grid.dim))
+            neg = tuple(-int(k[a]) % grid.shape[a] for a in range(grid.dim))
+            if pos[-1] <= last:
+                spec[pos] += 0.5 * c
+            if neg[-1] <= last:
+                spec[neg] += 0.5 * np.conj(c)
+        return cls.from_spectrum(grid, spec)
 
     @classmethod
     def _adopt(cls, grid: TorusGrid, values: np.ndarray | None, spectrum: np.ndarray | None = None) -> "ScalarField":
@@ -163,10 +224,11 @@ def _tail_check(spec: np.ndarray, grid: TorusGrid, op: str, reference: float) ->
     from its input; results at the roundoff floor relative to it (e.g. the
     divergence of a solenoidal field) are noise, not unresolved content.
     """
-    total = np.sum(np.abs(spec) ** 2)
+    power = grid.hermitian_weights * np.abs(spec) ** 2
+    total = np.sum(power)
     if total == 0.0 or total <= (1e-13 * reference) ** 2:
         return
-    tail = np.sum(np.abs(spec[grid.tail_mask]) ** 2)
+    tail = np.sum(power[grid.tail_mask])
     if tail > 0.01 * total:
         warnings.warn(
             f"{op}: top third of the spectrum holds {100 * tail / total:.1f}% of the L2 mass",
@@ -197,13 +259,13 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(v: VectorField) -> ScalarField:
     grid = v.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    kmax = np.sqrt(np.max(grid.k_squared))
+    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    kmax = np.sqrt(grid.k_squared_max)
     ref = 0.0
     for axis in range(grid.dim):
         spec = v.components[axis].spectrum
         acc += 1j * grid.kvec[axis] * spec
-        ref = max(ref, kmax * np.linalg.norm(spec.ravel()))
+        ref = max(ref, kmax * _spectral_norm(spec, grid))
     _tail_check(acc, grid, "divergence", ref)
     return ScalarField._adopt(grid, None, acc)
 
@@ -217,8 +279,7 @@ def curl(v: VectorField) -> VectorField:
         1j * (k[2] * s[0] - k[0] * s[2]),
         1j * (k[0] * s[1] - k[1] * s[0]),
     )
-    kmax = np.sqrt(np.max(grid.k_squared))
-    ref = kmax * max(np.linalg.norm(sp.ravel()) for sp in s)
+    ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(sp, grid) for sp in s)
     for c in out:
         _tail_check(c, grid, "curl", ref)
     return VectorField(grid, [ScalarField._adopt(grid, None, np.ascontiguousarray(c)) for c in out])
@@ -227,7 +288,7 @@ def curl(v: VectorField) -> VectorField:
 def laplacian(f: ScalarField) -> ScalarField:
     grid = f.grid
     spec = -grid.k_squared * f.spectrum
-    ref = np.max(grid.k_squared) * np.linalg.norm(f.spectrum.ravel())
+    ref = grid.k_squared_max * _spectral_norm(f.spectrum, grid)
     _tail_check(spec, grid, "laplacian", ref)
     return ScalarField._adopt(grid, None, spec)
 
@@ -238,7 +299,7 @@ def power_laplacian(f: ScalarField, exponent: int) -> ScalarField:
         raise ValueError("exponent must be a positive integer")
     grid = f.grid
     spec = (-grid.k_squared) ** int(exponent) * f.spectrum
-    ref = np.max(grid.k_squared) ** int(exponent) * np.linalg.norm(f.spectrum.ravel())
+    ref = grid.k_squared_max ** int(exponent) * _spectral_norm(f.spectrum, grid)
     _tail_check(spec, grid, "power_laplacian", ref)
     return ScalarField._adopt(grid, None, spec)
 
@@ -262,9 +323,7 @@ def dealias(f):
 def dealiased_product(a: ScalarField, b: ScalarField) -> ScalarField:
     """Pointwise product followed by 2/3-rule truncation."""
     grid = a.grid
-    spec = _forward(a.values * b.values, grid)
-    spec[grid.tail_mask] = 0.0
-    return ScalarField._adopt(grid, None, spec)
+    return ScalarField._adopt(grid, None, _dealiased_forward(a.values * b.values, grid))
 
 
 def project_divergence_free(v: VectorField) -> VectorField:
@@ -272,9 +331,7 @@ def project_divergence_free(v: VectorField) -> VectorField:
     grid = v.grid
     k = grid.kvec
     s = [c.spectrum for c in v.components]
-    k2 = grid.k_squared.copy()
-    k2.flat[0] = 1.0  # mean mode untouched: k.v is zero there anyway
-    kv = (k[0] * s[0] + k[1] * s[1] + k[2] * s[2]) / k2
+    kv = (k[0] * s[0] + k[1] * s[1] + k[2] * s[2]) / grid.leray_k_squared
     out = [s[axis] - k[axis] * kv for axis in range(3)]
     return VectorField(grid, [ScalarField._adopt(grid, None, c) for c in out])
 
@@ -319,7 +376,7 @@ def sobolev_seminorm(f, order: int) -> float:
     if isinstance(f, VectorField):
         return float(np.sqrt(sum(sobolev_seminorm(c, order) ** 2 for c in f.components)))
     grid = f.grid
-    weight = grid.k_squared ** order
+    weight = grid.hermitian_weights * grid.k_squared**order
     return float(np.sqrt(grid.volume * np.sum(weight * np.abs(f.spectrum) ** 2)))
 
 
@@ -328,21 +385,46 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return float((np.abs(f.values) ** p).mean() * grid.volume) ** (1.0 / p)
 
 
+def _resample_axis(spec: np.ndarray, axis: int, n_src: int, n_dst: int, last: bool) -> np.ndarray:
+    """Zero-pad or truncate one axis of a half spectrum from n_src to n_dst
+    points.  Modes strictly inside the coarser grid's Nyquist band are copied.
+    A coarse Nyquist mode refined onto the finer grid splits evenly between
+    +N/2 and -N/2; going the other way, +N/2 and -N/2 fold onto the coarse
+    Nyquist entry.  Both keep real fields real, and coarse -> fine -> coarse
+    is the identity."""
+    if n_src == n_dst:
+        return spec
+    m = min(n_src, n_dst) // 2
+    shape = list(spec.shape)
+    shape[axis] = n_dst // 2 + 1 if last else n_dst
+    out = np.zeros(shape, dtype=np.complex128)
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    out[at(slice(0, m))] = spec[at(slice(0, m))]
+    if not last:
+        out[at(slice(n_dst - m + 1, None))] = spec[at(slice(n_src - m + 1, None))]
+    nyq = spec[at(m)]
+    if n_dst > n_src:
+        out[at(m)] = 0.5 * nyq
+        if not last:
+            out[at(n_dst - m)] = 0.5 * nyq
+    elif last:
+        # -N/2 on the last axis is the conjugate of +N/2 at mirrored leading wavenumbers
+        mirror = np.conj(nyq[np.ix_(*[-np.arange(n) % n for n in nyq.shape])])
+        out[at(m)] = nyq + mirror
+    else:
+        out[at(m)] = nyq + spec[at(n_src - m)]
+    return out
+
+
 def spectral_resample(f: ScalarField, grid: TorusGrid) -> ScalarField:
     """Re-express a field on another grid by zero-padding / truncating modes."""
     src = f.grid
     if src.dim != grid.dim:
         raise ValueError("resampling cannot change the dimension")
-    out = np.zeros(grid.shape, dtype=np.complex128)
     spec = f.spectrum
-    # copy every source mode that exists on the destination grid
-    idx_src, idx_dst = [], []
-    for axis in range(src.dim):
-        ns, nd = src.shape[axis], grid.shape[axis]
-        kkeep = [k for k in np.rint(src.axis_wavenumbers[axis]).astype(int) if -nd // 2 < k <= nd // 2]
-        idx_src.append(np.array([k % ns for k in kkeep]))
-        idx_dst.append(np.array([k % nd for k in kkeep]))
-    mesh_src = np.ix_(*idx_src)
-    mesh_dst = np.ix_(*idx_dst)
-    out[mesh_dst] = spec[mesh_src]
-    return ScalarField.from_spectrum(grid, out)
+    for axis in range(grid.dim):
+        spec = _resample_axis(spec, axis, src.shape[axis], grid.shape[axis], axis == grid.dim - 1)
+    return ScalarField.from_spectrum(grid, spec)

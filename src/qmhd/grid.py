@@ -15,6 +15,8 @@ class TorusGrid:
     """Uniform grid on [0, 2*pi)^dim, dim in {1, 2, 3}.
 
     Wavenumbers per axis form the symmetric integer set {-N/2+1, ..., N/2}.
+    Spectra live in the real-to-complex half layout ``spectral_shape`` (see
+    :mod:`qmhd.fields`); every spectral array here has that shape.
     Vector quantities always carry three components; for dim < 3 fields vary
     along the first ``dim`` axes only and the trailing wavenumbers are zero.
     """
@@ -59,41 +61,75 @@ class TorusGrid:
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     @cached_property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of the real-to-complex half spectrum: the last axis keeps
+        only its wavenumbers 0..N/2."""
+        return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+
+    @cached_property
     def axis_wavenumbers(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for n in self.shape:
-            k = np.fft.fftfreq(n, 1.0 / n)
-            k[n // 2] = n // 2  # Nyquist on the positive side
-            out.append(k)
-        return tuple(out)
+        """Full wavenumber set of each axis in transform order, Nyquist positive."""
+        return tuple(
+            np.concatenate([np.arange(n // 2 + 1), np.arange(-n // 2 + 1, 0)]).astype(float)
+            for n in self.shape
+        )
+
+    def _half_axis(self, axis: int, values: np.ndarray) -> np.ndarray:
+        """Per-axis values (full length) broadcast to ``spectral_shape``."""
+        if axis == self.dim - 1:
+            values = values[: self.spectral_shape[-1]]
+        shp = [1] * self.dim
+        shp[axis] = self.spectral_shape[axis]
+        return np.broadcast_to(values.reshape(shp), self.spectral_shape)
 
     @cached_property
     def kvec(self) -> tuple[np.ndarray, ...]:
-        """Three wavenumber arrays broadcast to ``shape``; zero beyond dim."""
+        """Derivative wavenumbers: three arrays broadcast to ``spectral_shape``,
+        zero beyond dim.  Each axis's Nyquist entry is zero, so an odd
+        derivative of a real field drops its Nyquist content on every axis."""
         out = []
         for axis in range(3):
             if axis < self.dim:
-                k = self.axis_wavenumbers[axis]
-                shp = [1] * self.dim
-                shp[axis] = self.shape[axis]
-                out.append(np.broadcast_to(k.reshape(shp), self.shape))
+                k = self.axis_wavenumbers[axis].copy()
+                k[self.shape[axis] // 2] = 0.0
+                out.append(self._half_axis(axis, k))
             else:
-                out.append(np.broadcast_to(np.zeros(1), self.shape))
+                out.append(np.broadcast_to(np.zeros(1), self.spectral_shape))
         return tuple(out)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        k2 = np.zeros(self.shape)
+        """|k|^2 on the half spectrum, Nyquist wavenumbers included."""
+        k2 = np.zeros(self.spectral_shape)
         for axis in range(self.dim):
-            k2 = k2 + self.kvec[axis] ** 2
+            k2 = k2 + self._half_axis(axis, self.axis_wavenumbers[axis]) ** 2
         return k2
+
+    @cached_property
+    def k_squared_max(self) -> float:
+        return float(np.max(self.k_squared))
+
+    @cached_property
+    def leray_k_squared(self) -> np.ndarray:
+        """|k|^2 over the derivative wavenumbers with its zeros set to 1: the
+        denominator of the divergence-free projection."""
+        k2 = sum(self.kvec[axis] ** 2 for axis in range(self.dim))
+        return np.where(k2 == 0.0, 1.0, k2)
+
+    @cached_property
+    def hermitian_weights(self) -> np.ndarray:
+        """How many full-spectrum modes each half-spectrum entry stands for:
+        1 on the last axis's k=0 and Nyquist planes, 2 elsewhere."""
+        w = np.full(self.spectral_shape[-1], 2.0)
+        w[0] = w[-1] = 1.0
+        return np.ascontiguousarray(self._half_axis(self.dim - 1, w))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """True where a mode survives the 2/3-rule (|k_axis| <= N_axis/3)."""
-        keep = np.ones(self.shape, dtype=bool)
+        keep = np.ones(self.spectral_shape, dtype=bool)
         for axis in range(self.dim):
-            keep &= np.abs(self.kvec[axis]) <= self.shape[axis] // 3
+            keep &= self._half_axis(axis, np.abs(self.axis_wavenumbers[axis]) <= self.shape[axis] // 3)
         return keep
 
     @cached_property

@@ -13,7 +13,7 @@ diagnostics measure against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,10 @@ from .errors import (
 from .fields import (
     ScalarField,
     VectorField,
+    _backward,
+    _dealiased_forward,
     _forward,
+    _spectral_norm,
     divergence,
     integrate,
     l2_norm,
@@ -129,25 +132,21 @@ def initial_state(
 # --------------------------------------------------------------------------
 # spectral integrating factors
 
-_FACTORS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def _heat_factors(grid: TorusGrid, coef: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    key = (grid.shape, float(coef), float(dt))
-    hit = _FACTORS.get(key)
-    if hit is None:
-        full = np.exp(-coef * dt * grid.k_squared)
-        half = np.exp(-0.5 * coef * dt * grid.k_squared)
-        if len(_FACTORS) > 64:
-            _FACTORS.clear()
-        _FACTORS[key] = hit = (full, half)
-    return hit
+    """exp(-coef dt |k|^2) and exp(-coef dt |k|^2 / 2) on the half spectrum."""
+    return np.exp(-coef * dt * grid.k_squared), np.exp(-0.5 * coef * dt * grid.k_squared)
 
 
-def _masked_fft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    spec = _forward(values, grid)
-    spec[grid.tail_mask] = 0.0
-    return spec
+@lru_cache(maxsize=8)
+def _density_factors(grid: TorusGrid, epsilon: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    # epsilon and dt are fixed for a run, so these are computed once; the
+    # magnetic factors follow the density-dependent mean diffusivity and are
+    # rebuilt on every call instead of filling a cache with one-off entries
+    factors = _heat_factors(grid, epsilon, dt)
+    for f in factors:
+        f.setflags(write=False)  # shared by every caller
+    return factors
 
 
 _INNER_TOL = 1e-13
@@ -172,7 +171,7 @@ def solve_density_step(
     corridor spanned by ``rho_old`` and exp(+-dt * |div u|_inf).
     """
     grid = rho_old.grid
-    full, half = _heat_factors(grid, epsilon, dt)
+    full, half = _density_factors(grid, float(epsilon), float(dt))
     spec_old = rho_old.spectrum
     vals_old = rho_old.values
     uvals = u.component_values()
@@ -182,14 +181,14 @@ def solve_density_step(
     vals_new = start.values
     for _ in range(_INNER_MAX):
         mid = 0.5 * (vals_old + vals_new)
-        div_flux = np.zeros(grid.shape, dtype=np.complex128)
+        div_flux = np.zeros(grid.spectral_shape, dtype=np.complex128)
         for axis in range(grid.dim):
-            div_flux += 1j * grid.kvec[axis] * _masked_fft(mid * uvals[axis], grid)
+            div_flux += 1j * grid.kvec[axis] * _dealiased_forward(mid * uvals[axis], grid)
         nxt = full * spec_old - dt * half * div_flux
-        change = np.linalg.norm(nxt - spec_new)
+        change = _spectral_norm(nxt - spec_new, grid)
         spec_new = nxt
-        vals_new = np.fft.ifftn(spec_new * grid.num_points).real
-        if change <= _INNER_TOL * max(np.linalg.norm(spec_new), 1e-300):
+        vals_new = _backward(spec_new, grid)
+        if change <= _INNER_TOL * max(_spectral_norm(spec_new, grid), 1e-300):
             break
     else:
         raise PicardDivergence("density midpoint iteration stalled; reduce dt")
@@ -256,18 +255,18 @@ def solve_magnetic_step(
         mid = [0.5 * (o + n) for o, n in zip(vals_old, vals_new)]
         # electromotive field u x B at the midpoint
         emf = [
-            _masked_fft(uvals[1] * mid[2] - uvals[2] * mid[1], grid),
-            _masked_fft(uvals[2] * mid[0] - uvals[0] * mid[2], grid),
-            _masked_fft(uvals[0] * mid[1] - uvals[1] * mid[0], grid),
+            _dealiased_forward(uvals[1] * mid[2] - uvals[2] * mid[1], grid),
+            _dealiased_forward(uvals[2] * mid[0] - uvals[0] * mid[2], grid),
+            _dealiased_forward(uvals[0] * mid[1] - uvals[1] * mid[0], grid),
         ]
         # variable-coefficient part of the resistive term
         mid_spec = [0.5 * (o + n) for o, n in zip(spec_old, spec_new)]
         curl_mid = [
-            np.fft.ifftn((1j * (k[1] * mid_spec[2] - k[2] * mid_spec[1])) * grid.num_points).real,
-            np.fft.ifftn((1j * (k[2] * mid_spec[0] - k[0] * mid_spec[2])) * grid.num_points).real,
-            np.fft.ifftn((1j * (k[0] * mid_spec[1] - k[1] * mid_spec[0])) * grid.num_points).real,
+            _backward(1j * (k[1] * mid_spec[2] - k[2] * mid_spec[1]), grid),
+            _backward(1j * (k[2] * mid_spec[0] - k[0] * mid_spec[2]), grid),
+            _backward(1j * (k[0] * mid_spec[1] - k[1] * mid_spec[0]), grid),
         ]
-        g = [_masked_fft(nu_fluct * c, grid) for c in curl_mid]
+        g = [_dealiased_forward(nu_fluct * c, grid) for c in curl_mid]
         rhs = [e - gg for e, gg in zip(emf, g)]
         curl_rhs = [
             1j * (k[1] * rhs[2] - k[2] * rhs[1]),
@@ -275,10 +274,10 @@ def solve_magnetic_step(
             1j * (k[0] * rhs[1] - k[1] * rhs[0]),
         ]
         nxt = [full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
-        change = sum(np.linalg.norm(a - b) for a, b in zip(nxt, spec_new))
-        scale = sum(np.linalg.norm(a) for a in nxt)
+        change = sum(_spectral_norm(a - b, grid) for a, b in zip(nxt, spec_new))
+        scale = sum(_spectral_norm(a, grid) for a in nxt)
         spec_new = nxt
-        vals_new = [np.fft.ifftn(sn * grid.num_points).real for sn in spec_new]
+        vals_new = [_backward(sn, grid) for sn in spec_new]
         if change <= _INNER_TOL * max(scale, 1e-300):
             break
     else:
@@ -312,29 +311,29 @@ def momentum_residual(
     k = grid.kvec
     dim = grid.dim
 
-    force_spec = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(3)]
+    force_spec = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
 
     # convection: - sum_j d_j (rho u_j u_l)
-    mom = [np.fft.ifftn(_masked_fft(rvals * uvals[j], grid) * grid.num_points).real for j in range(3)]
+    mom = [_backward(_dealiased_forward(rvals * uvals[j], grid), grid) for j in range(3)]
     for l in range(3):
         for j in range(dim):
-            force_spec[l] -= 1j * k[j] * _masked_fft(mom[j] * uvals[l], grid)
+            force_spec[l] -= 1j * k[j] * _dealiased_forward(mom[j] * uvals[l], grid)
 
     # pressure: - grad (P + Pc)
-    p_spec = _masked_fft(pressure(rvals, phys) + cold_pressure(rvals, phys), grid)
+    p_spec = _dealiased_forward(pressure(rvals, phys) + cold_pressure(rvals, phys), grid)
     for l in range(dim):
         force_spec[l] -= 1j * k[l] * p_spec
 
     # velocity gradient (d_j u_l for active j), shared by viscosity and the
     # diffusion-correction term
     u_spec = [c.spectrum for c in u.components]
-    du = [[np.fft.ifftn(1j * k[j] * u_spec[l] * grid.num_points).real for l in range(3)] for j in range(dim)]
+    du = [[_backward(1j * k[j] * u_spec[l], grid) for l in range(3)] for j in range(dim)]
 
     # viscosity: + 2 sum_j d_j (rho D(u)_jl)
     for l in range(3):
         for j in range(dim):
             d_jl = 0.5 * (du[j][l] + (du[l][j] if l < dim else 0.0))
-            force_spec[l] += 2j * k[j] * _masked_fft(rvals * d_jl, grid)
+            force_spec[l] += 2j * k[j] * _dealiased_forward(rvals * d_jl, grid)
 
     # hyperviscosity is exact on the eigenbasis: -eta |k|^4 lambda
     hyper = -reg.eta * basis.eigen_k2**2 * velocity.values if reg.eta else 0.0
@@ -342,36 +341,36 @@ def momentum_residual(
     # diffusion correction: - epsilon (grad rho . grad) u
     if reg.epsilon:
         r_spec = rho.spectrum
-        dr = [np.fft.ifftn(1j * k[j] * r_spec * grid.num_points).real for j in range(dim)]
+        dr = [_backward(1j * k[j] * r_spec, grid) for j in range(dim)]
         for l in range(3):
             corr = np.zeros(grid.shape)
             for j in range(dim):
                 corr += dr[j] * du[j][l]
-            force_spec[l] -= reg.epsilon * _masked_fft(corr, grid)
+            force_spec[l] -= reg.epsilon * _dealiased_forward(corr, grid)
 
     # quantum force, conservative form
     if phys.kappa:
         w = np.sqrt(rvals)
         w_spec = _forward(w, grid)
-        dw = [np.fft.ifftn(1j * k[j] * w_spec * grid.num_points).real for j in range(dim)]
+        dw = [_backward(1j * k[j] * w_spec, grid) for j in range(dim)]
         kap2 = phys.kappa**2
         lap_r = -grid.k_squared * rho.spectrum
         for l in range(dim):
             force_spec[l] += kap2 * 1j * k[l] * lap_r
             for j in range(dim):
-                force_spec[l] -= 4.0 * kap2 * 1j * k[j] * _masked_fft(dw[j] * dw[l], grid)
+                force_spec[l] -= 4.0 * kap2 * 1j * k[j] * _dealiased_forward(dw[j] * dw[l], grid)
 
     # Lorentz force: (curl B) x B
     b_spec = [c.spectrum for c in B.components]
     cb = [
-        np.fft.ifftn(1j * (k[1] * b_spec[2] - k[2] * b_spec[1]) * grid.num_points).real,
-        np.fft.ifftn(1j * (k[2] * b_spec[0] - k[0] * b_spec[2]) * grid.num_points).real,
-        np.fft.ifftn(1j * (k[0] * b_spec[1] - k[1] * b_spec[0]) * grid.num_points).real,
+        _backward(1j * (k[1] * b_spec[2] - k[2] * b_spec[1]), grid),
+        _backward(1j * (k[2] * b_spec[0] - k[0] * b_spec[2]), grid),
+        _backward(1j * (k[0] * b_spec[1] - k[1] * b_spec[0]), grid),
     ]
     bvals = B.component_values()
-    force_spec[0] += _masked_fft(cb[1] * bvals[2] - cb[2] * bvals[1], grid)
-    force_spec[1] += _masked_fft(cb[2] * bvals[0] - cb[0] * bvals[2], grid)
-    force_spec[2] += _masked_fft(cb[0] * bvals[1] - cb[1] * bvals[0], grid)
+    force_spec[0] += _dealiased_forward(cb[1] * bvals[2] - cb[2] * bvals[1], grid)
+    force_spec[1] += _dealiased_forward(cb[2] * bvals[0] - cb[0] * bvals[2], grid)
+    force_spec[2] += _dealiased_forward(cb[0] * bvals[1] - cb[1] * bvals[0], grid)
 
     entries = basis.project_force_spectra(force_spec)
     if reg.eta:
@@ -381,13 +380,15 @@ def momentum_residual(
     # - delta < lap^s div(rho e_i), lap^(s+1) rho >
     if reg.delta:
         s = reg.s
-        weight_cap = grid.volume * ((-grid.k_squared) ** s)
+        # the full-spectrum sum of a product of two real fields' spectra is
+        # the Hermitian-weighted sum over the half
+        weight_cap = grid.volume * grid.hermitian_weights * ((-grid.k_squared) ** s)
         target = np.conj(((-grid.k_squared) ** (s + 1)) * rho.spectrum)
         for i, mode in enumerate(basis.modes):
             axis = mode.component
             if axis >= dim:
                 continue
-            prod = _masked_fft(rvals * basis.profiles[i], grid)
+            prod = _dealiased_forward(rvals * basis.profiles[i], grid)
             div_spec = 1j * k[axis] * prod
             entries[i] -= reg.delta * float(np.sum((weight_cap * div_spec) * target).real)
 

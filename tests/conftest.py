@@ -22,14 +22,8 @@ def rng():
 
 def band_limited_scalar(grid, rng, max_mode=4, amplitude=1.0):
     """Random real field with modes confined to |k|_inf <= max_mode."""
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    for idx in np.ndindex(*([2 * max_mode + 1] * grid.dim)):
-        k = tuple(i - max_mode for i in idx)
-        if all(v == 0 for v in k):
-            continue
-        pos = tuple(k[a] % grid.shape[a] for a in range(grid.dim))
-        spec[pos] = rng.normal() + 1j * rng.normal()
-    f = ScalarField.from_spectrum(grid, spec)
+    keys = [tuple(i - max_mode for i in idx) for idx in np.ndindex(*([2 * max_mode + 1] * grid.dim))]
+    f = ScalarField.from_modes(grid, [(k, rng.normal() + 1j * rng.normal()) for k in keys if any(k)])
     peak = np.max(np.abs(f.values))
     return ScalarField(grid, amplitude * f.values / max(peak, 1e-300))
 

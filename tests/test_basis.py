@@ -137,3 +137,14 @@ def test_custom_mode_selection(grid1d):
     x = grid1d.mesh[0]
     expected = np.sqrt(2.0 / grid1d.volume) * np.sin(x)
     assert np.max(np.abs(basis.profiles[0] - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape,n", [((16, 16), 40), ((8, 8, 8), 60)])
+def test_project_reconstruct_identity_with_mirrored_modes(shape, n, rng):
+    # modes whose last wavevector component is negative are read from the
+    # conjugate of the stored mirror entry of the half spectrum
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n)
+    assert any(m.wavevector[grid.dim - 1] < 0 for m in basis.modes)
+    lam = rng.standard_normal(basis.n)
+    assert np.max(np.abs(basis.project(basis.reconstruct(lam)) - lam)) <= 1e-12

@@ -39,6 +39,7 @@ from qmhd.fields import (
     cross,
     curl,
     dealias,
+    derivative,
     divergence,
     gradient,
     inner_product,
@@ -75,9 +76,7 @@ def pde_rhs(rho, u, b, phys, reg):
     du = [[None] * 3 for _ in range(grid.dim)]
     for j in range(grid.dim):
         for l in range(3):
-            du[j][l] = np.fft.ifftn(
-                1j * grid.kvec[j] * u.components[l].spectrum * grid.num_points
-            ).real
+            du[j][l] = derivative(u.components[l], j).values
 
     force = [np.zeros(grid.shape) for _ in range(3)]
     # convection

@@ -236,3 +236,27 @@ def test_content_hash_stable(tmp_path):
     q = tmp_path / "y.bin"
     q.write_bytes(b"abc124")
     assert content_hash(p) != content_hash(q)
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+def test_random_smooth_matches_full_layout_reference(shape):
+    # the seeded data are the real part of an independent random complex
+    # number at every +-k; build that reference with a full c2c spectrum
+    grid = TorusGrid(shape)
+    rng = np.random.default_rng(5)
+
+    def reference():
+        spec = np.zeros(shape, dtype=np.complex128)
+        for axis_k in np.ndindex(*([5] * grid.dim)):
+            k = tuple(kk - 2 for kk in axis_k)
+            if any(k):
+                spec[tuple(k[a] % shape[a] for a in range(grid.dim))] = rng.normal() + 1j * rng.normal()
+        vals = np.fft.ifftn(spec * grid.num_points).real
+        return vals / np.max(np.abs(vals))
+
+    rho_ref = 1.0 + 0.25 * reference()
+    u_ref = [0.1 * reference() for _ in range(3)]
+    rho, u, _ = benchmark_fields("random_smooth", grid, seed=5)
+    assert np.max(np.abs(rho.values - rho_ref)) <= 1e-14
+    for c, ref in zip(u.components, u_ref):
+        assert np.max(np.abs(c.values - ref)) <= 1e-14

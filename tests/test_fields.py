@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,26 @@ from qmhd.fields import (
 )
 
 from conftest import band_limited_scalar, band_limited_vector
+
+
+def full_layout_spectrum(f):
+    """Complex-to-complex coefficients of a field, c_k for every k."""
+    return np.fft.fftn(f.values) / f.grid.num_points
+
+
+def full_layout_values(spec):
+    """Real part of sum c_k exp(ik.x) for a full c2c spectrum."""
+    return np.fft.ifftn(spec * spec.size).real
+
+
+def full_layout_k(grid, axis):
+    """Wavenumbers of one axis in c2c transform order, Nyquist positive."""
+    n = grid.shape[axis]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = n // 2
+    shp = [1] * grid.dim
+    shp[axis] = n
+    return k.reshape(shp)
 
 
 @pytest.mark.parametrize("shape", [(8,), (16,), (64,), (128,), (16, 16), (32, 32), (8, 8, 8), (16, 16, 16)])
@@ -203,7 +226,7 @@ def test_inner_product_sine():
 def test_parseval(grid2d, rng):
     f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
     direct = inner_product(f, f)
-    spectral = grid2d.volume * np.sum(np.abs(f.spectrum) ** 2)
+    spectral = grid2d.volume * np.sum(grid2d.hermitian_weights * np.abs(f.spectrum) ** 2)
     assert direct == pytest.approx(spectral, rel=1e-12)
 
 
@@ -268,3 +291,86 @@ def test_derivative_of_constant_axis_property(seed):
     # inactive axes differentiate to zero
     assert l2_norm(derivative(f, 1)) == 0.0
     assert l2_norm(derivative(f, 2)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8), (8, 12, 10)])
+def test_odd_derivatives_drop_nyquist_on_every_axis(shape):
+    # white noise carries Nyquist content on every axis; the reference is the
+    # c2c derivative taken to real values, which drops it
+    grid = TorusGrid(shape)
+    f = ScalarField(grid, np.random.default_rng(3).standard_normal(shape))
+    spec = full_layout_spectrum(f)
+    refs = [full_layout_values(1j * full_layout_k(grid, axis) * spec) for axis in range(grid.dim)]
+    scale = np.max(np.abs(refs))
+    for axis in range(grid.dim):
+        assert np.max(np.abs(derivative(f, axis).values - refs[axis])) <= 1e-12 * scale
+    zero = ScalarField(grid, np.zeros(shape))
+    v = VectorField(grid, [f, zero, zero] if grid.dim == 1 else [f, f * f, zero])
+    div_ref = refs[0]
+    if grid.dim > 1:
+        div_ref = div_ref + full_layout_values(
+            1j * full_layout_k(grid, 1) * full_layout_spectrum(f * f)
+        )
+    with pytest.warns(SpectralTailWarning):
+        div = divergence(v)
+    assert np.max(np.abs(div.values - div_ref)) <= 1e-12 * np.max(np.abs(div_ref))
+
+
+@pytest.mark.parametrize(
+    "coarse,fine",
+    [
+        ((16,), (32,)),
+        ((16, 16), (32, 32)),
+        ((16, 16), (32, 24)),
+        ((8, 8, 8), (16, 16, 16)),
+        ((8, 8, 8), (16, 12, 10)),
+    ],
+)
+def test_spectral_resample_keeps_coarse_nyquist(coarse, fine):
+    # white noise has content on every coarse Nyquist plane.  As with the c2c
+    # zero-padding and truncation, coarse -> fine -> coarse returns the coarse
+    # field unchanged, and the refined field interpolates the coarse samples
+    cgrid, fgrid = TorusGrid(coarse), TorusGrid(fine)
+    f = ScalarField(cgrid, np.random.default_rng(11).standard_normal(coarse))
+    up = spectral_resample(f, fgrid)
+    back = spectral_resample(up, cgrid)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12
+    assert integrate(back) == pytest.approx(integrate(f), rel=1e-12, abs=1e-12)
+    if all(nf % nc == 0 for nf, nc in zip(fine, coarse)):
+        nodes = tuple(slice(None, None, nf // nc) for nf, nc in zip(fine, coarse))
+        assert np.max(np.abs(up.values[nodes] - f.values)) <= 1e-12
+
+
+def test_from_spectrum_rejects_full_layout():
+    grid = TorusGrid((16, 16))
+    with pytest.raises(ValueError):
+        ScalarField.from_spectrum(grid, np.zeros(grid.shape, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+def test_band_limited_fixture_matches_full_layout_reference(shape):
+    grid = TorusGrid(shape)
+    got = band_limited_scalar(grid, np.random.default_rng(9), max_mode=3)
+    rng = np.random.default_rng(9)
+    spec = np.zeros(shape, dtype=np.complex128)
+    for idx in np.ndindex(*([7] * grid.dim)):
+        k = tuple(i - 3 for i in idx)
+        if any(k):
+            spec[tuple(k[a] % shape[a] for a in range(grid.dim))] = rng.normal() + 1j * rng.normal()
+    ref = full_layout_values(spec)
+    assert np.max(np.abs(got.values - ref / np.max(np.abs(ref)))) <= 1e-14
+
+
+def test_fields_is_the_only_transform_home():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmhd"
+    pattern = re.compile(r"\b(np|numpy|scipy)\.fft\b|from\s+(numpy|scipy)\s+import\s+fft\b")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "fields.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+    calls = re.findall(r"np\.fft\.(\w+)", (src / "fields.py").read_text())
+    assert sorted(set(calls)) == ["irfftn", "rfftn"]

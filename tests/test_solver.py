@@ -9,6 +9,7 @@ from qmhd import (
     PhysParams,
     PicardDivergence,
     RegParams,
+    ResistivityParams,
     TorusGrid,
     VelocityCoeffs,
     advance_step,
@@ -28,6 +29,7 @@ from qmhd.fields import (
     spectral_resample,
 )
 from qmhd.solver import (
+    _density_factors,
     cfl_report,
     momentum_residual,
     solve_density_step,
@@ -367,6 +369,20 @@ def test_run_simulation_invariants_and_determinism():
         assert np.array_equal(s1.velocity.values, s2.velocity.values)
 
 
+def test_factor_cache_bounded_over_run():
+    # the magnetic mean diffusivity changes on every Picard iteration; only
+    # the constant density factors may be cached
+    grid, basis = _default_setup()
+    # rho stays below the threshold, so nu_b(rho) and its mean vary
+    phys = PhysParams(kappa=0.1, resistivity=ResistivityParams(threshold=2.0))
+    reg = RegParams(epsilon=0.02, eta=1e-3, dt=1e-3)
+    _density_factors.cache_clear()
+    traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.01)
+    assert len(traj.step_infos) == 10
+    info = _density_factors.cache_info()
+    assert info.currsize == 1 and info.misses == 1
+
+
 def test_run_simulation_requires_integer_steps():
     grid, basis = _default_setup()
     phys, reg = PhysParams(), RegParams(dt=1e-3)
@@ -414,7 +430,7 @@ def semi_discrete_rhs(y, basis, phys, reg):
     ).values
     if reg.epsilon:
         lap = -grid.k_squared * rho.spectrum
-        drho = drho + reg.epsilon * np.fft.ifftn(lap * npts).real
+        drho = drho + reg.epsilon * ScalarField.from_spectrum(grid, lap).values
 
     cb = curl(b)
     nu = magnetic_diffusivity(rho.values, phys)
