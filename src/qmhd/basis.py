@@ -1,6 +1,15 @@
 """Finite-dimensional velocity space: real trigonometric vector modes,
 orthonormal in L2 and diagonal for the Laplacian.
 
+The space is held in Fourier form, each mode a +-k pair
+``a exp(ik.x) + conj(a) exp(-ik.x)`` in one Cartesian component.  Projection
+gathers mode entries of the half spectra; ``reconstruct`` scatters
+``coeff * a`` and ``coeff * conj(a)`` as ``ScalarField.from_modes`` does, then
+transforms once per component; the Gram matrix gathers the dealiased density
+spectrum at ``-(k_i +- k_j)`` reduced mod N, which is the grid quadrature
+exactly, aliasing included.  Capillarity in the momentum residual is a
+projection as well (:func:`qmhd.solver.momentum_residual`).
+
 Mode ordering is deterministic: ascending |k|^2, then lexicographic
 wavevector (half-space representative, first nonzero entry positive),
 cosine before sine, then Cartesian component.  ``lowest_modes(grid, n1)``
@@ -17,7 +26,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import SingularMass
-from .fields import ScalarField, VectorField, dealias
+from .fields import ScalarField, VectorField, _backward, _half_index, _pair_terms, _scatter, dealias
 from .grid import TorusGrid
 
 
@@ -35,14 +44,7 @@ class BasisMode:
 def _scalar_mode_keys(grid: TorusGrid, max_abs_k: int):
     """Half-space wavevector representatives up to |k|_inf <= max_abs_k."""
     ranges = [range(-max_abs_k, max_abs_k + 1)] * grid.dim + [range(1)] * (3 - grid.dim)
-    keys = []
-    for k in product(*ranges):
-        if all(v == 0 for v in k):
-            keys.append(k)
-            continue
-        first = next(v for v in k if v != 0)
-        if first > 0:
-            keys.append(k)
+    keys = [k for k in product(*ranges) if not any(k) or next(v for v in k if v) > 0]
     keys.sort(key=lambda k: (sum(v * v for v in k), k))
     return keys
 
@@ -69,83 +71,57 @@ def enumerate_modes(grid: TorusGrid, n: int) -> list[BasisMode]:
     raise AssertionError("unreachable")
 
 
+def _gather_table(grid: TorusGrid, k: np.ndarray, weight: np.ndarray):
+    """Table that reads ``Re(weight * c_full[k])`` as ``re_w * c[index].real + im_w * c[index].imag``."""
+    index, mirrored = _half_index(grid, k)
+    return index, weight.real, np.where(mirrored, weight.imag, -weight.imag)
+
+
 class GalerkinBasis:
-    """Orthonormal trigonometric vector modes spanning the velocity space."""
+    """Orthonormal trigonometric vector modes spanning the velocity space,
+    held as +-k Fourier pairs (wavevectors and complex amplitudes)."""
 
     def __init__(self, grid: TorusGrid, modes: list[BasisMode]):
         self.grid = grid
         self.modes = list(modes)
         self.n = len(self.modes)
-        vol = grid.volume
-        mesh = grid.mesh
-        profiles = np.empty((self.n,) + grid.shape)
-        for i, m in enumerate(self.modes):
-            phase = np.zeros(grid.shape)
-            for axis in range(grid.dim):
-                if m.wavevector[axis]:
-                    phase = phase + m.wavevector[axis] * mesh[axis]
-            if all(v == 0 for v in m.wavevector):
-                profiles[i] = 1.0 / np.sqrt(vol)
-            elif m.trig == "cos":
-                profiles[i] = np.sqrt(2.0 / vol) * np.cos(phase)
-            else:
-                profiles[i] = np.sqrt(2.0 / vol) * np.sin(phase)
-        profiles.setflags(write=False)
-        self.profiles = profiles
         self.components = np.array([m.component for m in self.modes])
+        self._blocks = [np.flatnonzero(self.components == comp) for comp in range(3)]
         self.eigen_k2 = np.array([float(m.k_squared) for m in self.modes])
+        self.wavevectors = np.array([m.wavevector[: grid.dim] for m in self.modes], dtype=np.intp).reshape(-1, grid.dim)
+        # 1/sqrt(vol), sqrt(2/vol) cos and sqrt(2/vol) sin as pair amplitudes
+        self.amplitudes = amp = np.full(self.n, 1.0 / np.sqrt(2.0 * grid.volume), dtype=np.complex128)
+        amp[[m.trig == "sin" for m in self.modes]] *= -1j
+        amp[[not any(m.wavevector) for m in self.modes]] = 0.5 / np.sqrt(grid.volume)
 
     @classmethod
     def lowest_modes(cls, grid: TorusGrid, n: int) -> "GalerkinBasis":
         return cls(grid, enumerate_modes(grid, n))
 
-    @cached_property
-    def _flat_profiles(self) -> np.ndarray:
-        return self.profiles.reshape(self.n, -1)
-
     def reconstruct(self, coeffs: np.ndarray) -> VectorField:
+        """The velocity field: each component's half spectrum is scattered
+        from the mode pairs and transformed once."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (self.n,):
             raise ValueError(f"expected {self.n} coefficients, got {coeffs.shape}")
-        arrays = []
-        for comp in range(3):
-            sel = self.components == comp
-            if not np.any(sel):
-                arrays.append(np.zeros(self.grid.shape))
-                continue
-            arrays.append(
-                np.einsum("m,mx->x", coeffs[sel], self._flat_profiles[sel]).reshape(self.grid.shape)
-            )
-        return VectorField.from_arrays(self.grid, arrays)
+        grid = self.grid
+        comps = []
+        for sel, row, index, amp in self._scatter_tables:
+            spec = _scatter(grid, index, coeffs[sel][row] * amp)
+            vals = _backward(spec, grid) if sel.size else np.zeros(grid.shape)
+            comps.append(ScalarField._adopt(grid, vals, spec))
+        return VectorField(grid, comps)
+
+    @cached_property
+    def _scatter_tables(self) -> list[tuple[np.ndarray, ...]]:
+        """Per component: its modes and the stored terms of their pairs (row,
+        flat half-spectrum index, ``a`` or ``conj(a)``)."""
+        return [(sel, *_pair_terms(self.grid, self.wavevectors[sel], self.amplitudes[sel])) for sel in self._blocks]
 
     @cached_property
     def _readout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per mode: flat index of its wavevector in the half spectrum and the
-        weights that turn that coefficient into the mode's L2 coefficient.
-
-        A mode whose last active wavevector component is negative is read
-        from the stored mirror entry -k, whose coefficient is the conjugate.
-        """
-        grid = self.grid
-        vol = grid.volume
-        index = np.empty(self.n, dtype=np.intp)
-        re_w = np.zeros(self.n)
-        im_w = np.zeros(self.n)
-        for i, m in enumerate(self.modes):
-            k = m.wavevector[: grid.dim]
-            mirrored = k[-1] < 0
-            if mirrored:
-                k = tuple(-v for v in k)
-            index[i] = np.ravel_multi_index(
-                tuple(v % n for v, n in zip(k, grid.shape)), grid.spectral_shape
-            )
-            if all(v == 0 for v in k):
-                re_w[i] = np.sqrt(vol)
-            elif m.trig == "cos":
-                re_w[i] = np.sqrt(2.0 * vol)
-            else:
-                im_w[i] = np.sqrt(2.0 * vol) if mirrored else -np.sqrt(2.0 * vol)
-        return index, re_w, im_w
+        """Gather table of the L2 coefficients ``<f, e_i> = 2 vol Re(conj(a_i) c_{k_i})``."""
+        return _gather_table(self.grid, self.wavevectors, 2.0 * self.grid.volume * np.conj(self.amplitudes))
 
     def project(self, v: VectorField) -> np.ndarray:
         """L2 projection coefficients, read off the Fourier spectra."""
@@ -156,23 +132,32 @@ class GalerkinBasis:
         spectra."""
         index, re_w, im_w = self._readout
         c = np.empty(self.n, dtype=np.complex128)
-        for comp in range(3):
-            sel = self.components == comp
-            if np.any(sel):
-                c[sel] = spectra[comp].reshape(-1)[index[sel]]
+        for comp, sel in enumerate(self._blocks):
+            c[sel] = spectra[comp].reshape(-1)[index[sel]]
         return re_w * c.real + im_w * c.imag
 
+    @cached_property
+    def _gram_tables(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per component block, gather tables of ``rho_hat(-(k_i + k_j))`` and
+        ``rho_hat(-(k_i - k_j))`` stacked on a leading axis of length 2."""
+        vol = self.grid.volume
+        out = []
+        for sel in self._blocks:
+            k, a = self.wavevectors[sel], self.amplitudes[sel]
+            ks = np.stack([-(k[:, None] + k[None, :]), k[None, :] - k[:, None]])
+            w = 2.0 * vol * np.stack([a[:, None] * a[None, :], a[:, None] * np.conj(a)[None, :]])
+            out.append(_gather_table(self.grid, ks, w))
+        return out
+
     def gram(self, rho: ScalarField) -> np.ndarray:
-        """Density-weighted Gram matrix, assembled pseudo-spectrally."""
-        rho_d = dealias(rho)
-        weight = rho_d.values.ravel() * (self.grid.volume / self.grid.num_points)
+        """Density-weighted Gram matrix ``<dealias(rho) e_i, e_j>``, for two modes of one component
+        ``2 vol Re[a_i a_j rho_hat(-(k_i+k_j)) + a_i conj(a_j) rho_hat(-(k_i-k_j))]``."""
+        spec = dealias(rho).spectrum.reshape(-1)
         g = np.zeros((self.n, self.n))
-        for comp in range(3):
-            sel = np.flatnonzero(self.components == comp)
-            if sel.size == 0:
-                continue
-            block = self._flat_profiles[sel]
-            g[np.ix_(sel, sel)] = (block * weight) @ block.T
+        for sel, (index, re_w, im_w) in zip(self._blocks, self._gram_tables):
+            c = spec[index]
+            g[np.ix_(sel, sel)] = np.sum(re_w * c.real + im_w * c.imag, axis=0)
+        # the k_last = 0 plane of the spectrum is Hermitian only to roundoff
         return 0.5 * (g + g.T)
 
 

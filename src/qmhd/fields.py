@@ -66,6 +66,30 @@ def _spectral_norm(spec: np.ndarray, grid: TorusGrid) -> float:
     return float(np.sqrt(2.0 * total - edges))
 
 
+def _half_index(grid: TorusGrid, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat half-spectrum index of each full-spectrum wavevector (last axis of
+    ``k``, reduced mod N) and whether it is stored as its conjugate mirror -k."""
+    n = np.array(grid.shape)
+    p = k % n
+    mirrored = p[..., -1] > n[-1] // 2
+    p = np.where(mirrored[..., None], -p % n, p)
+    return np.ravel_multi_index(tuple(np.moveaxis(p, -1, 0)), grid.spectral_shape), mirrored
+
+
+def _pair_terms(grid: TorusGrid, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stored terms (row, flat index, value) of ``sum c exp(ik.x) + conj(c) exp(-ik.x)`` over rows of k."""
+    index, mirrored = _half_index(grid, np.stack([k, -k], axis=1).reshape(-1, grid.dim))
+    keep = np.flatnonzero(~mirrored)
+    return keep // 2, index[keep], np.stack([c, np.conj(c)], axis=1).reshape(-1)[keep]
+
+
+def _scatter(grid: TorusGrid, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Half spectrum holding the sum of the complex ``terms`` at each flat index."""
+    size = int(np.prod(grid.spectral_shape))
+    spec = np.bincount(index, terms.real, size) + 1j * np.bincount(index, terms.imag, size)
+    return spec.reshape(grid.spectral_shape)
+
+
 class ScalarField:
     """Real scalar samples on a :class:`TorusGrid` with a spectral view."""
 
@@ -108,16 +132,10 @@ class ScalarField:
         ``conj(c)/2`` at -k, whichever of the two the half spectrum stores.
         Repeated wavevectors add up.
         """
-        spec = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        last = grid.shape[-1] // 2
-        for k, c in modes:
-            pos = tuple(int(k[a]) % grid.shape[a] for a in range(grid.dim))
-            neg = tuple(-int(k[a]) % grid.shape[a] for a in range(grid.dim))
-            if pos[-1] <= last:
-                spec[pos] += 0.5 * c
-            if neg[-1] <= last:
-                spec[neg] += 0.5 * np.conj(c)
-        return cls.from_spectrum(grid, spec)
+        pairs = list(modes)
+        k = np.array([tuple(k)[: grid.dim] for k, _ in pairs], dtype=np.intp).reshape(-1, grid.dim)
+        _, index, terms = _pair_terms(grid, k, 0.5 * np.array([c for _, c in pairs], dtype=np.complex128))
+        return cls.from_spectrum(grid, _scatter(grid, index, terms))
 
     @classmethod
     def _adopt(cls, grid: TorusGrid, values: np.ndarray | None, spectrum: np.ndarray | None = None) -> "ScalarField":

@@ -97,6 +97,11 @@ class State:
     def mass(self) -> float:
         return integrate(self.rho)
 
+    @cached_property
+    def mass_operator(self) -> MassOperator:
+        """M[rho]; :func:`advance_step` fills in the one its last iteration built."""
+        return MassOperator(self.basis, self.rho)
+
 
 @dataclass
 class StepInfo:
@@ -325,7 +330,7 @@ def momentum_residual(
         force_spec[l] -= 1j * k[l] * p_spec
 
     # velocity gradient (d_j u_l for active j), shared by viscosity and the
-    # diffusion-correction term
+    # diffusion-correction term; the reconstructed velocity carries its spectra
     u_spec = [c.spectrum for c in u.components]
     du = [[_backward(1j * k[j] * u_spec[l], grid) for l in range(3)] for j in range(dim)]
 
@@ -360,6 +365,15 @@ def momentum_residual(
             for j in range(dim):
                 force_spec[l] -= 4.0 * kap2 * 1j * k[j] * _dealiased_forward(dw[j] * dw[l], grid)
 
+    # capillarity, transposed weak form, as a projection: for a mode in
+    # component a, - delta < lap^s d_a P(rho e_i), lap^(s+1) rho > equals
+    # - delta < rho g_a, e_i > with g_a = -d_a P lap^(2s+1) rho (P = 2/3 mask)
+    if reg.delta:
+        cap_spec = np.where(grid.dealias_mask, -grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
+        for a in range(dim):
+            g_a = _backward(-1j * k[a] * cap_spec, grid)
+            force_spec[a] -= reg.delta * _forward(rvals * g_a, grid)
+
     # Lorentz force: (curl B) x B
     b_spec = [c.spectrum for c in B.components]
     cb = [
@@ -375,23 +389,6 @@ def momentum_residual(
     entries = basis.project_force_spectra(force_spec)
     if reg.eta:
         entries += hyper
-
-    # capillarity, transposed weak form per mode:
-    # - delta < lap^s div(rho e_i), lap^(s+1) rho >
-    if reg.delta:
-        s = reg.s
-        # the full-spectrum sum of a product of two real fields' spectra is
-        # the Hermitian-weighted sum over the half
-        weight_cap = grid.volume * grid.hermitian_weights * ((-grid.k_squared) ** s)
-        target = np.conj(((-grid.k_squared) ** (s + 1)) * rho.spectrum)
-        for i, mode in enumerate(basis.modes):
-            axis = mode.component
-            if axis >= dim:
-                continue
-            prod = _dealiased_forward(rvals * basis.profiles[i], grid)
-            div_spec = 1j * k[axis] * prod
-            entries[i] -= reg.delta * float(np.sum((weight_cap * div_spec) * target).real)
-
     return entries
 
 
@@ -401,7 +398,6 @@ def advance_step(
     reg: RegParams,
     *,
     dt: float | None = None,
-    _mass_old: MassOperator | None = None,
 ) -> tuple[State, StepInfo]:
     """One time step of the coupled system via the fixed-point loop:
     density solve, magnetic solve, then the velocity update through the
@@ -414,8 +410,7 @@ def advance_step(
     rho_old = state.rho
     b_old = state.magnetic
 
-    mass_old = _mass_old if _mass_old is not None else MassOperator(basis, rho_old)
-    rhs_base = mass_old.apply(lam_old)
+    rhs_base = state.mass_operator.apply(lam_old)
     hyper_diag = reg.eta * basis.eigen_k2**2 if reg.eta else None
 
     lam_k = lam_old.copy()
@@ -496,6 +491,7 @@ def advance_step(
     margin = corridor_margin(rho_old, rho_new, VelocityCoeffs(basis, 0.5 * (lam_old + lam_k)).field, h)
     div_b = l2_norm(divergence(b_new))
     new_state = State(state.time + h, rho_new, VelocityCoeffs(basis, lam_k), b_new)
+    object.__setattr__(new_state, "mass_operator", mass_new)  # built from rho_new
     info = StepInfo(
         picard_iters=len(update_norms),
         update_norms=update_norms,
@@ -564,10 +560,11 @@ def run_simulation(
     if snapshot_writer is not None:
         snapshot_writer(state, 0)
 
-    mass_cache: MassOperator | None = None
     for step in range(1, nsteps + 1):
-        state, info = advance_step(state, phys, reg, _mass_old=mass_cache)
-        mass_cache = MassOperator(state.basis, state.rho)
+        prev = state
+        state, info = advance_step(state, phys, reg)
+        # the operator has been used; sampled states are kept without it
+        vars(prev).pop("mass_operator", None)
         infos.append(info)
 
         drift = abs(state.mass - mass0) / max(abs(mass0), 1e-300)
@@ -593,7 +590,7 @@ def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, floa
     grid = state.rho.grid
     dx = min(grid.spacing)
     umax = max(float(np.max(np.abs(c))) for c in state.u.component_values())
-    kmax2 = float(np.max(grid.k_squared))
+    kmax2 = grid.k_squared_max
     kb = float(np.sqrt(np.max(state.basis.eigen_k2))) if state.basis.n else 0.0
     nu_vals = magnetic_diffusivity(state.rho.values, phys)
     nu_bar = float(nu_vals.mean())

@@ -32,3 +32,20 @@ def band_limited_vector(grid, rng, max_mode=4, amplitude=1.0):
     return VectorField(
         grid, [band_limited_scalar(grid, rng, max_mode, amplitude) for _ in range(3)]
     )
+
+
+def mode_profile(grid, mode):
+    """Grid samples of one basis mode, built from its data: 1/sqrt(vol) for
+    k = 0, else sqrt(2/vol) cos(k.x) or sqrt(2/vol) sin(k.x)."""
+    vol = grid.volume
+    if all(v == 0 for v in mode.wavevector):
+        return np.full(grid.shape, 1.0 / np.sqrt(vol))
+    phase = sum(mode.wavevector[a] * grid.mesh[a] for a in range(grid.dim))
+    return np.sqrt(2.0 / vol) * (np.cos(phase) if mode.trig == "cos" else np.sin(phase))
+
+
+def max_mode_count(grid):
+    """Number of modes ``enumerate_modes`` allows: every vector mode with
+    |k_a| <= N_a/3 on each axis (the dealias limit)."""
+    edge = min(n // 3 for n in grid.shape)
+    return 3 * (2 * edge + 1) ** grid.dim

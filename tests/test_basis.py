@@ -3,9 +3,9 @@ import pytest
 
 from qmhd import GalerkinBasis, MassOperator, SingularMass, TorusGrid, VelocityCoeffs
 from qmhd.basis import BasisMode, enumerate_modes
-from qmhd.fields import ScalarField, inner_product, laplacian
+from qmhd.fields import ScalarField, _forward, inner_product, laplacian
 
-from conftest import band_limited_vector
+from conftest import band_limited_vector, max_mode_count, mode_profile
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def test_modes_orthonormal_2d():
 
 def test_modes_are_laplacian_eigenfunctions(basis, grid1d):
     for i, mode in enumerate(basis.modes):
-        prof = ScalarField(grid1d, basis.profiles[i])
+        prof = ScalarField(grid1d, mode_profile(grid1d, mode))
         lap = laplacian(prof)
         assert np.max(np.abs(lap.values + mode.k_squared * prof.values)) <= 1e-10
 
@@ -52,7 +52,7 @@ def test_project_matches_quadrature(basis, grid1d, rng):
     coeffs = basis.project(v)
     for i, mode in enumerate(basis.modes):
         direct = float(
-            (v.components[mode.component].values * basis.profiles[i]).mean() * grid1d.volume
+            (v.components[mode.component].values * mode_profile(grid1d, mode)).mean() * grid1d.volume
         )
         assert coeffs[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -136,7 +136,10 @@ def test_custom_mode_selection(grid1d):
     assert basis.n == 1
     x = grid1d.mesh[0]
     expected = np.sqrt(2.0 / grid1d.volume) * np.sin(x)
-    assert np.max(np.abs(basis.profiles[0] - expected)) <= 1e-14
+    assert np.max(np.abs(mode_profile(grid1d, basis.modes[0]) - expected)) <= 1e-14
+    # the basis holds the same function: its reconstruction and projection
+    assert np.max(np.abs(basis.reconstruct(np.ones(1)).components[0].values - expected)) <= 1e-14
+    assert basis.project(basis.reconstruct(np.ones(1))) == pytest.approx([1.0], rel=1e-14)
 
 
 @pytest.mark.parametrize("shape,n", [((16, 16), 40), ((8, 8, 8), 60)])
@@ -148,3 +151,61 @@ def test_project_reconstruct_identity_with_mirrored_modes(shape, n, rng):
     assert any(m.wavevector[grid.dim - 1] < 0 for m in basis.modes)
     lam = rng.standard_normal(basis.n)
     assert np.max(np.abs(basis.project(basis.reconstruct(lam)) - lam)) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# the Fourier-form basis against explicit cos/sin profiles on the grid
+
+FULL_BASES = [(64,), (16, 16), (24, 16), (8, 8, 8)]
+
+
+def _dealiased_values(grid, values):
+    """2/3-rule truncation through a full complex spectrum."""
+    spec = np.fft.fftn(values)
+    for a, n in enumerate(grid.shape):
+        keep = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n // 3
+        spec = spec * keep.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+    return np.fft.ifftn(spec).real
+
+
+@pytest.mark.parametrize("shape", FULL_BASES)
+def test_gram_matches_grid_quadrature(shape, rng):
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, max_mode_count(grid))
+    # half-space representatives: negative last components exist from 2D on
+    assert grid.dim == 1 or any(m.wavevector[grid.dim - 1] < 0 for m in basis.modes)
+    # white noise: the dealiased density reaches the 2/3 edge on every axis,
+    # so k_i + k_j of the edge modes wraps around mod N
+    rho = ScalarField(grid, 2.0 + rng.uniform(-1.0, 1.0, shape))
+    weight = _dealiased_values(grid, rho.values) * (grid.volume / grid.num_points)
+    profiles = np.array([mode_profile(grid, m).ravel() for m in basis.modes])
+    same = basis.components[:, None] == basis.components[None, :]
+    ref = np.where(same, (profiles * weight.ravel()) @ profiles.T, 0.0)
+    gram = basis.gram(rho)
+    assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", FULL_BASES)
+def test_reconstruct_matches_profile_sum(shape, rng):
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, max_mode_count(grid))
+    lam = rng.standard_normal(basis.n)
+    v = basis.reconstruct(lam)
+    for comp, field in enumerate(v.components):
+        ref = sum(lam[i] * mode_profile(grid, m) for i, m in enumerate(basis.modes) if m.component == comp)
+        assert np.max(np.abs(field.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the spectrum comes with the field and is the transform of its values
+        assert field._spectrum is not None
+        fwd = _forward(field.values, grid)
+        assert np.max(np.abs(field._spectrum - fwd)) <= 1e-13 * np.max(np.abs(fwd))
+
+
+def test_reconstruct_component_without_modes_is_zero():
+    grid = TorusGrid((16, 16))
+    basis = GalerkinBasis(grid, [BasisMode((1, -2, 0), "sin", 1)])
+    v = basis.reconstruct(np.array([0.5]))
+    ref = 0.5 * mode_profile(grid, basis.modes[0])
+    assert np.max(np.abs(v.components[1].values - ref)) <= 1e-15
+    for comp in (0, 2):
+        assert not np.any(v.components[comp].values)
+        assert not np.any(v.components[comp].spectrum)

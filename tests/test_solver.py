@@ -12,11 +12,12 @@ from qmhd import (
     ResistivityParams,
     TorusGrid,
     VelocityCoeffs,
+    State,
     advance_step,
     initial_state,
     run_simulation,
 )
-from qmhd.basis import BasisMode
+from qmhd.basis import BasisMode, MassOperator
 from qmhd.constitutive import magnetic_diffusivity
 from qmhd.fields import (
     ScalarField,
@@ -36,7 +37,7 @@ from qmhd.solver import (
     solve_magnetic_step,
 )
 
-from conftest import band_limited_vector
+from conftest import band_limited_scalar, band_limited_vector, mode_profile
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +290,80 @@ def test_momentum_residual_matches_fine_grid_quadrature(rng):
         assert entries[i] == pytest.approx(oracle, rel=2e-11, abs=2e-11)
 
 
+def _full_spectrum(grid, values):
+    """c2c coefficients of ``f = sum c_k exp(ik.x)`` and the matching
+    wavenumbers, Nyquist included."""
+    k = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in grid.shape], indexing="ij")
+    return np.fft.fftn(values) / grid.num_points, k
+
+
+@pytest.mark.parametrize("shape,n_modes", [((16, 16), 60), ((8, 8, 8), 81)])
+@pytest.mark.parametrize("s", [1, 2])
+def test_momentum_residual_capillarity_matches_per_mode_loop(shape, n_modes, s, rng):
+    # oracle: the transposed weak form mode by mode,
+    # - delta < lap^s div P(rho e_i), lap^(s+1) rho >, on full c2c spectra
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    # white noise on top of a smooth density: content at and beyond the 2/3
+    # edge, where the mask P acts
+    edge = min(n // 3 for n in shape)
+    smooth = band_limited_scalar(grid, rng, max_mode=edge).values
+    rho = ScalarField(grid, 1.5 + 0.3 * smooth + 0.05 * rng.uniform(-1.0, 1.0, shape))
+    vel = VelocityCoeffs(basis, np.zeros(basis.n))
+    b = VectorField.zero(grid)
+    phys = PhysParams(kappa=0.0)
+    # a large delta makes capillarity dwarf the pressure entries that the
+    # difference of two residuals removes
+    delta = 1.0
+    reg = RegParams(delta=delta, s=s)
+    cap = momentum_residual(rho, vel, b, phys, reg) - momentum_residual(
+        rho, vel, b, phys, RegParams(delta=0.0, s=s)
+    )
+
+    rho_hat, k = _full_spectrum(grid, rho.values)
+    k2 = sum(ka**2 for ka in k)
+    keep = np.all([np.abs(ka) <= n // 3 for ka, n in zip(k, shape)], axis=0)
+    target = np.conj((-k2) ** (s + 1) * rho_hat)
+    ref = np.zeros(basis.n)
+    for i, mode in enumerate(basis.modes):
+        a = mode.component
+        if a >= grid.dim:
+            continue
+        prod, _ = _full_spectrum(grid, rho.values * mode_profile(grid, mode))
+        div = 1j * k[a] * np.where(keep, prod, 0.0)
+        ref[i] = -delta * grid.volume * float(np.sum((-k2) ** s * div * target).real)
+    assert np.max(np.abs(ref)) > 0
+    assert np.max(np.abs(cap - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch, rng):
+    grid = TorusGrid((32, 32))
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+    rho_vals = 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=4).values
+    b_vals = [0.2 * c.values for c in band_limited_vector(grid, rng, max_mode=4).components]
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = {}
+    for n in (9, 60):
+        basis = GalerkinBasis.lowest_modes(grid, n)
+        vel = VelocityCoeffs(basis, 0.1 * rng.standard_normal(n))
+        rho = ScalarField(grid, rho_vals)
+        b = VectorField.from_arrays(grid, b_vals)
+        calls.clear()
+        momentum_residual(rho, vel, b, phys, reg)
+        counts[n] = len(calls)
+    assert counts[9] > 0
+    assert counts[9] == counts[60]
+
+
 # --------------------------------------------------------------------------
 # coupled stepping
 
@@ -367,6 +442,34 @@ def test_run_simulation_invariants_and_determinism():
     for s1, s2 in zip(t1.states, t2.states):
         assert np.array_equal(s1.rho.values, s2.rho.values)
         assert np.array_equal(s1.velocity.values, s2.velocity.values)
+
+
+def test_one_mass_operator_per_picard_iteration(monkeypatch):
+    # each step reuses the operator the previous step's last fixed-point
+    # iteration built; only the initial state's operator is extra
+    grid, basis = _default_setup()
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=0.02, eta=1e-3, delta=1e-3, dt=1e-3)
+    fresh = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.003)
+
+    built = []
+    init = MassOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MassOperator, "__init__", counting)
+    traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.003)
+    assert len(traj.step_infos) == 3
+    assert len(built) == sum(info.picard_iters for info in traj.step_infos) + 1
+    # the handed-over operator is the one a fresh build gives, bit for bit
+    state = traj.states[0]
+    for s in fresh.states[1:]:
+        state, _ = advance_step(State(state.time, state.rho, state.velocity, state.magnetic), phys, reg)
+        assert np.array_equal(state.rho.values, s.rho.values)
+        assert np.array_equal(state.velocity.values, s.velocity.values)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(state.magnetic.components, s.magnetic.components))
 
 
 def test_factor_cache_bounded_over_run():
