@@ -7,6 +7,11 @@ monitors consumed by the limit experiments.
 Time derivatives of the functionals are centered differences on stored
 snapshots, so the residuals measure what the scheme actually produced; with
 the second-order stepper they shrink at second order in the step size.
+
+Each field is derived once where it is needed and each physical term is
+written in one place: the BD report reuses the energy functional and the
+dissipation terms, and the weak form derives each interval's midpoint fields
+once for the whole test battery.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .constitutive import (
     cold_enthalpy,
     cold_enthalpy_second,
     cold_pressure,
-    cold_pressure_derivative,
     enthalpy,
     enthalpy_second,
     magnetic_diffusivity,
@@ -59,38 +63,26 @@ def _check_floor(rho: ScalarField, floor: float, context: str) -> np.ndarray:
     return vals
 
 
-def velocity_gradient(u: VectorField) -> list[list[np.ndarray]]:
-    """d_j u_l for active j (rows), all three components l (columns)."""
-    grid = u.grid
-    return [[derivative(u.components[l], j).values for l in range(3)] for j in range(grid.dim)]
-
-
-def strain_frobenius_sq(u: VectorField) -> np.ndarray:
-    """|D(u)|^2 pointwise, D the symmetric velocity gradient (full tensor)."""
+def velocity_gradient_squares(
+    u: VectorField,
+) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+    """The velocity gradient d_j u_l (active j rows, all three components l
+    as columns) and, pointwise, |D(u)|^2 and |A(u)|^2 of its symmetric and
+    antisymmetric parts (full 3x3 tensor)."""
     grid = u.grid
     dim = grid.dim
-    du = velocity_gradient(u)
-    total = np.zeros(grid.shape)
+    du = [[derivative(u.components[l], j).values for l in range(3)] for j in range(dim)]
+    strain = np.zeros(grid.shape)
+    spin = np.zeros(grid.shape)
     for j in range(3):
         for l in range(3):
+            if j >= dim and l >= dim:
+                continue  # both entries vanish
             a = du[j][l] if j < dim else 0.0
             b = du[l][j] if l < dim else 0.0
-            total = total + (0.5 * (a + b)) ** 2
-    return total
-
-
-def spin_frobenius_sq(u: VectorField) -> np.ndarray:
-    """|A(u)|^2 pointwise, A the antisymmetric velocity gradient."""
-    grid = u.grid
-    dim = grid.dim
-    du = velocity_gradient(u)
-    total = np.zeros(grid.shape)
-    for j in range(3):
-        for l in range(3):
-            a = du[j][l] if j < dim else 0.0
-            b = du[l][j] if l < dim else 0.0
-            total = total + (0.5 * (a - b)) ** 2
-    return total
+            strain += (0.5 * (a + b)) ** 2
+            spin += (0.5 * (a - b)) ** 2
+    return du, strain, spin
 
 
 def hessian_frobenius_sq(f: ScalarField) -> np.ndarray:
@@ -109,6 +101,21 @@ def grad_sq(f: ScalarField) -> np.ndarray:
     for j in range(grid.dim):
         total = total + derivative(f, j).values ** 2
     return total
+
+
+def _integral(values: np.ndarray, grid) -> float:
+    """Grid quadrature of pointwise samples over the torus."""
+    return float(values.mean() * grid.volume)
+
+
+def _pair(a: Sequence[np.ndarray], b: Sequence[np.ndarray], grid) -> float:
+    """L2 pairing of two three-component vector fields given by samples."""
+    return float(sum((a[l] * b[l]).mean() for l in range(3)) * grid.volume)
+
+
+def _cross(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Pointwise cross product of two three-component sample lists."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
 # --------------------------------------------------------------------------
@@ -170,13 +177,13 @@ def compute_energy_fields(
     grid = rho.grid
     rvals = _check_floor(rho, reg.density_floor, "energy")
     uvals = u.component_values()
-    kinetic = 0.5 * float((rvals * sum(v * v for v in uvals)).mean() * grid.volume)
-    internal = float(enthalpy(rvals, phys).mean() * grid.volume)
-    cold = float(cold_enthalpy(rvals, phys).mean() * grid.volume)
+    kinetic = 0.5 * _integral(rvals * sum(v * v for v in uvals), grid)
+    internal = _integral(enthalpy(rvals, phys), grid)
+    cold = _integral(cold_enthalpy(rvals, phys), grid)
     w = ScalarField._adopt(grid, np.sqrt(rvals))
     # note the factor 2: with the quantum force 2 kappa^2 rho grad(lap w / w)
     # the conserved quantity carries 2 kappa^2 |grad sqrt(rho)|^2
-    quantum = 2.0 * phys.kappa**2 * float((grad_sq(w)).mean() * grid.volume)
+    quantum = 2.0 * phys.kappa**2 * _integral(grad_sq(w), grid)
     magnetic = 0.5 * sum(l2_norm(c) ** 2 for c in B.components)
     capillary = 0.5 * reg.delta * sobolev_seminorm(rho, 2 * reg.s + 1) ** 2
     return EnergyReport(kinetic, internal, cold, quantum, magnetic, capillary)
@@ -186,30 +193,54 @@ def compute_energy(state: State, phys: PhysParams, reg: RegParams) -> EnergyRepo
     return compute_energy_fields(state.rho, state.u, state.magnetic, phys, reg)
 
 
+@dataclass(frozen=True)
+class _DissipationWork:
+    """Fields and integrals the dissipation report derives that the BD
+    report reads again."""
+
+    du: list[list[np.ndarray]]
+    spin_sq: np.ndarray
+    drho: list[np.ndarray]
+    curl_b: list[np.ndarray]
+    lap_u: list[ScalarField]
+    logr: ScalarField
+    pressure_gradient: float  # int (H'' + Hc'') |grad rho|^2
+    quantum_hessian: float  # int rho |grad^2 log rho|^2
+    capillary_sq: float  # squared H^(2s+2) seminorm of rho
+
+
+def _dissipation(
+    rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams, context: str
+) -> tuple[DissipationReport, _DissipationWork]:
+    grid = rho.grid
+    rvals = _check_floor(rho, reg.density_floor, context)
+    du, strain_sq, spin_sq = velocity_gradient_squares(u)
+    drho = [derivative(rho, j).values for j in range(grid.dim)]
+    hess_enthalpy = enthalpy_second(rvals, phys) + cold_enthalpy_second(rvals, phys)
+    pressure_gradient = _integral(hess_enthalpy * sum(d**2 for d in drho), grid)
+    cb = [c.values for c in curl(B).components]
+    lap_u = [laplacian(c) for c in u.components]
+    logr = ScalarField._adopt(grid, np.log(rvals))
+    quantum_hessian = _integral(rvals * hessian_frobenius_sq(logr), grid)
+    capillary_sq = sobolev_seminorm(rho, 2 * (reg.s + 1)) ** 2
+    report = DissipationReport(
+        viscous=2.0 * _integral(rvals * strain_sq, grid),
+        pressure_diss=reg.epsilon * pressure_gradient,
+        magnetic_diss=_integral(magnetic_diffusivity(rvals, phys) * sum(c**2 for c in cb), grid),
+        hyper=reg.eta * sum(l2_norm(c) ** 2 for c in lap_u),
+        capillary_diss=reg.delta * reg.epsilon * capillary_sq,
+        quantum_diss=reg.epsilon * phys.kappa**2 * quantum_hessian,
+    )
+    work = _DissipationWork(
+        du, spin_sq, drho, cb, lap_u, logr, pressure_gradient, quantum_hessian, capillary_sq
+    )
+    return report, work
+
+
 def compute_dissipation_fields(
     rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams
 ) -> DissipationReport:
-    grid = rho.grid
-    rvals = _check_floor(rho, reg.density_floor, "dissipation")
-    viscous = 2.0 * float((rvals * strain_frobenius_sq(u)).mean() * grid.volume)
-    gr2 = grad_sq(rho)
-    pressure_diss = reg.epsilon * float(
-        ((enthalpy_second(rvals, phys) + cold_enthalpy_second(rvals, phys)) * gr2).mean() * grid.volume
-    )
-    cb = curl(B)
-    magnetic_diss = float(
-        (magnetic_diffusivity(rvals, phys) * sum(c.values**2 for c in cb.components)).mean()
-        * grid.volume
-    )
-    hyper = reg.eta * sum(l2_norm(laplacian(c)) ** 2 for c in u.components)
-    capillary_diss = reg.delta * reg.epsilon * sobolev_seminorm(rho, 2 * (reg.s + 1)) ** 2
-    logr = ScalarField._adopt(grid, np.log(rvals))
-    quantum_diss = (
-        reg.epsilon
-        * phys.kappa**2
-        * float((rvals * hessian_frobenius_sq(logr)).mean() * grid.volume)
-    )
-    return DissipationReport(viscous, pressure_diss, magnetic_diss, hyper, capillary_diss, quantum_diss)
+    return _dissipation(rho, u, B, phys, reg, "dissipation")[0]
 
 
 def compute_dissipation(state: State, phys: PhysParams, reg: RegParams) -> DissipationReport:
@@ -316,105 +347,71 @@ def bd_entropy_report_fields(
     rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams
 ) -> BDEntropyReport:
     grid = rho.grid
-    rvals = _check_floor(rho, reg.density_floor, "bd entropy")
+    diss, work = _dissipation(rho, u, B, phys, reg, "bd entropy")
+    rvals = rho.values
     uvals = u.component_values()
     eps, eta, delta, kappa = reg.epsilon, reg.eta, reg.delta, phys.kappa
 
-    logr = ScalarField._adopt(grid, np.log(rvals))
-    phi = 2.0 * logr
-    gphi = gradient(phi)
+    # phi = 2 log rho; doubling is exact, so its spectrum is twice that of log rho
+    gphi = gradient(ScalarField._adopt(grid, None, 2.0 * work.logr.spectrum))
     gphi_vals = gphi.component_values()
-    w = ScalarField._adopt(grid, np.sqrt(rvals))
 
-    # augmented energy with the gradient-shifted velocity
-    shifted = [uvals[l] + gphi_vals[l] for l in range(3)]
-    bd_energy = 0.5 * float((rvals * sum(v * v for v in shifted)).mean() * grid.volume)
-    bd_energy += float((enthalpy(rvals, phys) + cold_enthalpy(rvals, phys)).mean() * grid.volume)
-    bd_energy += 2.0 * kappa**2 * float(grad_sq(w).mean() * grid.volume)
-    bd_energy += 0.5 * sum(l2_norm(c) ** 2 for c in B.components)
-    bd_energy += 0.5 * delta * sobolev_seminorm(rho, 2 * reg.s + 1) ** 2
-
-    ptot_prime = cold_pressure_derivative(rvals, phys) + phys.gamma * rvals ** (phys.gamma - 1.0)
-    gr2 = grad_sq(rho)
-    hess_log = hessian_frobenius_sq(logr)
-    cb = curl(B)
-
-    lhs_hyper = eta * sum(l2_norm(laplacian(c)) ** 2 for c in u.components)
-    lhs_antisymmetric = 2.0 * float((rvals * spin_frobenius_sq(u)).mean() * grid.volume)
-    lhs_pressure_gradient = 2.0 * float((ptot_prime / rvals * gr2).mean() * grid.volume)
-    lhs_quantum_hessian = 2.0 * kappa**2 * float((rvals * hess_log).mean() * grid.volume)
-    lhs_quantum_hessian_eps = eps * kappa**2 * float((rvals * hess_log).mean() * grid.volume)
-    lhs_magnetic = float(
-        (magnetic_diffusivity(rvals, phys) * sum(c.values**2 for c in cb.components)).mean()
-        * grid.volume
+    # the energy functional at the gradient-shifted velocity
+    shifted = VectorField(
+        grid, [ScalarField._adopt(grid, uvals[l] + gphi_vals[l]) for l in range(3)]
     )
-    cap_sq = sobolev_seminorm(rho, 2 * (reg.s + 1)) ** 2
-    lhs_capillary_eps = eps * delta * cap_sq
-    lhs_capillary = 2.0 * delta * cap_sq
-    lhs_pressure_gradient_eps = eps * float((ptot_prime / rvals * gr2).mean() * grid.volume)
+    bd_energy = compute_energy_fields(rho, shifted, B, phys, reg).total
 
     lap_r = laplacian(rho)
     phi_prime_lap = ScalarField._adopt(grid, 2.0 / rvals * lap_r.values)
-    g_pl = gradient(phi_prime_lap)
-    rhs_density_laplacian = eps * float(
-        (rvals * sum(a.values * b.values for a, b in zip(gphi.components, g_pl.components))).mean()
-        * grid.volume
+    g_pl = gradient(phi_prime_lap).component_values()
+    rhs_density_laplacian = eps * _integral(
+        rvals * sum(a * b for a, b in zip(gphi_vals, g_pl)), grid
     )
-    spot_density_laplacian = -4.0 * eps * float((lap_r.values**2 / rvals).mean() * grid.volume)
+    spot_density_laplacian = -4.0 * eps * _integral(lap_r.values**2 / rvals, grid)
 
-    du = velocity_gradient(u)
-    dr = [derivative(rho, j).values for j in range(grid.dim)]
     coupling = np.zeros(grid.shape)
     for j in range(grid.dim):
         for l in range(grid.dim):
-            coupling = coupling + dr[j] * du[j][l] * gphi_vals[l]
-    rhs_velocity_gradient = -eps * float(coupling.mean() * grid.volume)
+            coupling = coupling + work.drho[j] * work.du[j][l] * gphi_vals[l]
+    rhs_velocity_gradient = -eps * _integral(coupling, grid)
 
-    rhs_log_gradient_laplacian = eps * float(
-        (0.5 * sum(v * v for v in gphi_vals) * lap_r.values).mean() * grid.volume
+    rhs_log_gradient_laplacian = eps * _integral(
+        0.5 * sum(v * v for v in gphi_vals) * lap_r.values, grid
     )
 
-    rhs_hyperviscous = -eta * float(
+    rhs_hyperviscous = -eta * _integral(
         sum(
-            (laplacian(u.components[l]).values * laplacian(gphi.components[l]).values)
+            work.lap_u[l].values * laplacian(gphi.components[l]).values
             for l in range(grid.dim)
-        ).mean()
-        * grid.volume
+        ),
+        grid,
     )
 
     div_m = divergence(
         VectorField.from_arrays(grid, [rvals * uvals[l] for l in range(3)])
     ).values
-    rhs_mass_flux = -eps * float((div_m * phi_prime_lap.values).mean() * grid.volume)
+    rhs_mass_flux = -eps * _integral(div_m * phi_prime_lap.values, grid)
 
-    bvals = B.component_values()
-    cbv = [c.values for c in cb.components]
-    lorentz = [
-        cbv[1] * bvals[2] - cbv[2] * bvals[1],
-        cbv[2] * bvals[0] - cbv[0] * bvals[2],
-        cbv[0] * bvals[1] - cbv[1] * bvals[0],
-    ]
-    rhs_lorentz = float(
-        sum(lorentz[l] * gphi_vals[l] for l in range(3)).mean() * grid.volume
-    )
+    lorentz = _cross(work.curl_b, B.component_values())
 
     return BDEntropyReport(
         bd_energy=bd_energy,
-        lhs_hyper=lhs_hyper,
-        lhs_antisymmetric=lhs_antisymmetric,
-        lhs_pressure_gradient=lhs_pressure_gradient,
-        lhs_quantum_hessian=lhs_quantum_hessian,
-        lhs_quantum_hessian_eps=lhs_quantum_hessian_eps,
-        lhs_magnetic=lhs_magnetic,
-        lhs_capillary_eps=lhs_capillary_eps,
-        lhs_capillary=lhs_capillary,
-        lhs_pressure_gradient_eps=lhs_pressure_gradient_eps,
+        lhs_hyper=diss.hyper,
+        lhs_antisymmetric=2.0 * _integral(rvals * work.spin_sq, grid),
+        lhs_pressure_gradient=2.0 * work.pressure_gradient,
+        lhs_quantum_hessian=2.0 * kappa**2 * work.quantum_hessian,
+        lhs_quantum_hessian_eps=diss.quantum_diss,
+        lhs_magnetic=diss.magnetic_diss,
+        lhs_capillary_eps=diss.capillary_diss,
+        lhs_capillary=2.0 * delta * work.capillary_sq,
+        lhs_pressure_gradient_eps=diss.pressure_diss,
         rhs_density_laplacian=rhs_density_laplacian,
         rhs_velocity_gradient=rhs_velocity_gradient,
         rhs_log_gradient_laplacian=rhs_log_gradient_laplacian,
         rhs_hyperviscous=rhs_hyperviscous,
         rhs_mass_flux=rhs_mass_flux,
-        rhs_lorentz=rhs_lorentz,
+        rhs_lorentz=_integral(sum(lorentz[l] * gphi_vals[l] for l in range(3)), grid),
         spot_density_laplacian=spot_density_laplacian,
     )
 
@@ -491,10 +488,10 @@ def quantum_inequality_check(rho: ScalarField, floor: float = 1e-8) -> QuantumIn
     w = ScalarField._adopt(grid, np.sqrt(rvals))
     q = ScalarField._adopt(grid, rvals**0.25)
     logr = ScalarField._adopt(grid, np.log(rvals))
-    hess_sqrt = float(hessian_frobenius_sq(w).mean() * grid.volume)
-    quartic = float((grad_sq(q) ** 2).mean() * grid.volume)
-    grad_rhs = float((rvals * grad_sq(logr)).mean() * grid.volume)
-    hess_rhs = float((rvals * hessian_frobenius_sq(logr)).mean() * grid.volume)
+    hess_sqrt = _integral(hessian_frobenius_sq(w), grid)
+    quartic = _integral(grad_sq(q) ** 2, grid)
+    grad_rhs = _integral(rvals * grad_sq(logr), grid)
+    hess_rhs = _integral(rvals * hessian_frobenius_sq(logr), grid)
 
     def ratio(num: float, den: float) -> float:
         return num / den if den > 0 else np.inf
@@ -559,6 +556,45 @@ def _midpoint_pairs(traj: Trajectory):
         yield traj.states[k], traj.states[k + 1], traj.times[k], traj.times[k + 1]
 
 
+def quantum_pairing(w: np.ndarray, dw, grad_div_phi, grad_phi, grid) -> float:
+    """int w grad w . grad div phi + 2 int d_j w d_l w d_j phi_l, w = sqrt(rho):
+    the quantum force 2 kappa^2 rho grad(lap w / w) paired with a test field
+    phi, integrated by parts and divided by 2 kappa^2.  Takes samples:
+    ``dw[j]``, ``grad_div_phi[l]`` and ``grad_phi[j][l]`` over active axes."""
+    inner = 0.0
+    for l in range(grid.dim):
+        inner += _integral(w * dw[l] * grad_div_phi[l], grid)
+    for j in range(grid.dim):
+        for l in range(grid.dim):
+            inner += 2.0 * _integral(dw[j] * dw[l] * grad_phi[j][l], grid)
+    return inner
+
+
+@dataclass(frozen=True)
+class _VectorTest:
+    """Samples of a vector test field and of every derivative the momentum
+    and induction pairings read."""
+
+    values: list[np.ndarray]
+    grad: list[list[np.ndarray]]  # d_j phi_l, active j
+    div: np.ndarray
+    lap: list[np.ndarray]
+    grad_div: list[np.ndarray]  # active axes
+    curl: list[np.ndarray]
+
+    @classmethod
+    def of(cls, phi: VectorField) -> "_VectorTest":
+        div_phi = divergence(phi)
+        return cls(
+            values=phi.component_values(),
+            grad=[[derivative(c, j).values for c in phi.components] for j in range(phi.grid.dim)],
+            div=div_phi.values,
+            lap=[laplacian(c).values for c in phi.components],
+            grad_div=gradient(div_phi).component_values()[: phi.grid.dim],
+            curl=curl(phi).component_values(),
+        )
+
+
 def weak_form_residual(
     traj: Trajectory,
     scalar_battery: Sequence[TestFunction] | None = None,
@@ -569,10 +605,12 @@ def weak_form_residual(
 
     Quadrature is midpoint-in-time with the summation-by-parts pairing, so a
     conservative scheme telescopes the continuity item to solver tolerance
-    when the density diffusion is off.
+    when the density diffusion is off.  One pass over the intervals derives
+    the midpoint fields once and pairs them with every test function.
     """
     h = _require_uniform(traj)
     grid = traj.states[0].rho.grid
+    dim = grid.dim
     phys = traj.phys
     t_final = traj.times[-1]
     if scalar_battery is None:
@@ -582,152 +620,87 @@ def weak_form_residual(
 
     from .fields import dealiased_product
 
-    out: dict[str, dict[str, float]] = {"continuity": {}, "momentum": {}, "magnetic": {}}
+    scalar_grads = [gradient(tf.spatial).component_values() for tf in scalar_battery]
+    vector_tests = [_VectorTest.of(tf.spatial) for tf in vector_battery]
 
-    # continuity -----------------------------------------------------------
-    for tf in scalar_battery:
-        phi = tf.spatial
-        gphi = gradient(phi)
-        r = tf.g(traj.times[0]) * inner_product(traj.states[0].rho, phi)
-        for s0, s1, t0, t1 in _midpoint_pairs(traj):
-            g0, g1 = tf.g(t0), tf.g(t1)
-            gmid = 0.5 * (g0 + g1)
-            rho_mid = ScalarField._adopt(grid, 0.5 * (s0.rho.values + s1.rho.values))
-            u_mid = VectorField(
-                grid,
-                [
-                    ScalarField._adopt(grid, 0.5 * (a.values + b.values))
-                    for a, b in zip(s0.u.components, s1.u.components)
-                ],
-            )
-            r += (g1 - g0) * inner_product(rho_mid, phi)
-            flux = sum(
-                inner_product(dealiased_product(rho_mid, u_mid.components[l]), gphi.components[l])
-                for l in range(grid.dim)
-            )
-            r += h * gmid * flux
-        out["continuity"][tf.name] = float(r)
+    first, t_first = traj.states[0], traj.times[0]
+    m_first = [first.rho.values * first.u.component_values()[l] for l in range(3)]
+    b_first = first.magnetic.component_values()
+    continuity = [tf.g(t_first) * inner_product(first.rho, tf.spatial) for tf in scalar_battery]
+    momentum = [
+        tf.g(t_first) * _pair(m_first, d.values, grid) for tf, d in zip(vector_battery, vector_tests)
+    ]
+    magnetic = [
+        tf.g(t_first) * _pair(b_first, d.values, grid) for tf, d in zip(vector_battery, vector_tests)
+    ]
 
-    # momentum (sqrt-density factored form) --------------------------------
-    for tf in vector_battery:
-        phi = tf.spatial
-        pvals = phi.component_values()
-        gphi = [[derivative(phi.components[l], j).values for l in range(3)] for j in range(grid.dim)]
-        div_phi = divergence(phi)
-        lap_phi = [laplacian(c).values for c in phi.components]
-        grad_div_phi = gradient(div_phi)
-        m0 = [
-            traj.states[0].rho.values * traj.states[0].u.component_values()[l] for l in range(3)
+    for s0, s1, t0, t1 in _midpoint_pairs(traj):
+        # midpoint fields, derived once per interval
+        rho_mid = ScalarField._adopt(grid, 0.5 * (s0.rho.values + s1.rho.values))
+        rv = rho_mid.values
+        uv = [0.5 * (a + b) for a, b in zip(s0.u.component_values(), s1.u.component_values())]
+        bv = [
+            0.5 * (a + b)
+            for a, b in zip(s0.magnetic.component_values(), s1.magnetic.component_values())
         ]
-        r = tf.g(traj.times[0]) * float(
-            sum((m0[l] * pvals[l]).mean() for l in range(3)) * grid.volume
-        )
-        for s0, s1, t0, t1 in _midpoint_pairs(traj):
+        wv = 0.5 * (np.sqrt(s0.rho.values) + np.sqrt(s1.rho.values))
+        w_mid = ScalarField._adopt(grid, wv)
+        dw = [derivative(w_mid, j).values for j in range(dim)]
+        mv = [rv * uv[l] for l in range(3)]
+        flux = [
+            dealiased_product(rho_mid, ScalarField._adopt(grid, uv[l])).values for l in range(dim)
+        ]
+        ptot = pressure(rv, phys) + cold_pressure(rv, phys)
+        cb = curl(VectorField.from_arrays(grid, bv)).component_values()
+        lorentz = _cross(cb, bv)
+        emf = _cross(uv, bv)
+        nu = magnetic_diffusivity(rv, phys)
+
+        for i, tf in enumerate(scalar_battery):
             g0, g1 = tf.g(t0), tf.g(t1)
             gmid = 0.5 * (g0 + g1)
-            rv = 0.5 * (s0.rho.values + s1.rho.values)
-            uv = [
-                0.5 * (a + b)
-                for a, b in zip(s0.u.component_values(), s1.u.component_values())
-            ]
-            bv = [
-                0.5 * (a.values + b.values)
-                for a, b in zip(s0.magnetic.components, s1.magnetic.components)
-            ]
-            wv = 0.5 * (np.sqrt(s0.rho.values) + np.sqrt(s1.rho.values))
-            wfield = ScalarField._adopt(grid, wv)
-            dw = [derivative(wfield, j).values for j in range(grid.dim)]
-            mv = [rv * uv[l] for l in range(3)]
+            continuity[i] += (g1 - g0) * inner_product(rho_mid, tf.spatial)
+            flux_pairing = sum(_integral(flux[l] * scalar_grads[i][l], grid) for l in range(dim))
+            continuity[i] += h * gmid * flux_pairing
 
-            r += (g1 - g0) * float(sum((mv[l] * pvals[l]).mean() for l in range(3)) * grid.volume)
-
+        for i, (tf, d) in enumerate(zip(vector_battery, vector_tests)):
+            g0, g1 = tf.g(t0), tf.g(t1)
+            gmid = 0.5 * (g0 + g1)
             term = 0.0
             # transport: rho u (x) u : grad phi
-            for j in range(grid.dim):
+            for j in range(dim):
                 for l in range(3):
-                    term += float((rv * uv[j] * uv[l] * gphi[j][l]).mean() * grid.volume)
+                    term += _integral(mv[j] * uv[l] * d.grad[j][l], grid)
             # pressure work
-            ptot = pressure(rv, phys) + cold_pressure(rv, phys)
-            term += float((ptot * div_phi.values).mean() * grid.volume)
+            term += _integral(ptot * d.div, grid)
             # viscosity in the factored form
-            for j in range(grid.dim):
+            for j in range(dim):
                 for l in range(3):
-                    term += 2.0 * float((dw[j] * wv * uv[l] * gphi[j][l]).mean() * grid.volume)
-                    if l < grid.dim:
-                        term += 2.0 * float((wv * uv[j] * dw[l] * gphi[j][l]).mean() * grid.volume)
+                    term += 2.0 * _integral(dw[j] * wv * uv[l] * d.grad[j][l], grid)
+                    if l < dim:
+                        term += 2.0 * _integral(wv * uv[j] * dw[l] * d.grad[j][l], grid)
             for l in range(3):
-                term += float((rv * uv[l] * lap_phi[l]).mean() * grid.volume)
-            for l in range(grid.dim):
-                term += float((rv * uv[l] * grad_div_phi.components[l].values).mean() * grid.volume)
+                term += _integral(mv[l] * d.lap[l], grid)
+            for l in range(dim):
+                term += _integral(mv[l] * d.grad_div[l], grid)
             # quantum terms in the integrated-by-parts form
             if phys.kappa:
-                kap2 = phys.kappa**2
-                for l in range(grid.dim):
-                    term += 2.0 * kap2 * float(
-                        (wv * dw[l] * grad_div_phi.components[l].values).mean() * grid.volume
-                    )
-                for j in range(grid.dim):
-                    for l in range(grid.dim):
-                        term += 4.0 * kap2 * float((dw[j] * dw[l] * gphi[j][l]).mean() * grid.volume)
+                term += 2.0 * phys.kappa**2 * quantum_pairing(wv, dw, d.grad_div, d.grad, grid)
             # Lorentz force
-            cbx = derivative(ScalarField._adopt(grid, bv[2]), 1).values - derivative(
-                ScalarField._adopt(grid, bv[1]), 2
-            ).values
-            cby = derivative(ScalarField._adopt(grid, bv[0]), 2).values - derivative(
-                ScalarField._adopt(grid, bv[2]), 0
-            ).values
-            cbz = derivative(ScalarField._adopt(grid, bv[1]), 0).values - derivative(
-                ScalarField._adopt(grid, bv[0]), 1
-            ).values
-            lor = [
-                cby * bv[2] - cbz * bv[1],
-                cbz * bv[0] - cbx * bv[2],
-                cbx * bv[1] - cby * bv[0],
-            ]
-            term += float(sum((lor[l] * pvals[l]).mean() for l in range(3)) * grid.volume)
-            r += h * gmid * term
-        out["momentum"][tf.name] = float(r)
+            term += _pair(lorentz, d.values, grid)
+            momentum[i] += (g1 - g0) * _pair(mv, d.values, grid)
+            momentum[i] += h * gmid * term
 
-    # induction -------------------------------------------------------------
-    for tf in vector_battery:
-        phi = tf.spatial
-        cphi = curl(phi)
-        cphi_vals = cphi.component_values()
-        pvals = phi.component_values()
-        b0 = traj.states[0].magnetic.component_values()
-        r = tf.g(traj.times[0]) * float(
-            sum((b0[l] * pvals[l]).mean() for l in range(3)) * grid.volume
-        )
-        for s0, s1, t0, t1 in _midpoint_pairs(traj):
-            g0, g1 = tf.g(t0), tf.g(t1)
-            gmid = 0.5 * (g0 + g1)
-            rv = 0.5 * (s0.rho.values + s1.rho.values)
-            uv = [
-                0.5 * (a + b)
-                for a, b in zip(s0.u.component_values(), s1.u.component_values())
-            ]
-            bv = [
-                0.5 * (a.values + b.values)
-                for a, b in zip(s0.magnetic.components, s1.magnetic.components)
-            ]
-            r += (g1 - g0) * float(sum((bv[l] * pvals[l]).mean() for l in range(3)) * grid.volume)
-            emf = [
-                uv[1] * bv[2] - uv[2] * bv[1],
-                uv[2] * bv[0] - uv[0] * bv[2],
-                uv[0] * bv[1] - uv[1] * bv[0],
-            ]
-            term = float(sum((emf[l] * cphi_vals[l]).mean() for l in range(3)) * grid.volume)
-            bmid = VectorField.from_arrays(grid, bv)
-            cb = curl(bmid)
-            nu = magnetic_diffusivity(rv, phys)
-            term -= float(
-                (nu * sum(cb.components[l].values * cphi_vals[l] for l in range(3))).mean()
-                * grid.volume
-            )
-            r += h * gmid * term
-        out["magnetic"][tf.name] = float(r)
+            term = _pair(emf, d.curl, grid)
+            term -= _integral(nu * sum(cb[l] * d.curl[l] for l in range(3)), grid)
+            magnetic[i] += (g1 - g0) * _pair(bv, d.values, grid)
+            magnetic[i] += h * gmid * term
 
-    return out
+    return {
+        "continuity": {tf.name: float(r) for tf, r in zip(scalar_battery, continuity)},
+        "momentum": {tf.name: float(r) for tf, r in zip(vector_battery, momentum)},
+        "magnetic": {tf.name: float(r) for tf, r in zip(vector_battery, magnetic)},
+    }
 
 
 # --------------------------------------------------------------------------
@@ -757,19 +730,17 @@ def norm_monitor(state: State, phys: PhysParams, reg: RegParams) -> dict[str, fl
     w = ScalarField._adopt(grid, np.sqrt(rvals))
     q = ScalarField._adopt(grid, rvals**0.25)
     rg = ScalarField._adopt(grid, rvals ** (phys.gamma / 2.0))
-    h2 = np.sqrt(
-        l2_norm(w) ** 2 + sobolev_seminorm(w, 1) ** 2 + sobolev_seminorm(w, 2) ** 2
-    )
+    grad_w = sobolev_seminorm(w, 1)
+    h2 = np.sqrt(l2_norm(w) ** 2 + grad_w**2 + sobolev_seminorm(w, 2) ** 2)
+    _, strain_sq, _ = velocity_gradient_squares(state.u)
     return {
         "rho_Lgamma": lp_norm(state.rho, phys.gamma),
         "inv_rho_Lgamma_minus": lp_norm(ScalarField._adopt(grid, 1.0 / rvals), phys.gamma_minus),
-        "grad_sqrt_rho_L2": sobolev_seminorm(w, 1),
+        "grad_sqrt_rho_L2": grad_w,
         "sqrt_rho_u_L2": float(
             np.sqrt((rvals * sum(v * v for v in uvals)).mean() * grid.volume)
         ),
-        "sqrt_rho_Du_L2": float(
-            np.sqrt((rvals * strain_frobenius_sq(state.u)).mean() * grid.volume)
-        ),
+        "sqrt_rho_Du_L2": float(np.sqrt((rvals * strain_sq).mean() * grid.volume)),
         "grad_rho_gamma_half_L2": sobolev_seminorm(rg, 1),
         "B_L2": float(np.sqrt(sum(l2_norm(c) ** 2 for c in state.magnetic.components))),
         "grad_B_L2": float(

@@ -17,7 +17,13 @@ import numpy as np
 
 from .basis import GalerkinBasis
 from .constitutive import PhysParams
-from .diagnostics import MONITOR_KEYS, compute_energy, default_vector_battery, norm_monitor
+from .diagnostics import (
+    MONITOR_KEYS,
+    compute_energy,
+    default_vector_battery,
+    norm_monitor,
+    quantum_pairing,
+)
 from .errors import QMHDError
 from .fields import (
     ScalarField,
@@ -172,24 +178,20 @@ def quantum_term_weak_integral(
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
     h = traj.sampled_dt
-    total = 0.0
-    for tf in battery:
-        phi = tf.spatial
-        gphi = [[derivative(phi.components[l], j).values for l in range(3)] for j in range(grid.dim)]
-        gdiv = gradient(divergence(phi))
-        acc = 0.0
-        for i, s in enumerate(traj.states):
-            w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
-            dw = [derivative(w, j).values for j in range(grid.dim)]
-            inner = 0.0
-            for l in range(grid.dim):
-                inner += float((w.values * dw[l] * gdiv.components[l].values).mean() * grid.volume)
-            for j in range(grid.dim):
-                for l in range(grid.dim):
-                    inner += 2.0 * float((dw[j] * dw[l] * gphi[j][l]).mean() * grid.volume)
-            wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
-            acc += wgt * h * tf.g(traj.times[i]) * inner
-        total += 2.0 * kappa**2 * acc
+    grads = [
+        [[derivative(c, j).values for c in tf.spatial.components] for j in range(grid.dim)]
+        for tf in battery
+    ]
+    grad_divs = [gradient(divergence(tf.spatial)).component_values() for tf in battery]
+    acc = [0.0] * len(battery)
+    for i, s in enumerate(traj.states):
+        w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
+        dw = [derivative(w, j).values for j in range(grid.dim)]
+        wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
+        for t, tf in enumerate(battery):
+            pairing = quantum_pairing(w.values, dw, grad_divs[t], grads[t], grid)
+            acc[t] += wgt * h * tf.g(traj.times[i]) * pairing
+    total = sum(2.0 * kappa**2 * a for a in acc)
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
 
 
@@ -205,23 +207,23 @@ def capillarity_term_weak_integral(
     if delta == 0.0:
         return {"value": 0.0, "scaled": 0.0}
     h = traj.sampled_dt
-    total = 0.0
-    for tf in battery:
-        phi = tf.spatial
-        acc = 0.0
-        for i, st in enumerate(traj.states):
-            rho = st.rho
-            # lap^s moved across: pair lap^(2s+1) rho against div(rho phi)
-            hi_field = ScalarField._adopt(
-                grid, None, (-grid.k_squared) ** (2 * s_order + 1) * rho.spectrum
-            )
+    power = 2 * s_order + 1
+    acc = [0.0] * len(battery)
+    for i, st in enumerate(traj.states):
+        rho = st.rho
+        # lap^s moved across: pair lap^(2s+1) rho against div(rho phi)
+        hi_field = ScalarField._adopt(
+            grid, None, (-1.0) ** power * grid.k_squared**power * rho.spectrum
+        )
+        wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
+        for t, tf in enumerate(battery):
             inner = 0.0
             for l in range(grid.dim):
-                prod = dealias(ScalarField._adopt(grid, rho.values * phi.components[l].values))
+                phi_l = tf.spatial.components[l].values
+                prod = dealias(ScalarField._adopt(grid, rho.values * phi_l))
                 inner += inner_product(hi_field, derivative(prod, l))
-            wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
-            acc += wgt * h * tf.g(traj.times[i]) * inner
-        total += -delta * acc
+            acc[t] += wgt * h * tf.g(traj.times[i]) * inner
+    total = sum(-delta * a for a in acc)
     alpha = (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
     return {"value": float(total), "scaled": float(total / delta ** ((1.0 - alpha) / 2.0))}
 

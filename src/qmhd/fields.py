@@ -316,8 +316,10 @@ def power_laplacian(f: ScalarField, exponent: int) -> ScalarField:
     if exponent < 1 or int(exponent) != exponent:
         raise ValueError("exponent must be a positive integer")
     grid = f.grid
-    spec = (-grid.k_squared) ** int(exponent) * f.spectrum
-    ref = grid.k_squared_max ** int(exponent) * _spectral_norm(f.spectrum, grid)
+    exponent = int(exponent)
+    # the sign goes in as a scalar: numpy's pow on negative bases is slow
+    spec = (-1.0) ** exponent * grid.k_squared**exponent * f.spectrum
+    ref = grid.k_squared_max**exponent * _spectral_norm(f.spectrum, grid)
     _tail_check(spec, grid, "power_laplacian", ref)
     return ScalarField._adopt(grid, None, spec)
 

@@ -158,6 +158,12 @@ _INNER_TOL = 1e-13
 _INNER_MAX = 24
 
 
+def _corridor(rho_old: np.ndarray, u: VectorField, dt: float) -> tuple[float, float]:
+    """Maximum-principle bounds min/max rho_old * exp(-+dt * |div u|_inf)."""
+    sup = float(np.max(np.abs(divergence(u).values)))
+    return rho_old.min() * np.exp(-abs(dt) * sup), rho_old.max() * np.exp(abs(dt) * sup)
+
+
 def solve_density_step(
     rho_old: ScalarField,
     u: VectorField,
@@ -204,10 +210,7 @@ def solve_density_step(
         raise DensityFloorViolation(
             f"density minimum {new_min:.3e} fell below the floor {density_floor:.3e}"
         )
-    div_u = divergence(u).values
-    sup = float(np.max(np.abs(div_u)))
-    lower = vals_old.min() * np.exp(-abs(dt) * sup)
-    upper = vals_old.max() * np.exp(abs(dt) * sup)
+    lower, upper = _corridor(vals_old, u, dt)
     if new_min < lower * (1.0 - corridor_tol) or new_max > upper * (1.0 + corridor_tol):
         raise MaximumPrincipleViolation(
             f"density range [{new_min:.6e}, {new_max:.6e}] left the corridor "
@@ -218,9 +221,7 @@ def solve_density_step(
 
 def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, u: VectorField, dt: float) -> float:
     """Relative excess of ``rho_new`` over the maximum-principle corridor."""
-    sup = float(np.max(np.abs(divergence(u).values)))
-    lower = rho_old.values.min() * np.exp(-abs(dt) * sup)
-    upper = rho_old.values.max() * np.exp(abs(dt) * sup)
+    lower, upper = _corridor(rho_old.values, u, dt)
     below = (lower - rho_new.values.min()) / lower
     above = (rho_new.values.max() - upper) / upper
     return float(max(below, above, 0.0))

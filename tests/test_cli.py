@@ -155,3 +155,87 @@ def test_numerical_failure_exit_code(tmp_path):
     ).replace("picard_tol = 1e-11", "picard_tol = 1e-11\npicard_max_iters = 10")
     (tmp_path / "blow.cfg").write_text(text)
     assert main(["run", str(tmp_path / "blow.cfg")]) == 3
+
+
+LADDERS = os.path.join(os.path.dirname(__file__), os.pardir, "ladders")
+
+
+def _ladder_specs():
+    """The SweepSpec each removed limit-study script built at its defaults,
+    with the output directory and worker count it used."""
+    from qmhd import PhysParams, RegParams
+    from qmhd.experiments import Coupling, SweepSpec
+
+    slaved = (Coupling("eta", 1.0, 2.0), Coupling("epsilon", 1.0, 2.0))
+    common = dict(dim=1, points=128, sample_every=5, seed=0)
+    return {
+        "planck_limit": (
+            SweepSpec(
+                parameter="kappa",
+                values=(0.2, 0.1, 0.05, 0.025, 0.0),
+                benchmark="density_bump",
+                t_end=0.25,
+                phys=PhysParams(),
+                reg=RegParams(epsilon=0.01, eta=1e-3, delta=1e-3, dt=1e-3, picard_tol=1e-11),
+                n_modes=9,
+                **common,
+            ),
+            "runs/planck_limit",
+        ),
+        "regularization_limit_s1": (
+            SweepSpec(
+                parameter="delta",
+                values=(0.08, 0.04, 0.02, 0.01),
+                benchmark="density_bump",
+                t_end=0.2,
+                phys=PhysParams(kappa=0.1),
+                reg=RegParams(dt=1e-3, s=1, picard_tol=1e-11),
+                couplings=slaved,
+                n_modes=9,
+                **common,
+            ),
+            "runs/regularization_limit_s1",
+        ),
+        "regularization_limit_s4": (
+            SweepSpec(
+                parameter="delta",
+                values=(4e-4, 2e-4, 1e-4),
+                benchmark="density_bump",
+                t_end=0.2,
+                phys=PhysParams(kappa=0.1),
+                reg=RegParams(dt=1e-3, s=4, picard_tol=1e-11),
+                couplings=slaved,
+                n_modes=9,
+                **common,
+            ),
+            "runs/regularization_limit_s4",
+        ),
+        "galerkin_refinement": (
+            SweepSpec(
+                parameter="n",
+                values=(3, 9, 15, 21, 33),
+                benchmark="random_smooth",
+                t_end=0.1,
+                phys=PhysParams(kappa=0.05),
+                reg=RegParams(epsilon=0.01, dt=1e-3, picard_tol=1e-11),
+                **common,
+            ),
+            "runs/galerkin_refinement",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ladder_specs()))
+def test_ladder_manifest_matches_script_spec(name):
+    from qmhd.cli import parse_sweep_manifest
+
+    expected, output = _ladder_specs()[name]
+    spec, out, workers = parse_sweep_manifest(os.path.join(LADDERS, f"{name}.sweep"))
+    assert spec == expected
+    assert [type(v) for v in spec.values] == [type(v) for v in expected.values]
+    assert (out, workers) == (output, 1)
+
+
+def test_every_ladder_manifest_is_tested():
+    names = {f[: -len(".sweep")] for f in os.listdir(LADDERS) if f.endswith(".sweep")}
+    assert names == set(_ladder_specs())

@@ -28,6 +28,7 @@ from qmhd.diagnostics import (
     compute_dissipation_fields,
     compute_energy,
     compute_energy_fields,
+    default_vector_battery,
     energy_identity_residual,
     norm_monitor,
     quantum_inequality_check,
@@ -194,6 +195,28 @@ def test_bd_spot_identity():
     rho, u, b = smooth_state_fields(grid, rng)
     rep = bd_entropy_report_fields(rho, u, b, phys, reg)
     assert rep.rhs_density_laplacian == pytest.approx(rep.spot_density_laplacian, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(128,), (32, 32), (8, 8, 8)])
+def test_bd_report_reuses_energy_and_dissipation(shape):
+    grid = TorusGrid(shape)
+    rng = np.random.default_rng(4)
+    phys = PhysParams(kappa=0.4)
+    reg = RegParams(epsilon=0.03, eta=0.01, delta=0.01, s=1, dt=1e-3)
+    rho, u, b = smooth_state_fields(grid, rng)
+    rep = bd_entropy_report_fields(rho, u, b, phys, reg)
+    d = compute_dissipation_fields(rho, u, b, phys, reg)
+    assert rep.lhs_hyper == d.hyper
+    assert rep.lhs_magnetic == d.magnetic_diss
+    assert rep.lhs_capillary_eps == d.capillary_diss
+    assert rep.lhs_quantum_hessian_eps == d.quantum_diss
+    assert rep.lhs_pressure_gradient_eps == d.pressure_diss
+    # bd_energy is the energy functional at u + grad(2 log rho)
+    shift = gradient(ScalarField(grid, 2.0 * np.log(rho.values)))
+    shifted = VectorField.from_arrays(
+        grid, [a.values + s.values for a, s in zip(u.components, shift.components)]
+    )
+    assert rep.bd_energy == compute_energy_fields(rho, shifted, b, phys, reg).total
 
 
 def test_bd_nonnegative_dissipation_entries():
@@ -397,6 +420,45 @@ def test_weak_form_residuals_shrink_under_refinement():
         res = weak_form_residual(traj)
         out.append(max(abs(v) for v in res["momentum"].values()))
     assert out[1] <= out[0] / 2.0
+
+
+def _transform_counter(monkeypatch):
+    """Count every rfftn/irfftn call from here on."""
+    calls = [0]
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
+    # four vector test functions cost three more than one, whatever the
+    # number of intervals: midpoint fields are derived once per interval
+    grid = TorusGrid((32, 32))
+    basis = GalerkinBasis.lowest_modes(grid, 9)
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=0.01, dt=1e-3)
+    traj = run_simulation(_mini_benchmark(grid, basis, reg), phys, reg, 8e-3)
+    short = Trajectory(
+        traj.times[:5], traj.states[:5], traj.step_infos[:4], traj.dt, 1, phys, reg
+    )
+    weak_form_residual(traj)  # fills the states' lazily computed samples
+    calls = _transform_counter(monkeypatch)
+
+    def count(t, n_vector):
+        battery = default_vector_battery(grid, t.times[-1])[:n_vector]
+        before = calls[0]
+        weak_form_residual(t, vector_battery=battery)
+        return calls[0] - before
+
+    extra = [count(t, 4) - count(t, 1) for t in (short, traj)]
+    assert extra[0] > 0
+    assert extra[0] == extra[1]
 
 
 # --------------------------------------------------------------------------

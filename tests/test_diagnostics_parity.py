@@ -1,0 +1,101 @@
+"""Every diagnostics output on three fixed trajectories, pinned to stored
+values.
+
+The stored file ``diagnostics_reference.json`` holds what ``record`` returned
+before the diagnostics were rewritten to derive each field once; the rewrite
+must reproduce every number to 1e-12 relative.  ``record`` uses only the
+public diagnostics and experiments API, so it ran unchanged on both sides.
+"""
+
+import json
+import os
+
+import pytest
+
+from qmhd import GalerkinBasis, PhysParams, RegParams, TorusGrid, run_simulation
+from qmhd.diagnostics import (
+    bd_entropy_residual,
+    compute_dissipation,
+    compute_energy,
+    energy_identity_residual,
+    norm_monitor,
+    weak_form_residual,
+)
+from qmhd.experiments import (
+    benchmark_state,
+    capillarity_term_weak_integral,
+    quantum_term_weak_integral,
+)
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "diagnostics_reference.json")
+
+# name -> (grid shape, velocity modes); every regularization is on
+CASES = {
+    "1d_128": ((128,), 9),
+    "2d_64": ((64, 64), 9),
+    "3d_16": ((16, 16, 16), 27),
+}
+
+
+def trajectory(shape, n_modes):
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    phys = PhysParams(kappa=0.3)
+    reg = RegParams(epsilon=0.02, eta=0.01, delta=1e-4, s=1, dt=1e-3)
+    state = benchmark_state("random_smooth", grid, basis, reg, seed=0)
+    return run_simulation(state, phys, reg, 4e-3)
+
+
+def record(traj) -> dict[str, float]:
+    """Flat name -> value map of every diagnostics output on ``traj``."""
+    phys, reg = traj.phys, traj.reg
+    out: dict[str, float] = {}
+    for i, s in enumerate(traj.states):
+        for k, v in compute_energy(s, phys, reg).as_dict().items():
+            out[f"energy[{i}].{k}"] = v
+        for k, v in compute_dissipation(s, phys, reg).as_dict().items():
+            out[f"dissipation[{i}].{k}"] = v
+        for k, v in norm_monitor(s, phys, reg).items():
+            out[f"monitor[{i}].{k}"] = v
+    energy = energy_identity_residual(traj)
+    bd, reports = bd_entropy_residual(traj)
+    for i, rep in enumerate(reports):
+        for k, v in rep.as_dict().items():
+            out[f"bd[{i}].{k}"] = v
+    for tag, series in (("energy_residual", energy), ("bd_residual", bd)):
+        for i, (raw, rel) in enumerate(zip(series.raw, series.relative)):
+            out[f"{tag}[{i}].raw"] = raw
+            out[f"{tag}[{i}].relative"] = rel
+    for eq, per_fn in weak_form_residual(traj).items():
+        for name, v in per_fn.items():
+            out[f"weak_form.{eq}.{name}"] = v
+    for k, v in quantum_term_weak_integral(traj, phys.kappa).items():
+        out[f"quantum_weak.{k}"] = v
+    for s_order in (1, 2):
+        for k, v in capillarity_term_weak_integral(traj, reg.delta, s_order).items():
+            out[f"capillarity_weak_s{s_order}.{k}"] = v
+    return {k: float(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_diagnostics_match_stored_values(case):
+    with open(REFERENCE) as fh:
+        expected = json.load(fh)[case]
+    got = record(trajectory(*CASES[case]))
+    assert sorted(got) == sorted(expected)
+    bad = {
+        k: (got[k], v)
+        for k, v in expected.items()
+        if not abs(got[k] - v) <= 1e-12 * abs(v) + 1e-15
+    }
+    assert not bad, bad
+
+
+if __name__ == "__main__":
+    # writes the reference file from the code on the import path; run it only
+    # on a commit whose diagnostics are the ones to pin
+    data = {case: record(trajectory(*args)) for case, args in CASES.items()}
+    with open(REFERENCE, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {sum(map(len, data.values()))} values to {REFERENCE}")

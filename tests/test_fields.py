@@ -120,6 +120,19 @@ def test_power_laplacian_eigenmode(grid1d):
         power_laplacian(ScalarField(grid1d, np.sin(x)), 0)
 
 
+def test_laplacian_power_sign_as_scalar(rng):
+    # (-1)^e * |k|^(2e), the form the code uses, against pow on the negated array
+    grid = TorusGrid((12, 10, 8))
+    f = band_limited_scalar(grid, rng, max_mode=2)
+    for e in range(1, 10):
+        ref = (-grid.k_squared) ** e
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs((-1.0) ** e * grid.k_squared**e - ref)) <= 1e-15 * scale
+        got = power_laplacian(f, e).spectrum
+        want = ref * f.spectrum
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_divergence_of_curl_vanishes(grid2d, rng):
     v = band_limited_vector(grid2d, rng)
     assert l2_norm(divergence(curl(v))) <= 1e-11 * max(l2_norm(v.components[0]), 1.0)
