@@ -33,11 +33,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "c1": (_FLOAT, 1.0),
         "c2": (_FLOAT, 1.0),
         "nu_d0": (_FLOAT, 1.0),
-        "nu_d1": (_FLOAT, 2.0),
-        "nu_d3": (_FLOAT, 1.0),
         "nu_a": (_FLOAT, 2.0),
         "nu_a_prime": (_FLOAT, 2.5),
-        "nu_b": (_FLOAT, 0.0),
         "nu_threshold": (_FLOAT, 1.0),
     },
     "regularization": {
@@ -163,11 +160,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> RunConfig:
     try:
         resistivity = ResistivityParams(
             d0=get("physics", "nu_d0"),
-            d1=get("physics", "nu_d1"),
-            d3=get("physics", "nu_d3"),
             a=get("physics", "nu_a"),
             a_prime=get("physics", "nu_a_prime"),
-            b=get("physics", "nu_b"),
             threshold=get("physics", "nu_threshold"),
         )
         phys = PhysParams(
@@ -276,11 +270,8 @@ def canonical_text(config: RunConfig) -> str:
             "c1": config.phys.c1,
             "c2": config.phys.c2,
             "nu_d0": r.d0,
-            "nu_d1": r.d1,
-            "nu_d3": r.d3,
             "nu_a": r.a,
             "nu_a_prime": r.a_prime,
-            "nu_b": r.b,
             "nu_threshold": r.threshold,
         },
         "regularization": {

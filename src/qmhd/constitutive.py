@@ -30,29 +30,22 @@ class ResistivityParams:
     """Magnetic diffusivity law nu_b(rho) = d0 rho^-a below ``threshold``,
     constant d2 = d0 * threshold^-a above it.
 
-    d1, d3 and b only delimit the admissible band and are accepted for
-    completeness; the concrete law does not use them.
+    a_prime is the upper end of the paper's admissible exponent range and
+    only bounds ``a``.
     """
 
     d0: float = 1.0
-    d1: float = 2.0
-    d3: float = 1.0
     a: float = 2.0
     a_prime: float = 2.5
-    b: float = 0.0
     threshold: float = 1.0
 
     def __post_init__(self):
-        if self.d0 <= 0 or self.d1 <= 0 or self.d3 <= 0:
-            raise ValueError("resistivity constants d0, d1, d3 must be positive")
+        if self.d0 <= 0:
+            raise ValueError("resistivity constant d0 must be positive")
         if not (2.0 <= self.a < self.a_prime < 3.0):
             raise ValueError("resistivity exponents must satisfy 2 <= a < a' < 3")
-        if self.b < 0:
-            raise ValueError("resistivity exponent b must be nonnegative")
         if self.threshold <= 0:
             raise ValueError("resistivity threshold must be positive")
-        if self.d1 < self.d0 * self.threshold ** (self.a_prime - self.a):
-            raise ValueError("resistivity band is empty: need d1 >= d0 * threshold^(a'-a)")
 
     @property
     def d2(self) -> float:

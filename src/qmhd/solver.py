@@ -1,13 +1,16 @@
-"""Constructive core: semi-implicit density and magnetic solves, the
+"""Constructive core: semi-implicit density and magnetic sweeps, the
 projected momentum residual, and the per-step fixed-point iteration.
 
-Time discretization is an exponential-midpoint scheme wrapped in a Picard
-loop: stiff constant-coefficient pieces (density diffusion, mean magnetic
-diffusion) are integrated exactly by spectral factors, the hyperviscous term
-is taken at the midpoint inside the velocity solve, and every remaining
-nonlinearity is evaluated at the iterated midpoint state.  The converged map
-is second-order accurate and time-reversible, which is what the identity
-diagnostics measure against.
+Time discretization is an exponential-midpoint scheme wrapped in one Picard
+loop per step: stiff constant-coefficient pieces (density diffusion, mean
+magnetic diffusion) are integrated exactly by spectral factors, the
+hyperviscous term is taken at the midpoint inside the velocity solve, and
+every remaining nonlinearity is evaluated at the iterated midpoint state.
+Each iteration sweeps the density, the magnetic field and the velocity once,
+and the loop stops when their largest relative update is below
+``picard_tol``; the density corridor is checked on the converged step.  The
+converged map is second-order accurate and time-reversible, which is what
+the identity diagnostics measure against.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .fields import (
     _backward,
     _dealiased_forward,
     _forward,
-    _spectral_norm,
     divergence,
     integrate,
     l2_norm,
@@ -105,7 +107,11 @@ class State:
 
 @dataclass
 class StepInfo:
-    """Per-step bookkeeping for logging and the contraction diagnostics."""
+    """Per-step bookkeeping for logging and the contraction diagnostics.
+
+    ``update_norms`` holds, per iteration, the largest relative update of the
+    velocity coefficients, the density and the magnetic field, and
+    ``contraction_ratios`` the ratios of consecutive ones."""
 
     picard_iters: int
     update_norms: list[float]
@@ -154,16 +160,6 @@ def _density_factors(grid: TorusGrid, epsilon: float, dt: float) -> tuple[np.nda
     return factors
 
 
-_INNER_TOL = 1e-13
-_INNER_MAX = 24
-
-
-def _corridor(rho_old: np.ndarray, u: VectorField, dt: float) -> tuple[float, float]:
-    """Maximum-principle bounds min/max rho_old * exp(-+dt * |div u|_inf)."""
-    sup = float(np.max(np.abs(divergence(u).values)))
-    return rho_old.min() * np.exp(-abs(dt) * sup), rho_old.max() * np.exp(abs(dt) * sup)
-
-
 def solve_density_step(
     rho_old: ScalarField,
     u: VectorField,
@@ -171,57 +167,44 @@ def solve_density_step(
     dt: float,
     *,
     density_floor: float = 1e-8,
-    corridor_tol: float = 1e-8,
-    _guess: ScalarField | None = None,
+    guess: ScalarField | None = None,
 ) -> ScalarField:
-    """One advance of the regularized continuity equation with the given
-    (time-centered) velocity: diffusion integrated exactly, the advective
-    flux dealiased and taken at the midpoint density.
+    """One sweep of the midpoint map of the regularized continuity equation
+    with the given (time-centered) velocity: diffusion integrated exactly,
+    the advective flux dealiased and taken at the midpoint of ``rho_old`` and
+    ``guess`` (default ``rho_old``).  The step is the map's fixed point.
 
-    The result is checked against the density floor and the maximum-principle
-    corridor spanned by ``rho_old`` and exp(+-dt * |div u|_inf).
+    The result is checked against the density floor.
     """
     grid = rho_old.grid
     full, half = _density_factors(grid, float(epsilon), float(dt))
-    spec_old = rho_old.spectrum
-    vals_old = rho_old.values
+    start = rho_old if guess is None else guess
+    mid = 0.5 * (rho_old.values + start.values)
     uvals = u.component_values()
-
-    start = rho_old if _guess is None else _guess
-    spec_new = start.spectrum
-    vals_new = start.values
-    for _ in range(_INNER_MAX):
-        mid = 0.5 * (vals_old + vals_new)
-        div_flux = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        for axis in range(grid.dim):
-            div_flux += 1j * grid.kvec[axis] * _dealiased_forward(mid * uvals[axis], grid)
-        nxt = full * spec_old - dt * half * div_flux
-        change = _spectral_norm(nxt - spec_new, grid)
-        spec_new = nxt
-        vals_new = _backward(spec_new, grid)
-        if change <= _INNER_TOL * max(_spectral_norm(spec_new, grid), 1e-300):
-            break
-    else:
-        raise PicardDivergence("density midpoint iteration stalled; reduce dt")
+    div_flux = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    for axis in range(grid.dim):
+        div_flux += 1j * grid.kvec[axis] * _dealiased_forward(mid * uvals[axis], grid)
+    spec_new = full * rho_old.spectrum - dt * half * div_flux
+    vals_new = _backward(spec_new, grid)
 
     new_min = float(vals_new.min())
-    new_max = float(vals_new.max())
     if new_min < density_floor:
         raise DensityFloorViolation(
             f"density minimum {new_min:.3e} fell below the floor {density_floor:.3e}"
         )
-    lower, upper = _corridor(vals_old, u, dt)
-    if new_min < lower * (1.0 - corridor_tol) or new_max > upper * (1.0 + corridor_tol):
-        raise MaximumPrincipleViolation(
-            f"density range [{new_min:.6e}, {new_max:.6e}] left the corridor "
-            f"[{lower:.6e}, {upper:.6e}]; reduce dt"
-        )
     return ScalarField._adopt(grid, vals_new, spec_new)
 
 
+# relative slack of the maximum-principle check on the converged density
+_CORRIDOR_SLACK = 1e-8
+
+
 def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, u: VectorField, dt: float) -> float:
-    """Relative excess of ``rho_new`` over the maximum-principle corridor."""
-    lower, upper = _corridor(rho_old.values, u, dt)
+    """Relative excess of ``rho_new`` over the maximum-principle corridor
+    min/max rho_old * exp(-+dt * |div u|_inf)."""
+    sup = float(np.max(np.abs(divergence(u).values)))
+    lower = rho_old.values.min() * np.exp(-abs(dt) * sup)
+    upper = rho_old.values.max() * np.exp(abs(dt) * sup)
     below = (lower - rho_new.values.min()) / lower
     above = (rho_new.values.max() - upper) / upper
     return float(max(below, above, 0.0))
@@ -235,12 +218,13 @@ def solve_magnetic_step(
     phys: PhysParams,
     *,
     density_floor: float = 1e-8,
-    _guess: VectorField | None = None,
+    guess: VectorField | None = None,
 ) -> VectorField:
-    """One advance of the induction equation with given (time-centered)
-    velocity and density: mean diffusivity integrated exactly, transport and
-    the variable-diffusivity remainder at the midpoint, then a final
-    divergence-free projection."""
+    """One sweep of the midpoint map of the induction equation with given
+    (time-centered) velocity and density: mean diffusivity integrated
+    exactly, transport and the variable-diffusivity remainder at the midpoint
+    of ``B_old`` and ``guess`` (default ``B_old``), then a divergence-free
+    projection.  The step is the map's fixed point."""
     grid = B_old.grid
     if rho.values.min() < density_floor:
         raise DensityFloorViolation("magnetic solve: density below the floor")
@@ -249,48 +233,34 @@ def solve_magnetic_step(
     nu_fluct = nu_vals - nu_bar
     full, half = _heat_factors(grid, nu_bar, dt)
 
+    start = B_old if guess is None else guess
     spec_old = [c.spectrum for c in B_old.components]
-    vals_old = B_old.component_values()
+    mid = [0.5 * (o + n) for o, n in zip(B_old.component_values(), start.component_values())]
+    mid_spec = [0.5 * (o + n.spectrum) for o, n in zip(spec_old, start.components)]
     uvals = u.component_values()
     k = grid.kvec
 
-    start = B_old if _guess is None else _guess
-    spec_new = [c.spectrum for c in start.components]
-    vals_new = [c.values for c in start.components]
-    for _ in range(_INNER_MAX):
-        mid = [0.5 * (o + n) for o, n in zip(vals_old, vals_new)]
-        # electromotive field u x B at the midpoint
-        emf = [
-            _dealiased_forward(uvals[1] * mid[2] - uvals[2] * mid[1], grid),
-            _dealiased_forward(uvals[2] * mid[0] - uvals[0] * mid[2], grid),
-            _dealiased_forward(uvals[0] * mid[1] - uvals[1] * mid[0], grid),
-        ]
-        # variable-coefficient part of the resistive term
-        mid_spec = [0.5 * (o + n) for o, n in zip(spec_old, spec_new)]
-        curl_mid = [
-            _backward(1j * (k[1] * mid_spec[2] - k[2] * mid_spec[1]), grid),
-            _backward(1j * (k[2] * mid_spec[0] - k[0] * mid_spec[2]), grid),
-            _backward(1j * (k[0] * mid_spec[1] - k[1] * mid_spec[0]), grid),
-        ]
-        g = [_dealiased_forward(nu_fluct * c, grid) for c in curl_mid]
-        rhs = [e - gg for e, gg in zip(emf, g)]
-        curl_rhs = [
-            1j * (k[1] * rhs[2] - k[2] * rhs[1]),
-            1j * (k[2] * rhs[0] - k[0] * rhs[2]),
-            1j * (k[0] * rhs[1] - k[1] * rhs[0]),
-        ]
-        nxt = [full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
-        change = sum(_spectral_norm(a - b, grid) for a, b in zip(nxt, spec_new))
-        scale = sum(_spectral_norm(a, grid) for a in nxt)
-        spec_new = nxt
-        vals_new = [_backward(sn, grid) for sn in spec_new]
-        if change <= _INNER_TOL * max(scale, 1e-300):
-            break
-    else:
-        raise PicardDivergence("magnetic midpoint iteration stalled; reduce dt")
-
-    out = VectorField(grid, [ScalarField._adopt(grid, v, s) for v, s in zip(vals_new, spec_new)])
-    return project_divergence_free(out)
+    # electromotive field u x B at the midpoint
+    emf = [
+        _dealiased_forward(uvals[1] * mid[2] - uvals[2] * mid[1], grid),
+        _dealiased_forward(uvals[2] * mid[0] - uvals[0] * mid[2], grid),
+        _dealiased_forward(uvals[0] * mid[1] - uvals[1] * mid[0], grid),
+    ]
+    # variable-coefficient part of the resistive term
+    curl_mid = [
+        _backward(1j * (k[1] * mid_spec[2] - k[2] * mid_spec[1]), grid),
+        _backward(1j * (k[2] * mid_spec[0] - k[0] * mid_spec[2]), grid),
+        _backward(1j * (k[0] * mid_spec[1] - k[1] * mid_spec[0]), grid),
+    ]
+    g = [_dealiased_forward(nu_fluct * c, grid) for c in curl_mid]
+    rhs = [e - gg for e, gg in zip(emf, g)]
+    curl_rhs = [
+        1j * (k[1] * rhs[2] - k[2] * rhs[1]),
+        1j * (k[2] * rhs[0] - k[0] * rhs[2]),
+        1j * (k[0] * rhs[1] - k[1] * rhs[0]),
+    ]
+    spec_new = [full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
+    return project_divergence_free(VectorField(grid, [ScalarField._adopt(grid, None, s) for s in spec_new]))
 
 
 def momentum_residual(
@@ -393,6 +363,13 @@ def momentum_residual(
     return entries
 
 
+def _relative_update(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
+    """l2 norm of ``new - old`` over all arrays, relative to that of ``new``."""
+    change = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(new, old)))
+    scale = np.sqrt(sum(np.linalg.norm(a) ** 2 for a in new))
+    return float(change / max(scale, 1e-8))
+
+
 def advance_step(
     state: State,
     phys: PhysParams,
@@ -400,10 +377,13 @@ def advance_step(
     *,
     dt: float | None = None,
 ) -> tuple[State, StepInfo]:
-    """One time step of the coupled system via the fixed-point loop:
-    density solve, magnetic solve, then the velocity update through the
-    density-weighted Gram operator.  Raises :class:`PicardDivergence` when
-    the iteration stops contracting (halve dt and retry)."""
+    """One time step of the coupled system via the fixed-point loop: each
+    iteration sweeps the density, then the magnetic field, then updates the
+    velocity through the density-weighted Gram operator, until the largest
+    relative update of the three is below ``picard_tol``.  Raises
+    :class:`PicardDivergence` when the iteration stops contracting (halve dt
+    and retry) and :class:`MaximumPrincipleViolation` when the converged
+    density leaves the corridor."""
     basis = state.basis
     grid = state.rho.grid
     h = reg.dt if dt is None else dt
@@ -419,30 +399,23 @@ def advance_step(
     b_new = b_old
     update_norms: list[float] = []
     ratios: list[float] = []
-    converged = False
 
-    for it in range(reg.picard_max_iters):
+    for _ in range(reg.picard_max_iters):
         lam_mid = 0.5 * (lam_old + lam_k)
         vel_mid = VelocityCoeffs(basis, lam_mid)
         u_mid = vel_mid.field
-        rho_new = solve_density_step(
-            rho_old,
-            u_mid,
-            reg.epsilon,
-            h,
-            density_floor=reg.density_floor,
-            _guess=rho_new if it else None,
+        # each update is measured as it is made, so no earlier iterate is held
+        rho_next = solve_density_step(
+            rho_old, u_mid, reg.epsilon, h, density_floor=reg.density_floor, guess=rho_new
         )
+        upd = _relative_update([rho_next.values], [rho_new.values])
+        rho_new = rho_next
         rho_mid = ScalarField._adopt(grid, 0.5 * (rho_old.values + rho_new.values))
-        b_new = solve_magnetic_step(
-            b_old,
-            u_mid,
-            rho_mid,
-            h,
-            phys,
-            density_floor=reg.density_floor,
-            _guess=b_new if it else None,
+        b_next = solve_magnetic_step(
+            b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, guess=b_new
         )
+        upd = max(upd, _relative_update(b_next.component_values(), b_new.component_values()))
+        b_new = b_next
         b_mid = VectorField(
             grid,
             [
@@ -466,30 +439,28 @@ def advance_step(
             rhs = rhs_base + h * n_mid + (0.5 * h) * hyper_diag * lam_k
             lam_next = cho_solve(fac, rhs)
 
-        upd = float(np.linalg.norm(lam_next - lam_k))
-        denom = max(float(np.linalg.norm(lam_next)), 1e-8)
-        if update_norms:
-            prev = update_norms[-1]
-            noise = 100.0 * np.finfo(float).eps * denom
-            if prev > noise:
-                ratios.append(upd / prev)
-        update_norms.append(upd)
+        upd = max(upd, _relative_update([lam_next], [lam_k]))
         lam_k = lam_next
-        if upd <= reg.picard_tol * denom:
-            converged = True
+        if update_norms and update_norms[-1] > 100.0 * np.finfo(float).eps:
+            ratios.append(upd / update_norms[-1])
+        update_norms.append(upd)
+        if upd <= reg.picard_tol:
             break
         if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
-            if upd > 1e4 * np.finfo(float).eps * denom:
+            if upd > 1e4 * np.finfo(float).eps:
                 raise PicardDivergence(
                     f"fixed-point updates stopped contracting (ratio {ratios[-1]:.3f}); halve dt"
                 )
-
-    if not converged:
+    else:
         raise PicardDivergence(
             f"no fixed-point convergence in {reg.picard_max_iters} iterations; halve dt"
         )
 
     margin = corridor_margin(rho_old, rho_new, VelocityCoeffs(basis, 0.5 * (lam_old + lam_k)).field, h)
+    if margin > _CORRIDOR_SLACK:
+        raise MaximumPrincipleViolation(
+            f"density left the maximum-principle corridor by {margin:.3e} relative; reduce dt"
+        )
     div_b = l2_norm(divergence(b_new))
     new_state = State(state.time + h, rho_new, VelocityCoeffs(basis, lam_k), b_new)
     object.__setattr__(new_state, "mass_operator", mass_new)  # built from rho_new

@@ -163,8 +163,6 @@ def test_resistivity_validation():
         ResistivityParams(a=1.0)
     with pytest.raises(ValueError):
         ResistivityParams(a=2.5, a_prime=2.1)
-    with pytest.raises(ValueError):
-        ResistivityParams(d1=0.1, threshold=1.0)  # empty band
 
 
 def test_phys_validation():

@@ -2,9 +2,14 @@
 values.
 
 The stored file ``diagnostics_reference.json`` holds what ``record`` returned
-before the diagnostics were rewritten to derive each field once; the rewrite
-must reproduce every number to 1e-12 relative.  ``record`` uses only the
-public diagnostics and experiments API, so it ran unchanged on both sides.
+on the solver that sweeps density, magnetic field and velocity once per
+fixed-point iteration, with no inner loops.  Every diagnostics change must
+reproduce every number to 1e-12 relative.  ``record`` uses only the public
+diagnostics and experiments API, so it runs unchanged on both sides.
+
+Some entries divide energy differences near 1e-14 by dt, so a solver change
+that is not bitwise equal moves them by more than 1e-12; such a change
+re-records the file by running this module as a script.
 """
 
 import json

@@ -19,6 +19,7 @@ from qmhd import (
 )
 from qmhd.basis import BasisMode, MassOperator
 from qmhd.constitutive import magnetic_diffusivity
+from qmhd.experiments import benchmark_state
 from qmhd.fields import (
     ScalarField,
     VectorField,
@@ -85,7 +86,17 @@ def test_density_advection_against_rk4_oracle():
     dt, steps = 1e-3, 50
     rho = ScalarField(grid, rho0_c)
     for _ in range(steps):
-        rho = solve_density_step(rho, uc, 0.0, dt)
+        # the step is the fixed point of the density sweep
+        g = rho
+        for _ in range(30):
+            new = solve_density_step(rho, uc, 0.0, dt, guess=g)
+            done = np.max(np.abs(new.values - g.values)) <= 1e-14 * np.max(new.values)
+            g = new
+            if done:
+                break
+        else:
+            pytest.fail("density sweep did not reach its fixed point")
+        rho = g
 
     kf = np.fft.fftfreq(4 * n, 1.0 / (4 * n))
 
@@ -416,6 +427,56 @@ def test_picard_divergence_on_absurd_step():
     with pytest.raises((PicardDivergence, MaximumPrincipleViolation, DensityFloorViolation)):
         advance_step(state, phys, reg)
 
+
+@pytest.mark.parametrize("shape, n_modes", [((64,), 9), ((32, 32), 9), ((16, 16, 16), 27)])
+def test_advance_step_returns_the_sweeps_fixed_point(shape, n_modes):
+    # the loop stops on the joint relative update, so one more density sweep
+    # and one more magnetic sweep at the returned midpoint move nothing
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    # rho stays below the threshold, so the resistivity varies in space; its
+    # size makes the magnetic sweep the slowest of the three to converge
+    phys = PhysParams(kappa=0.3, resistivity=ResistivityParams(d0=10.0, threshold=2.0))
+    reg = RegParams(epsilon=0.02, eta=0.01, delta=1e-4, dt=1e-3)
+    state = benchmark_state("random_smooth", grid, basis, reg, seed=0)
+    new, _ = advance_step(state, phys, reg)
+
+    u_mid = VelocityCoeffs(basis, 0.5 * (state.velocity.values + new.velocity.values)).field
+    rho = solve_density_step(state.rho, u_mid, reg.epsilon, reg.dt, guess=new.rho)
+    rho_mid = ScalarField(grid, 0.5 * (state.rho.values + new.rho.values))
+    b = solve_magnetic_step(state.magnetic, u_mid, rho_mid, reg.dt, phys, guess=new.magnetic)
+
+    def norm(arrays):
+        return np.sqrt(sum(np.sum(a**2) for a in arrays))
+
+    assert norm([rho.values - new.rho.values]) <= 10 * reg.picard_tol * norm([new.rho.values])
+    b_new = new.magnetic.component_values()
+    moved = [a - c for a, c in zip(b.component_values(), b_new)]
+    assert norm(moved) <= 10 * reg.picard_tol * norm(b_new)
+
+
+def test_low_density_step_converges_where_inner_loops_stalled():
+    # rho = 1 + 0.6 cos x reaches 0.4, where nu_b = rho^-2 is 6.25 against a
+    # mean near 2; at dt = 1e-3 an inner magnetic loop capped at 24
+    # iterations stalled, while the one per-step loop converges
+    grid, basis = _default_setup(nx=128)
+    x = grid.mesh[0]
+    z = np.zeros(grid.shape)
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+    state = initial_state(
+        ScalarField(grid, 1.0 + 0.6 * np.cos(x)),
+        VectorField.from_arrays(grid, [0.3 * np.sin(x), 0.2 * np.cos(x), z]),
+        VectorField.from_arrays(grid, [z, 0.5 * np.cos(x), 0.4 * np.sin(x)]),
+        basis,
+        reg,
+    )
+    traj = run_simulation(state, phys, reg, 20 * reg.dt)
+    assert len(traj.step_infos) == 20
+    mass0 = traj.states[0].mass
+    assert abs(traj.final_state.mass - mass0) <= 1e-10 * mass0
+    assert all(i.div_b_norm <= 1e-12 for i in traj.step_infos)
+    assert all(i.corridor_margin <= 1e-8 for i in traj.step_infos)
 
 def test_run_simulation_zero_steps():
     grid, basis = _default_setup()
