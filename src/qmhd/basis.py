@@ -206,12 +206,3 @@ class MassOperator:
         x += cho_solve(self._factor, rhs - self.matrix @ x)
         return x
 
-
-def mass_operator_apply(basis: GalerkinBasis, rho: ScalarField, coeffs: np.ndarray) -> np.ndarray:
-    """Dual coefficients <M[rho] v, e_i> of a velocity in the basis."""
-    return MassOperator(basis, rho).apply(coeffs)
-
-
-def mass_operator_solve(basis: GalerkinBasis, rho: ScalarField, rhs: np.ndarray) -> np.ndarray:
-    """Velocity coefficients from dual coefficients through M[rho]."""
-    return MassOperator(basis, rho).solve(rhs)

@@ -11,6 +11,11 @@ and the loop stops when their largest relative update is below
 ``picard_tol``; the density corridor is checked on the converged step.  The
 converged map is second-order accurate and time-reversible, which is what
 the identity diagnostics measure against.
+
+Each right-hand side is summed on the grid before it is transformed: the
+momentum force as one body force and one stress tensor, transformed per
+component and per entry, the induction source in one dealiased transform per
+component.
 """
 
 from __future__ import annotations
@@ -240,20 +245,19 @@ def solve_magnetic_step(
     uvals = u.component_values()
     k = grid.kvec
 
-    # electromotive field u x B at the midpoint
-    emf = [
-        _dealiased_forward(uvals[1] * mid[2] - uvals[2] * mid[1], grid),
-        _dealiased_forward(uvals[2] * mid[0] - uvals[0] * mid[2], grid),
-        _dealiased_forward(uvals[0] * mid[1] - uvals[1] * mid[0], grid),
-    ]
-    # variable-coefficient part of the resistive term
+    # electromotive field u x B minus the variable-coefficient part of the
+    # resistive term, nu' curl B, at the midpoint; the 2/3 mask is linear, so
+    # one dealiased transform per component takes both
     curl_mid = [
         _backward(1j * (k[1] * mid_spec[2] - k[2] * mid_spec[1]), grid),
         _backward(1j * (k[2] * mid_spec[0] - k[0] * mid_spec[2]), grid),
         _backward(1j * (k[0] * mid_spec[1] - k[1] * mid_spec[0]), grid),
     ]
-    g = [_dealiased_forward(nu_fluct * c, grid) for c in curl_mid]
-    rhs = [e - gg for e, gg in zip(emf, g)]
+    rhs = [
+        _dealiased_forward(uvals[1] * mid[2] - uvals[2] * mid[1] - nu_fluct * curl_mid[0], grid),
+        _dealiased_forward(uvals[2] * mid[0] - uvals[0] * mid[2] - nu_fluct * curl_mid[1], grid),
+        _dealiased_forward(uvals[0] * mid[1] - uvals[1] * mid[0] - nu_fluct * curl_mid[2], grid),
+    ]
     curl_rhs = [
         1j * (k[1] * rhs[2] - k[2] * rhs[1]),
         1j * (k[2] * rhs[0] - k[0] * rhs[2]),
@@ -272,9 +276,14 @@ def momentum_residual(
 ) -> np.ndarray:
     """Weak momentum right-hand side tested against every basis mode.
 
-    Entry i collects convection, pressure work, the conservative quantum
-    force, the diffusion-correction term, high-order capillarity in its
-    transposed form, viscosity, hyperviscosity and the Lorentz force.
+    The force is ``G - div T + kappa^2 grad lap rho``.  The body force ``G``
+    collects the Lorentz force, the diffusion-correction term and high-order
+    capillarity in its transposed form; the stress ``T`` collects
+    convection, viscosity, pressure and the conservative quantum stress.
+    Each is summed on the grid and transformed once per component or entry:
+    every basis mode lies inside the 2/3 mask, so the projection reads
+    nothing a per-term dealiasing would change.  ``kappa^2 grad lap rho`` is
+    exact in k, and hyperviscosity is added exactly on the eigenbasis.
     """
     grid = rho.grid
     basis = velocity.basis
@@ -287,65 +296,11 @@ def momentum_residual(
     k = grid.kvec
     dim = grid.dim
 
-    force_spec = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
+    # velocity gradient d_j u_l for active j; the reconstructed velocity
+    # carries its spectra
+    du = [[_backward(1j * k[j] * c.spectrum, grid) for c in u.components] for j in range(dim)]
 
-    # convection: - sum_j d_j (rho u_j u_l)
-    mom = [_backward(_dealiased_forward(rvals * uvals[j], grid), grid) for j in range(3)]
-    for l in range(3):
-        for j in range(dim):
-            force_spec[l] -= 1j * k[j] * _dealiased_forward(mom[j] * uvals[l], grid)
-
-    # pressure: - grad (P + Pc)
-    p_spec = _dealiased_forward(pressure(rvals, phys) + cold_pressure(rvals, phys), grid)
-    for l in range(dim):
-        force_spec[l] -= 1j * k[l] * p_spec
-
-    # velocity gradient (d_j u_l for active j), shared by viscosity and the
-    # diffusion-correction term; the reconstructed velocity carries its spectra
-    u_spec = [c.spectrum for c in u.components]
-    du = [[_backward(1j * k[j] * u_spec[l], grid) for l in range(3)] for j in range(dim)]
-
-    # viscosity: + 2 sum_j d_j (rho D(u)_jl)
-    for l in range(3):
-        for j in range(dim):
-            d_jl = 0.5 * (du[j][l] + (du[l][j] if l < dim else 0.0))
-            force_spec[l] += 2j * k[j] * _dealiased_forward(rvals * d_jl, grid)
-
-    # hyperviscosity is exact on the eigenbasis: -eta |k|^4 lambda
-    hyper = -reg.eta * basis.eigen_k2**2 * velocity.values if reg.eta else 0.0
-
-    # diffusion correction: - epsilon (grad rho . grad) u
-    if reg.epsilon:
-        r_spec = rho.spectrum
-        dr = [_backward(1j * k[j] * r_spec, grid) for j in range(dim)]
-        for l in range(3):
-            corr = np.zeros(grid.shape)
-            for j in range(dim):
-                corr += dr[j] * du[j][l]
-            force_spec[l] -= reg.epsilon * _dealiased_forward(corr, grid)
-
-    # quantum force, conservative form
-    if phys.kappa:
-        w = np.sqrt(rvals)
-        w_spec = _forward(w, grid)
-        dw = [_backward(1j * k[j] * w_spec, grid) for j in range(dim)]
-        kap2 = phys.kappa**2
-        lap_r = -grid.k_squared * rho.spectrum
-        for l in range(dim):
-            force_spec[l] += kap2 * 1j * k[l] * lap_r
-            for j in range(dim):
-                force_spec[l] -= 4.0 * kap2 * 1j * k[j] * _dealiased_forward(dw[j] * dw[l], grid)
-
-    # capillarity, transposed weak form, as a projection: for a mode in
-    # component a, - delta < lap^s d_a P(rho e_i), lap^(s+1) rho > equals
-    # - delta < rho g_a, e_i > with g_a = -d_a P lap^(2s+1) rho (P = 2/3 mask)
-    if reg.delta:
-        cap_spec = np.where(grid.dealias_mask, -grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
-        for a in range(dim):
-            g_a = _backward(-1j * k[a] * cap_spec, grid)
-            force_spec[a] -= reg.delta * _forward(rvals * g_a, grid)
-
-    # Lorentz force: (curl B) x B
+    # body force G_l, accumulated on the grid: the Lorentz force (curl B) x B,
     b_spec = [c.spectrum for c in B.components]
     cb = [
         _backward(1j * (k[1] * b_spec[2] - k[2] * b_spec[1]), grid),
@@ -353,13 +308,52 @@ def momentum_residual(
         _backward(1j * (k[0] * b_spec[1] - k[1] * b_spec[0]), grid),
     ]
     bvals = B.component_values()
-    force_spec[0] += _dealiased_forward(cb[1] * bvals[2] - cb[2] * bvals[1], grid)
-    force_spec[1] += _dealiased_forward(cb[2] * bvals[0] - cb[0] * bvals[2], grid)
-    force_spec[2] += _dealiased_forward(cb[0] * bvals[1] - cb[1] * bvals[0], grid)
+    body = [
+        cb[1] * bvals[2] - cb[2] * bvals[1],
+        cb[2] * bvals[0] - cb[0] * bvals[2],
+        cb[0] * bvals[1] - cb[1] * bvals[0],
+    ]
+    del cb
+    # minus epsilon (grad rho . grad) u_l,
+    if reg.epsilon:
+        for j in range(dim):
+            dr = reg.epsilon * _backward(1j * k[j] * rho.spectrum, grid)
+            for l in range(3):
+                body[l] -= dr * du[j][l]
+    # minus delta rho g_a: capillarity in transposed weak form.  For a mode
+    # in component a, - delta < lap^s d_a P(rho e_i), lap^(s+1) rho > equals
+    # - delta < rho g_a, e_i > with g_a = -d_a P lap^(2s+1) rho (P = 2/3 mask)
+    if reg.delta:
+        cap_spec = np.where(grid.dealias_mask, -grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
+        for a in range(dim):
+            body[a] -= reg.delta * rvals * _backward(-1j * k[a] * cap_spec, grid)
+    force = [_forward(g, grid) for g in body]
+    del body
 
-    entries = basis.project_force_spectra(force_spec)
+    # stress T_jl = P(rho u_j) u_l - rho (d_j u_l + d_l u_j) + delta_jl (P + Pc)
+    # + 4 kappa^2 d_j sqrt(rho) d_l sqrt(rho), one entry at a time; along an
+    # inactive axis l nothing varies, so only the first two parts remain
+    mom = [_backward(_dealiased_forward(rvals * uvals[j], grid), grid) for j in range(dim)]
+    p_tot = pressure(rvals, phys) + cold_pressure(rvals, phys)
+    if phys.kappa:
+        w_spec = _forward(np.sqrt(rvals), grid)
+        dw = [2.0 * phys.kappa * _backward(1j * k[j] * w_spec, grid) for j in range(dim)]
+        lap_r = -grid.k_squared * rho.spectrum
+    for l in range(3):
+        for j in range(dim):
+            t = mom[j] * uvals[l] - rvals * (du[j][l] + du[l][j] if l < dim else du[j][l])
+            if j == l:
+                t += p_tot
+            if phys.kappa and l < dim:
+                t += dw[j] * dw[l]
+            force[l] -= 1j * k[j] * _forward(t, grid)
+        if phys.kappa and l < dim:
+            force[l] += phys.kappa**2 * 1j * k[l] * lap_r
+
+    entries = basis.project_force_spectra(force)
     if reg.eta:
-        entries += hyper
+        # hyperviscosity is exact on the eigenbasis: -eta |k|^4 lambda
+        entries -= reg.eta * basis.eigen_k2**2 * velocity.values
     return entries
 
 

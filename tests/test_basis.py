@@ -119,17 +119,6 @@ def test_mass_operator_rejects_indefinite(basis, grid1d):
         MassOperator(basis, rho)
 
 
-def test_mass_operator_free_functions(basis, grid1d, rng):
-    from qmhd.basis import mass_operator_apply, mass_operator_solve
-
-    x = grid1d.mesh[0]
-    rho = ScalarField(grid1d, 1.3 + 0.2 * np.sin(x))
-    lam = rng.standard_normal(basis.n)
-    rhs = mass_operator_apply(basis, rho, lam)
-    back = mass_operator_solve(basis, rho, rhs)
-    assert np.max(np.abs(back - lam)) <= 1e-12 * max(np.max(np.abs(lam)), 1.0)
-
-
 def test_custom_mode_selection(grid1d):
     # a single compressive sine mode
     basis = GalerkinBasis(grid1d, [BasisMode((1, 0, 0), "sin", 0)])

@@ -347,12 +347,8 @@ def test_momentum_residual_capillarity_matches_per_mode_loop(shape, n_modes, s, 
     assert np.max(np.abs(cap - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch, rng):
-    grid = TorusGrid((32, 32))
-    phys = PhysParams(kappa=0.1)
-    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
-    rho_vals = 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=4).values
-    b_vals = [0.2 * c.values for c in band_limited_vector(grid, rng, max_mode=4).components]
+def _count_transforms(monkeypatch):
+    """List that gets one entry per forward or inverse transform."""
     calls = []
     for name in ("rfftn", "irfftn"):
         original = getattr(np.fft, name)
@@ -362,17 +358,117 @@ def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    counts = {}
-    for n in (9, 60):
+    return calls
+
+
+def _ready(field):
+    """Compute a field's samples and spectra now, so no transform of the
+    inputs lands in a counted call."""
+    for c in getattr(field, "components", [field]):
+        c.values, c.spectrum
+    return field
+
+
+def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch, rng):
+    # with kappa, epsilon and delta on: 3d velocity gradients, 3 for curl B,
+    # d for grad rho, 1 + d for grad sqrt(rho), d for capillarity, 2d for the
+    # dealiased momentum, 3 body-force and 3d stress forwards: 7 + 11d
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+    calls = _count_transforms(monkeypatch)
+    for shape, n, expected in [((64,), 9, 18), ((32, 32), 9, 29), ((32, 32), 60, 29), ((16, 16, 16), 27, 40)]:
+        grid = TorusGrid(shape)
         basis = GalerkinBasis.lowest_modes(grid, n)
+        rho = _ready(ScalarField(grid, 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=4).values))
+        b = _ready(VectorField(grid, [0.2 * c for c in band_limited_vector(grid, rng, max_mode=4).components]))
         vel = VelocityCoeffs(basis, 0.1 * rng.standard_normal(n))
-        rho = ScalarField(grid, rho_vals)
-        b = VectorField.from_arrays(grid, b_vals)
+        _ready(vel.field)
         calls.clear()
         momentum_residual(rho, vel, b, phys, reg)
-        counts[n] = len(calls)
-    assert counts[9] > 0
-    assert counts[9] == counts[60]
+        assert len(calls) == expected, (shape, n)
+
+
+def test_magnetic_step_one_forward_per_component(monkeypatch, rng):
+    # 3 inverse transforms for curl B_mid, 3 dealiased forwards of
+    # u x B_mid - nu' curl B_mid
+    grid = TorusGrid((16, 16, 16))
+    phys = PhysParams(resistivity=ResistivityParams(d0=1.0, threshold=2.0))
+    rho = _ready(ScalarField(grid, 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=4).values))
+    b = _ready(band_limited_vector(grid, rng, max_mode=4))
+    guess = _ready(band_limited_vector(grid, rng, max_mode=4))
+    u = _ready(band_limited_vector(grid, rng, max_mode=4))
+    calls = _count_transforms(monkeypatch)
+    solve_magnetic_step(b, u, rho, 1e-3, phys, guess=guess)
+    assert len(calls) == 6
+
+
+def _per_term_residual(rho, velocity, B, phys, reg):
+    """The momentum residual with one forward transform per term
+    (convection, pressure, viscosity, diffusion correction, quantum stress,
+    capillarity, Lorentz force), summed in spectral space."""
+    from qmhd.constitutive import cold_pressure, pressure
+    from qmhd.fields import _backward, _dealiased_forward, _forward
+
+    grid, basis = rho.grid, velocity.basis
+    uvals = velocity.field.component_values()
+    u_spec = [c.spectrum for c in velocity.field.components]
+    rvals, k, dim = rho.values, grid.kvec, grid.dim
+    force = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
+    mom = [_backward(_dealiased_forward(rvals * uvals[j], grid), grid) for j in range(dim)]
+    for l in range(3):
+        for j in range(dim):
+            force[l] -= 1j * k[j] * _dealiased_forward(mom[j] * uvals[l], grid)
+    p_spec = _dealiased_forward(pressure(rvals, phys) + cold_pressure(rvals, phys), grid)
+    for l in range(dim):
+        force[l] -= 1j * k[l] * p_spec
+    du = [[_backward(1j * k[j] * u_spec[l], grid) for l in range(3)] for j in range(dim)]
+    for l in range(3):
+        for j in range(dim):
+            d_jl = 0.5 * (du[j][l] + (du[l][j] if l < dim else 0.0))
+            force[l] += 2j * k[j] * _dealiased_forward(rvals * d_jl, grid)
+    dr = [_backward(1j * k[j] * rho.spectrum, grid) for j in range(dim)]
+    for l in range(3):
+        corr = sum(dr[j] * du[j][l] for j in range(dim))
+        force[l] -= reg.epsilon * _dealiased_forward(corr, grid)
+    w_spec = _forward(np.sqrt(rvals), grid)
+    dw = [_backward(1j * k[j] * w_spec, grid) for j in range(dim)]
+    kap2 = phys.kappa**2
+    for l in range(dim):
+        force[l] += kap2 * 1j * k[l] * (-grid.k_squared * rho.spectrum)
+        for j in range(dim):
+            force[l] -= 4.0 * kap2 * 1j * k[j] * _dealiased_forward(dw[j] * dw[l], grid)
+    cap_spec = np.where(grid.dealias_mask, -grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
+    for a in range(dim):
+        force[a] -= reg.delta * _forward(rvals * _backward(-1j * k[a] * cap_spec, grid), grid)
+    b_spec = [c.spectrum for c in B.components]
+    cb = [
+        _backward(1j * (k[1] * b_spec[2] - k[2] * b_spec[1]), grid),
+        _backward(1j * (k[2] * b_spec[0] - k[0] * b_spec[2]), grid),
+        _backward(1j * (k[0] * b_spec[1] - k[1] * b_spec[0]), grid),
+    ]
+    bv = B.component_values()
+    force[0] += _dealiased_forward(cb[1] * bv[2] - cb[2] * bv[1], grid)
+    force[1] += _dealiased_forward(cb[2] * bv[0] - cb[0] * bv[2], grid)
+    force[2] += _dealiased_forward(cb[0] * bv[1] - cb[1] * bv[0], grid)
+    return basis.project_force_spectra(force) - reg.eta * basis.eigen_k2**2 * velocity.values
+
+
+@pytest.mark.parametrize("shape, n_modes", [((64,), 9), ((32, 32), 60), ((16, 16, 16), 81)])
+def test_momentum_residual_matches_per_term_transforms(shape, n_modes, rng):
+    # summing the force on the grid before transforming is exact up to
+    # roundoff, since every basis mode lies inside the 2/3 mask; the state
+    # carries white-noise content up to the mask edge
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    edge = min(n // 3 for n in shape)
+    rho = ScalarField(grid, 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=edge).values)
+    b = VectorField(grid, [0.3 * c for c in band_limited_vector(grid, rng, max_mode=edge).components])
+    vel = VelocityCoeffs(basis, 0.3 * rng.standard_normal(n_modes))
+    phys = PhysParams(kappa=0.3)
+    reg = RegParams(epsilon=0.05, eta=0.01, delta=1e-7, s=1)
+    entries = momentum_residual(rho, vel, b, phys, reg)
+    ref = _per_term_residual(rho, vel, b, phys, reg)
+    assert np.max(np.abs(entries - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --------------------------------------------------------------------------
@@ -426,6 +522,21 @@ def test_picard_divergence_on_absurd_step():
     state = _benchmark_state(grid, basis, reg)
     with pytest.raises((PicardDivergence, MaximumPrincipleViolation, DensityFloorViolation)):
         advance_step(state, phys, reg)
+
+
+def test_corridor_violation_on_a_density_step():
+    # a density jump at rest: the exact spectral heat factor overshoots the
+    # jump (Gibbs), so the converged density leaves the corridor by about
+    # 1.2e-2 relative
+    grid, basis = _default_setup()
+    x = grid.mesh[0]
+    reg = RegParams(epsilon=0.05, eta=0.0, delta=0.0, dt=1e-2)
+    rho = ScalarField(grid, np.where(np.abs(x - np.pi) < 1.0, 2.0, 1.0))
+    state = initial_state(rho, VectorField.zero(grid), VectorField.zero(grid), basis, reg)
+    with pytest.raises(MaximumPrincipleViolation) as err:
+        advance_step(state, PhysParams(kappa=0.0), reg)
+    margin = float(str(err.value).split("corridor by ")[1].split()[0])
+    assert 1e-2 <= margin <= 1.5e-2
 
 
 @pytest.mark.parametrize("shape, n_modes", [((64,), 9), ((32, 32), 9), ((16, 16, 16), 27)])
