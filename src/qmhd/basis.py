@@ -10,6 +10,10 @@ spectrum at ``-(k_i +- k_j)`` reduced mod N, which is the grid quadrature
 exactly, aliasing included.  Capillarity in the momentum residual is a
 projection as well (:func:`qmhd.solver.momentum_residual`).
 
+:class:`MassOperator` is the one place the velocity system is factored:
+the Gram matrix plus an optional nonnegative diagonal shift, which the time
+step uses for the implicit half of the hyperviscous midpoint.
+
 Mode ordering is deterministic: ascending |k|^2, then lexicographic
 wavevector (half-space representative, first nonzero entry positive),
 cosine before sine, then Cartesian component.  ``lowest_modes(grid, n1)``
@@ -183,11 +187,14 @@ class VelocityCoeffs:
 
 
 class MassOperator:
-    """Density-weighted Gram operator on the velocity space."""
+    """The velocity system ``M[rho] + diag(shift)``, factored once: the
+    density-weighted Gram matrix plus a nonnegative diagonal (the implicit
+    half of the hyperviscous midpoint, zero by default)."""
 
-    def __init__(self, basis: GalerkinBasis, rho: ScalarField):
+    def __init__(self, basis: GalerkinBasis, rho: ScalarField, shift: np.ndarray | float = 0.0):
         self.basis = basis
         self.matrix = basis.gram(rho)
+        self.matrix[np.diag_indices(basis.n)] += shift
         try:
             self._factor = cho_factor(self.matrix, lower=True)
         except LinAlgError as exc:
@@ -205,4 +212,3 @@ class MassOperator:
         # one step of iterative refinement keeps the residual at roundoff
         x += cho_solve(self._factor, rhs - self.matrix @ x)
         return x
-

@@ -9,6 +9,9 @@ every remaining nonlinearity is evaluated at the iterated midpoint state.
 Each iteration sweeps the density, the magnetic field and the velocity once,
 and the loop stops when their largest relative update is below
 ``picard_tol``; the density corridor is checked on the converged step.  The
+velocity sweep is one factored system per iteration, the density-weighted
+Gram matrix of the new density plus the implicit hyperviscous half
+``1/2 h eta |k|^4`` on its diagonal (zero when eta = 0).  The
 converged map is second-order accurate and time-reversible, which is what
 the identity diagnostics measure against.
 
@@ -25,7 +28,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .basis import GalerkinBasis, MassOperator, VelocityCoeffs
 from .constitutive import (
@@ -40,7 +42,6 @@ from .errors import (
     MaximumPrincipleViolation,
     PicardDivergence,
     QMHDError,
-    SingularMass,
 )
 from .fields import (
     ScalarField,
@@ -103,11 +104,6 @@ class State:
     @cached_property
     def mass(self) -> float:
         return integrate(self.rho)
-
-    @cached_property
-    def mass_operator(self) -> MassOperator:
-        """M[rho]; :func:`advance_step` fills in the one its last iteration built."""
-        return MassOperator(self.basis, self.rho)
 
 
 @dataclass
@@ -364,6 +360,11 @@ def _relative_update(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> fl
     return float(change / max(scale, 1e-8))
 
 
+def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
+    """Average of two levels, values and spectra both, so no transform is redone."""
+    return ScalarField._adopt(a.grid, 0.5 * (a.values + b.values), 0.5 * (a.spectrum + b.spectrum))
+
+
 def advance_step(
     state: State,
     phys: PhysParams,
@@ -372,9 +373,11 @@ def advance_step(
     dt: float | None = None,
 ) -> tuple[State, StepInfo]:
     """One time step of the coupled system via the fixed-point loop: each
-    iteration sweeps the density, then the magnetic field, then updates the
-    velocity through the density-weighted Gram operator, until the largest
-    relative update of the three is below ``picard_tol``.  Raises
+    iteration sweeps the density, then the magnetic field, then solves the
+    shifted velocity system ``MassOperator(basis, rho_new, shift)``, until
+    the largest relative update of the three is below ``picard_tol``.  At
+    the fixed point the shift cancels, so the step satisfies
+    ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.  Raises
     :class:`PicardDivergence` when the iteration stops contracting (halve dt
     and retry) and :class:`MaximumPrincipleViolation` when the converged
     density leaves the corridor."""
@@ -385,8 +388,10 @@ def advance_step(
     rho_old = state.rho
     b_old = state.magnetic
 
-    rhs_base = state.mass_operator.apply(lam_old)
-    hyper_diag = reg.eta * basis.eigen_k2**2 if reg.eta else None
+    rhs_base = basis.gram(rho_old) @ lam_old
+    # the implicit half of the hyperviscous midpoint -eta |k|^4 lambda_mid:
+    # unconditionally stable for arbitrarily stiff eta |k|^4
+    shift = (0.5 * h * reg.eta) * basis.eigen_k2**2
 
     lam_k = lam_old.copy()
     rho_new = rho_old
@@ -404,34 +409,16 @@ def advance_step(
         )
         upd = _relative_update([rho_next.values], [rho_new.values])
         rho_new = rho_next
-        rho_mid = ScalarField._adopt(grid, 0.5 * (rho_old.values + rho_new.values))
+        rho_mid = _midpoint(rho_old, rho_new)
         b_next = solve_magnetic_step(
             b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, guess=b_new
         )
         upd = max(upd, _relative_update(b_next.component_values(), b_new.component_values()))
         b_new = b_next
-        b_mid = VectorField(
-            grid,
-            [
-                ScalarField._adopt(grid, 0.5 * (o.values + n.values))
-                for o, n in zip(b_old.components, b_new.components)
-            ],
-        )
+        b_mid = VectorField(grid, [_midpoint(o, n) for o, n in zip(b_old.components, b_new.components)])
         n_mid = momentum_residual(rho_mid, vel_mid, b_mid, phys, reg)
 
-        mass_new = MassOperator(basis, rho_new)
-        if hyper_diag is None:
-            lam_next = mass_new.solve(rhs_base + h * n_mid)
-        else:
-            # hyperviscous midpoint folded into the matrix: unconditionally
-            # stable for arbitrarily stiff eta |k|^4
-            a = mass_new.matrix + (0.5 * h * reg.eta) * np.diag(basis.eigen_k2**2)
-            try:
-                fac = cho_factor(a, lower=True)
-            except LinAlgError as exc:  # pragma: no cover - eta >= 0 keeps A SPD
-                raise SingularMass("shifted velocity system lost definiteness") from exc
-            rhs = rhs_base + h * n_mid + (0.5 * h) * hyper_diag * lam_k
-            lam_next = cho_solve(fac, rhs)
+        lam_next = MassOperator(basis, rho_new, shift).solve(rhs_base + h * n_mid + shift * lam_k)
 
         upd = max(upd, _relative_update([lam_next], [lam_k]))
         lam_k = lam_next
@@ -457,7 +444,6 @@ def advance_step(
         )
     div_b = l2_norm(divergence(b_new))
     new_state = State(state.time + h, rho_new, VelocityCoeffs(basis, lam_k), b_new)
-    object.__setattr__(new_state, "mass_operator", mass_new)  # built from rho_new
     info = StepInfo(
         picard_iters=len(update_norms),
         update_norms=update_norms,
@@ -503,7 +489,6 @@ def run_simulation(
     t_end: float,
     *,
     sample_every: int = 1,
-    callbacks: Sequence[Callable[[State, int], None]] = (),
     snapshot_writer: Callable[[State, int], None] | None = None,
 ) -> Trajectory:
     """March from ``initial.time`` to ``t_end`` in fixed steps of ``reg.dt``,
@@ -521,16 +506,11 @@ def run_simulation(
     times = [state.time]
     states = [state]
     infos: list[StepInfo] = []
-    for cb in callbacks:
-        cb(state, 0)
     if snapshot_writer is not None:
         snapshot_writer(state, 0)
 
     for step in range(1, nsteps + 1):
-        prev = state
         state, info = advance_step(state, phys, reg)
-        # the operator has been used; sampled states are kept without it
-        vars(prev).pop("mass_operator", None)
         infos.append(info)
 
         drift = abs(state.mass - mass0) / max(abs(mass0), 1e-300)
@@ -543,8 +523,6 @@ def run_simulation(
         if step % sample_every == 0:
             times.append(state.time)
             states.append(state)
-        for cb in callbacks:
-            cb(state, step)
         if snapshot_writer is not None and step % sample_every == 0:
             snapshot_writer(state, step)
 

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,18 @@ def test_mass_operator_solve_apply_roundtrip(basis, grid1d, rng):
     x = grid1d.mesh[0]
     rho = ScalarField(grid1d, 1.5 + 0.4 * np.cos(x))
     op = MassOperator(basis, rho)
+    lam = rng.standard_normal(basis.n)
+    back = op.solve(op.apply(lam))
+    assert np.max(np.abs(back - lam)) <= 1e-12 * max(np.max(np.abs(lam)), 1.0)
+
+
+def test_mass_operator_shift_sits_on_the_diagonal(basis, grid1d, rng):
+    x = grid1d.mesh[0]
+    rho = ScalarField(grid1d, 1.5 + 0.4 * np.cos(x))
+    shift = rng.uniform(0.0, 2.0, basis.n)
+    op = MassOperator(basis, rho, shift)
+    assert np.array_equal(op.matrix, basis.gram(rho) + np.diag(shift))
+    assert np.array_equal(MassOperator(basis, rho).matrix, basis.gram(rho))
     lam = rng.standard_normal(basis.n)
     back = op.solve(op.apply(lam))
     assert np.max(np.abs(back - lam)) <= 1e-12 * max(np.max(np.abs(lam)), 1.0)
@@ -198,3 +213,16 @@ def test_reconstruct_component_without_modes_is_zero():
     for comp in (0, 2):
         assert not np.any(v.components[comp].values)
         assert not np.any(v.components[comp].spectrum)
+
+
+def test_basis_is_the_only_factorization_home():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmhd"
+    pattern = re.compile(r"\bscipy\.linalg\b|from\s+scipy\s+import\s+linalg\b")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "basis.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

@@ -617,8 +617,8 @@ def test_run_simulation_invariants_and_determinism():
 
 
 def test_one_mass_operator_per_picard_iteration(monkeypatch):
-    # each step reuses the operator the previous step's last fixed-point
-    # iteration built; only the initial state's operator is extra
+    # each fixed-point iteration factors one velocity system, and nothing is
+    # handed from one step to the next
     grid, basis = _default_setup()
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=0.02, eta=1e-3, delta=1e-3, dt=1e-3)
@@ -634,14 +634,61 @@ def test_one_mass_operator_per_picard_iteration(monkeypatch):
     monkeypatch.setattr(MassOperator, "__init__", counting)
     traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.003)
     assert len(traj.step_infos) == 3
-    assert len(built) == sum(info.picard_iters for info in traj.step_infos) + 1
-    # the handed-over operator is the one a fresh build gives, bit for bit
+    assert len(built) == sum(info.picard_iters for info in traj.step_infos)
+    # stepping states built afresh gives the same run, bit for bit
     state = traj.states[0]
     for s in fresh.states[1:]:
         state, _ = advance_step(State(state.time, state.rho, state.velocity, state.magnetic), phys, reg)
         assert np.array_equal(state.rho.values, s.rho.values)
         assert np.array_equal(state.velocity.values, s.velocity.values)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(state.magnetic.components, s.magnetic.components))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+def test_step_satisfies_unshifted_velocity_equation(eta):
+    # the hyperviscous shift sits on both sides of the velocity system, so the
+    # converged step solves M[rho_new] lam_new - M[rho_old] lam_old = h N(mid)
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=0.02, eta=eta, delta=1e-4, dt=1e-3, picard_tol=1e-10)
+    for shape, n in [((64,), 9), ((32, 32), 60)]:
+        grid = TorusGrid(shape)
+        basis = GalerkinBasis.lowest_modes(grid, n)
+        old = benchmark_state("random_smooth", grid, basis, reg)
+        new, _ = advance_step(old, phys, reg)
+
+        def mid(a, b):
+            return ScalarField(grid, 0.5 * (a.values + b.values))
+
+        b_mid = VectorField(grid, [mid(a, b) for a, b in zip(old.magnetic.components, new.magnetic.components)])
+        vel_mid = VelocityCoeffs(basis, 0.5 * (old.velocity.values + new.velocity.values))
+        n_mid = momentum_residual(mid(old.rho, new.rho), vel_mid, b_mid, phys, reg)
+        lhs = basis.gram(new.rho) @ new.velocity.values
+        defect = lhs - basis.gram(old.rho) @ old.velocity.values - reg.dt * n_mid
+        assert np.linalg.norm(defect) <= reg.picard_tol * np.linalg.norm(lhs), shape
+
+
+def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
+    # the midpoint density and magnetic field average both levels' spectra,
+    # so every residual call of a step costs the 7 + 11d transforms of
+    # test_momentum_residual_transform_count_independent_of_mode_count
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+    calls = _count_transforms(monkeypatch)
+    per_call = []
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        out = momentum_residual(*args, **kwargs)
+        per_call.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr("qmhd.solver.momentum_residual", counted)
+    for shape, n in [((64,), 9), ((32, 32), 60), ((16, 16, 16), 27)]:
+        grid = TorusGrid(shape)
+        basis = GalerkinBasis.lowest_modes(grid, n)
+        per_call.clear()
+        _, info = advance_step(benchmark_state("random_smooth", grid, basis, reg), phys, reg)
+        assert per_call == [7 + 11 * grid.dim] * info.picard_iters, shape
 
 
 def test_factor_cache_bounded_over_run():
