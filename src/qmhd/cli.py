@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .fields import ScalarField, VectorField, divergence, l2_norm
 from .grid import TorusGrid
-from .snapshots import read_snapshot, write_snapshot
+from .snapshots import atomic_write, read_snapshot, write_snapshot
 from .solver import cfl_report, initial_state, run_simulation
 
 
@@ -55,13 +55,6 @@ def _build_state(config: RunConfig, basis: GalerkinBasis, grid: TorusGrid):
     return initial_state(rho, vel, mag, basis, config.reg, time=t0)
 
 
-def _atomic_text(path, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def cmd_run(args) -> int:
     config = parse_config(args.config)
     _apply_threads(config.threads)
@@ -73,7 +66,7 @@ def cmd_run(args) -> int:
 
     out = config.output_directory
     os.makedirs(out, exist_ok=True)
-    _atomic_text(os.path.join(out, "config_echo.cfg"), canonical_text(config))
+    atomic_write(os.path.join(out, "config_echo.cfg"), canonical_text(config).encode())
 
     writer = DiagnosticsWriter(os.path.join(out, "diagnostics.csv"), config.phys, config.reg)
 
@@ -216,7 +209,7 @@ def cmd_sweep(args) -> int:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(row.get(c, "")) if isinstance(row.get(c), float) else str(row.get(c, "")) for c in columns))
-    _atomic_text(csv_path, "\n".join(lines) + "\n")
+    atomic_write(csv_path, ("\n".join(lines) + "\n").encode())
 
     manifest_lines = ["[sweep.result]"]
     manifest_lines.append(f"parameter = {spec.parameter}")
@@ -224,7 +217,8 @@ def cmd_sweep(args) -> int:
     for key, order in sorted(result.convergence_orders.items()):
         manifest_lines.append(f"order_{key} = {order!r}")
     manifest_lines.append(f"file = sweep_results.csv sha256 {content_hash(csv_path)}")
-    _atomic_text(os.path.join(out, "sweep_manifest.txt"), "\n".join(manifest_lines) + "\n")
+    manifest_text = "\n".join(manifest_lines) + "\n"
+    atomic_write(os.path.join(out, "sweep_manifest.txt"), manifest_text.encode())
 
     print(f"sweep over {spec.parameter}: {len(result.rungs)} rungs")
     for rung in result.rungs:

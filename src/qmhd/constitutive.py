@@ -90,10 +90,6 @@ def pressure(rho, params: PhysParams):
     return _as_positive(rho, "pressure") ** params.gamma
 
 
-def pressure_field(rho: ScalarField, params: PhysParams) -> ScalarField:
-    return ScalarField(rho.grid, pressure(rho.values, params))
-
-
 def cold_pressure_derivative(rho, params: PhysParams):
     """Piecewise Pc'(rho): singular branch below 1, power law above."""
     arr = _as_positive(rho, "cold_pressure_derivative")

@@ -8,17 +8,24 @@ Time derivatives of the functionals are centered differences on stored
 snapshots, so the residuals measure what the scheme actually produced; with
 the second-order stepper they shrink at second order in the step size.
 
-Each field is derived once where it is needed and each physical term is
-written in one place: the BD report reuses the energy functional and the
-dissipation terms, and the weak form derives each interval's midpoint fields
-once for the whole test battery.
+Each field is derived once and each physical term is written in one place.
+The fields of a state that several reports read live in one
+``DerivedFields`` record, derived on first read; the reports take it as
+their optional ``fields`` argument, and a CSV row builds one record for its
+energy, dissipation and monitor reports.  The BD report reuses the
+dissipation terms and the state's energy report, with only the kinetic term
+taken at the shifted velocity u + grad(2 log rho).  The weak form derives
+each interval's midpoint fields once for the whole test battery.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, fields as dc_fields
-from typing import Callable, Sequence
+from dataclasses import asdict, astuple, dataclass, fields as dc_fields, replace
+from functools import cached_property, reduce
+from itertools import pairwise
+from operator import add
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,28 +70,6 @@ def _check_floor(rho: ScalarField, floor: float, context: str) -> np.ndarray:
     return vals
 
 
-def velocity_gradient_squares(
-    u: VectorField,
-) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """The velocity gradient d_j u_l (active j rows, all three components l
-    as columns) and, pointwise, |D(u)|^2 and |A(u)|^2 of its symmetric and
-    antisymmetric parts (full 3x3 tensor)."""
-    grid = u.grid
-    dim = grid.dim
-    du = [[derivative(u.components[l], j).values for l in range(3)] for j in range(dim)]
-    strain = np.zeros(grid.shape)
-    spin = np.zeros(grid.shape)
-    for j in range(3):
-        for l in range(3):
-            if j >= dim and l >= dim:
-                continue  # both entries vanish
-            a = du[j][l] if j < dim else 0.0
-            b = du[l][j] if l < dim else 0.0
-            strain += (0.5 * (a + b)) ** 2
-            spin += (0.5 * (a - b)) ** 2
-    return du, strain, spin
-
-
 def hessian_frobenius_sq(f: ScalarField) -> np.ndarray:
     grid = f.grid
     total = np.zeros(grid.shape)
@@ -119,11 +104,79 @@ def _cross(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]
 
 
 # --------------------------------------------------------------------------
+# the fields the reports share
+
+
+@dataclass
+class DerivedFields:
+    """The fields of one state that more than one report reads: the
+    floor-checked density samples, the velocity samples, sqrt(rho) and the
+    velocity gradient with its strain and spin squares.  Each is derived on
+    its first read, so at most once and only when a report reads it.
+
+    Every per-state report takes the record as ``fields`` and then reads the
+    state only through it, so callers holding bare fields pass no state."""
+
+    rho: ScalarField
+    u: VectorField
+    magnetic: VectorField
+    floor: float
+
+    @classmethod
+    def of(cls, state: State, reg: RegParams) -> "DerivedFields":
+        return cls(state.rho, state.u, state.magnetic, reg.density_floor)
+
+    @cached_property
+    def rho_values(self) -> np.ndarray:
+        return _check_floor(self.rho, self.floor, "diagnostics")
+
+    @cached_property
+    def u_values(self) -> list[np.ndarray]:
+        return self.u.component_values()
+
+    @cached_property
+    def sqrt_rho(self) -> ScalarField:
+        return ScalarField._adopt(self.rho.grid, np.sqrt(self.rho_values))
+
+    @cached_property
+    def velocity_gradient(self) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+        """The velocity gradient d_j u_l (active j rows, all three components
+        l as columns) and, pointwise, |D(u)|^2 and |A(u)|^2 of its symmetric
+        and antisymmetric parts (full 3x3 tensor)."""
+        grid = self.u.grid
+        dim = grid.dim
+        du = [[derivative(c, j).values for c in self.u.components] for j in range(dim)]
+        strain = np.zeros(grid.shape)
+        spin = np.zeros(grid.shape)
+        for j in range(3):
+            for l in range(3):
+                if j >= dim and l >= dim:
+                    continue  # both entries vanish
+                a = du[j][l] if j < dim else 0.0
+                b = du[l][j] if l < dim else 0.0
+                strain += (0.5 * (a + b)) ** 2
+                spin += (0.5 * (a - b)) ** 2
+        return du, strain, spin
+
+
+# --------------------------------------------------------------------------
 # energy identity
 
 
 @dataclass(frozen=True)
-class EnergyReport:
+class _Terms:
+    """A term-by-term report; its total sums the terms in field order."""
+
+    @property
+    def total(self) -> float:
+        return reduce(add, astuple(self))
+
+    def as_dict(self) -> dict[str, float]:
+        return {**asdict(self), "total": self.total}
+
+
+@dataclass(frozen=True)
+class EnergyReport(_Terms):
     """Term-by-term values of the energy functional."""
 
     kinetic: float
@@ -133,18 +186,9 @@ class EnergyReport:
     magnetic: float
     capillary: float
 
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.internal + self.cold + self.quantum + self.magnetic + self.capillary
-
-    def as_dict(self) -> dict[str, float]:
-        d = asdict(self)
-        d["total"] = self.total
-        return d
-
 
 @dataclass(frozen=True)
-class DissipationReport:
+class DissipationReport(_Terms):
     """Term-by-term dissipation integrals; every entry is a weighted square."""
 
     viscous: float
@@ -154,75 +198,46 @@ class DissipationReport:
     capillary_diss: float
     quantum_diss: float
 
-    @property
-    def total(self) -> float:
-        return (
-            self.viscous
-            + self.pressure_diss
-            + self.magnetic_diss
-            + self.hyper
-            + self.capillary_diss
-            + self.quantum_diss
-        )
 
-    def as_dict(self) -> dict[str, float]:
-        d = asdict(self)
-        d["total"] = self.total
-        return d
+def _kinetic(rvals: np.ndarray, uvals: Sequence[np.ndarray], grid) -> float:
+    return 0.5 * _integral(rvals * sum(v * v for v in uvals), grid)
 
 
-def compute_energy_fields(
-    rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams
+def compute_energy(
+    state: State | None, phys: PhysParams, reg: RegParams, fields: DerivedFields | None = None
 ) -> EnergyReport:
-    grid = rho.grid
-    rvals = _check_floor(rho, reg.density_floor, "energy")
-    uvals = u.component_values()
-    kinetic = 0.5 * _integral(rvals * sum(v * v for v in uvals), grid)
+    f = fields or DerivedFields.of(state, reg)
+    grid = f.rho.grid
+    rvals = f.rho_values
+    kinetic = _kinetic(rvals, f.u_values, grid)
     internal = _integral(enthalpy(rvals, phys), grid)
     cold = _integral(cold_enthalpy(rvals, phys), grid)
-    w = ScalarField._adopt(grid, np.sqrt(rvals))
     # note the factor 2: with the quantum force 2 kappa^2 rho grad(lap w / w)
     # the conserved quantity carries 2 kappa^2 |grad sqrt(rho)|^2
-    quantum = 2.0 * phys.kappa**2 * _integral(grad_sq(w), grid)
-    magnetic = 0.5 * sum(l2_norm(c) ** 2 for c in B.components)
-    capillary = 0.5 * reg.delta * sobolev_seminorm(rho, 2 * reg.s + 1) ** 2
+    quantum = 2.0 * phys.kappa**2 * _integral(grad_sq(f.sqrt_rho), grid)
+    magnetic = 0.5 * sum(l2_norm(c) ** 2 for c in f.magnetic.components)
+    capillary = 0.5 * reg.delta * sobolev_seminorm(f.rho, 2 * reg.s + 1) ** 2
     return EnergyReport(kinetic, internal, cold, quantum, magnetic, capillary)
 
 
-def compute_energy(state: State, phys: PhysParams, reg: RegParams) -> EnergyReport:
-    return compute_energy_fields(state.rho, state.u, state.magnetic, phys, reg)
-
-
-@dataclass(frozen=True)
-class _DissipationWork:
-    """Fields and integrals the dissipation report derives that the BD
-    report reads again."""
-
-    du: list[list[np.ndarray]]
-    spin_sq: np.ndarray
-    drho: list[np.ndarray]
-    curl_b: list[np.ndarray]
-    lap_u: list[ScalarField]
-    logr: ScalarField
-    pressure_gradient: float  # int (H'' + Hc'') |grad rho|^2
-    quantum_hessian: float  # int rho |grad^2 log rho|^2
-    capillary_sq: float  # squared H^(2s+2) seminorm of rho
-
-
 def _dissipation(
-    rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams, context: str
-) -> tuple[DissipationReport, _DissipationWork]:
-    grid = rho.grid
-    rvals = _check_floor(rho, reg.density_floor, context)
-    du, strain_sq, spin_sq = velocity_gradient_squares(u)
-    drho = [derivative(rho, j).values for j in range(grid.dim)]
+    f: DerivedFields, phys: PhysParams, reg: RegParams
+) -> tuple[DissipationReport, tuple]:
+    """The dissipation report and what the BD report reads again: grad rho,
+    curl B, lap u and log rho, and the unscaled integrals
+    int (H'' + Hc'') |grad rho|^2, int rho |grad^2 log rho|^2 and the squared
+    H^(2s+2) seminorm of rho."""
+    grid = f.rho.grid
+    rvals = f.rho_values
+    _, strain_sq, _ = f.velocity_gradient
+    drho = [derivative(f.rho, j).values for j in range(grid.dim)]
     hess_enthalpy = enthalpy_second(rvals, phys) + cold_enthalpy_second(rvals, phys)
     pressure_gradient = _integral(hess_enthalpy * sum(d**2 for d in drho), grid)
-    cb = [c.values for c in curl(B).components]
-    lap_u = [laplacian(c) for c in u.components]
+    cb = [c.values for c in curl(f.magnetic).components]
+    lap_u = [laplacian(c) for c in f.u.components]
     logr = ScalarField._adopt(grid, np.log(rvals))
     quantum_hessian = _integral(rvals * hessian_frobenius_sq(logr), grid)
-    capillary_sq = sobolev_seminorm(rho, 2 * (reg.s + 1)) ** 2
+    capillary_sq = sobolev_seminorm(f.rho, 2 * (reg.s + 1)) ** 2
     report = DissipationReport(
         viscous=2.0 * _integral(rvals * strain_sq, grid),
         pressure_diss=reg.epsilon * pressure_gradient,
@@ -231,20 +246,13 @@ def _dissipation(
         capillary_diss=reg.delta * reg.epsilon * capillary_sq,
         quantum_diss=reg.epsilon * phys.kappa**2 * quantum_hessian,
     )
-    work = _DissipationWork(
-        du, spin_sq, drho, cb, lap_u, logr, pressure_gradient, quantum_hessian, capillary_sq
-    )
-    return report, work
+    return report, (drho, cb, lap_u, logr, pressure_gradient, quantum_hessian, capillary_sq)
 
 
-def compute_dissipation_fields(
-    rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams
+def compute_dissipation(
+    state: State | None, phys: PhysParams, reg: RegParams, fields: DerivedFields | None = None
 ) -> DissipationReport:
-    return _dissipation(rho, u, B, phys, reg, "dissipation")[0]
-
-
-def compute_dissipation(state: State, phys: PhysParams, reg: RegParams) -> DissipationReport:
-    return compute_dissipation_fields(state.rho, state.u, state.magnetic, phys, reg)
+    return _dissipation(fields or DerivedFields.of(state, reg), phys, reg)[0]
 
 
 @dataclass
@@ -265,22 +273,38 @@ def _require_uniform(traj: Trajectory) -> float:
     return float(h)
 
 
-def energy_identity_residual(traj: Trajectory) -> ResidualSeries:
-    """Centered-difference energy rate plus dissipation, per interior sample."""
+def _centred_residual(
+    traj: Trajectory, balance: Callable[[State], tuple[float, float, float, Iterable[float]]]
+) -> ResidualSeries:
+    """Residual of the balance d/dt F + lhs = rhs at each interior sample,
+    with dF/dt a centred difference.  ``balance(state)`` returns F, lhs, rhs
+    and the terms whose largest magnitude, with |dF/dt|, scales the relative
+    residual."""
     h = _require_uniform(traj)
-    phys, reg = traj.phys, traj.reg
-    energies = [compute_energy(s, phys, reg).total for s in traj.states]
-    dissip = [compute_dissipation(s, phys, reg) for s in traj.states]
+    rows = [balance(s) for s in traj.states]
     times, raw, rel = [], [], []
-    for k in range(1, len(traj.states) - 1):
-        dedt = (energies[k + 1] - energies[k - 1]) / (2.0 * h)
-        d = dissip[k]
-        r = dedt + d.total
-        scale = max(abs(dedt), *(abs(v) for v in asdict(d).values()), 1e-300)
+    for k in range(1, len(rows) - 1):
+        dedt = (rows[k + 1][0] - rows[k - 1][0]) / (2.0 * h)
+        _, lhs, rhs, terms = rows[k]
+        r = dedt + lhs - rhs
+        scale = max(abs(dedt), *(abs(v) for v in terms), 1e-300)
         times.append(traj.times[k])
         raw.append(r)
         rel.append(r / scale)
     return ResidualSeries(np.array(times), np.array(raw), np.array(rel))
+
+
+def energy_identity_residual(traj: Trajectory) -> ResidualSeries:
+    """Centered-difference energy rate plus dissipation, per interior sample."""
+    phys, reg = traj.phys, traj.reg
+
+    def balance(s: State):
+        f = DerivedFields.of(s, reg)
+        energy = compute_energy(s, phys, reg, f).total
+        d = compute_dissipation(s, phys, reg, f)
+        return energy, d.total, 0.0, asdict(d).values()
+
+    return _centred_residual(traj, balance)
 
 
 # --------------------------------------------------------------------------
@@ -316,53 +340,39 @@ class BDEntropyReport:
 
     @property
     def lhs_total(self) -> float:
-        return (
-            self.lhs_hyper
-            + self.lhs_antisymmetric
-            + self.lhs_pressure_gradient
-            + self.lhs_quantum_hessian
-            + self.lhs_quantum_hessian_eps
-            + self.lhs_magnetic
-            + self.lhs_capillary_eps
-            + self.lhs_capillary
-            + self.lhs_pressure_gradient_eps
-        )
+        return reduce(add, (v for k, v in asdict(self).items() if k.startswith("lhs_")))
 
     @property
     def rhs_total(self) -> float:
-        return (
-            self.rhs_density_laplacian
-            + self.rhs_velocity_gradient
-            + self.rhs_log_gradient_laplacian
-            + self.rhs_hyperviscous
-            + self.rhs_mass_flux
-            + self.rhs_lorentz
-        )
+        return reduce(add, (v for k, v in asdict(self).items() if k.startswith("rhs_")))
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
 
-def bd_entropy_report_fields(
-    rho: ScalarField, u: VectorField, B: VectorField, phys: PhysParams, reg: RegParams
+def bd_entropy_report(
+    state: State | None, phys: PhysParams, reg: RegParams, fields: DerivedFields | None = None
 ) -> BDEntropyReport:
-    grid = rho.grid
-    diss, work = _dissipation(rho, u, B, phys, reg, "bd entropy")
-    rvals = rho.values
-    uvals = u.component_values()
+    f = fields or DerivedFields.of(state, reg)
+    grid = f.rho.grid
+    diss, shared = _dissipation(f, phys, reg)
+    drho, curl_b, lap_u, logr, pressure_gradient, quantum_hessian, capillary_sq = shared
+    rvals = f.rho_values
+    uvals = f.u_values
+    du, _, spin_sq = f.velocity_gradient
     eps, eta, delta, kappa = reg.epsilon, reg.eta, reg.delta, phys.kappa
 
     # phi = 2 log rho; doubling is exact, so its spectrum is twice that of log rho
-    gphi = gradient(ScalarField._adopt(grid, None, 2.0 * work.logr.spectrum))
+    gphi = gradient(ScalarField._adopt(grid, None, 2.0 * logr.spectrum))
     gphi_vals = gphi.component_values()
 
-    # the energy functional at the gradient-shifted velocity
-    shifted = VectorField(
-        grid, [ScalarField._adopt(grid, uvals[l] + gphi_vals[l]) for l in range(3)]
-    )
-    bd_energy = compute_energy_fields(rho, shifted, B, phys, reg).total
+    # the energy functional at the gradient-shifted velocity: only its
+    # kinetic term reads the velocity
+    shifted = [uvals[l] + gphi_vals[l] for l in range(3)]
+    energy = compute_energy(state, phys, reg, f)
+    bd_energy = replace(energy, kinetic=_kinetic(rvals, shifted, grid)).total
 
-    lap_r = laplacian(rho)
+    lap_r = laplacian(f.rho)
     phi_prime_lap = ScalarField._adopt(grid, 2.0 / rvals * lap_r.values)
     g_pl = gradient(phi_prime_lap).component_values()
     rhs_density_laplacian = eps * _integral(
@@ -373,19 +383,16 @@ def bd_entropy_report_fields(
     coupling = np.zeros(grid.shape)
     for j in range(grid.dim):
         for l in range(grid.dim):
-            coupling = coupling + work.drho[j] * work.du[j][l] * gphi_vals[l]
+            coupling = coupling + drho[j] * du[j][l] * gphi_vals[l]
     rhs_velocity_gradient = -eps * _integral(coupling, grid)
 
     rhs_log_gradient_laplacian = eps * _integral(
         0.5 * sum(v * v for v in gphi_vals) * lap_r.values, grid
     )
 
+    lap_gphi = [laplacian(gphi.components[l]).values for l in range(grid.dim)]
     rhs_hyperviscous = -eta * _integral(
-        sum(
-            work.lap_u[l].values * laplacian(gphi.components[l]).values
-            for l in range(grid.dim)
-        ),
-        grid,
+        sum(lap_u[l].values * lap_gphi[l] for l in range(grid.dim)), grid
     )
 
     div_m = divergence(
@@ -393,18 +400,18 @@ def bd_entropy_report_fields(
     ).values
     rhs_mass_flux = -eps * _integral(div_m * phi_prime_lap.values, grid)
 
-    lorentz = _cross(work.curl_b, B.component_values())
+    lorentz = _cross(curl_b, f.magnetic.component_values())
 
     return BDEntropyReport(
         bd_energy=bd_energy,
         lhs_hyper=diss.hyper,
-        lhs_antisymmetric=2.0 * _integral(rvals * work.spin_sq, grid),
-        lhs_pressure_gradient=2.0 * work.pressure_gradient,
-        lhs_quantum_hessian=2.0 * kappa**2 * work.quantum_hessian,
+        lhs_antisymmetric=2.0 * _integral(rvals * spin_sq, grid),
+        lhs_pressure_gradient=2.0 * pressure_gradient,
+        lhs_quantum_hessian=2.0 * kappa**2 * quantum_hessian,
         lhs_quantum_hessian_eps=diss.quantum_diss,
         lhs_magnetic=diss.magnetic_diss,
         lhs_capillary_eps=diss.capillary_diss,
-        lhs_capillary=2.0 * delta * work.capillary_sq,
+        lhs_capillary=2.0 * delta * capillary_sq,
         lhs_pressure_gradient_eps=diss.pressure_diss,
         rhs_density_laplacian=rhs_density_laplacian,
         rhs_velocity_gradient=rhs_velocity_gradient,
@@ -416,22 +423,15 @@ def bd_entropy_report_fields(
     )
 
 
-def bd_entropy_report(state: State, phys: PhysParams, reg: RegParams) -> BDEntropyReport:
-    return bd_entropy_report_fields(state.rho, state.u, state.magnetic, phys, reg)
-
-
 def bd_entropy_residual(traj: Trajectory) -> tuple[ResidualSeries, list[BDEntropyReport]]:
-    h = _require_uniform(traj)
-    reports = [bd_entropy_report(s, traj.phys, traj.reg) for s in traj.states]
-    times, raw, rel = [], [], []
-    for k in range(1, len(traj.states) - 1):
-        dedt = (reports[k + 1].bd_energy - reports[k - 1].bd_energy) / (2.0 * h)
-        r = dedt + reports[k].lhs_total - reports[k].rhs_total
-        scale = max(abs(dedt), abs(reports[k].lhs_total), abs(reports[k].rhs_total), 1e-300)
-        times.append(traj.times[k])
-        raw.append(r)
-        rel.append(r / scale)
-    return ResidualSeries(np.array(times), np.array(raw), np.array(rel)), reports
+    reports = []
+
+    def balance(s: State):
+        rep = bd_entropy_report(s, traj.phys, traj.reg)
+        reports.append(rep)
+        return rep.bd_energy, rep.lhs_total, rep.rhs_total, (rep.lhs_total, rep.rhs_total)
+
+    return _centred_residual(traj, balance), reports
 
 
 # --------------------------------------------------------------------------
@@ -551,11 +551,6 @@ def default_vector_battery(grid, t_final: float) -> list[TestFunction]:
     return [TestFunction(name, VectorField.from_arrays(grid, arrs), env) for name, arrs in items]
 
 
-def _midpoint_pairs(traj: Trajectory):
-    for k in range(len(traj.states) - 1):
-        yield traj.states[k], traj.states[k + 1], traj.times[k], traj.times[k + 1]
-
-
 def quantum_pairing(w: np.ndarray, dw, grad_div_phi, grad_phi, grid) -> float:
     """int w grad w . grad div phi + 2 int d_j w d_l w d_j phi_l, w = sqrt(rho):
     the quantum force 2 kappa^2 rho grad(lap w / w) paired with a test field
@@ -634,7 +629,7 @@ def weak_form_residual(
         tf.g(t_first) * _pair(b_first, d.values, grid) for tf, d in zip(vector_battery, vector_tests)
     ]
 
-    for s0, s1, t0, t1 in _midpoint_pairs(traj):
+    for (s0, s1), (t0, t1) in zip(pairwise(traj.states), pairwise(traj.times)):
         # midpoint fields, derived once per interval
         rho_mid = ScalarField._adopt(grid, 0.5 * (s0.rho.values + s1.rho.values))
         rv = rho_mid.values
@@ -722,19 +717,22 @@ MONITOR_KEYS = (
 )
 
 
-def norm_monitor(state: State, phys: PhysParams, reg: RegParams) -> dict[str, float]:
+def norm_monitor(
+    state: State | None, phys: PhysParams, reg: RegParams, fields: DerivedFields | None = None
+) -> dict[str, float]:
     """The catalog of norms the a priori bounds control, one value each."""
-    grid = state.rho.grid
-    rvals = _check_floor(state.rho, reg.density_floor, "norm monitor")
-    uvals = state.u.component_values()
-    w = ScalarField._adopt(grid, np.sqrt(rvals))
+    f = fields or DerivedFields.of(state, reg)
+    grid = f.rho.grid
+    rvals = f.rho_values
+    uvals = f.u_values
+    w = f.sqrt_rho
     q = ScalarField._adopt(grid, rvals**0.25)
     rg = ScalarField._adopt(grid, rvals ** (phys.gamma / 2.0))
     grad_w = sobolev_seminorm(w, 1)
     h2 = np.sqrt(l2_norm(w) ** 2 + grad_w**2 + sobolev_seminorm(w, 2) ** 2)
-    _, strain_sq, _ = velocity_gradient_squares(state.u)
+    _, strain_sq, _ = f.velocity_gradient
     return {
-        "rho_Lgamma": lp_norm(state.rho, phys.gamma),
+        "rho_Lgamma": lp_norm(f.rho, phys.gamma),
         "inv_rho_Lgamma_minus": lp_norm(ScalarField._adopt(grid, 1.0 / rvals), phys.gamma_minus),
         "grad_sqrt_rho_L2": grad_w,
         "sqrt_rho_u_L2": float(
@@ -742,9 +740,9 @@ def norm_monitor(state: State, phys: PhysParams, reg: RegParams) -> dict[str, fl
         ),
         "sqrt_rho_Du_L2": float(np.sqrt((rvals * strain_sq).mean() * grid.volume)),
         "grad_rho_gamma_half_L2": sobolev_seminorm(rg, 1),
-        "B_L2": float(np.sqrt(sum(l2_norm(c) ** 2 for c in state.magnetic.components))),
+        "B_L2": float(np.sqrt(sum(l2_norm(c) ** 2 for c in f.magnetic.components))),
         "grad_B_L2": float(
-            np.sqrt(sum(sobolev_seminorm(c, 1) ** 2 for c in state.magnetic.components))
+            np.sqrt(sum(sobolev_seminorm(c, 1) ** 2 for c in f.magnetic.components))
         ),
         "inv_rho_Linf": float(1.0 / rvals.min()),
         "sqrt_rho_H2": float(h2),
@@ -779,9 +777,10 @@ class DiagnosticsWriter:
         self._writer.writerow(self.columns)
 
     def write_row(self, state: State, info=None) -> None:
-        e = compute_energy(state, self.phys, self.reg)
-        d = compute_dissipation(state, self.phys, self.reg)
-        mon = norm_monitor(state, self.phys, self.reg)
+        f = DerivedFields.of(state, self.reg)
+        e = compute_energy(state, self.phys, self.reg, f)
+        d = compute_dissipation(state, self.phys, self.reg, f)
+        mon = norm_monitor(state, self.phys, self.reg, f)
         div_b = l2_norm(divergence(state.magnetic))
         iters = info.picard_iters if info is not None else 0
         ratio = (

@@ -19,6 +19,8 @@ from .basis import GalerkinBasis
 from .constitutive import PhysParams
 from .diagnostics import (
     MONITOR_KEYS,
+    DerivedFields,
+    _VectorTest,
     compute_energy,
     default_vector_battery,
     norm_monitor,
@@ -30,8 +32,8 @@ from .fields import (
     VectorField,
     dealias,
     derivative,
-    divergence,
-    gradient,
+    divergence,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
+    gradient,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     inner_product,
     project_divergence_free,
     spectral_resample,
@@ -170,18 +172,14 @@ def quantum_term_weak_integral(
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
     h = traj.sampled_dt
-    grads = [
-        [[derivative(c, j).values for c in tf.spatial.components] for j in range(grid.dim)]
-        for tf in battery
-    ]
-    grad_divs = [gradient(divergence(tf.spatial)).component_values() for tf in battery]
+    tests = [_VectorTest.of(tf.spatial) for tf in battery]
     acc = [0.0] * len(battery)
     for i, s in enumerate(traj.states):
         w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
         dw = [derivative(w, j).values for j in range(grid.dim)]
         wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
         for t, tf in enumerate(battery):
-            pairing = quantum_pairing(w.values, dw, grad_divs[t], grads[t], grid)
+            pairing = quantum_pairing(w.values, dw, tests[t].grad_div, tests[t].grad, grid)
             acc[t] += wgt * h * tf.g(traj.times[i]) * pairing
     total = sum(2.0 * kappa**2 * a for a in acc)
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
@@ -313,11 +311,12 @@ def _run_rung(spec: SweepSpec, value) -> tuple[Trajectory, RungResult]:
     cap_max = 0.0
     quant_max = 0.0
     for s in traj.states:
-        mon = norm_monitor(s, phys, reg)
+        f = DerivedFields.of(s, reg)
+        mon = norm_monitor(s, phys, reg, f)
         for k in MONITOR_KEYS:
             monitors[k] = max(monitors[k], mon[k])
         min_rho = min(min_rho, float(s.rho.values.min()))
-        e = compute_energy(s, phys, reg)
+        e = compute_energy(s, phys, reg, f)
         cap_max = max(cap_max, e.capillary)
         quant_max = max(quant_max, e.quantum)
 

@@ -41,7 +41,9 @@ def _pack_header(grid: TorusGrid, kind: int, time: float) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, grid.dim, *sizes, kind, float(time))
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def atomic_write(path, payload: bytes) -> None:
+    """Replace ``path`` with ``payload`` in one rename; on any failure the
+    old file stays as it was and the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qmhd-tmp-")
     try:
@@ -64,7 +66,7 @@ def write_snapshot(path, field: ScalarField | VectorField, time: float) -> None:
     else:
         header = _pack_header(grid, 0, time)
         body = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    _atomic_write(path, header + body)
+    atomic_write(path, header + body)
 
 
 def read_snapshot(path) -> tuple[ScalarField | VectorField, float]:

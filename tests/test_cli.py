@@ -135,6 +135,28 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert (out / "sweep_results.csv").read_bytes() == (out2 / "sweep_results.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, text, name",
+    [("run", RUN_CFG, "config_echo.cfg"), ("sweep", SWEEP_MANIFEST, "sweep_results.csv")],
+    ids=["run", "sweep"],
+)
+def test_failed_rename_keeps_old_output_and_leaves_no_temp_file(
+    tmp_path, monkeypatch, command, text, name
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("old\n")
+    config = _write(tmp_path, "input.cfg", text.format(out=out))
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main([command, config]) == 4
+    assert (out / name).read_text() == "old\n"
+    assert sorted(p.name for p in out.iterdir()) == [name]
+
+
 def test_threads_env_override(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "chk.cfg", "[grid]\npoints = 32\nmodes = 6\n")
     monkeypatch.setenv("QMHD_THREADS", "2")

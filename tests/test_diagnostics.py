@@ -20,14 +20,14 @@ from qmhd.constitutive import (
     pressure,
 )
 from qmhd.diagnostics import (
+    DerivedFields,
     DiagnosticsWriter,
     MONITOR_KEYS,
-    bd_entropy_report_fields,
+    bd_entropy_report,
     bd_entropy_residual,
     bohm_identity_check,
-    compute_dissipation_fields,
+    compute_dissipation,
     compute_energy,
-    compute_energy_fields,
     default_vector_battery,
     energy_identity_residual,
     norm_monitor,
@@ -50,6 +50,7 @@ from qmhd.fields import (
     project_divergence_free,
     spectral_resample,
 )
+from qmhd.experiments import benchmark_state
 from qmhd.solver import Trajectory
 
 from conftest import band_limited_vector
@@ -62,6 +63,11 @@ def smooth_state_fields(grid, rng, rho_amp=0.25):
     u = band_limited_vector(grid, rng, max_mode=2, amplitude=0.3)
     b = project_divergence_free(band_limited_vector(grid, rng, max_mode=2, amplitude=0.3))
     return rho, u, b
+
+
+def record(rho, u, b, reg):
+    """The shared-field record of bare fields, for the reports' ``fields``."""
+    return DerivedFields(rho, u, b, reg.density_floor)
 
 
 def pde_rhs(rho, u, b, phys, reg):
@@ -152,10 +158,10 @@ def test_energy_identity_instantaneous():
         bb = VectorField.from_arrays(
             grid, [b.component_values()[l] + sign * h * db[l] for l in range(3)]
         )
-        return compute_energy_fields(r, uu, bb, phys, reg).total
+        return compute_energy(None, phys, reg, record(r, uu, bb, reg)).total
 
     dedt = (energy_at(+1) - energy_at(-1)) / (2 * h)
-    diss = compute_dissipation_fields(rho, u, b, phys, reg).total
+    diss = compute_dissipation(None, phys, reg, record(rho, u, b, reg)).total
     assert diss > 0
     assert abs(dedt + diss) <= 2e-5 * diss
 
@@ -179,10 +185,10 @@ def test_bd_entropy_identity_instantaneous():
             bb = VectorField.from_arrays(
                 grid, [b.component_values()[l] + sign * h * db[l] for l in range(3)]
             )
-            return bd_entropy_report_fields(r, uu, bb, phys, reg).bd_energy
+            return bd_entropy_report(None, phys, reg, record(r, uu, bb, reg)).bd_energy
 
         dedt = (bd_at(+1) - bd_at(-1)) / (2 * h)
-        rep = bd_entropy_report_fields(rho, u, b, phys, reg)
+        rep = bd_entropy_report(None, phys, reg, record(rho, u, b, reg))
         resid = dedt + rep.lhs_total - rep.rhs_total
         assert abs(resid) <= 2e-5 * max(abs(rep.lhs_total), abs(rep.rhs_total))
 
@@ -193,7 +199,7 @@ def test_bd_spot_identity():
     phys = PhysParams(kappa=0.2)
     reg = RegParams(epsilon=0.07, dt=1e-3)
     rho, u, b = smooth_state_fields(grid, rng)
-    rep = bd_entropy_report_fields(rho, u, b, phys, reg)
+    rep = bd_entropy_report(None, phys, reg, record(rho, u, b, reg))
     assert rep.rhs_density_laplacian == pytest.approx(rep.spot_density_laplacian, rel=1e-10)
 
 
@@ -204,8 +210,8 @@ def test_bd_report_reuses_energy_and_dissipation(shape):
     phys = PhysParams(kappa=0.4)
     reg = RegParams(epsilon=0.03, eta=0.01, delta=0.01, s=1, dt=1e-3)
     rho, u, b = smooth_state_fields(grid, rng)
-    rep = bd_entropy_report_fields(rho, u, b, phys, reg)
-    d = compute_dissipation_fields(rho, u, b, phys, reg)
+    rep = bd_entropy_report(None, phys, reg, record(rho, u, b, reg))
+    d = compute_dissipation(None, phys, reg, record(rho, u, b, reg))
     assert rep.lhs_hyper == d.hyper
     assert rep.lhs_magnetic == d.magnetic_diss
     assert rep.lhs_capillary_eps == d.capillary_diss
@@ -216,7 +222,7 @@ def test_bd_report_reuses_energy_and_dissipation(shape):
     shifted = VectorField.from_arrays(
         grid, [a.values + s.values for a, s in zip(u.components, shift.components)]
     )
-    assert rep.bd_energy == compute_energy_fields(rho, shifted, b, phys, reg).total
+    assert rep.bd_energy == compute_energy(None, phys, reg, record(rho, shifted, b, reg)).total
 
 
 def test_bd_nonnegative_dissipation_entries():
@@ -225,7 +231,7 @@ def test_bd_nonnegative_dissipation_entries():
     phys = PhysParams(kappa=0.4)
     reg = RegParams(epsilon=0.03, eta=0.01, delta=0.01, dt=1e-3)
     rho, u, b = smooth_state_fields(grid, rng)
-    rep = bd_entropy_report_fields(rho, u, b, phys, reg)
+    rep = bd_entropy_report(None, phys, reg, record(rho, u, b, reg))
     assert rep.lhs_antisymmetric >= 0
     assert rep.lhs_pressure_gradient >= 0
     assert rep.lhs_quantum_hessian >= 0
@@ -538,3 +544,53 @@ def test_diagnostics_writer_roundtrip(tmp_path):
     assert all(row[-1] == "1" for row in data)
     for key in MONITOR_KEYS:
         assert key in header
+
+
+# (grid shape, velocity modes) -> transforms of one CSV row: the monitor,
+# energy and dissipation reports share sqrt(rho) and the velocity gradient
+ROW_TRANSFORMS = {((128,), 9): 18, ((64, 64), 120): 27, ((32, 32, 32), 27): 38}
+
+
+def _row_state(shape, n_modes, reg):
+    """A seed-0 random_smooth state with its velocity, the spectrum of rho
+    and the samples of B already derived, as after a solver step."""
+    grid = TorusGrid(shape)
+    state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, n_modes), reg)
+    state.u.component_values()
+    state.rho.spectrum
+    state.magnetic.component_values()
+    return state
+
+
+@pytest.mark.parametrize("shape, n_modes", sorted(ROW_TRANSFORMS))
+def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_modes):
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
+    state = _row_state(shape, n_modes, reg)
+    calls = _transform_counter(monkeypatch)
+    with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
+        writer.write_row(state)
+    assert calls[0] == ROW_TRANSFORMS[(shape, n_modes)]
+
+
+@pytest.mark.parametrize("shape", [(128,), (32, 32), (16, 16, 16)])
+def test_row_entries_equal_standalone_reports(tmp_path, shape):
+    import csv
+
+    phys = PhysParams(kappa=0.3)
+    reg = RegParams(epsilon=0.02, eta=0.01, delta=1e-4, s=1, dt=1e-3)
+    grid = TorusGrid(shape)
+    state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, 9), reg)
+    with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
+        writer.write_row(state)
+    with open(tmp_path / "diag.csv") as fh:
+        row = next(csv.DictReader(fh))
+    energy = compute_energy(state, phys, reg).as_dict()
+    dissipation = compute_dissipation(state, phys, reg).as_dict()
+    expected = {("energy_total" if k == "total" else k): v for k, v in energy.items()}
+    expected.update(
+        {("dissipation_total" if k == "total" else k): v for k, v in dissipation.items()}
+    )
+    expected.update(norm_monitor(state, phys, reg))
+    assert len(expected) == 6 + 1 + 6 + 1 + len(MONITOR_KEYS)
+    assert {k: float(row[k]) for k in expected} == expected
