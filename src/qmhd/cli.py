@@ -15,17 +15,11 @@ import numpy as np
 
 from . import __version__
 from .basis import GalerkinBasis
-from .config import RunConfig, canonical_text, parse_config, parse_config_text
+from .config import RunConfig, canonical_text, parse_config, parse_manifest_text
+from .config import parse_config_text  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
 from .diagnostics import DiagnosticsWriter
 from .errors import ConfigError, QMHDError, SnapshotFormatError, UsageError
-from .experiments import (
-    Coupling,
-    SweepSpec,
-    benchmark_state,
-    content_hash,
-    run_sweep,
-    sweep_rows,
-)
+from .experiments import SweepSpec, benchmark_state, content_hash, run_sweep, sweep_rows
 from .fields import ScalarField, VectorField, divergence, l2_norm
 from .grid import TorusGrid
 from .snapshots import atomic_write, read_snapshot, write_snapshot
@@ -106,95 +100,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = {
-    "parameter": str,
-    "values": str,
-    "benchmark": str,
-    "dim": int,
-    "points": int,
-    "modes": int,
-    "t_end": float,
-    "sample_every": int,
-    "seed": int,
-    "output": str,
-    "workers": int,
-    "eta_coeff": float,
-    "eta_exponent": float,
-    "epsilon_coeff": float,
-    "epsilon_exponent": float,
-}
-
-
 def parse_sweep_manifest(path) -> tuple[SweepSpec, str, int]:
-    """Manifest: a [sweep] section plus optional [physics]/[regularization]
-    overrides in the run-config syntax."""
+    """The ladder, output directory and worker count of a sweep manifest."""
     with open(path) as fh:
-        text = fh.read()
-    sweep_lines = []
-    other_lines = []
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
-            if section not in ("sweep", "physics", "regularization"):
-                raise ConfigError(f"line {lineno}: unknown manifest section [{section}]")
-            if section != "sweep":
-                other_lines.append(stripped)
-            continue
-        if section == "sweep":
-            sweep_lines.append((lineno, stripped))
-        elif section is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        elif section == "regularization" and stripped.split("=", 1)[0].strip() == "t_end":
-            raise ConfigError(f"line {lineno}: set the sweep horizon as t_end in [sweep]")
-        else:
-            other_lines.append(stripped)
-
-    # the horizon lives in [sweep]; keep the base-config validation neutral
-    other_lines += ["[regularization]", "t_end = 0"]
-    base = parse_config_text("\n".join(other_lines), base_dir=os.path.dirname(os.path.abspath(path)))
-
-    opts: dict[str, object] = {}
-    for lineno, line in sweep_lines:
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, raw = (p.strip() for p in line.split("=", 1))
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(f"line {lineno}: unknown sweep key {key!r}")
-        try:
-            opts[key] = _SWEEP_KEYS[key](raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: cannot parse {key} value {raw!r}")
-
-    for required in ("parameter", "values", "output"):
-        if required not in opts:
-            raise ConfigError(f"sweep manifest must set {required}")
-    values = tuple(float(v) for v in str(opts["values"]).split(","))
-    if opts["parameter"] == "n":
-        values = tuple(int(v) for v in values)
-    couplings = []
-    for target in ("eta", "epsilon"):
-        coeff = opts.get(f"{target}_coeff")
-        if coeff is not None:
-            couplings.append(Coupling(target, float(coeff), float(opts.get(f"{target}_exponent", 2.0))))
-    spec = SweepSpec(
-        parameter=str(opts["parameter"]),
-        values=values,
-        benchmark=str(opts.get("benchmark", "density_bump")),
-        dim=int(opts.get("dim", 1)),
-        points=int(opts.get("points", 128)),
-        t_end=float(opts.get("t_end", 0.1)),
-        phys=base.phys,
-        reg=base.reg,
-        n_modes=int(opts.get("modes", 9)),
-        couplings=tuple(couplings),
-        sample_every=int(opts.get("sample_every", 1)),
-        seed=int(opts.get("seed", 0)),
-    )
-    return spec, str(opts["output"]), int(opts.get("workers", 1))
+        manifest = parse_manifest_text(fh.read())
+    return manifest.spec, manifest.output, manifest.workers
 
 
 def cmd_sweep(args) -> int:

@@ -1,108 +1,151 @@
-"""Run configuration: a flat sectioned ``key = value`` text format.
+"""Sectioned ``key = value`` input: run configs and sweep manifests.
 
-Unknown sections or keys are hard errors with line numbers; every numeric
-constraint is enforced at parse time.  ``canonical_text`` renders a config
-back with all defaults filled in, and the echo is idempotent.
+Each format has one key table mapping ``[section] key`` to the value's type
+and to the dataclass attribute it fills; a key's default is that
+attribute's default.  ``read_sections`` reads either format: a syntax
+error, an unknown section or key, a duplicate key or an unparsable value is
+a ``ParseError`` with the file's line number.  ``build`` constructs the
+dataclasses once from the values read, and every constraint is a
+``ValidationError`` raised at parse time.  Paths are read relative to the
+working directory.  ``canonical_text`` renders a run config back with every
+key explicit, and the echo is idempotent.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
-from .constitutive import PhysParams, ResistivityParams
+from .constitutive import PhysParams
 from .errors import ParseError, ValidationError
+from .experiments import BENCHMARK_NAMES, Coupling, SweepSpec
 from .solver import RegParams
 
-_INT = "int"
-_FLOAT = "float"
-_STR = "str"
-_INTS = "ints"
 
-# section -> key -> (type, default); None default means required
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+def ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+# section -> key -> (type, attribute path in RunConfig)
+_SCHEMA: dict[str, dict[str, tuple[typing.Callable, str]]] = {
     "grid": {
-        "dim": (_INT, 1),
-        "points": (_INTS, (128,)),
-        "modes": (_INT, 9),
+        "dim": (int, "dim"),
+        "points": (ints, "points"),
+        "modes": (int, "modes"),
     },
     "physics": {
-        "gamma": (_FLOAT, 5.0 / 3.0),
-        "gamma_minus": (_FLOAT, 4.0),
-        "kappa": (_FLOAT, 0.0),
-        "c1": (_FLOAT, 1.0),
-        "c2": (_FLOAT, 1.0),
-        "nu_d0": (_FLOAT, 1.0),
-        "nu_a": (_FLOAT, 2.0),
-        "nu_a_prime": (_FLOAT, 2.5),
-        "nu_threshold": (_FLOAT, 1.0),
+        "gamma": (float, "phys.gamma"),
+        "gamma_minus": (float, "phys.gamma_minus"),
+        "kappa": (float, "phys.kappa"),
+        "c1": (float, "phys.c1"),
+        "c2": (float, "phys.c2"),
+        "nu_d0": (float, "phys.resistivity.d0"),
+        "nu_a": (float, "phys.resistivity.a"),
+        "nu_a_prime": (float, "phys.resistivity.a_prime"),
+        "nu_threshold": (float, "phys.resistivity.threshold"),
     },
     "regularization": {
-        "epsilon": (_FLOAT, 0.0),
-        "eta": (_FLOAT, 0.0),
-        "delta": (_FLOAT, 0.0),
-        "s": (_INT, 1),
-        "dt": (_FLOAT, 1e-3),
-        "t_end": (_FLOAT, 0.1),
-        "picard_tol": (_FLOAT, 1e-10),
-        "picard_max_iters": (_INT, 50),
-        "density_floor": (_FLOAT, 1e-8),
+        "epsilon": (float, "reg.epsilon"),
+        "eta": (float, "reg.eta"),
+        "delta": (float, "reg.delta"),
+        "s": (int, "reg.s"),
+        "dt": (float, "reg.dt"),
+        "t_end": (float, "t_end"),
+        "picard_tol": (float, "reg.picard_tol"),
+        "picard_max_iters": (int, "reg.picard_max_iters"),
+        "density_floor": (float, "reg.density_floor"),
     },
     "initial": {
-        "benchmark": (_STR, "density_bump"),
-        "rho_path": (_STR, ""),
-        "velocity_path": (_STR, ""),
-        "magnetic_path": (_STR, ""),
+        "benchmark": (str, "benchmark"),
+        "rho_path": (str, "rho_path"),
+        "velocity_path": (str, "velocity_path"),
+        "magnetic_path": (str, "magnetic_path"),
     },
     "output": {
-        "directory": (_STR, "out"),
-        "snapshot_every": (_INT, 0),
-        "diagnostics_every": (_INT, 1),
+        "directory": (str, "output_directory"),
+        "snapshot_every": (int, "snapshot_every"),
+        "diagnostics_every": (int, "diagnostics_every"),
     },
     "determinism": {
-        "seed": (_INT, 0),
-        "threads": (_INT, 1),
+        "seed": (int, "seed"),
+        "threads": (int, "threads"),
     },
 }
 
-_SECTION_ORDER = ("grid", "physics", "regularization", "initial", "output", "determinism")
+
+def _under(prefix: str, keys: dict, drop: tuple[str, ...] = ()) -> dict:
+    return {key: (kind, prefix + path) for key, (kind, path) in keys.items() if key not in drop}
+
+
+# section -> key -> (type, attribute path in SweepManifest); the horizon is
+# the [sweep] t_end, so [regularization] has none
+_MANIFEST_SCHEMA: dict[str, dict[str, tuple[typing.Callable, str]]] = {
+    "sweep": {
+        "parameter": (str, "spec.parameter"),
+        "values": (floats, "spec.values"),
+        "benchmark": (str, "spec.benchmark"),
+        "dim": (int, "spec.dim"),
+        "points": (int, "spec.points"),
+        "modes": (int, "spec.n_modes"),
+        "t_end": (float, "spec.t_end"),
+        "sample_every": (int, "spec.sample_every"),
+        "seed": (int, "spec.seed"),
+        "output": (str, "output"),
+        "workers": (int, "workers"),
+        "eta_coeff": (float, "eta_coeff"),
+        "eta_exponent": (float, "eta_exponent"),
+        "epsilon_coeff": (float, "epsilon_coeff"),
+        "epsilon_exponent": (float, "epsilon_exponent"),
+    },
+    "physics": _under("spec.", _SCHEMA["physics"]),
+    "regularization": _under("spec.", _SCHEMA["regularization"], drop=("t_end",)),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    dim: int
-    points: tuple[int, ...]
-    modes: int
-    phys: PhysParams
-    reg: RegParams
-    t_end: float
-    benchmark: str
-    rho_path: str
-    velocity_path: str
-    magnetic_path: str
-    output_directory: str
-    snapshot_every: int
-    diagnostics_every: int
-    seed: int
-    threads: int
+    dim: int = 1
+    points: tuple[int, ...] = (128,)
+    modes: int = 9
+    phys: PhysParams = field(default_factory=PhysParams)
+    reg: RegParams = field(default_factory=RegParams)
+    t_end: float = 0.1
+    benchmark: str = "density_bump"
+    rho_path: str = ""
+    velocity_path: str = ""
+    magnetic_path: str = ""
+    output_directory: str = "out"
+    snapshot_every: int = 0
+    diagnostics_every: int = 1
+    seed: int = 0
+    threads: int = 1
 
 
-def _coerce(section: str, key: str, raw: str, line: int):
-    kind, _ = _SCHEMA[section][key]
-    try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _INTS:
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        return raw
-    except ValueError:
-        raise ParseError(line, f"cannot parse {section}.{key} value {raw!r} as {kind}")
+@dataclass(frozen=True)
+class SweepManifest:
+    """A ladder, the directory it writes and the processes that run its
+    rungs.  A ``<target>_coeff`` slaves eta or epsilon to the swept value."""
+
+    spec: SweepSpec
+    output: str
+    workers: int = 1
+    eta_coeff: float | None = None
+    eta_exponent: float = 2.0
+    epsilon_coeff: float | None = None
+    epsilon_exponent: float = 2.0
 
 
-def _read_pairs(text: str):
-    """Yield (section, key, value, line) with syntax errors located."""
+def read_sections(text: str, schema) -> tuple[dict[str, object], dict[str, int]]:
+    """Values and line numbers by attribute path."""
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
@@ -110,7 +153,7 @@ def _read_pairs(text: str):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in schema:
                 raise ParseError(lineno, f"unknown section [{section}]")
             continue
         if "=" not in stripped:
@@ -118,190 +161,127 @@ def _read_pairs(text: str):
         if section is None:
             raise ParseError(lineno, "key outside any [section]")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if key not in schema[section]:
             raise ParseError(lineno, f"unknown key {key!r} in section [{section}]")
-        yield section, key, raw, lineno
-
-
-def parse_config_text(text: str, base_dir: str = ".") -> RunConfig:
-    values: dict[tuple[str, str], object] = {}
-    lines: dict[tuple[str, str], int] = {}
-    for section, key, raw, lineno in _read_pairs(text):
-        if (section, key) in values:
+        kind, path = schema[section][key]
+        if path in values:
             raise ParseError(lineno, f"duplicate key {section}.{key}")
-        values[(section, key)] = _coerce(section, key, raw, lineno)
-        lines[(section, key)] = lineno
+        try:
+            values[path] = kind(raw)
+        except ValueError:
+            raise ParseError(lineno, f"cannot parse {section}.{key} value {raw!r} as {kind.__name__}")
+        lines[path] = lineno
+    return values, lines
 
-    def get(section: str, key: str):
-        if (section, key) in values:
-            return values[(section, key)]
-        return _SCHEMA[section][key][1]
 
-    def where(section: str, key: str):
-        return lines.get((section, key))
-
-    dim = get("grid", "dim")
-    if dim not in (1, 2, 3):
-        raise ValidationError("grid.dim", "must be 1, 2 or 3", where("grid", "dim"))
-    points = get("grid", "points")
-    if len(points) == 1 and dim > 1:
-        points = points * dim
-    if len(points) != dim:
-        raise ValidationError(
-            "grid.points", f"need {dim} axis sizes (or one applied to all)", where("grid", "points")
-        )
-    for n in points:
-        if n < 8 or n % 2:
-            raise ValidationError("grid.points", "each axis needs an even count >= 8", where("grid", "points"))
-    modes = get("grid", "modes")
-    if modes < 1:
-        raise ValidationError("grid.modes", "need at least one velocity mode", where("grid", "modes"))
-
+def build(cls, values: dict[str, object]):
+    """Construct ``cls`` from values by attribute path.  Each nested
+    dataclass is constructed once, from its given paths and its defaults."""
+    kwargs: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for path, value in values.items():
+        head, dot, rest = path.partition(".")
+        if dot:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            kwargs[head] = value
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name in nested or (required and is_dataclass(hints[f.name])):
+            kwargs[f.name] = build(hints[f.name], nested.get(f.name, {}))
+        elif required and f.name not in kwargs:
+            raise ValidationError(f.name, "must be set")
     try:
-        resistivity = ResistivityParams(
-            d0=get("physics", "nu_d0"),
-            a=get("physics", "nu_a"),
-            a_prime=get("physics", "nu_a_prime"),
-            threshold=get("physics", "nu_threshold"),
-        )
-        phys = PhysParams(
-            gamma=get("physics", "gamma"),
-            gamma_minus=get("physics", "gamma_minus"),
-            kappa=get("physics", "kappa"),
-            c1=get("physics", "c1"),
-            c2=get("physics", "c2"),
-            resistivity=resistivity,
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ValidationError("physics", str(exc))
+        raise ValidationError(cls.__name__, str(exc)) from None
 
-    try:
-        reg = RegParams(
-            epsilon=get("regularization", "epsilon"),
-            eta=get("regularization", "eta"),
-            delta=get("regularization", "delta"),
-            s=get("regularization", "s"),
-            dt=get("regularization", "dt"),
-            picard_tol=get("regularization", "picard_tol"),
-            picard_max_iters=get("regularization", "picard_max_iters"),
-            density_floor=get("regularization", "density_floor"),
-        )
-    except ValueError as exc:
-        raise ValidationError("regularization", str(exc))
 
-    t_end = get("regularization", "t_end")
-    if t_end < 0:
-        raise ValidationError("regularization.t_end", "must be nonnegative", where("regularization", "t_end"))
-    steps = t_end / reg.dt
-    if abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
-        raise ValidationError(
-            "regularization.t_end", "must be an integer number of dt steps", where("regularization", "t_end")
-        )
+def _requirement(schema, lines: dict[str, int]):
+    """``require(ok, key, constraint)`` raises a ValidationError naming the
+    key and, when the file sets it, its line."""
+    where = {key: (f"{section}.{key}", path) for section, keys in schema.items() for key, (_, path) in keys.items()}
 
-    benchmark = get("initial", "benchmark")
-    paths = {k: get("initial", k) for k in ("rho_path", "velocity_path", "magnetic_path")}
-    given = [k for k, v in paths.items() if v]
-    if given and len(given) != 3:
-        raise ValidationError("initial", "snapshot initial data needs all three paths")
+    def require(ok: bool, key: str, constraint: str) -> None:
+        if not ok:
+            name, path = where[key]
+            raise ValidationError(name, constraint, lines.get(path))
+
+    return require
+
+
+def _check_shared(require, dim: int, shape: tuple, modes: int, benchmark: str | None, t_end: float, dt: float,
+                  seed: int):
+    """The rules a run config and a sweep manifest share; ``benchmark`` is
+    None when snapshots give the initial data."""
+    require(dim in (1, 2, 3), "dim", "must be 1, 2 or 3")
+    require(len(shape) == dim, "points", f"need {dim} axis sizes (or one applied to all)")
+    require(all(n >= 8 and n % 2 == 0 for n in shape), "points", "each axis needs an even count >= 8")
+    require(modes >= 1, "modes", "need at least one velocity mode")
+    if benchmark is not None:
+        require(benchmark in BENCHMARK_NAMES, "benchmark", f"must be one of {', '.join(BENCHMARK_NAMES)}")
+    require(0 <= t_end < math.inf, "t_end", "must be finite and nonnegative")
+    steps = t_end / dt
+    require(abs(steps - round(steps)) <= 1e-8 * max(steps, 1.0), "t_end", "must be an integer number of dt steps")
+    require(seed >= 0, "seed", "must be nonnegative")
+
+
+_SNAPSHOT_PATHS = ("rho_path", "velocity_path", "magnetic_path")
+
+
+def parse_config_text(text: str) -> RunConfig:
+    values, lines = read_sections(text, _SCHEMA)
+    config = build(RunConfig, values)
+    require = _requirement(_SCHEMA, lines)
+    points = config.points * config.dim if len(config.points) == 1 and config.dim > 1 else config.points
+    given = [p for p in _SNAPSHOT_PATHS if getattr(config, p)]
+    benchmark = None if given else config.benchmark
+    _check_shared(require, config.dim, points, config.modes, benchmark, config.t_end, config.reg.dt, config.seed)
     if given:
-        benchmark = ""
-        for k in given:
-            resolved = os.path.join(base_dir, paths[k])
-            if not os.path.exists(resolved):
-                raise ValidationError(f"initial.{k}", f"file not found: {paths[k]}", where("initial", k))
-    elif benchmark not in ("single_mode", "density_bump", "random_smooth"):
-        raise ValidationError(
-            "initial.benchmark",
-            "must be one of single_mode, density_bump, random_smooth",
-            where("initial", "benchmark"),
-        )
-
-    snapshot_every = get("output", "snapshot_every")
-    diagnostics_every = get("output", "diagnostics_every")
-    if snapshot_every < 0 or diagnostics_every < 0:
-        raise ValidationError("output", "cadences must be nonnegative")
-    seed = get("determinism", "seed")
-    threads = get("determinism", "threads")
-    if threads < 1:
-        raise ValidationError("determinism.threads", "must be at least 1", where("determinism", "threads"))
-
-    return RunConfig(
-        dim=dim,
-        points=tuple(points),
-        modes=modes,
-        phys=phys,
-        reg=reg,
-        t_end=t_end,
-        benchmark=benchmark,
-        rho_path=paths["rho_path"],
-        velocity_path=paths["velocity_path"],
-        magnetic_path=paths["magnetic_path"],
-        output_directory=get("output", "directory"),
-        snapshot_every=snapshot_every,
-        diagnostics_every=diagnostics_every,
-        seed=seed,
-        threads=threads,
-    )
+        for p in _SNAPSHOT_PATHS:
+            require(p in given, p, "snapshot initial data needs all three paths")
+        for p in given:
+            require(os.path.exists(getattr(config, p)), p, f"file not found: {getattr(config, p)}")
+    require(config.snapshot_every >= 0, "snapshot_every", "must be nonnegative")
+    require(config.diagnostics_every >= 0, "diagnostics_every", "must be nonnegative")
+    require(config.threads >= 1, "threads", "must be at least 1")
+    return replace(config, points=points, benchmark=benchmark or "")
 
 
 def parse_config(path) -> RunConfig:
     with open(path, "r") as fh:
-        text = fh.read()
-    return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
+        return parse_config_text(fh.read())
+
+
+def parse_manifest_text(text: str) -> SweepManifest:
+    values, lines = read_sections(text, _MANIFEST_SCHEMA)
+    manifest = build(SweepManifest, values)
+    require = _requirement(_MANIFEST_SCHEMA, lines)
+    spec = manifest.spec
+    shape = (spec.points,) * max(spec.dim, 0)
+    _check_shared(require, spec.dim, shape, spec.n_modes, spec.benchmark, spec.t_end, spec.reg.dt, spec.seed)
+    require(spec.sample_every >= 1, "sample_every", "must be at least 1")
+    require(manifest.workers >= 1, "workers", "must be at least 1")
+    rules = (
+        ("eta", manifest.eta_coeff, manifest.eta_exponent),
+        ("epsilon", manifest.epsilon_coeff, manifest.epsilon_exponent),
+    )
+    couplings = tuple(Coupling(target, coeff, exponent) for target, coeff, exponent in rules if coeff is not None)
+    return replace(manifest, spec=replace(spec, couplings=couplings))
 
 
 def _fmt(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def canonical_text(config: RunConfig) -> str:
     """Render a config with every key explicit; echo of echo is identical."""
-    r = config.phys.resistivity
-    data = {
-        "grid": {"dim": config.dim, "points": config.points, "modes": config.modes},
-        "physics": {
-            "gamma": config.phys.gamma,
-            "gamma_minus": config.phys.gamma_minus,
-            "kappa": config.phys.kappa,
-            "c1": config.phys.c1,
-            "c2": config.phys.c2,
-            "nu_d0": r.d0,
-            "nu_a": r.a,
-            "nu_a_prime": r.a_prime,
-            "nu_threshold": r.threshold,
-        },
-        "regularization": {
-            "epsilon": config.reg.epsilon,
-            "eta": config.reg.eta,
-            "delta": config.reg.delta,
-            "s": config.reg.s,
-            "dt": config.reg.dt,
-            "t_end": config.t_end,
-            "picard_tol": config.reg.picard_tol,
-            "picard_max_iters": config.reg.picard_max_iters,
-            "density_floor": config.reg.density_floor,
-        },
-        "initial": {
-            "benchmark": config.benchmark,
-            "rho_path": config.rho_path,
-            "velocity_path": config.velocity_path,
-            "magnetic_path": config.magnetic_path,
-        },
-        "output": {
-            "directory": config.output_directory,
-            "snapshot_every": config.snapshot_every,
-            "diagnostics_every": config.diagnostics_every,
-        },
-        "determinism": {"seed": config.seed, "threads": config.threads},
-    }
     chunks = []
-    for section in _SECTION_ORDER:
+    for section, keys in _SCHEMA.items():
         chunks.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            chunks.append(f"{key} = {_fmt(data[section][key])}")
+        chunks += [f"{key} = {_fmt(operator.attrgetter(path)(config))}" for key, (_, path) in keys.items()]
         chunks.append("")
     return "\n".join(chunks)

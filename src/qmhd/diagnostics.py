@@ -71,12 +71,15 @@ def _check_floor(rho: ScalarField, floor: float, context: str) -> np.ndarray:
 
 
 def hessian_frobenius_sq(f: ScalarField) -> np.ndarray:
+    """|D^2 f|^2 from the dim(dim+1)/2 distinct second derivatives; the
+    off-diagonal ones count twice."""
     grid = f.grid
     total = np.zeros(grid.shape)
     for j in range(grid.dim):
         dj = derivative(f, j)
-        for l in range(grid.dim):
-            total = total + derivative(dj, l).values ** 2
+        total = total + derivative(dj, j).values ** 2
+        for l in range(j + 1, grid.dim):
+            total = total + 2.0 * derivative(dj, l).values ** 2
     return total
 
 

@@ -235,10 +235,10 @@ class Coupling:
 class SweepSpec:
     parameter: str
     values: tuple
-    benchmark: str
-    dim: int
-    points: int
-    t_end: float
+    benchmark: str = "density_bump"
+    dim: int = 1
+    points: int = 128
+    t_end: float = 0.1
     phys: PhysParams = field(default_factory=PhysParams)
     reg: RegParams = field(default_factory=RegParams)
     n_modes: int = 9
@@ -254,6 +254,9 @@ class SweepSpec:
             raise ValueError("a ladder needs at least 3 rungs")
         diffs = np.diff(np.asarray(vals, dtype=float))
         if self.parameter == "n":
+            if not all(float(v).is_integer() for v in vals):
+                raise ValueError("mode counts must be integers")
+            vals = tuple(int(v) for v in vals)
             if not np.all(diffs > 0):
                 raise ValueError("mode-count ladders must be strictly increasing")
         else:

@@ -87,6 +87,22 @@ def test_run_usage_error_t_end_before_t0(tmp_path):
     assert main(["run", cfg2]) == 1
 
 
+def test_paths_are_read_relative_to_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _write(tmp_path, "seed.cfg", RUN_CFG.format(out="snap"))]) == 0
+    (tmp_path / "cfgdir").mkdir()
+    later = RUN_CFG.format(out="later").replace("t_end = 0.005", "t_end = 0.01") + (
+        "[initial]\n"
+        "rho_path = snap/rho_final.qmhd\n"
+        "velocity_path = snap/velocity_final.qmhd\n"
+        "magnetic_path = snap/magnetic_final.qmhd\n"
+    )
+    _write(tmp_path, "cfgdir/late.cfg", later)
+    assert main(["run", "cfgdir/late.cfg"]) == 0
+    # the echo names the same paths, so it runs from the same directory
+    assert main(["run", "later/config_echo.cfg"]) == 0
+
+
 def test_bad_config_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "[grid]\npoints = 32\nbogus = 1\n")
     assert main(["check", cfg]) == 2
@@ -177,6 +193,51 @@ def test_numerical_failure_exit_code(tmp_path):
     ).replace("picard_tol = 1e-11", "picard_tol = 1e-11\npicard_max_iters = 10")
     (tmp_path / "blow.cfg").write_text(text)
     assert main(["run", str(tmp_path / "blow.cfg")]) == 3
+
+
+# a valid manifest; each case below breaks one line of it (dt is on line 11)
+BAD_MANIFEST = """[sweep]
+parameter = kappa
+values = 0.1, 0.05, 0
+points = 32
+modes = 6
+t_end = 0.004
+output = {out}
+[physics]
+kappa = 0.05
+[regularization]
+dt = 0.001
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("dt = 0.001", "dt_typo = 0.001", "line 11: unknown key 'dt_typo'"),
+        ("points = 32", "points = 32\npoints = 64", "line 5: duplicate key sweep.points"),
+        ("0.1, 0.05, 0", "0.2, 0", "at least 3 rungs"),
+        ("0.1, 0.05, 0", "0.2, x, 0", "cannot parse sweep.values"),
+        ("points = 32", "points = 33", "sweep.points: each axis needs an even count"),
+        ("points = 32", "points = 32\nbenchmark = vortex", "sweep.benchmark: must be one of"),
+        ("points = 32", "points = 32\nworkers = 0", "sweep.workers: must be at least 1"),
+        ("kappa\nvalues = 0.1, 0.05, 0", "n\nvalues = 3, 5.7, 9", "mode counts must be integers"),
+        ("points = 32", "points = 32\nsample_every = 0", "sweep.sample_every: must be at least 1"),
+        ("t_end = 0.004", "t_end = 0.0045", "sweep.t_end: must be an integer number of dt steps"),
+        ("points = 32", "points = 32\nseed = -1", "sweep.seed: must be nonnegative"),
+    ],
+    ids=["typo_line_11", "repeated_key", "two_rungs", "non_numeric_rung", "odd_points",
+         "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "partial_step", "negative_seed"],
+)
+def test_bad_manifest_is_a_config_error_before_any_output(tmp_path, capsys, old, new, message):
+    out = tmp_path / "out"
+    text = BAD_MANIFEST.format(out=out)
+    assert old in text
+    manifest = _write(tmp_path, "bad.sweep", text.replace(old, new))
+    assert main(["sweep", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 LADDERS = os.path.join(os.path.dirname(__file__), os.pardir, "ladders")

@@ -1,6 +1,9 @@
+import os
+import re
+
 import pytest
 
-from qmhd.config import canonical_text, parse_config, parse_config_text
+from qmhd.config import RunConfig, canonical_text, parse_config, parse_config_text
 from qmhd.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -77,10 +80,11 @@ def test_t_end_must_divide():
         parse_config_text(text)
 
 
-def test_missing_snapshot_paths_rejected(tmp_path):
+def test_missing_snapshot_paths_rejected(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     text = MINIMAL + "[initial]\nrho_path = nowhere.qmhd\nvelocity_path = a\nmagnetic_path = b\n"
     with pytest.raises(ValidationError):
-        parse_config_text(text, base_dir=str(tmp_path))
+        parse_config_text(text)
 
 
 def test_partial_snapshot_paths_rejected():
@@ -93,6 +97,12 @@ def test_bad_benchmark_rejected():
     text = MINIMAL + "[initial]\nbenchmark = vortex\n"
     with pytest.raises(ValidationError):
         parse_config_text(text)
+
+
+def test_negative_seed_rejected_with_line():
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(MINIMAL + "[determinism]\nseed = -1\n")
+    assert err.value.line == 8
 
 
 def test_unparsable_number_has_line():
@@ -113,3 +123,16 @@ def test_parse_config_from_file(tmp_path):
     path.write_text(MINIMAL)
     cfg = parse_config(path)
     assert cfg.points == (32,)
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_key_listing_is_the_default_echo():
+    with open(README) as fh:
+        text = fh.read()
+    block = re.search(r"All keys with their defaults:\n\n```\n(.*?)```", text, re.S).group(1)
+    # drop comments and the lines that hold only a comment
+    listed = [line.split("#", 1)[0].rstrip() for line in block.splitlines() if not line.strip().startswith("#")]
+    assert parse_config_text("") == RunConfig()
+    assert listed == [line.rstrip() for line in canonical_text(RunConfig()).splitlines()]

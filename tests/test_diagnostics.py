@@ -548,7 +548,7 @@ def test_diagnostics_writer_roundtrip(tmp_path):
 
 # (grid shape, velocity modes) -> transforms of one CSV row: the monitor,
 # energy and dissipation reports share sqrt(rho) and the velocity gradient
-ROW_TRANSFORMS = {((128,), 9): 18, ((64, 64), 120): 27, ((32, 32, 32), 27): 38}
+ROW_TRANSFORMS = {((128,), 9): 18, ((64, 64), 120): 26, ((32, 32, 32), 27): 35}
 
 
 def _row_state(shape, n_modes, reg):
