@@ -10,9 +10,13 @@ spectrum at ``-(k_i +- k_j)`` reduced mod N, which is the grid quadrature
 exactly, aliasing included.  Capillarity in the momentum residual is a
 projection as well (:func:`qmhd.solver.momentum_residual`).
 
-:class:`MassOperator` is the one place the velocity system is factored:
-the Gram matrix plus an optional nonnegative diagonal shift, which the time
-step uses for the implicit half of the hyperviscous midpoint.
+Modes of different Cartesian components are L2-orthogonal under any
+weight, so the Gram matrix is block diagonal, one block per component;
+``gram_blocks`` assembles the three blocks as one ``(3, m, m)`` stack.
+:class:`MassOperator` is the one place the velocity system is factored: the
+Gram blocks plus an optional nonnegative diagonal shift, which the time step
+uses for the implicit half of the hyperviscous midpoint, each block an SPD
+system solved with ``numpy.linalg``.
 
 Mode ordering is deterministic: ascending |k|^2, then lexicographic
 wavevector (half-space representative, first nonzero entry positive),
@@ -27,7 +31,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import SingularMass
 from .fields import ScalarField, VectorField, _backward, _half_index, _pair_terms, _scatter, dealias
@@ -53,10 +56,21 @@ def _scalar_mode_keys(grid: TorusGrid, max_abs_k: int):
     return keys
 
 
+def max_mode_count(shape: tuple[int, ...]) -> int:
+    """Number of dealias-resolved vector modes on a grid of this shape, every
+    mode with |k|_inf <= L = min(N_a // 3): ``3 (2L + 1)^dim``, counted
+    without enumerating them."""
+    edge = min(n // 3 for n in shape)
+    return 3 * (2 * edge + 1) ** len(shape)
+
+
 def enumerate_modes(grid: TorusGrid, n: int) -> list[BasisMode]:
     """The n lowest-|k| vector modes in the canonical order."""
     if n < 1:
         raise ValueError("need at least one mode")
+    count = max_mode_count(grid.shape)
+    if n > count:
+        raise ValueError(f"n={n} exceeds the dealias-resolved mode count ({count}) on this grid")
     limit = min(g // 3 for g in grid.shape)
     for max_k in range(1, limit + 2):
         kk = min(max_k, limit)
@@ -68,10 +82,6 @@ def enumerate_modes(grid: TorusGrid, n: int) -> list[BasisMode]:
                     modes.append(BasisMode(key, trig, comp))
         if len(modes) >= n:
             return modes[:n]
-        if kk == limit:
-            raise ValueError(
-                f"n={n} exceeds the dealias-resolved mode count ({len(modes)}) on this grid"
-            )
     raise AssertionError("unreachable")
 
 
@@ -141,28 +151,54 @@ class GalerkinBasis:
         return re_w * c.real + im_w * c.imag
 
     @cached_property
-    def _gram_tables(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per component block, gather tables of ``rho_hat(-(k_i + k_j))`` and
-        ``rho_hat(-(k_i - k_j))`` stacked on a leading axis of length 2."""
-        vol = self.grid.volume
-        out = []
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each mode's component block and its row in that block."""
+        row = np.empty(self.n, dtype=np.intp)
         for sel in self._blocks:
+            row[sel] = np.arange(sel.size)
+        return self.components, row
+
+    @cached_property
+    def _gram_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Gather table of ``rho_hat(-(k_i + k_j))`` and ``rho_hat(-(k_i - k_j))``
+        for every pair of one block, shape ``(2, 3, m, m)``, and the padded
+        diagonal (block, row) of blocks with fewer than m modes.  Padding
+        entries gather index 0 with zero weight."""
+        m = max(sel.size for sel in self._blocks)
+        index = np.zeros((2, 3, m, m), dtype=np.intp)
+        re_w, im_w = np.zeros((2, 2, 3, m, m))
+        for comp, sel in enumerate(self._blocks):
             k, a = self.wavevectors[sel], self.amplitudes[sel]
             ks = np.stack([-(k[:, None] + k[None, :]), k[None, :] - k[:, None]])
-            w = 2.0 * vol * np.stack([a[:, None] * a[None, :], a[:, None] * np.conj(a)[None, :]])
-            out.append(_gather_table(self.grid, ks, w))
-        return out
+            w = 2.0 * self.grid.volume * np.stack([a[:, None] * a[None, :], a[:, None] * np.conj(a)[None, :]])
+            block = (slice(None), comp, slice(sel.size), slice(sel.size))
+            index[block], re_w[block], im_w[block] = _gather_table(self.grid, ks, w)
+        pad = np.nonzero(np.arange(m) >= np.array([sel.size for sel in self._blocks])[:, None])
+        return index, re_w, im_w, pad
+
+    def gram_blocks(self, rho: ScalarField) -> np.ndarray:
+        """The component blocks of :meth:`gram` as one ``(3, m, m)`` stack,
+        blocks with fewer than m modes padded with the identity."""
+        index, re_w, im_w, (pad_comp, pad_row) = self._gram_table
+        c = dealias(rho).spectrum.reshape(-1)[index]
+        g = re_w * c.real + im_w * c.imag
+        g = g[0] + g[1]
+        # the k_last = 0 plane of the spectrum is Hermitian only to roundoff
+        g = 0.5 * (g + g.transpose(0, 2, 1))
+        g[pad_comp, pad_row, pad_row] = 1.0
+        return g
+
+    def unblock(self, blocks: np.ndarray) -> np.ndarray:
+        """The n x n matrix of a ``(3, m, m)`` block stack, zero between components."""
+        g = np.zeros((self.n, self.n))
+        for comp, sel in enumerate(self._blocks):
+            g[np.ix_(sel, sel)] = blocks[comp, : sel.size, : sel.size]
+        return g
 
     def gram(self, rho: ScalarField) -> np.ndarray:
         """Density-weighted Gram matrix ``<dealias(rho) e_i, e_j>``, for two modes of one component
         ``2 vol Re[a_i a_j rho_hat(-(k_i+k_j)) + a_i conj(a_j) rho_hat(-(k_i-k_j))]``."""
-        spec = dealias(rho).spectrum.reshape(-1)
-        g = np.zeros((self.n, self.n))
-        for sel, (index, re_w, im_w) in zip(self._blocks, self._gram_tables):
-            c = spec[index]
-            g[np.ix_(sel, sel)] = np.sum(re_w * c.real + im_w * c.imag, axis=0)
-        # the k_last = 0 plane of the spectrum is Hermitian only to roundoff
-        return 0.5 * (g + g.T)
+        return self.unblock(self.gram_blocks(rho))
 
 
 @dataclass(frozen=True)
@@ -187,28 +223,43 @@ class VelocityCoeffs:
 
 
 class MassOperator:
-    """The velocity system ``M[rho] + diag(shift)``, factored once: the
-    density-weighted Gram matrix plus a nonnegative diagonal (the implicit
-    half of the hyperviscous midpoint, zero by default)."""
+    """The velocity system ``M[rho] + diag(shift)``: the density-weighted
+    Gram matrix plus a nonnegative diagonal (the implicit half of the
+    hyperviscous midpoint, zero by default).  It is held as its component
+    blocks (:meth:`GalerkinBasis.gram_blocks`), one SPD system each, checked
+    once by a stacked Cholesky (a non-finite entry is a ValueError, an
+    indefinite block :class:`SingularMass`) and solved by stacked
+    ``numpy.linalg.solve``; the full n x n ``matrix`` is built only when
+    read."""
 
     def __init__(self, basis: GalerkinBasis, rho: ScalarField, shift: np.ndarray | float = 0.0):
         self.basis = basis
-        self.matrix = basis.gram(rho)
-        self.matrix[np.diag_indices(basis.n)] += shift
+        self.blocks = blocks = basis.gram_blocks(rho)
+        comp, row = basis._slots
+        blocks[comp, row, row] += shift
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("velocity system has non-finite entries")
         try:
-            self._factor = cho_factor(self.matrix, lower=True)
-        except LinAlgError as exc:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError as exc:
             raise SingularMass(
                 "density-weighted Gram matrix is not positive definite; "
                 "the density floor was breached"
             ) from exc
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.basis.unblock(self.blocks)
+
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(coeffs, dtype=np.float64)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        x = cho_solve(self._factor, rhs)
+        comp, row = self.basis._slots
+        b = np.zeros(self.blocks.shape[:2])
+        b[comp, row] = rhs
+        b = b[..., None]
+        x = np.linalg.solve(self.blocks, b)
         # one step of iterative refinement keeps the residual at roundoff
-        x += cho_solve(self._factor, rhs - self.matrix @ x)
-        return x
+        x += np.linalg.solve(self.blocks, b - self.blocks @ x)
+        return x[comp, row, 0]

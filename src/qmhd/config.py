@@ -19,6 +19,7 @@ import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
+from .basis import max_mode_count
 from .constitutive import PhysParams
 from .errors import ParseError, ValidationError
 from .experiments import BENCHMARK_NAMES, Coupling, SweepSpec
@@ -219,6 +220,8 @@ def _check_shared(require, dim: int, shape: tuple, modes: int, benchmark: str | 
     require(len(shape) == dim, "points", f"need {dim} axis sizes (or one applied to all)")
     require(all(n >= 8 and n % 2 == 0 for n in shape), "points", "each axis needs an even count >= 8")
     require(modes >= 1, "modes", "need at least one velocity mode")
+    limit = max_mode_count(shape)
+    require(modes <= limit, "modes", f"exceeds the {limit} dealias-resolved modes on this grid")
     if benchmark is not None:
         require(benchmark in BENCHMARK_NAMES, "benchmark", f"must be one of {', '.join(BENCHMARK_NAMES)}")
     require(0 <= t_end < math.inf, "t_end", "must be finite and nonnegative")
@@ -261,12 +264,18 @@ def parse_manifest_text(text: str) -> SweepManifest:
     spec = manifest.spec
     shape = (spec.points,) * max(spec.dim, 0)
     _check_shared(require, spec.dim, shape, spec.n_modes, spec.benchmark, spec.t_end, spec.reg.dt, spec.seed)
+    if spec.parameter == "n":
+        limit = max_mode_count(shape)
+        require(max(spec.values) <= limit, "values", f"mode counts exceed the {limit} dealias-resolved modes on this grid")
     require(spec.sample_every >= 1, "sample_every", "must be at least 1")
     require(manifest.workers >= 1, "workers", "must be at least 1")
     rules = (
         ("eta", manifest.eta_coeff, manifest.eta_exponent),
         ("epsilon", manifest.epsilon_coeff, manifest.epsilon_exponent),
     )
+    for target, coeff, exponent in rules:
+        require(coeff is None or math.isfinite(coeff), f"{target}_coeff", "must be finite")
+        require(math.isfinite(exponent), f"{target}_exponent", "must be finite")
     couplings = tuple(Coupling(target, coeff, exponent) for target, coeff, exponent in rules if coeff is not None)
     return replace(manifest, spec=replace(spec, couplings=couplings))
 

@@ -10,7 +10,8 @@ band: a power law below the threshold, constant above, glued continuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +24,16 @@ from .fields import (
     gradient,
     laplacian,
 )
+
+
+def require_finite(params) -> None:
+    """Raise ValueError naming the first non-finite number among a parameter
+    dataclass's fields, so that NaN and inf cannot slip past the range checks
+    after it."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,7 @@ class ResistivityParams:
     threshold: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.d0 <= 0:
             raise ValueError("resistivity constant d0 must be positive")
         if not (2.0 <= self.a < self.a_prime < 3.0):
@@ -66,6 +78,7 @@ class PhysParams:
     resistivity: ResistivityParams = field(default_factory=ResistivityParams)
 
     def __post_init__(self):
+        require_finite(self)
         if self.gamma <= 1:
             raise ValueError("gamma must exceed 1")
         if self.gamma_minus < 1:

@@ -262,8 +262,8 @@ class SweepSpec:
         else:
             if not np.all(diffs < 0):
                 raise ValueError("parameter ladders must be strictly decreasing")
-            if any(v < 0 for v in vals):
-                raise ValueError("ladder values must be nonnegative")
+            if not all(0 <= v < np.inf for v in vals):
+                raise ValueError("ladder values must be finite and nonnegative")
         object.__setattr__(self, "values", vals)
 
     def rung_params(self, value) -> tuple[PhysParams, RegParams, int]:

@@ -36,6 +36,7 @@ from .constitutive import (
     cold_pressure_derivative,
     magnetic_diffusivity,
     pressure,
+    require_finite,
 )
 from .errors import (
     DensityFloorViolation,
@@ -71,6 +72,7 @@ class RegParams:
     density_floor: float = 1e-8
 
     def __post_init__(self):
+        require_finite(self)
         if self.epsilon < 0 or self.eta < 0 or self.delta < 0:
             raise ValueError("epsilon, eta, delta must be nonnegative")
         if self.s < 1 or int(self.s) != self.s:

@@ -43,9 +43,3 @@ def mode_profile(grid, mode):
     phase = sum(mode.wavevector[a] * grid.mesh[a] for a in range(grid.dim))
     return np.sqrt(2.0 / vol) * (np.cos(phase) if mode.trig == "cos" else np.sin(phase))
 
-
-def max_mode_count(grid):
-    """Number of modes ``enumerate_modes`` allows: every vector mode with
-    |k_a| <= N_a/3 on each axis (the dealias limit)."""
-    edge = min(n // 3 for n in grid.shape)
-    return 3 * (2 * edge + 1) ** grid.dim

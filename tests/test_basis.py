@@ -1,14 +1,17 @@
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qmhd import GalerkinBasis, MassOperator, SingularMass, TorusGrid, VelocityCoeffs
-from qmhd.basis import BasisMode, enumerate_modes
+from qmhd.basis import BasisMode, _scalar_mode_keys, enumerate_modes, max_mode_count
 from qmhd.fields import ScalarField, _forward, inner_product, laplacian
 
-from conftest import band_limited_vector, max_mode_count, mode_profile
+from conftest import band_limited_vector, mode_profile
 
 
 @pytest.fixture
@@ -28,6 +31,21 @@ def test_mode_count_limit():
     grid = TorusGrid((8,))
     with pytest.raises(ValueError):
         enumerate_modes(grid, 10_000)
+
+
+@pytest.mark.parametrize("shape", [(8,), (64,), (8, 12), (16, 16), (8, 8, 8), (8, 10, 14)])
+def test_max_mode_count_is_the_enumerated_count(shape):
+    grid = TorusGrid(shape)
+    count = max_mode_count(shape)
+    edge = min(n // 3 for n in shape)
+    # each half-space wavevector in the |k|_inf <= edge box gives a cos and a
+    # sin mode (k = 0 only a cos) in each of the three components
+    assert count == 3 * sum(1 if not any(k) else 2 for k in _scalar_mode_keys(grid, edge))
+    modes = enumerate_modes(grid, count)
+    assert len(modes) == count == len(set(modes))
+    assert all(abs(k) <= n // 3 for m in modes for k, n in zip(m.wavevector, shape))
+    with pytest.raises(ValueError, match=f"mode count \\({count}\\)"):
+        enumerate_modes(grid, count + 1)
 
 
 def test_modes_orthonormal(basis, grid1d):
@@ -134,6 +152,61 @@ def test_mass_operator_rejects_indefinite(basis, grid1d):
         MassOperator(basis, rho)
 
 
+@pytest.mark.parametrize("shape,n", [((64,), 10), ((32, 32), 200)])
+def test_block_solve_matches_dense_solve(shape, n, rng):
+    # n not a multiple of 3: the component blocks differ in size and the
+    # shorter ones are padded with the identity
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n)
+    sizes = np.bincount(basis.components, minlength=3)
+    assert len(set(sizes)) > 1
+    mesh = grid.mesh
+    rho = ScalarField(grid, 1.3 + 0.4 * np.cos(mesh[0]) * np.sin(mesh[-1] + 0.7))
+    shift = 0.05 * basis.eigen_k2**2
+    op = MassOperator(basis, rho, shift)
+    m = sizes.max()
+    assert op.blocks.shape == (3, m, m)
+    for comp, size in enumerate(sizes):
+        assert np.array_equal(op.blocks[comp, size:, size:], np.eye(m - size))
+        assert not np.any(op.blocks[comp, :size, size:]) and not np.any(op.blocks[comp, size:, :size])
+    assert np.array_equal(op.matrix, basis.gram(rho) + np.diag(shift))
+    b = rng.standard_normal(n)
+    x = op.solve(b)
+    dense = np.linalg.solve(op.matrix, b)
+    assert np.linalg.norm(x - dense) <= 1e-13 * np.linalg.norm(dense)
+    residual = np.linalg.norm(op.matrix @ x - b)
+    assert residual <= 10 * n * np.finfo(float).eps * np.linalg.norm(op.matrix, 2) * np.linalg.norm(x)
+
+
+def test_singular_mass_when_one_component_block_is_indefinite(grid1d):
+    # component 0 holds only the constant mode, whose block is the mean
+    # density 0.3 > 0; component 1 holds enough modes to resolve the region
+    # where the density is negative
+    modes = [BasisMode((0, 0, 0), "cos", 0)] + [BasisMode((0, 0, 0), "cos", 1)] + [
+        BasisMode((k, 0, 0), trig, 1) for k in range(1, 8) for trig in ("cos", "sin")
+    ]
+    basis = GalerkinBasis(grid1d, modes)
+    rho = ScalarField(grid1d, 0.3 + np.cos(grid1d.mesh[0]))
+    gram = basis.gram(rho)
+    first, second = (np.flatnonzero(basis.components == comp) for comp in (0, 1))
+    assert np.linalg.eigvalsh(gram[np.ix_(first, first)]).min() > 0
+    assert np.linalg.eigvalsh(gram[np.ix_(second, second)]).min() < 0
+    with pytest.raises(SingularMass):
+        MassOperator(basis, rho)
+
+
+def test_mass_operator_rejects_non_finite_entries(basis, grid1d):
+    rho = ScalarField(grid1d, 1.5 + 0.4 * np.cos(grid1d.mesh[0]))
+    bad = rho.spectrum.copy()
+    bad[1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        MassOperator(basis, ScalarField._adopt(grid1d, None, bad))
+    shift = np.zeros(basis.n)
+    shift[4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        MassOperator(basis, rho, shift)
+
+
 def test_custom_mode_selection(grid1d):
     # a single compressive sine mode
     basis = GalerkinBasis(grid1d, [BasisMode((1, 0, 0), "sin", 0)])
@@ -175,7 +248,7 @@ def _dealiased_values(grid, values):
 @pytest.mark.parametrize("shape", FULL_BASES)
 def test_gram_matches_grid_quadrature(shape, rng):
     grid = TorusGrid(shape)
-    basis = GalerkinBasis.lowest_modes(grid, max_mode_count(grid))
+    basis = GalerkinBasis.lowest_modes(grid, max_mode_count(grid.shape))
     # half-space representatives: negative last components exist from 2D on
     assert grid.dim == 1 or any(m.wavevector[grid.dim - 1] < 0 for m in basis.modes)
     # white noise: the dealiased density reaches the 2/3 edge on every axis,
@@ -192,7 +265,7 @@ def test_gram_matches_grid_quadrature(shape, rng):
 @pytest.mark.parametrize("shape", FULL_BASES)
 def test_reconstruct_matches_profile_sum(shape, rng):
     grid = TorusGrid(shape)
-    basis = GalerkinBasis.lowest_modes(grid, max_mode_count(grid))
+    basis = GalerkinBasis.lowest_modes(grid, max_mode_count(grid.shape))
     lam = rng.standard_normal(basis.n)
     v = basis.reconstruct(lam)
     for comp, field in enumerate(v.components):
@@ -216,13 +289,28 @@ def test_reconstruct_component_without_modes_is_zero():
 
 
 def test_basis_is_the_only_factorization_home():
+    # no module imports scipy, and only basis.py factors or solves a matrix
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmhd"
-    pattern = re.compile(r"\bscipy\.linalg\b|from\s+scipy\s+import\s+linalg\b")
+    scipy_import = re.compile(r"^\s*(import|from)\s+scipy\b")
+    factorization = re.compile(
+        r"\b(np|numpy)\.linalg\.(cholesky|solve|inv|pinv|lstsq|qr|svd|eig|eigh|eigvals|eigvalsh|det|slogdet)\b"
+        r"|from\s+numpy\.linalg\s+import|from\s+numpy\s+import\s+linalg\b"
+    )
     offenders = [
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py"))
-        if path.name != "basis.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        if pattern.search(line)
+        if scipy_import.search(line) or (path.name != "basis.py" and factorization.search(line))
     ]
     assert offenders == []
+
+
+def test_no_scipy_on_the_import_path():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, qmhd, qmhd.cli, qmhd.experiments, qmhd.diagnostics\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

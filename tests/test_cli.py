@@ -109,6 +109,23 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[physics]\ngamma = nan\n", "PhysParams: gamma must be finite"),
+        ("[regularization]\ndt = inf\n", "RegParams: dt must be finite"),
+        ("[grid]\npoints = 8\nmodes = 5000\n", "grid.modes: exceeds the 15 dealias-resolved modes on this grid (line 3)"),
+    ],
+    ids=["nan_gamma", "infinite_dt", "unresolvable_modes"],
+)
+def test_unusable_config_is_a_config_error(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_exit_code():
     assert main(["frobnicate"]) == 1
 
@@ -224,9 +241,17 @@ dt = 0.001
         ("points = 32", "points = 32\nsample_every = 0", "sweep.sample_every: must be at least 1"),
         ("t_end = 0.004", "t_end = 0.0045", "sweep.t_end: must be an integer number of dt steps"),
         ("points = 32", "points = 32\nseed = -1", "sweep.seed: must be nonnegative"),
+        ("modes = 6", "modes = 64", "sweep.modes: exceeds the 63 dealias-resolved modes on this grid (line 5)"),
+        ("kappa\nvalues = 0.1, 0.05, 0", "n\nvalues = 3, 9, 64",
+         "sweep.values: mode counts exceed the 63 dealias-resolved modes on this grid (line 3)"),
+        ("0.1, 0.05, 0", "inf, 0.05, 0", "ladder values must be finite"),
+        ("dt = 0.001", "dt = nan", "RegParams: dt must be finite"),
+        ("kappa = 0.05", "kappa = inf", "PhysParams: kappa must be finite"),
+        ("points = 32", "points = 32\neta_coeff = nan", "sweep.eta_coeff: must be finite (line 5)"),
     ],
     ids=["typo_line_11", "repeated_key", "two_rungs", "non_numeric_rung", "odd_points",
-         "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "partial_step", "negative_seed"],
+         "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "partial_step", "negative_seed",
+         "unresolvable_modes", "unresolvable_mode_rung", "infinite_rung", "nan_dt", "infinite_kappa", "nan_coupling"],
 )
 def test_bad_manifest_is_a_config_error_before_any_output(tmp_path, capsys, old, new, message):
     out = tmp_path / "out"

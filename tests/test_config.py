@@ -62,6 +62,41 @@ def test_gamma_constraint():
     assert "gamma" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("physics", "gamma", "nan"),
+        ("physics", "gamma_minus", "inf"),
+        ("physics", "kappa", "nan"),
+        ("physics", "c1", "inf"),
+        ("physics", "nu_d0", "nan"),
+        ("physics", "nu_a", "nan"),
+        ("physics", "nu_threshold", "inf"),
+        ("regularization", "epsilon", "nan"),
+        ("regularization", "eta", "inf"),
+        ("regularization", "delta", "nan"),
+        ("regularization", "dt", "inf"),
+        ("regularization", "dt", "nan"),
+        ("regularization", "picard_tol", "nan"),
+        ("regularization", "density_floor", "inf"),
+    ],
+)
+def test_non_finite_parameters_rejected(section, key, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("points, limit", [("8", 15), ("32", 63), ("8, 12", 75), ("8, 8, 10", 375)])
+def test_modes_beyond_the_dealias_limit_rejected_with_line(points, limit):
+    dim = len(points.split(","))
+    text = f"[grid]\ndim = {dim}\npoints = {points}\nmodes = {limit + 1}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(text)
+    assert err.value.line == 4
+    assert f"exceeds the {limit} dealias-resolved modes" in str(err.value)
+    assert parse_config_text(text.replace(f"modes = {limit + 1}", f"modes = {limit}")).modes == limit
+
+
 def test_points_replicated_across_dims():
     text = "[grid]\ndim = 2\npoints = 32\n[regularization]\ndt = 0.001\nt_end = 0.004\n"
     cfg = parse_config_text(text)
