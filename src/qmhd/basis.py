@@ -2,13 +2,16 @@
 orthonormal in L2 and diagonal for the Laplacian.
 
 The space is held in Fourier form, each mode a +-k pair
-``a exp(ik.x) + conj(a) exp(-ik.x)`` in one Cartesian component.  Projection
-gathers mode entries of the half spectra; ``reconstruct`` scatters
+``a exp(ik.x) + conj(a) exp(-ik.x)`` in one Cartesian component.  The
+stored terms of all pairs lie in one block of the half spectrum, the basis's
+``box``, and every transform of a velocity quantity is a box transform
+(:mod:`qmhd.fields`).  Projection gathers mode entries of the box block of
+each component, through one readout table; ``reconstruct`` scatters
 ``coeff * a`` and ``coeff * conj(a)`` as ``ScalarField.from_modes`` does, then
-transforms once per component; the Gram matrix gathers the dealiased density
-spectrum at ``-(k_i +- k_j)`` reduced mod N, which is the grid quadrature
-exactly, aliasing included.  Capillarity in the momentum residual is a
-projection as well (:func:`qmhd.solver.momentum_residual`).
+makes one box inverse transform per component; the Gram matrix gathers the
+dealiased density spectrum at ``-(k_i +- k_j)`` reduced mod N, which is the
+grid quadrature exactly, aliasing included.  Capillarity in the momentum
+residual is a projection as well (:func:`qmhd.solver.momentum_residual`).
 
 Modes of different Cartesian components are L2-orthogonal under any
 weight, so the Gram matrix is block diagonal, one block per component;
@@ -20,20 +23,20 @@ system solved with ``numpy.linalg``.
 
 Mode ordering is deterministic: ascending |k|^2, then lexicographic
 wavevector (half-space representative, first nonzero entry positive),
-cosine before sine, then Cartesian component.  ``lowest_modes(grid, n1)``
-is always a prefix of ``lowest_modes(grid, n2)`` for n1 <= n2.
+cosine before sine, then Cartesian component, over the whole dealias box
+|k|_inf <= min(N // 3).  ``lowest_modes(grid, n1)`` is always a prefix of
+``lowest_modes(grid, n2)`` for n1 <= n2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .errors import SingularMass
-from .fields import ScalarField, VectorField, _backward, _half_index, _pair_terms, _scatter, dealias
+from .fields import ScalarField, VectorField, _backward, _box_index, _half_index, _pair_terms, _scatter, dealias
 from .grid import TorusGrid
 
 
@@ -48,12 +51,16 @@ class BasisMode:
         return sum(k * k for k in self.wavevector)
 
 
-def _scalar_mode_keys(grid: TorusGrid, max_abs_k: int):
-    """Half-space wavevector representatives up to |k|_inf <= max_abs_k."""
-    ranges = [range(-max_abs_k, max_abs_k + 1)] * grid.dim + [range(1)] * (3 - grid.dim)
-    keys = [k for k in product(*ranges) if not any(k) or next(v for v in k if v) > 0]
-    keys.sort(key=lambda k: (sum(v * v for v in k), k))
-    return keys
+def _scalar_mode_keys(grid: TorusGrid, max_abs_k: int) -> np.ndarray:
+    """Half-space wavevector representatives up to |k|_inf <= max_abs_k, as
+    rows of three integers, in the canonical order."""
+    span = np.arange(-max_abs_k, max_abs_k + 1)
+    keys = np.zeros((span.size**grid.dim, 3), dtype=np.intp)
+    keys[:, : grid.dim] = np.stack(np.meshgrid(*[span] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    # the first nonzero entry is positive; only k = 0 has none
+    lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
+    keys = keys[lead >= 0]
+    return keys[np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], np.sum(keys**2, axis=1)))]
 
 
 def max_mode_count(shape: tuple[int, ...]) -> int:
@@ -65,29 +72,28 @@ def max_mode_count(shape: tuple[int, ...]) -> int:
 
 
 def enumerate_modes(grid: TorusGrid, n: int) -> list[BasisMode]:
-    """The n lowest-|k| vector modes in the canonical order."""
+    """The n lowest-|k| vector modes in the canonical order: the first n of
+    the whole dealias box, so every count is a prefix of a larger one."""
     if n < 1:
         raise ValueError("need at least one mode")
     count = max_mode_count(grid.shape)
     if n > count:
         raise ValueError(f"n={n} exceeds the dealias-resolved mode count ({count}) on this grid")
-    limit = min(g // 3 for g in grid.shape)
-    for max_k in range(1, limit + 2):
-        kk = min(max_k, limit)
-        modes = []
-        for key in _scalar_mode_keys(grid, kk):
-            trigs = ("cos",) if all(v == 0 for v in key) else ("cos", "sin")
-            for trig in trigs:
-                for comp in range(3):
-                    modes.append(BasisMode(key, trig, comp))
-        if len(modes) >= n:
-            return modes[:n]
+    modes = []
+    for key in _scalar_mode_keys(grid, min(g // 3 for g in grid.shape)):
+        key = tuple(int(v) for v in key)
+        for trig in ("cos", "sin") if any(key) else ("cos",):
+            for comp in range(3):
+                modes.append(BasisMode(key, trig, comp))
+                if len(modes) == n:
+                    return modes
     raise AssertionError("unreachable")
 
 
-def _gather_table(grid: TorusGrid, k: np.ndarray, weight: np.ndarray):
-    """Table that reads ``Re(weight * c_full[k])`` as ``re_w * c[index].real + im_w * c[index].imag``."""
-    index, mirrored = _half_index(grid, k)
+def _gather_table(grid: TorusGrid, k: np.ndarray, weight: np.ndarray, box=None):
+    """Table that reads ``Re(weight * c_full[k])`` as ``re_w * c[index].real + im_w * c[index].imag``,
+    ``c`` the flat half spectrum or, given a box, the flat box block."""
+    index, mirrored = _half_index(grid, k, box)
     return index, weight.real, np.where(mirrored, weight.imag, -weight.imag)
 
 
@@ -114,7 +120,7 @@ class GalerkinBasis:
 
     def reconstruct(self, coeffs: np.ndarray) -> VectorField:
         """The velocity field: each component's half spectrum is scattered
-        from the mode pairs and transformed once."""
+        from the mode pairs and box-transformed once."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (self.n,):
             raise ValueError(f"expected {self.n} coefficients, got {coeffs.shape}")
@@ -122,7 +128,7 @@ class GalerkinBasis:
         comps = []
         for sel, row, index, amp in self._scatter_tables:
             spec = _scatter(grid, index, coeffs[sel][row] * amp)
-            vals = _backward(spec, grid) if sel.size else np.zeros(grid.shape)
+            vals = _backward(spec, grid, self.box) if sel.size else np.zeros(grid.shape)
             comps.append(ScalarField._adopt(grid, vals, spec))
         return VectorField(grid, comps)
 
@@ -133,17 +139,36 @@ class GalerkinBasis:
         return [(sel, *_pair_terms(self.grid, self.wavevectors[sel], self.amplitudes[sel])) for sel in self._blocks]
 
     @cached_property
+    def box(self) -> tuple:
+        """The block of the half spectrum that holds every stored term of
+        the mode pairs: the rows of each leading axis (sorted) and the number
+        of last-axis columns.  Velocity transforms run on it
+        (:func:`qmhd.fields._forward`, :func:`qmhd.fields._backward`)."""
+        shape = self.grid.spectral_shape
+        at = np.unravel_index(np.concatenate([table[2] for table in self._scatter_tables]), shape)
+        rows = [np.flatnonzero(np.bincount(at[a], minlength=shape[a])) for a in range(self.grid.dim - 1)]
+        return (*rows, int(at[-1].max()) + 1)
+
+    @cached_property
+    def box_index(self) -> tuple[np.ndarray, ...]:
+        """Index that reads the box block out of a half spectrum."""
+        return _box_index(self.box)
+
+    @cached_property
     def _readout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather table of the L2 coefficients ``<f, e_i> = 2 vol Re(conj(a_i) c_{k_i})``."""
-        return _gather_table(self.grid, self.wavevectors, 2.0 * self.grid.volume * np.conj(self.amplitudes))
+        """Gather table of the L2 coefficients ``<f, e_i> = 2 vol Re(conj(a_i) c_{k_i})``
+        from the box block."""
+        weight = 2.0 * self.grid.volume * np.conj(self.amplitudes)
+        return _gather_table(self.grid, self.wavevectors, weight, self.box)
 
     def project(self, v: VectorField) -> np.ndarray:
-        """L2 projection coefficients, read off the Fourier spectra."""
-        return self.project_force_spectra([c.spectrum for c in v.components])
+        """L2 projection coefficients, read off the box block of the Fourier
+        spectra."""
+        return self.project_force_spectra([c.spectrum[self.box_index] for c in v.components])
 
     def project_force_spectra(self, spectra: list[np.ndarray]) -> np.ndarray:
-        """Same as :meth:`project` but straight from half-spectrum component
-        spectra."""
+        """Same as :meth:`project` but straight from the box blocks of the
+        component spectra (:func:`qmhd.fields._forward` with ``box``)."""
         index, re_w, im_w = self._readout
         c = np.empty(self.n, dtype=np.complex128)
         for comp, sel in enumerate(self._blocks):

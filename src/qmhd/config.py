@@ -6,7 +6,8 @@ attribute's default.  ``read_sections`` reads either format: a syntax
 error, an unknown section or key, a duplicate key or an unparsable value is
 a ``ParseError`` with the file's line number.  ``build`` constructs the
 dataclasses once from the values read, and every constraint is a
-``ValidationError`` raised at parse time.  Paths are read relative to the
+``ValidationError`` raised at parse time, with the line of the key that
+breaks it when the file sets one.  Paths are read relative to the
 working directory.  ``canonical_text`` renders a run config back with every
 key explicit, and the echo is idempotent.
 """
@@ -175,28 +176,47 @@ def read_sections(text: str, schema) -> tuple[dict[str, object], dict[str, int]]
     return values, lines
 
 
-def build(cls, values: dict[str, object]):
+def build(cls, values: dict[str, object], lines: dict[str, int]):
     """Construct ``cls`` from values by attribute path.  Each nested
-    dataclass is constructed once, from its given paths and its defaults."""
+    dataclass is constructed once, from its given paths and its defaults.
+    A constraint of the class itself fails with the line of the first of its
+    keys, in file order, that breaks it."""
     kwargs: dict[str, object] = {}
     nested: dict[str, dict[str, object]] = {}
+    nested_lines: dict[str, dict[str, int]] = {}
     for path, value in values.items():
         head, dot, rest = path.partition(".")
         if dot:
             nested.setdefault(head, {})[rest] = value
+            nested_lines.setdefault(head, {})[rest] = lines[path]
         else:
             kwargs[head] = value
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.name in nested or (required and is_dataclass(hints[f.name])):
-            kwargs[f.name] = build(hints[f.name], nested.get(f.name, {}))
+            kwargs[f.name] = build(hints[f.name], nested.get(f.name, {}), nested_lines.get(f.name, {}))
         elif required and f.name not in kwargs:
             raise ValidationError(f.name, "must be set")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ValidationError(cls.__name__, str(exc)) from None
+        raise ValidationError(cls.__name__, str(exc), _breaking_line(cls, kwargs, lines)) from None
+
+
+def _breaking_line(cls, kwargs: dict[str, object], lines: dict[str, int]) -> int | None:
+    """Line of the first key read from the file, in file order, whose value
+    makes ``cls`` fail together with the keys before it."""
+    trial = {name: value for name, value in kwargs.items() if name not in lines}
+    for line, name in sorted((lines[name], name) for name in kwargs if name in lines):
+        trial[name] = kwargs[name]
+        try:
+            cls(**trial)
+        except TypeError:
+            pass  # a required key is still to come
+        except ValueError:
+            return line
+    return None
 
 
 def _requirement(schema, lines: dict[str, int]):
@@ -235,7 +255,7 @@ _SNAPSHOT_PATHS = ("rho_path", "velocity_path", "magnetic_path")
 
 def parse_config_text(text: str) -> RunConfig:
     values, lines = read_sections(text, _SCHEMA)
-    config = build(RunConfig, values)
+    config = build(RunConfig, values, lines)
     require = _requirement(_SCHEMA, lines)
     points = config.points * config.dim if len(config.points) == 1 and config.dim > 1 else config.points
     given = [p for p in _SNAPSHOT_PATHS if getattr(config, p)]
@@ -259,7 +279,7 @@ def parse_config(path) -> RunConfig:
 
 def parse_manifest_text(text: str) -> SweepManifest:
     values, lines = read_sections(text, _MANIFEST_SCHEMA)
-    manifest = build(SweepManifest, values)
+    manifest = build(SweepManifest, values, lines)
     require = _requirement(_MANIFEST_SCHEMA, lines)
     spec = manifest.spec
     shape = (spec.points,) * max(spec.dim, 0)

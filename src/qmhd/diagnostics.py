@@ -46,6 +46,7 @@ from .errors import DensityFloorViolation, NonuniformSampling
 from .fields import (
     ScalarField,
     VectorField,
+    _backward,
     curl,
     derivative,
     divergence,
@@ -118,16 +119,20 @@ class DerivedFields:
     its first read, so at most once and only when a report reads it.
 
     Every per-state report takes the record as ``fields`` and then reads the
-    state only through it, so callers holding bare fields pass no state."""
+    state only through it, so callers holding bare fields pass no state.
+    ``box`` is the velocity's box in the half spectrum when it lies in a
+    Galerkin span (:attr:`qmhd.basis.GalerkinBasis.box`); the gradient's
+    inverse transforms then run on it."""
 
     rho: ScalarField
     u: VectorField
     magnetic: VectorField
     floor: float
+    box: tuple | None = None
 
     @classmethod
     def of(cls, state: State, reg: RegParams) -> "DerivedFields":
-        return cls(state.rho, state.u, state.magnetic, reg.density_floor)
+        return cls(state.rho, state.u, state.magnetic, reg.density_floor, state.basis.box)
 
     @cached_property
     def rho_values(self) -> np.ndarray:
@@ -148,7 +153,8 @@ class DerivedFields:
         and antisymmetric parts (full 3x3 tensor)."""
         grid = self.u.grid
         dim = grid.dim
-        du = [[derivative(c, j).values for c in self.u.components] for j in range(dim)]
+        k = grid.kvec
+        du = [[_backward(1j * k[j] * c.spectrum, grid, self.box) for c in self.u.components] for j in range(dim)]
         strain = np.zeros(grid.shape)
         spin = np.zeros(grid.shape)
         for j in range(3):

@@ -17,6 +17,14 @@ Spectral conventions
   the ``numpy.fft.rfftn`` half is stored: leading axes hold all wavenumbers in
   transform order, the last axis holds 0..N/2.  Shapes are
   ``TorusGrid.spectral_shape``.
+* Box form: a velocity in the Galerkin span is nonzero only on a small block
+  of the half spectrum, its box: a set of rows on each leading axis and the
+  first columns of the last axis (``GalerkinBasis.box``).  Given a box, the
+  pair runs axis by axis in the order ``rfftn``/``irfftn`` do and skips each
+  line outside it: ``_forward`` returns only the box block, and
+  ``_backward`` reads a full-layout spectrum that is zero outside the box.
+  A skipped line is all zero or never read, so the kept entries are bitwise
+  those of the full transform.
 * Weights: a sum over the full spectrum is a sum over the half with
   ``TorusGrid.hermitian_weights``: 1 on the last axis's k=0 and Nyquist
   planes, whose mirror images are stored in the same plane, 2 elsewhere.
@@ -39,17 +47,47 @@ from .errors import SpectralTailWarning
 from .grid import TorusGrid
 
 
-def _forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Real samples to half-spectrum coefficients."""
-    # with ``out`` numpy runs the leading-axis passes in that one array
-    # instead of allocating a new one per axis (about 1/3 faster at 32^3)
-    out = np.empty(grid.spectral_shape, dtype=np.complex128)
-    return np.fft.rfftn(values, norm="forward", out=out)
+def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
+    """Real samples to half-spectrum coefficients, or to the box block of
+    them when a box ``(rows of each leading axis, ..., number of last-axis
+    columns)`` is given."""
+    if box is None:
+        # with ``out`` numpy runs the leading-axis passes in that one array
+        # instead of allocating a new one per axis (about 1/3 faster at 32^3)
+        out = np.empty(grid.spectral_shape, dtype=np.complex128)
+        return np.fft.rfftn(values, norm="forward", out=out)
+    *rows, ncols = box
+    last = grid.dim - 1
+    spec = np.fft.rfft(values, axis=last, norm="forward")[..., :ncols]
+    for axis in range(last - 1, -1, -1):
+        spec = np.fft.fft(spec, axis=axis, norm="forward").take(rows[axis], axis=axis)
+    return spec
 
 
-def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Half-spectrum coefficients to real samples."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
+def _backward(coeffs: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
+    """Half-spectrum coefficients to real samples; with a box, only the box
+    entries of ``coeffs`` are read, so it must be zero outside the box."""
+    if box is None:
+        return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
+    *rows, ncols = box
+    last = grid.dim - 1
+    spec = coeffs[..., :ncols]
+    for axis in range(1, last):
+        spec = spec.take(rows[axis], axis=axis)
+    for axis in range(last):
+        if axis:
+            # this axis's rows outside the box are zero: put the box rows in place
+            lines = np.zeros(spec.shape[:axis] + (grid.shape[axis],) + spec.shape[axis + 1 :], dtype=np.complex128)
+            lines[(slice(None),) * axis + (rows[axis],)] = spec
+            spec = lines
+        spec = np.fft.ifft(spec, axis=axis, norm="forward")
+    return np.fft.irfft(spec, n=grid.shape[last], axis=last, norm="forward")
+
+
+def _box_index(box: tuple) -> tuple[np.ndarray, ...]:
+    """Index that reads the box block out of a half spectrum."""
+    *rows, ncols = box
+    return np.ix_(*rows, np.arange(ncols))
 
 
 def _dealiased_forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -66,14 +104,19 @@ def _spectral_norm(spec: np.ndarray, grid: TorusGrid) -> float:
     return float(np.sqrt(2.0 * total - edges))
 
 
-def _half_index(grid: TorusGrid, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _half_index(grid: TorusGrid, k: np.ndarray, box: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flat half-spectrum index of each full-spectrum wavevector (last axis of
-    ``k``, reduced mod N) and whether it is stored as its conjugate mirror -k."""
+    ``k``, reduced mod N), or its flat index in the box block when a box is
+    given, and whether it is stored as its conjugate mirror -k."""
     n = np.array(grid.shape)
     p = k % n
     mirrored = p[..., -1] > n[-1] // 2
-    p = np.where(mirrored[..., None], -p % n, p)
-    return np.ravel_multi_index(tuple(np.moveaxis(p, -1, 0)), grid.spectral_shape), mirrored
+    p = np.moveaxis(np.where(mirrored[..., None], -p % n, p), -1, 0)
+    if box is None:
+        return np.ravel_multi_index(tuple(p), grid.spectral_shape), mirrored
+    *rows, ncols = box
+    at = tuple(np.searchsorted(r, p[a]) for a, r in enumerate(rows)) + (p[-1],)
+    return np.ravel_multi_index(at, tuple(len(r) for r in rows) + (ncols,)), mirrored
 
 
 def _pair_terms(grid: TorusGrid, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

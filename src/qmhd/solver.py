@@ -18,7 +18,11 @@ the identity diagnostics measure against.
 Each right-hand side is summed on the grid before it is transformed: the
 momentum force as one body force and one stress tensor, transformed per
 component and per entry, the induction source in one dealiased transform per
-component.
+component.  The projection reads the force only on the basis's box, so those
+forward transforms, like the velocity gradient's inverses, are box transforms
+(:mod:`qmhd.fields`).  Each iteration forms the magnetic midpoint field and
+the samples of its curl once: the residual reads them, and so does the next
+iteration's magnetic sweep, whose midpoint is the same field.
 """
 
 from __future__ import annotations
@@ -213,6 +217,24 @@ def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, u: VectorField, 
     return float(max(below, above, 0.0))
 
 
+def _curl_samples(B: VectorField) -> list[np.ndarray]:
+    """Grid samples of curl B, one inverse transform per component."""
+    grid = B.grid
+    k = grid.kvec
+    s = [c.spectrum for c in B.components]
+    return [
+        _backward(1j * (k[1] * s[2] - k[2] * s[1]), grid),
+        _backward(1j * (k[2] * s[0] - k[0] * s[2]), grid),
+        _backward(1j * (k[0] * s[1] - k[1] * s[0]), grid),
+    ]
+
+
+def _magnetic_midpoint(b_old: VectorField, b_new: VectorField) -> tuple[VectorField, list[np.ndarray]]:
+    """The midpoint field of two levels and the samples of its curl."""
+    mid = VectorField(b_old.grid, [_midpoint(o, n) for o, n in zip(b_old.components, b_new.components)])
+    return mid, _curl_samples(mid)
+
+
 def solve_magnetic_step(
     B_old: VectorField,
     u: VectorField,
@@ -222,12 +244,15 @@ def solve_magnetic_step(
     *,
     density_floor: float = 1e-8,
     guess: VectorField | None = None,
+    mid: tuple[VectorField, list[np.ndarray]] | None = None,
 ) -> VectorField:
     """One sweep of the midpoint map of the induction equation with given
     (time-centered) velocity and density: mean diffusivity integrated
     exactly, transport and the variable-diffusivity remainder at the midpoint
     of ``B_old`` and ``guess`` (default ``B_old``), then a divergence-free
-    projection.  The step is the map's fixed point."""
+    projection.  The step is the map's fixed point.  ``mid`` gives that
+    midpoint and its curl samples ready made (``_magnetic_midpoint``), in
+    place of ``guess``."""
     grid = B_old.grid
     if rho.values.min() < density_floor:
         raise DensityFloorViolation("magnetic solve: density below the floor")
@@ -236,25 +261,21 @@ def solve_magnetic_step(
     nu_fluct = nu_vals - nu_bar
     full, half = _heat_factors(grid, nu_bar, dt)
 
-    start = B_old if guess is None else guess
+    if mid is None:
+        mid = _magnetic_midpoint(B_old, B_old if guess is None else guess)
+    b_mid, curl_mid = mid
     spec_old = [c.spectrum for c in B_old.components]
-    mid = [0.5 * (o + n) for o, n in zip(B_old.component_values(), start.component_values())]
-    mid_spec = [0.5 * (o + n.spectrum) for o, n in zip(spec_old, start.components)]
+    bm = b_mid.component_values()
     uvals = u.component_values()
     k = grid.kvec
 
     # electromotive field u x B minus the variable-coefficient part of the
     # resistive term, nu' curl B, at the midpoint; the 2/3 mask is linear, so
     # one dealiased transform per component takes both
-    curl_mid = [
-        _backward(1j * (k[1] * mid_spec[2] - k[2] * mid_spec[1]), grid),
-        _backward(1j * (k[2] * mid_spec[0] - k[0] * mid_spec[2]), grid),
-        _backward(1j * (k[0] * mid_spec[1] - k[1] * mid_spec[0]), grid),
-    ]
     rhs = [
-        _dealiased_forward(uvals[1] * mid[2] - uvals[2] * mid[1] - nu_fluct * curl_mid[0], grid),
-        _dealiased_forward(uvals[2] * mid[0] - uvals[0] * mid[2] - nu_fluct * curl_mid[1], grid),
-        _dealiased_forward(uvals[0] * mid[1] - uvals[1] * mid[0] - nu_fluct * curl_mid[2], grid),
+        _dealiased_forward(uvals[1] * bm[2] - uvals[2] * bm[1] - nu_fluct * curl_mid[0], grid),
+        _dealiased_forward(uvals[2] * bm[0] - uvals[0] * bm[2] - nu_fluct * curl_mid[1], grid),
+        _dealiased_forward(uvals[0] * bm[1] - uvals[1] * bm[0] - nu_fluct * curl_mid[2], grid),
     ]
     curl_rhs = [
         1j * (k[1] * rhs[2] - k[2] * rhs[1]),
@@ -271,6 +292,8 @@ def momentum_residual(
     B: VectorField,
     phys: PhysParams,
     reg: RegParams,
+    *,
+    curl_b: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Weak momentum right-hand side tested against every basis mode.
 
@@ -278,10 +301,12 @@ def momentum_residual(
     collects the Lorentz force, the diffusion-correction term and high-order
     capillarity in its transposed form; the stress ``T`` collects
     convection, viscosity, pressure and the conservative quantum stress.
-    Each is summed on the grid and transformed once per component or entry:
+    Each is summed on the grid and transformed once per component or entry,
+    by a box transform, since the projection reads only the basis's box:
     every basis mode lies inside the 2/3 mask, so the projection reads
     nothing a per-term dealiasing would change.  ``kappa^2 grad lap rho`` is
     exact in k, and hyperviscosity is added exactly on the eigenbasis.
+    ``curl_b`` gives the samples of curl B when the caller has them.
     """
     grid = rho.grid
     basis = velocity.basis
@@ -293,18 +318,15 @@ def momentum_residual(
     rvals = rho.values
     k = grid.kvec
     dim = grid.dim
+    box = basis.box
+    k_box = [k[j][basis.box_index] for j in range(dim)]
 
     # velocity gradient d_j u_l for active j; the reconstructed velocity
     # carries its spectra
-    du = [[_backward(1j * k[j] * c.spectrum, grid) for c in u.components] for j in range(dim)]
+    du = [[_backward(1j * k[j] * c.spectrum, grid, box) for c in u.components] for j in range(dim)]
 
     # body force G_l, accumulated on the grid: the Lorentz force (curl B) x B,
-    b_spec = [c.spectrum for c in B.components]
-    cb = [
-        _backward(1j * (k[1] * b_spec[2] - k[2] * b_spec[1]), grid),
-        _backward(1j * (k[2] * b_spec[0] - k[0] * b_spec[2]), grid),
-        _backward(1j * (k[0] * b_spec[1] - k[1] * b_spec[0]), grid),
-    ]
+    cb = _curl_samples(B) if curl_b is None else curl_b
     bvals = B.component_values()
     body = [
         cb[1] * bvals[2] - cb[2] * bvals[1],
@@ -325,7 +347,7 @@ def momentum_residual(
         cap_spec = np.where(grid.dealias_mask, -grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
         for a in range(dim):
             body[a] -= reg.delta * rvals * _backward(-1j * k[a] * cap_spec, grid)
-    force = [_forward(g, grid) for g in body]
+    force = [_forward(g, grid, box) for g in body]
     del body
 
     # stress T_jl = P(rho u_j) u_l - rho (d_j u_l + d_l u_j) + delta_jl (P + Pc)
@@ -336,7 +358,7 @@ def momentum_residual(
     if phys.kappa:
         w_spec = _forward(np.sqrt(rvals), grid)
         dw = [2.0 * phys.kappa * _backward(1j * k[j] * w_spec, grid) for j in range(dim)]
-        lap_r = -grid.k_squared * rho.spectrum
+        lap_r = -grid.k_squared[basis.box_index] * rho.spectrum[basis.box_index]
     for l in range(3):
         for j in range(dim):
             t = mom[j] * uvals[l] - rvals * (du[j][l] + du[l][j] if l < dim else du[j][l])
@@ -344,9 +366,9 @@ def momentum_residual(
                 t += p_tot
             if phys.kappa and l < dim:
                 t += dw[j] * dw[l]
-            force[l] -= 1j * k[j] * _forward(t, grid)
+            force[l] -= 1j * k_box[j] * _forward(t, grid, box)
         if phys.kappa and l < dim:
-            force[l] += phys.kappa**2 * 1j * k[l] * lap_r
+            force[l] += phys.kappa**2 * 1j * k_box[l] * lap_r
 
     entries = basis.project_force_spectra(force)
     if reg.eta:
@@ -384,7 +406,6 @@ def advance_step(
     and retry) and :class:`MaximumPrincipleViolation` when the converged
     density leaves the corridor."""
     basis = state.basis
-    grid = state.rho.grid
     h = reg.dt if dt is None else dt
     lam_old = state.velocity.values
     rho_old = state.rho
@@ -398,6 +419,7 @@ def advance_step(
     lam_k = lam_old.copy()
     rho_new = rho_old
     b_new = b_old
+    b_mid = _magnetic_midpoint(b_old, b_new)
     update_norms: list[float] = []
     ratios: list[float] = []
 
@@ -413,12 +435,13 @@ def advance_step(
         rho_new = rho_next
         rho_mid = _midpoint(rho_old, rho_new)
         b_next = solve_magnetic_step(
-            b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, guess=b_new
+            b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, mid=b_mid
         )
         upd = max(upd, _relative_update(b_next.component_values(), b_new.component_values()))
         b_new = b_next
-        b_mid = VectorField(grid, [_midpoint(o, n) for o, n in zip(b_old.components, b_new.components)])
-        n_mid = momentum_residual(rho_mid, vel_mid, b_mid, phys, reg)
+        # the residual and the next iteration's sweep share this midpoint
+        b_mid = _magnetic_midpoint(b_old, b_new)
+        n_mid = momentum_residual(rho_mid, vel_mid, b_mid[0], phys, reg, curl_b=b_mid[1])
 
         lam_next = MassOperator(basis, rho_new, shift).solve(rhs_base + h * n_mid + shift * lam_k)
 

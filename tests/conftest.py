@@ -1,6 +1,10 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import qmhd.fields
 from qmhd import TorusGrid
 from qmhd.fields import ScalarField, VectorField
 
@@ -43,3 +47,31 @@ def mode_profile(grid, mode):
     phase = sum(mode.wavevector[a] * grid.mesh[a] for a in range(grid.dim))
     return np.sqrt(2.0 / vol) * (np.cos(phase) if mode.trig == "cos" else np.sin(phase))
 
+
+def count_transforms(monkeypatch) -> Counter:
+    """Count logical transforms from here on: calls of ``qmhd.fields._forward``
+    and ``_backward`` wherever qmhd binds them, keyed ``(direction, form)``
+    with direction "forward" or "backward" and form "full" or "box".  A box
+    transform is one count, however many axis passes it makes."""
+    counts = Counter()
+    for name, direction in (("_forward", "forward"), ("_backward", "backward")):
+        original = getattr(qmhd.fields, name)
+
+        def counted(values, grid, box=None, _original=original, _direction=direction):
+            counts[_direction, "full" if box is None else "box"] += 1
+            return _original(values, grid, box)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] == "qmhd" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def transform_counts(backward_full=0, forward_full=0, backward_box=0, forward_box=0) -> Counter:
+    """The :func:`count_transforms` counter of these exact counts."""
+    return Counter({
+        ("backward", "full"): backward_full,
+        ("forward", "full"): forward_full,
+        ("backward", "box"): backward_box,
+        ("forward", "box"): forward_box,
+    })

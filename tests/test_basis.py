@@ -33,6 +33,16 @@ def test_mode_count_limit():
         enumerate_modes(grid, 10_000)
 
 
+@pytest.mark.parametrize("shape, n1, n2", [((32, 32), 140, 160), ((16, 16, 16), 300, 400)])
+def test_mode_counts_are_prefix_nested(shape, n1, n2):
+    # each count takes the lowest |k|^2 of the whole dealias box, so a
+    # smaller count is a prefix of a larger one
+    grid = TorusGrid(shape)
+    every = enumerate_modes(grid, max_mode_count(shape))
+    assert [m.k_squared for m in every] == sorted(m.k_squared for m in every)
+    assert enumerate_modes(grid, n1) == enumerate_modes(grid, n2)[:n1] == every[:n1]
+
+
 @pytest.mark.parametrize("shape", [(8,), (64,), (8, 12), (16, 16), (8, 8, 8), (8, 10, 14)])
 def test_max_mode_count_is_the_enumerated_count(shape):
     grid = TorusGrid(shape)

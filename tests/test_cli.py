@@ -232,7 +232,7 @@ dt = 0.001
     [
         ("dt = 0.001", "dt_typo = 0.001", "line 11: unknown key 'dt_typo'"),
         ("points = 32", "points = 32\npoints = 64", "line 5: duplicate key sweep.points"),
-        ("0.1, 0.05, 0", "0.2, 0", "at least 3 rungs"),
+        ("0.1, 0.05, 0", "0.2, 0", "at least 3 rungs (line 3)"),
         ("0.1, 0.05, 0", "0.2, x, 0", "cannot parse sweep.values"),
         ("points = 32", "points = 33", "sweep.points: each axis needs an even count"),
         ("points = 32", "points = 32\nbenchmark = vortex", "sweep.benchmark: must be one of"),
@@ -245,7 +245,7 @@ dt = 0.001
         ("kappa\nvalues = 0.1, 0.05, 0", "n\nvalues = 3, 9, 64",
          "sweep.values: mode counts exceed the 63 dealias-resolved modes on this grid (line 3)"),
         ("0.1, 0.05, 0", "inf, 0.05, 0", "ladder values must be finite"),
-        ("dt = 0.001", "dt = nan", "RegParams: dt must be finite"),
+        ("dt = 0.001", "dt = nan", "RegParams: dt must be finite, got nan (line 11)"),
         ("kappa = 0.05", "kappa = inf", "PhysParams: kappa must be finite"),
         ("points = 32", "points = 32\neta_coeff = nan", "sweep.eta_coeff: must be finite (line 5)"),
     ],

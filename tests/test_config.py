@@ -82,8 +82,26 @@ def test_gamma_constraint():
     ],
 )
 def test_non_finite_parameters_rejected(section, key, value):
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match="must be finite") as err:
         parse_config_text(f"[{section}]\n{key} = {value}\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[physics]\nkappa = 0.1\n\n# comment\ngamma = nan\n", 5),
+        ("[regularization]\ndt = 0.001\nt_end = 0.002\nepsilon = -1\n", 4),
+        ("[physics]\nnu_a_prime = 2.1\nkappa = 0.2\nnu_a = 2.9\n", 4),
+    ],
+    ids=["nan_after_a_valid_key", "negative_epsilon", "exponent_pair"],
+)
+def test_parameter_errors_name_their_line(text, line):
+    # a parameter class's own check names the first key that breaks it
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(text)
+    assert err.value.line == line
+    assert str(err.value).endswith(f"(line {line})")
 
 
 @pytest.mark.parametrize("points, limit", [("8", 15), ("32", 63), ("8, 12", 75), ("8, 8, 10", 375)])

@@ -53,7 +53,7 @@ from qmhd.fields import (
 from qmhd.experiments import benchmark_state
 from qmhd.solver import Trajectory
 
-from conftest import band_limited_vector
+from conftest import band_limited_vector, count_transforms, transform_counts
 
 
 def smooth_state_fields(grid, rng, rho_amp=0.25):
@@ -428,20 +428,6 @@ def test_weak_form_residuals_shrink_under_refinement():
     assert out[1] <= out[0] / 2.0
 
 
-def _transform_counter(monkeypatch):
-    """Count every rfftn/irfftn call from here on."""
-    calls = [0]
-    for name in ("rfftn", "irfftn"):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls[0] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     # four vector test functions cost three more than one, whatever the
     # number of intervals: midpoint fields are derived once per interval
@@ -454,13 +440,13 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
         traj.times[:5], traj.states[:5], traj.step_infos[:4], traj.dt, 1, phys, reg
     )
     weak_form_residual(traj)  # fills the states' lazily computed samples
-    calls = _transform_counter(monkeypatch)
+    counts = count_transforms(monkeypatch)
 
     def count(t, n_vector):
         battery = default_vector_battery(grid, t.times[-1])[:n_vector]
-        before = calls[0]
+        before = counts.total()
         weak_form_residual(t, vector_battery=battery)
-        return calls[0] - before
+        return counts.total() - before
 
     extra = [count(t, 4) - count(t, 1) for t in (short, traj)]
     assert extra[0] > 0
@@ -547,8 +533,13 @@ def test_diagnostics_writer_roundtrip(tmp_path):
 
 
 # (grid shape, velocity modes) -> transforms of one CSV row: the monitor,
-# energy and dissipation reports share sqrt(rho) and the velocity gradient
-ROW_TRANSFORMS = {((128,), 9): 18, ((64, 64), 120): 26, ((32, 32, 32), 27): 35}
+# energy and dissipation reports share sqrt(rho) and the velocity gradient,
+# whose 3d inverses run on the basis's box
+ROW_TRANSFORMS = {
+    ((128,), 9): transform_counts(backward_full=11, forward_full=4, backward_box=3),
+    ((64, 64), 120): transform_counts(backward_full=16, forward_full=4, backward_box=6),
+    ((32, 32, 32), 27): transform_counts(backward_full=22, forward_full=4, backward_box=9),
+}
 
 
 def _row_state(shape, n_modes, reg):
@@ -567,10 +558,10 @@ def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_mode
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
     state = _row_state(shape, n_modes, reg)
-    calls = _transform_counter(monkeypatch)
+    counts = count_transforms(monkeypatch)
     with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
         writer.write_row(state)
-    assert calls[0] == ROW_TRANSFORMS[(shape, n_modes)]
+    assert counts == ROW_TRANSFORMS[(shape, n_modes)]
 
 
 @pytest.mark.parametrize("shape", [(128,), (32, 32), (16, 16, 16)])

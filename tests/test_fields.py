@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmhd import SpectralTailWarning, TorusGrid
+from qmhd.basis import GalerkinBasis
 from qmhd.fields import (
     ScalarField,
     VectorField,
+    _backward,
+    _box_index,
+    _forward,
     cross,
     curl,
     dealias,
@@ -386,4 +390,31 @@ def test_fields_is_the_only_transform_home():
     ]
     assert offenders == []
     calls = re.findall(r"np\.fft\.(\w+)", (src / "fields.py").read_text())
-    assert sorted(set(calls)) == ["irfftn", "rfftn"]
+    assert sorted(set(calls)) == ["fft", "ifft", "irfft", "irfftn", "rfft", "rfftn"]
+
+
+@pytest.mark.parametrize("shape, n_modes", [((64,), 21), ((32, 32), 60), ((16, 16, 16), 81)])
+@pytest.mark.parametrize("nyquist", [False, True], ids=["basis_box", "with_nyquist"])
+def test_box_transforms_are_bitwise_the_full_transforms(shape, n_modes, nyquist):
+    # the box of a Galerkin basis, or that box grown by every axis's Nyquist
+    # row and column; the inverse reads a spectrum that is zero outside it
+    grid = TorusGrid(shape)
+    rng = np.random.default_rng(3)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    box = basis.box
+    values = rng.standard_normal(shape)
+    if nyquist:
+        *rows, _ = box
+        box = (*[np.union1d(r, [n // 2]) for r, n in zip(rows, shape)], grid.spectral_shape[-1])
+        # a real field's spectrum cut to the box keeps its conjugate mirrors
+        spec = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        spec[_box_index(box)] = _forward(values, grid)[_box_index(box)]
+    else:
+        # the velocity's spectrum holds the +-k pairs of the modes, both
+        # members on the last axis's k = 0 plane
+        spec = basis.reconstruct(rng.standard_normal(n_modes)).components[0].spectrum
+    outside = np.ones(grid.spectral_shape, dtype=bool)
+    outside[_box_index(box)] = False
+    assert np.any(spec) and not np.any(spec[outside])
+    assert np.array_equal(_backward(spec, grid, box), _backward(spec, grid))
+    assert np.array_equal(_forward(values, grid, box), _forward(values, grid)[_box_index(box)])

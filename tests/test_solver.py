@@ -38,7 +38,7 @@ from qmhd.solver import (
     solve_magnetic_step,
 )
 
-from conftest import band_limited_scalar, band_limited_vector, mode_profile
+from conftest import band_limited_scalar, band_limited_vector, count_transforms, mode_profile, transform_counts
 
 
 # --------------------------------------------------------------------------
@@ -347,20 +347,6 @@ def test_momentum_residual_capillarity_matches_per_mode_loop(shape, n_modes, s, 
     assert np.max(np.abs(cap - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _count_transforms(monkeypatch):
-    """List that gets one entry per forward or inverse transform."""
-    calls = []
-    for name in ("rfftn", "irfftn"):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 def _ready(field):
     """Compute a field's samples and spectra now, so no transform of the
     inputs lands in a counted call."""
@@ -369,23 +355,36 @@ def _ready(field):
     return field
 
 
+def _residual_counts(dim, curl_given=False):
+    """Transforms of one residual call with kappa, epsilon and delta on.
+    Full inverses: 3 for curl B (none when the caller passes its samples),
+    d for grad rho, d for capillarity, d for the dealiased momentum and d for
+    grad sqrt(rho); full forwards: d for the momentum and 1 for sqrt(rho).
+    On the basis's box: 3d inverses for the velocity gradient, and the 3
+    body-force and 3d stress forwards.  7 + 11d in all."""
+    return transform_counts(
+        backward_full=(0 if curl_given else 3) + 4 * dim,
+        forward_full=1 + dim,
+        backward_box=3 * dim,
+        forward_box=3 + 3 * dim,
+    )
+
+
 def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch, rng):
-    # with kappa, epsilon and delta on: 3d velocity gradients, 3 for curl B,
-    # d for grad rho, 1 + d for grad sqrt(rho), d for capillarity, 2d for the
-    # dealiased momentum, 3 body-force and 3d stress forwards: 7 + 11d
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
-    calls = _count_transforms(monkeypatch)
-    for shape, n, expected in [((64,), 9, 18), ((32, 32), 9, 29), ((32, 32), 60, 29), ((16, 16, 16), 27, 40)]:
+    counts = count_transforms(monkeypatch)
+    for shape, n in [((64,), 9), ((32, 32), 9), ((32, 32), 60), ((16, 16, 16), 27)]:
         grid = TorusGrid(shape)
         basis = GalerkinBasis.lowest_modes(grid, n)
         rho = _ready(ScalarField(grid, 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=4).values))
         b = _ready(VectorField(grid, [0.2 * c for c in band_limited_vector(grid, rng, max_mode=4).components]))
         vel = VelocityCoeffs(basis, 0.1 * rng.standard_normal(n))
         _ready(vel.field)
-        calls.clear()
+        counts.clear()
         momentum_residual(rho, vel, b, phys, reg)
-        assert len(calls) == expected, (shape, n)
+        assert counts == _residual_counts(grid.dim), (shape, n)
+        assert counts.total() == 7 + 11 * grid.dim
 
 
 def test_magnetic_step_one_forward_per_component(monkeypatch, rng):
@@ -397,9 +396,9 @@ def test_magnetic_step_one_forward_per_component(monkeypatch, rng):
     b = _ready(band_limited_vector(grid, rng, max_mode=4))
     guess = _ready(band_limited_vector(grid, rng, max_mode=4))
     u = _ready(band_limited_vector(grid, rng, max_mode=4))
-    calls = _count_transforms(monkeypatch)
+    counts = count_transforms(monkeypatch)
     solve_magnetic_step(b, u, rho, 1e-3, phys, guess=guess)
-    assert len(calls) == 6
+    assert counts == transform_counts(backward_full=3, forward_full=3)
 
 
 def _per_term_residual(rho, velocity, B, phys, reg):
@@ -450,6 +449,7 @@ def _per_term_residual(rho, velocity, B, phys, reg):
     force[0] += _dealiased_forward(cb[1] * bv[2] - cb[2] * bv[1], grid)
     force[1] += _dealiased_forward(cb[2] * bv[0] - cb[0] * bv[2], grid)
     force[2] += _dealiased_forward(cb[0] * bv[1] - cb[1] * bv[0], grid)
+    force = [f[basis.box_index] for f in force]
     return basis.project_force_spectra(force) - reg.eta * basis.eigen_k2**2 * velocity.values
 
 
@@ -669,26 +669,36 @@ def test_step_satisfies_unshifted_velocity_equation(eta):
 
 def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
     # the midpoint density and magnetic field average both levels' spectra,
-    # so every residual call of a step costs the 7 + 11d transforms of
-    # test_momentum_residual_transform_count_independent_of_mode_count
+    # and the step hands the residual the curl of the midpoint field, so every
+    # residual call of a step costs the transforms of
+    # test_momentum_residual_transform_count_independent_of_mode_count less
+    # the 3 for curl B; each iteration makes those 3 once, shared with the
+    # next magnetic sweep, whose own transforms are its 3 forwards
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
-    calls = _count_transforms(monkeypatch)
-    per_call = []
+    counts = count_transforms(monkeypatch)
+    per_call = {momentum_residual: [], solve_magnetic_step: []}
 
-    def counted(*args, **kwargs):
-        before = len(calls)
-        out = momentum_residual(*args, **kwargs)
-        per_call.append(len(calls) - before)
-        return out
+    def counting(fn):
+        def counted(*args, **kwargs):
+            before = counts.copy()
+            out = fn(*args, **kwargs)
+            per_call[fn].append(counts - before)
+            return out
 
-    monkeypatch.setattr("qmhd.solver.momentum_residual", counted)
+        return counted
+
+    for fn in per_call:
+        monkeypatch.setattr(f"qmhd.solver.{fn.__name__}", counting(fn))
     for shape, n in [((64,), 9), ((32, 32), 60), ((16, 16, 16), 27)]:
         grid = TorusGrid(shape)
         basis = GalerkinBasis.lowest_modes(grid, n)
-        per_call.clear()
+        for calls in per_call.values():
+            calls.clear()
         _, info = advance_step(benchmark_state("random_smooth", grid, basis, reg), phys, reg)
-        assert per_call == [7 + 11 * grid.dim] * info.picard_iters, shape
+        residual = _residual_counts(grid.dim, curl_given=True)
+        assert per_call[momentum_residual] == [residual] * info.picard_iters, shape
+        assert per_call[solve_magnetic_step] == [transform_counts(forward_full=3)] * info.picard_iters, shape
 
 
 def test_factor_cache_bounded_over_run():
