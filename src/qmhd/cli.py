@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage, 2 configuration, 3 numerical failure,
 4 I/O failure.  All files are written inside the configured output
-directory, atomically.
+directory: snapshots, the config echo and sweep outputs atomically, and
+``diagnostics.csv`` one flushed row at a time, so a failed run keeps its rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .experiments import SweepSpec, benchmark_state, content_hash, run_sweep, sw
 from .fields import ScalarField, VectorField, divergence, l2_norm
 from .grid import TorusGrid
 from .snapshots import atomic_write, read_snapshot, write_snapshot
-from .solver import cfl_report, initial_state, run_simulation
+from .solver import cfl_report, initial_state, run_simulation, step_count
 
 
 def _apply_threads(threads: int) -> int:
@@ -55,45 +56,39 @@ def cmd_run(args) -> int:
     grid = TorusGrid(config.points)
     basis = GalerkinBasis.lowest_modes(grid, config.modes)
     state = _build_state(config, basis, grid)
-    if config.t_end < state.time:
-        raise UsageError(f"t_end={config.t_end} precedes the initial time {state.time}")
+    try:
+        # the parser checks a benchmark's steps from t = 0; snapshot data start at their own time
+        step_count(state.time, config.t_end, config.reg.dt, config.diagnostics_every)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     out = config.output_directory
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "config_echo.cfg"), canonical_text(config).encode())
 
-    writer = DiagnosticsWriter(os.path.join(out, "diagnostics.csv"), config.phys, config.reg)
-
-    infos = {}
-
-    def snapshot_writer(s, step):
-        if config.snapshot_every and step % config.snapshot_every == 0:
-            stamp = f"{step:08d}"
-            write_snapshot(os.path.join(out, f"rho_{stamp}.qmhd"), s.rho, s.time)
-            write_snapshot(os.path.join(out, f"velocity_{stamp}.qmhd"), s.u, s.time)
-            write_snapshot(os.path.join(out, f"magnetic_{stamp}.qmhd"), s.magnetic, s.time)
+    def write_snapshots(s, stamp: str) -> None:
+        for name, field in (("rho", s.rho), ("velocity", s.u), ("magnetic", s.magnetic)):
+            write_snapshot(os.path.join(out, f"{name}_{stamp}.qmhd"), field, s.time)
 
     print(f"qmhd {__version__}: advancing to t={config.t_end} (dt={config.reg.dt})")
     for key, val in cfl_report(state, config.phys, config.reg).items():
         print(f"  cfl {key:28s} {val:.3e}")
 
-    sample_every = max(config.diagnostics_every, 1)
-    traj = run_simulation(
-        state,
-        config.phys,
-        config.reg,
-        config.t_end,
-        sample_every=sample_every,
-        snapshot_writer=snapshot_writer,
-    )
-    for s, info in zip(traj.states, [None] + traj.step_infos[sample_every - 1 :: sample_every]):
-        writer.write_row(s, info)
-    writer.close()
+    with DiagnosticsWriter(os.path.join(out, "diagnostics.csv"), config.phys, config.reg) as writer:
+
+        def on_step(step, s, info):
+            if step % config.diagnostics_every == 0:
+                writer.write_row(s, info)
+            if config.snapshot_every and step % config.snapshot_every == 0:
+                write_snapshots(s, f"{step:08d}")
+
+        # sampled at the row cadence, the trajectory holds the row states only
+        traj = run_simulation(
+            state, config.phys, config.reg, config.t_end, sample_every=config.diagnostics_every, on_step=on_step
+        )
 
     final = traj.final_state
-    write_snapshot(os.path.join(out, "rho_final.qmhd"), final.rho, final.time)
-    write_snapshot(os.path.join(out, "velocity_final.qmhd"), final.u, final.time)
-    write_snapshot(os.path.join(out, "magnetic_final.qmhd"), final.magnetic, final.time)
+    write_snapshots(final, "final")
     print(f"finished at t={final.time:.6f}; min rho={final.rho.values.min():.6e}; "
           f"worst contraction ratio={traj.max_contraction_ratio():.3f}")
     print(f"wrote {out}/diagnostics.csv and final snapshots")

@@ -233,9 +233,9 @@ def _requirement(schema, lines: dict[str, int]):
 
 
 def _check_shared(require, dim: int, shape: tuple, modes: int, benchmark: str | None, t_end: float, dt: float,
-                  seed: int):
+                  seed: int) -> int:
     """The rules a run config and a sweep manifest share; ``benchmark`` is
-    None when snapshots give the initial data."""
+    None when snapshots give the initial data.  Returns the steps to t_end."""
     require(dim in (1, 2, 3), "dim", "must be 1, 2 or 3")
     require(len(shape) == dim, "points", f"need {dim} axis sizes (or one applied to all)")
     require(all(n >= 8 and n % 2 == 0 for n in shape), "points", "each axis needs an even count >= 8")
@@ -248,6 +248,7 @@ def _check_shared(require, dim: int, shape: tuple, modes: int, benchmark: str | 
     steps = t_end / dt
     require(abs(steps - round(steps)) <= 1e-8 * max(steps, 1.0), "t_end", "must be an integer number of dt steps")
     require(seed >= 0, "seed", "must be nonnegative")
+    return round(steps)
 
 
 _SNAPSHOT_PATHS = ("rho_path", "velocity_path", "magnetic_path")
@@ -260,14 +261,16 @@ def parse_config_text(text: str) -> RunConfig:
     points = config.points * config.dim if len(config.points) == 1 and config.dim > 1 else config.points
     given = [p for p in _SNAPSHOT_PATHS if getattr(config, p)]
     benchmark = None if given else config.benchmark
-    _check_shared(require, config.dim, points, config.modes, benchmark, config.t_end, config.reg.dt, config.seed)
+    steps = _check_shared(require, config.dim, points, config.modes, benchmark, config.t_end, config.reg.dt, config.seed)
     if given:
         for p in _SNAPSHOT_PATHS:
             require(p in given, p, "snapshot initial data needs all three paths")
         for p in given:
             require(os.path.exists(getattr(config, p)), p, f"file not found: {getattr(config, p)}")
     require(config.snapshot_every >= 0, "snapshot_every", "must be nonnegative")
-    require(config.diagnostics_every >= 0, "diagnostics_every", "must be nonnegative")
+    require(config.diagnostics_every >= 1, "diagnostics_every", "must be at least 1")
+    # snapshot initial data start at their own time, so ``qmhd run`` checks their cadence
+    require(bool(given) or steps % config.diagnostics_every == 0, "diagnostics_every", f"must divide the {steps} steps to t_end")
     require(config.threads >= 1, "threads", "must be at least 1")
     return replace(config, points=points, benchmark=benchmark or "")
 
@@ -283,11 +286,12 @@ def parse_manifest_text(text: str) -> SweepManifest:
     require = _requirement(_MANIFEST_SCHEMA, lines)
     spec = manifest.spec
     shape = (spec.points,) * max(spec.dim, 0)
-    _check_shared(require, spec.dim, shape, spec.n_modes, spec.benchmark, spec.t_end, spec.reg.dt, spec.seed)
+    steps = _check_shared(require, spec.dim, shape, spec.n_modes, spec.benchmark, spec.t_end, spec.reg.dt, spec.seed)
     if spec.parameter == "n":
         limit = max_mode_count(shape)
         require(max(spec.values) <= limit, "values", f"mode counts exceed the {limit} dealias-resolved modes on this grid")
     require(spec.sample_every >= 1, "sample_every", "must be at least 1")
+    require(steps % spec.sample_every == 0, "sample_every", f"must divide the {steps} steps to t_end")
     require(manifest.workers >= 1, "workers", "must be at least 1")
     rules = (
         ("eta", manifest.eta_coeff, manifest.eta_exponent),

@@ -46,7 +46,8 @@ from .errors import DensityFloorViolation, NonuniformSampling
 from .fields import (
     ScalarField,
     VectorField,
-    _backward,
+    _cross,
+    _gradient_samples,
     curl,
     derivative,
     divergence,
@@ -102,11 +103,6 @@ def _pair(a: Sequence[np.ndarray], b: Sequence[np.ndarray], grid) -> float:
     return float(sum((a[l] * b[l]).mean() for l in range(3)) * grid.volume)
 
 
-def _cross(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Pointwise cross product of two three-component sample lists."""
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
 # --------------------------------------------------------------------------
 # the fields the reports share
 
@@ -153,8 +149,7 @@ class DerivedFields:
         and antisymmetric parts (full 3x3 tensor)."""
         grid = self.u.grid
         dim = grid.dim
-        k = grid.kvec
-        du = [[_backward(1j * k[j] * c.spectrum, grid, self.box) for c in self.u.components] for j in range(dim)]
+        du = _gradient_samples(self.u, grid, self.box)
         strain = np.zeros(grid.shape)
         spin = np.zeros(grid.shape)
         for j in range(3):
@@ -766,7 +761,8 @@ SCHEMA_VERSION = 1
 
 
 class DiagnosticsWriter:
-    """One CSV row per sampled state, fixed column order, versioned header."""
+    """One CSV row per sampled state, fixed column order, versioned header;
+    each row is flushed as it is written."""
 
     def __init__(self, path, phys: PhysParams, reg: RegParams):
         self.path = path
@@ -810,6 +806,7 @@ class DiagnosticsWriter:
             ]
         )
         self._writer.writerow(row)
+        self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()

@@ -9,8 +9,6 @@ vanish.  Everything is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -30,6 +28,7 @@ from .errors import QMHDError
 from .fields import (
     ScalarField,
     VectorField,
+    _laplacian_power,
     dealias,
     derivative,
     divergence,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
@@ -141,6 +140,14 @@ def compare_states(a: State, b: State) -> StateDistance:
     )
 
 
+def _trapezoid(traj: Trajectory) -> list[float]:
+    """Trapezoid weights h/2, h, ..., h, h/2 of the trajectory's samples."""
+    h = traj.sampled_dt
+    weights = [h] * len(traj.states)
+    weights[0] = weights[-1] = 0.5 * h
+    return weights
+
+
 def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
     """Space-time L2 distances over the common sample times (trapezoid)."""
     ta, tb = np.asarray(a.times), np.asarray(b.times)
@@ -148,12 +155,10 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
         raise QMHDError("trajectories must share their sample times")
     keys = list(StateDistance.__annotations__)
     sq = {k: 0.0 for k in keys}
-    h = a.sampled_dt
-    for i, (sa, sb) in enumerate(zip(a.states, b.states)):
+    for w, sa, sb in zip(_trapezoid(a), a.states, b.states):
         d = compare_states(sa, sb).as_dict()
-        wgt = 0.5 if i in (0, len(a.states) - 1) else 1.0
         for k in keys:
-            sq[k] += wgt * h * d[k] ** 2
+            sq[k] += w * d[k] ** 2
     return {k: float(np.sqrt(v)) for k, v in sq.items()}
 
 
@@ -171,16 +176,14 @@ def quantum_term_weak_integral(
         battery = default_vector_battery(grid, traj.times[-1])
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
-    h = traj.sampled_dt
     tests = [_VectorTest.of(tf.spatial) for tf in battery]
     acc = [0.0] * len(battery)
-    for i, s in enumerate(traj.states):
+    for wt, time, s in zip(_trapezoid(traj), traj.times, traj.states):
         w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
         dw = [derivative(w, j).values for j in range(grid.dim)]
-        wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
         for t, tf in enumerate(battery):
             pairing = quantum_pairing(w.values, dw, tests[t].grad_div, tests[t].grad, grid)
-            acc[t] += wgt * h * tf.g(traj.times[i]) * pairing
+            acc[t] += wt * tf.g(time) * pairing
     total = sum(2.0 * kappa**2 * a for a in acc)
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
 
@@ -196,23 +199,19 @@ def capillarity_term_weak_integral(
         battery = default_vector_battery(grid, traj.times[-1])
     if delta == 0.0:
         return {"value": 0.0, "scaled": 0.0}
-    h = traj.sampled_dt
-    power = 2 * s_order + 1
+    lap_power = _laplacian_power(grid, 2 * s_order + 1)
     acc = [0.0] * len(battery)
-    for i, st in enumerate(traj.states):
+    for wt, time, st in zip(_trapezoid(traj), traj.times, traj.states):
         rho = st.rho
         # lap^s moved across: pair lap^(2s+1) rho against div(rho phi)
-        hi_field = ScalarField._adopt(
-            grid, None, (-1.0) ** power * grid.k_squared**power * rho.spectrum
-        )
-        wgt = 0.5 if i in (0, len(traj.states) - 1) else 1.0
+        hi_field = ScalarField._adopt(grid, None, lap_power * rho.spectrum)
         for t, tf in enumerate(battery):
             inner = 0.0
             for l in range(grid.dim):
                 phi_l = tf.spatial.components[l].values
                 prod = dealias(ScalarField._adopt(grid, rho.values * phi_l))
                 inner += inner_product(hi_field, derivative(prod, l))
-            acc[t] += wgt * h * tf.g(traj.times[i]) * inner
+            acc[t] += wt * tf.g(time) * inner
     total = sum(-delta * a for a in acc)
     alpha = (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
     return {"value": float(total), "scaled": float(total / delta ** ((1.0 - alpha) / 2.0))}
@@ -344,6 +343,9 @@ def _run_rung(spec: SweepSpec, value) -> tuple[Trajectory, RungResult]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every rung, measure distances to the final (limit) rung."""
     if workers > 1:
+        # imported here, so that commands running no pool skip importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_run_rung, [spec] * len(spec.values), spec.values))
     else:
@@ -396,6 +398,8 @@ def sweep_rows(result: SweepResult) -> list[dict[str, float]]:
 
 
 def content_hash(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

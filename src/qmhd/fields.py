@@ -34,6 +34,9 @@ Spectral conventions
   is zero at every axis's Nyquist entry; gradients, divergences, curls and
   the divergence-free projection drop that content, while even operators
   (Laplacian powers, heat factors, Sobolev weights) keep ``(N/2)^2``.
+* Kernels: each operator formula has one home, which the public operators,
+  the solver and the diagnostics all call: ``_curl_spectra``, ``_cross``,
+  ``_laplacian_power`` and ``_gradient_samples``.
 """
 
 from __future__ import annotations
@@ -298,6 +301,33 @@ def _tail_check(spec: np.ndarray, grid: TorusGrid, op: str, reference: float) ->
         )
 
 
+def _curl_spectra(s, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three curl spectra of a vector field with component spectra ``s``."""
+    k = grid.kvec
+    return (
+        1j * (k[1] * s[2] - k[2] * s[1]),
+        1j * (k[2] * s[0] - k[0] * s[2]),
+        1j * (k[0] * s[1] - k[1] * s[0]),
+    )
+
+
+def _cross(a, b) -> list[np.ndarray]:
+    """Pointwise cross product of two three-component sample lists."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _laplacian_power(grid: TorusGrid, p: int) -> np.ndarray:
+    """The spectral factor (-|k|^2)^p of lap^p; the sign goes in as a scalar,
+    since numpy's pow on negative bases is slow."""
+    return (-1.0) ** p * grid.k_squared**p
+
+
+def _gradient_samples(v: VectorField, grid: TorusGrid, box: tuple | None = None) -> list[list[np.ndarray]]:
+    """Samples of d_j v_l (active j rows, components l as columns), by box
+    inverses when ``box`` is given."""
+    return [[_backward(1j * grid.kvec[j] * c.spectrum, grid, box) for c in v.components] for j in range(grid.dim)]
+
+
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     """Spectral partial derivative along ``axis`` (zero for inactive axes)."""
     grid = f.grid
@@ -333,13 +363,8 @@ def divergence(v: VectorField) -> ScalarField:
 
 def curl(v: VectorField) -> VectorField:
     grid = v.grid
-    k = grid.kvec
     s = [c.spectrum for c in v.components]
-    out = (
-        1j * (k[1] * s[2] - k[2] * s[1]),
-        1j * (k[2] * s[0] - k[0] * s[2]),
-        1j * (k[0] * s[1] - k[1] * s[0]),
-    )
+    out = _curl_spectra(s, grid)
     ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(sp, grid) for sp in s)
     for c in out:
         _tail_check(c, grid, "curl", ref)
@@ -360,8 +385,7 @@ def power_laplacian(f: ScalarField, exponent: int) -> ScalarField:
         raise ValueError("exponent must be a positive integer")
     grid = f.grid
     exponent = int(exponent)
-    # the sign goes in as a scalar: numpy's pow on negative bases is slow
-    spec = (-1.0) ** exponent * grid.k_squared**exponent * f.spectrum
+    spec = _laplacian_power(grid, exponent) * f.spectrum
     ref = grid.k_squared_max**exponent * _spectral_norm(f.spectrum, grid)
     _tail_check(spec, grid, "power_laplacian", ref)
     return ScalarField._adopt(grid, None, spec)
@@ -400,16 +424,7 @@ def project_divergence_free(v: VectorField) -> VectorField:
 
 
 def cross(a: VectorField, b: VectorField) -> VectorField:
-    av, bv = a.component_values(), b.component_values()
-    grid = a.grid
-    return VectorField.from_arrays(
-        grid,
-        [
-            av[1] * bv[2] - av[2] * bv[1],
-            av[2] * bv[0] - av[0] * bv[2],
-            av[0] * bv[1] - av[1] * bv[0],
-        ],
-    )
+    return VectorField.from_arrays(a.grid, _cross(a.component_values(), b.component_values()))
 
 
 # --------------------------------------------------------------------------

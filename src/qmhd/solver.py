@@ -23,6 +23,9 @@ forward transforms, like the velocity gradient's inverses, are box transforms
 (:mod:`qmhd.fields`).  Each iteration forms the magnetic midpoint field and
 the samples of its curl once: the residual reads them, and so does the next
 iteration's magnetic sweep, whose midpoint is the same field.
+``_reference_diffusivity`` is the one split of ``nu_b`` into the constant
+the magnetic sweep integrates exactly and its explicit remainder, and
+``cfl_report`` reads the same split.
 """
 
 from __future__ import annotations
@@ -52,8 +55,12 @@ from .fields import (
     ScalarField,
     VectorField,
     _backward,
+    _cross,
+    _curl_spectra,
     _dealiased_forward,
     _forward,
+    _gradient_samples,
+    _laplacian_power,
     divergence,
     integrate,
     l2_norm,
@@ -220,19 +227,20 @@ def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, u: VectorField, 
 def _curl_samples(B: VectorField) -> list[np.ndarray]:
     """Grid samples of curl B, one inverse transform per component."""
     grid = B.grid
-    k = grid.kvec
-    s = [c.spectrum for c in B.components]
-    return [
-        _backward(1j * (k[1] * s[2] - k[2] * s[1]), grid),
-        _backward(1j * (k[2] * s[0] - k[0] * s[2]), grid),
-        _backward(1j * (k[0] * s[1] - k[1] * s[0]), grid),
-    ]
+    return [_backward(c, grid) for c in _curl_spectra([c.spectrum for c in B.components], grid)]
 
 
 def _magnetic_midpoint(b_old: VectorField, b_new: VectorField) -> tuple[VectorField, list[np.ndarray]]:
     """The midpoint field of two levels and the samples of its curl."""
     mid = VectorField(b_old.grid, [_midpoint(o, n) for o, n in zip(b_old.components, b_new.components)])
     return mid, _curl_samples(mid)
+
+
+def _reference_diffusivity(rho_values: np.ndarray, phys: PhysParams) -> tuple[float, np.ndarray]:
+    """The reference nu_bar = mean nu_b(rho) and the remainder nu_b - nu_bar."""
+    nu_vals = magnetic_diffusivity(rho_values, phys)
+    nu_bar = float(nu_vals.mean())
+    return nu_bar, nu_vals - nu_bar
 
 
 def solve_magnetic_step(
@@ -256,32 +264,20 @@ def solve_magnetic_step(
     grid = B_old.grid
     if rho.values.min() < density_floor:
         raise DensityFloorViolation("magnetic solve: density below the floor")
-    nu_vals = magnetic_diffusivity(rho.values, phys)
-    nu_bar = float(nu_vals.mean())
-    nu_fluct = nu_vals - nu_bar
+    nu_bar, nu_fluct = _reference_diffusivity(rho.values, phys)
     full, half = _heat_factors(grid, nu_bar, dt)
 
     if mid is None:
         mid = _magnetic_midpoint(B_old, B_old if guess is None else guess)
     b_mid, curl_mid = mid
     spec_old = [c.spectrum for c in B_old.components]
-    bm = b_mid.component_values()
-    uvals = u.component_values()
-    k = grid.kvec
 
     # electromotive field u x B minus the variable-coefficient part of the
     # resistive term, nu' curl B, at the midpoint; the 2/3 mask is linear, so
     # one dealiased transform per component takes both
-    rhs = [
-        _dealiased_forward(uvals[1] * bm[2] - uvals[2] * bm[1] - nu_fluct * curl_mid[0], grid),
-        _dealiased_forward(uvals[2] * bm[0] - uvals[0] * bm[2] - nu_fluct * curl_mid[1], grid),
-        _dealiased_forward(uvals[0] * bm[1] - uvals[1] * bm[0] - nu_fluct * curl_mid[2], grid),
-    ]
-    curl_rhs = [
-        1j * (k[1] * rhs[2] - k[2] * rhs[1]),
-        1j * (k[2] * rhs[0] - k[0] * rhs[2]),
-        1j * (k[0] * rhs[1] - k[1] * rhs[0]),
-    ]
+    emf = _cross(u.component_values(), b_mid.component_values())
+    rhs = [_dealiased_forward(e - nu_fluct * c, grid) for e, c in zip(emf, curl_mid)]
+    curl_rhs = _curl_spectra(rhs, grid)
     spec_new = [full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
     return project_divergence_free(VectorField(grid, [ScalarField._adopt(grid, None, s) for s in spec_new]))
 
@@ -323,17 +319,10 @@ def momentum_residual(
 
     # velocity gradient d_j u_l for active j; the reconstructed velocity
     # carries its spectra
-    du = [[_backward(1j * k[j] * c.spectrum, grid, box) for c in u.components] for j in range(dim)]
+    du = _gradient_samples(u, grid, box)
 
     # body force G_l, accumulated on the grid: the Lorentz force (curl B) x B,
-    cb = _curl_samples(B) if curl_b is None else curl_b
-    bvals = B.component_values()
-    body = [
-        cb[1] * bvals[2] - cb[2] * bvals[1],
-        cb[2] * bvals[0] - cb[0] * bvals[2],
-        cb[0] * bvals[1] - cb[1] * bvals[0],
-    ]
-    del cb
+    body = _cross(_curl_samples(B) if curl_b is None else curl_b, B.component_values())
     # minus epsilon (grad rho . grad) u_l,
     if reg.epsilon:
         for j in range(dim):
@@ -344,7 +333,7 @@ def momentum_residual(
     # in component a, - delta < lap^s d_a P(rho e_i), lap^(s+1) rho > equals
     # - delta < rho g_a, e_i > with g_a = -d_a P lap^(2s+1) rho (P = 2/3 mask)
     if reg.delta:
-        cap_spec = np.where(grid.dealias_mask, -grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
+        cap_spec = np.where(grid.dealias_mask, _laplacian_power(grid, 2 * reg.s + 1) * rho.spectrum, 0.0)
         for a in range(dim):
             body[a] -= reg.delta * rvals * _backward(-1j * k[a] * cap_spec, grid)
     force = [_forward(g, grid, box) for g in body]
@@ -507,6 +496,21 @@ class Trajectory:
         return worst
 
 
+def step_count(t0: float, t_end: float, dt: float, every: int = 1) -> int:
+    """The number of steps of ``dt`` from ``t0`` to ``t_end``.  Raises
+    ValueError unless it is whole and a multiple of ``every``, so that
+    samples every ``every`` steps are uniform and the last is at ``t_end``."""
+    span = t_end - t0
+    if span < 0:
+        raise ValueError(f"t_end={t_end!r} precedes the initial time {t0!r}")
+    nsteps = int(round(span / dt))
+    if abs(nsteps * dt - span) > 1e-8 * max(abs(span), dt):
+        raise ValueError(f"t_end - t0 = {span!r} is not a whole number of steps of dt={dt!r}")
+    if every < 1 or nsteps % every:
+        raise ValueError(f"the {nsteps} steps to t_end are not a multiple of the sampling cadence {every}")
+    return nsteps
+
+
 def run_simulation(
     initial: State,
     phys: PhysParams,
@@ -514,25 +518,22 @@ def run_simulation(
     t_end: float,
     *,
     sample_every: int = 1,
-    snapshot_writer: Callable[[State, int], None] | None = None,
+    on_step: Callable[[int, State, StepInfo | None], None] | None = None,
 ) -> Trajectory:
     """March from ``initial.time`` to ``t_end`` in fixed steps of ``reg.dt``,
-    sampling every ``sample_every`` steps (the initial state is always the
-    first sample).  Deterministic for a fixed configuration."""
-    span = t_end - initial.time
-    if span < 0:
-        raise ValueError("t_end must not precede the initial time")
-    nsteps = int(round(span / reg.dt))
-    if abs(nsteps * reg.dt - span) > 1e-8 * max(abs(span), reg.dt):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
-
+    sampling every ``sample_every`` steps, which must divide the step count
+    (``step_count``): the initial state is the first sample and the state at
+    ``t_end`` the last.  ``on_step(step, state, info)`` sees the initial
+    state (step 0, no info) and each state that passed the step's checks.
+    Deterministic for a fixed configuration."""
+    nsteps = step_count(initial.time, t_end, reg.dt, sample_every)
     mass0 = initial.mass
     state = initial
     times = [state.time]
     states = [state]
     infos: list[StepInfo] = []
-    if snapshot_writer is not None:
-        snapshot_writer(state, 0)
+    if on_step is not None:
+        on_step(0, state, None)
 
     for step in range(1, nsteps + 1):
         state, info = advance_step(state, phys, reg)
@@ -548,8 +549,8 @@ def run_simulation(
         if step % sample_every == 0:
             times.append(state.time)
             states.append(state)
-        if snapshot_writer is not None and step % sample_every == 0:
-            snapshot_writer(state, step)
+        if on_step is not None:
+            on_step(step, state, info)
 
     return Trajectory(times, states, infos, reg.dt, sample_every, phys, reg)
 
@@ -561,8 +562,7 @@ def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, floa
     umax = max(float(np.max(np.abs(c))) for c in state.u.component_values())
     kmax2 = grid.k_squared_max
     kb = float(np.sqrt(np.max(state.basis.eigen_k2))) if state.basis.n else 0.0
-    nu_vals = magnetic_diffusivity(state.rho.values, phys)
-    nu_bar = float(nu_vals.mean())
+    nu_bar, nu_fluct = _reference_diffusivity(state.rho.values, phys)
     rho_bar = float(state.rho.values.mean())
     sound = float(
         np.sqrt(phys.gamma * rho_bar ** (phys.gamma - 1.0) + cold_pressure_derivative(rho_bar, phys))
@@ -571,7 +571,7 @@ def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, floa
         "advective": umax * reg.dt / dx,
         "density_diffusion_exact": reg.epsilon * kmax2 * reg.dt,
         "magnetic_mean_exact": nu_bar * kmax2 * reg.dt,
-        "magnetic_fluctuation": float(np.max(np.abs(nu_vals - nu_bar))) * kmax2 * reg.dt,
+        "magnetic_fluctuation": float(np.max(np.abs(nu_fluct))) * kmax2 * reg.dt,
         "hyperviscous_midpoint": reg.eta * kb**4 * reg.dt,
         "acoustic": sound * kb * reg.dt,
         "capillary_wave": float(np.sqrt(reg.delta * rho_bar)) * kb ** (2 * reg.s + 2) * reg.dt,

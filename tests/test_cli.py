@@ -115,8 +115,11 @@ def test_bad_config_exit_code(tmp_path):
         ("[physics]\ngamma = nan\n", "PhysParams: gamma must be finite"),
         ("[regularization]\ndt = inf\n", "RegParams: dt must be finite"),
         ("[grid]\npoints = 8\nmodes = 5000\n", "grid.modes: exceeds the 15 dealias-resolved modes on this grid (line 3)"),
+        # 6 steps with a row every 4 would end the run's samples at t = 0.004
+        ("[regularization]\nt_end = 0.006\n[output]\ndiagnostics_every = 4\n",
+         "output.diagnostics_every: must divide the 6 steps to t_end (line 4)"),
     ],
-    ids=["nan_gamma", "infinite_dt", "unresolvable_modes"],
+    ids=["nan_gamma", "infinite_dt", "unresolvable_modes", "rows_miss_t_end"],
 )
 def test_unusable_config_is_a_config_error(tmp_path, capsys, text, message):
     cfg = _write(tmp_path, "bad.cfg", text)
@@ -210,6 +213,55 @@ def test_numerical_failure_exit_code(tmp_path):
     ).replace("picard_tol = 1e-11", "picard_tol = 1e-11\npicard_max_iters = 10")
     (tmp_path / "blow.cfg").write_text(text)
     assert main(["run", str(tmp_path / "blow.cfg")]) == 3
+    # the row written before the failing step stays on disk
+    lines = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
+    assert lines[0].startswith("time,") and len(lines) == 2
+    assert float(lines[1].split(",")[0]) == 0.0
+
+
+def _run_cfg(out, t_end, snapshot_every, diagnostics_every):
+    return (
+        RUN_CFG.format(out=out)
+        .replace("t_end = 0.005", f"t_end = {t_end}")
+        .replace("snapshot_every = 5", f"snapshot_every = {snapshot_every}")
+        .replace("diagnostics_every = 1", f"diagnostics_every = {diagnostics_every}")
+    )
+
+
+def test_snapshots_follow_their_own_cadence_and_finals_are_at_t_end(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "run.cfg", _run_cfg(out, 0.006, 3, 2))]) == 0
+    stamps = sorted(p.name for p in out.glob("rho_0*.qmhd"))
+    assert stamps == ["rho_00000000.qmhd", "rho_00000003.qmhd", "rho_00000006.qmhd"]
+    assert read_snapshot(out / "rho_00000003.qmhd")[1] == pytest.approx(0.003)
+    times = [line.split(",")[0] for line in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert [float(t) for t in times] == pytest.approx([0.0, 0.002, 0.004, 0.006])
+    for name in ("rho", "velocity", "magnetic"):
+        assert read_snapshot(out / f"{name}_final.qmhd")[1] == pytest.approx(0.006)
+
+
+@pytest.mark.parametrize(
+    "t0, every, message",
+    [(0.0015, 1, "is not a whole number of steps"), (0.002, 2, "the 3 steps to t_end are not a multiple of the sampling cadence 2")],
+    ids=["off_the_dt_grid", "rows_miss_t_end"],
+)
+def test_snapshot_initial_time_is_checked_before_any_output(tmp_path, capsys, t0, every, message):
+    from qmhd import TorusGrid
+    from qmhd.experiments import benchmark_fields
+    from qmhd.snapshots import write_snapshot
+
+    fields = dict(zip(("rho", "velocity", "magnetic"), benchmark_fields("density_bump", TorusGrid((32,)))))
+    initial = "[initial]\n"
+    for name, field in fields.items():
+        write_snapshot(tmp_path / f"{name}.qmhd", field, t0)
+        initial += f"{name}_path = {tmp_path / name}.qmhd\n"
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "late.cfg", _run_cfg(out, 0.005, 0, every) + initial)
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # a valid manifest; each case below breaks one line of it (dt is on line 11)
@@ -239,6 +291,7 @@ dt = 0.001
         ("points = 32", "points = 32\nworkers = 0", "sweep.workers: must be at least 1"),
         ("kappa\nvalues = 0.1, 0.05, 0", "n\nvalues = 3, 5.7, 9", "mode counts must be integers"),
         ("points = 32", "points = 32\nsample_every = 0", "sweep.sample_every: must be at least 1"),
+        ("points = 32", "points = 32\nsample_every = 3", "sweep.sample_every: must divide the 4 steps to t_end (line 5)"),
         ("t_end = 0.004", "t_end = 0.0045", "sweep.t_end: must be an integer number of dt steps"),
         ("points = 32", "points = 32\nseed = -1", "sweep.seed: must be nonnegative"),
         ("modes = 6", "modes = 64", "sweep.modes: exceeds the 63 dealias-resolved modes on this grid (line 5)"),
@@ -250,7 +303,7 @@ dt = 0.001
         ("points = 32", "points = 32\neta_coeff = nan", "sweep.eta_coeff: must be finite (line 5)"),
     ],
     ids=["typo_line_11", "repeated_key", "two_rungs", "non_numeric_rung", "odd_points",
-         "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "partial_step", "negative_seed",
+         "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "sampling_misses_t_end", "partial_step", "negative_seed",
          "unresolvable_modes", "unresolvable_mode_rung", "infinite_rung", "nan_dt", "infinite_kappa", "nan_coupling"],
 )
 def test_bad_manifest_is_a_config_error_before_any_output(tmp_path, capsys, old, new, message):

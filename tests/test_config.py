@@ -133,6 +133,20 @@ def test_t_end_must_divide():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "every, message",
+    [(0, "must be at least 1"), (4, "must divide the 6 steps to t_end")],
+    ids=["zero", "misses_t_end"],
+)
+def test_diagnostics_cadence_must_divide_the_steps(every, message):
+    # rows at a cadence that does not divide the steps would end short of t_end
+    text = f"[regularization]\ndt = 0.001\nt_end = 0.006\n[output]\ndiagnostics_every = {every}\n"
+    with pytest.raises(ValidationError, match=f"output.diagnostics_every: {message}") as err:
+        parse_config_text(text)
+    assert err.value.line == 5
+    assert parse_config_text(text.replace(f"every = {every}", "every = 3")).diagnostics_every == 3
+
+
 def test_missing_snapshot_paths_rejected(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = MINIMAL + "[initial]\nrho_path = nowhere.qmhd\nvelocity_path = a\nmagnetic_path = b\n"

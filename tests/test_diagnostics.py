@@ -532,6 +532,17 @@ def test_diagnostics_writer_roundtrip(tmp_path):
         assert key in header
 
 
+def test_rows_reach_the_file_as_they_are_written(tmp_path):
+    # a run that fails later keeps every row written before the failure
+    grid = TorusGrid((32,))
+    reg = RegParams(epsilon=0.01, dt=1e-3)
+    state = _mini_benchmark(grid, GalerkinBasis.lowest_modes(grid, 6), reg)
+    path = tmp_path / "diag.csv"
+    with DiagnosticsWriter(path, PhysParams(kappa=0.1), reg) as writer:
+        writer.write_row(state)
+        assert len(path.read_text().splitlines()) == 2
+
+
 # (grid shape, velocity modes) -> transforms of one CSV row: the monitor,
 # energy and dissipation reports share sqrt(rho) and the velocity gradient,
 # whose 3d inverses run on the basis's box

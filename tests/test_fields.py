@@ -393,6 +393,22 @@ def test_fields_is_the_only_transform_home():
     assert sorted(set(calls)) == ["fft", "ifft", "irfft", "irfftn", "rfft", "rfftn"]
 
 
+def test_operator_formulas_have_one_home():
+    # the index pattern of curls and cross products and the powers of |k|^2
+    # are written in fields' kernels only; every other module calls them
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmhd"
+    pattern = re.compile(r"\w+\[1\]\s*\*\s*\w+\[2\]\s*-\s*\w+\[2\]\s*\*\s*\w+\[1\]|k_squared\s*\*\*")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "fields.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+    assert pattern.search((src / "fields.py").read_text())
+
+
 @pytest.mark.parametrize("shape, n_modes", [((64,), 21), ((32, 32), 60), ((16, 16, 16), 81)])
 @pytest.mark.parametrize("nyquist", [False, True], ids=["basis_box", "with_nyquist"])
 def test_box_transforms_are_bitwise_the_full_transforms(shape, n_modes, nyquist):

@@ -723,6 +723,58 @@ def test_run_simulation_requires_integer_steps():
         run_simulation(state, phys, reg, 0.0015)
 
 
+def test_run_simulation_samples_end_at_t_end():
+    # a cadence that does not divide the step count would leave the last
+    # sample short of t_end, so it is refused
+    grid, basis = _default_setup()
+    phys, reg = PhysParams(), RegParams(dt=1e-3)
+    state = _benchmark_state(grid, basis, reg)
+    for every in (0, 4):
+        with pytest.raises(ValueError, match=f"sampling cadence {every}$"):
+            run_simulation(state, phys, reg, 0.006, sample_every=every)
+    seen = []
+    traj = run_simulation(state, phys, reg, 0.006, sample_every=3, on_step=lambda *call: seen.append(call))
+    # the hook sees the initial state and every step's state, sampled or not
+    assert [step for step, _, _ in seen] == list(range(7))
+    assert seen[0][2] is None and all(info is i for (_, _, info), i in zip(seen[1:], traj.step_infos))
+    assert traj.states == [seen[k][1] for k in (0, 3, 6)]
+    assert traj.final_state.time == pytest.approx(0.006)
+
+
+def test_cfl_report_and_every_magnetic_sweep_share_one_reference_diffusivity(monkeypatch):
+    import qmhd.solver as solver
+
+    grid, basis = _default_setup()
+    # rho stays below the threshold, so nu_b(rho) varies about its mean
+    phys = PhysParams(kappa=0.1, resistivity=ResistivityParams(threshold=2.0))
+    reg = RegParams(epsilon=0.02, eta=1e-3, dt=1e-3)
+    state = _benchmark_state(grid, basis, reg)
+    reference, sweep = solver._reference_diffusivity, solver.solve_magnetic_step
+    calls = {"reference": 0, "sweep": 0}
+
+    def counted_reference(*args):
+        calls["reference"] += 1
+        return reference(*args)
+
+    def counted_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_reference_diffusivity", counted_reference)
+    monkeypatch.setattr(solver, "solve_magnetic_step", counted_sweep)
+    report = cfl_report(state, phys, reg)
+    assert calls == {"reference": 1, "sweep": 0}
+    _, info = advance_step(state, phys, reg)
+    assert calls == {"reference": 1 + info.picard_iters, "sweep": info.picard_iters}
+
+    nu = magnetic_diffusivity(state.rho.values, phys)
+    nu_bar, remainder = reference(state.rho.values, phys)
+    assert nu_bar == float(nu.mean()) and np.array_equal(remainder, nu - nu_bar)
+    kmax2 = grid.k_squared_max
+    assert report["magnetic_mean_exact"] == nu_bar * kmax2 * reg.dt
+    assert report["magnetic_fluctuation"] == float(np.max(np.abs(remainder))) * kmax2 * reg.dt
+
+
 def test_constant_state_diagnostics_constant_over_run():
     grid, basis = _default_setup()
     phys = PhysParams(kappa=0.2)
