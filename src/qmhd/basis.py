@@ -15,7 +15,9 @@ residual is a projection as well (:func:`qmhd.solver.momentum_residual`).
 
 Modes of different Cartesian components are L2-orthogonal under any
 weight, so the Gram matrix is block diagonal, one block per component;
-``gram_blocks`` assembles the three blocks as one ``(3, m, m)`` stack.
+``gram_blocks`` assembles the three blocks as one ``(3, m, m)`` stack, and
+``apply_blocks`` multiplies by it; the time step reads the Gram matrix only
+as blocks, and the n x n ``gram`` serves ``qmhd check`` and the tests.
 :class:`MassOperator` is the one place the velocity system is factored: the
 Gram blocks plus an optional nonnegative diagonal shift, which the time step
 uses for the implicit half of the hyperviscous midpoint, each block an SPD
@@ -213,6 +215,13 @@ class GalerkinBasis:
         g[pad_comp, pad_row, pad_row] = 1.0
         return g
 
+    def apply_blocks(self, blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """``unblock(blocks) @ coeffs``, one ``(m, m)`` product per component block."""
+        comp, row = self._slots
+        x = np.zeros(blocks.shape[:2])
+        x[comp, row] = coeffs
+        return (blocks @ x[..., None])[comp, row, 0]
+
     def unblock(self, blocks: np.ndarray) -> np.ndarray:
         """The n x n matrix of a ``(3, m, m)`` block stack, zero between components."""
         g = np.zeros((self.n, self.n))
@@ -253,9 +262,9 @@ class MassOperator:
     hyperviscous midpoint, zero by default).  It is held as its component
     blocks (:meth:`GalerkinBasis.gram_blocks`), one SPD system each, checked
     once by a stacked Cholesky (a non-finite entry is a ValueError, an
-    indefinite block :class:`SingularMass`) and solved by stacked
-    ``numpy.linalg.solve``; the full n x n ``matrix`` is built only when
-    read."""
+    indefinite block :class:`SingularMass`), solved by stacked
+    ``numpy.linalg.solve`` and applied block by block; the full n x n
+    ``matrix`` is built only when read."""
 
     def __init__(self, basis: GalerkinBasis, rho: ScalarField, shift: np.ndarray | float = 0.0):
         self.basis = basis
@@ -277,7 +286,7 @@ class MassOperator:
         return self.basis.unblock(self.blocks)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(coeffs, dtype=np.float64)
+        return self.basis.apply_blocks(self.blocks, np.asarray(coeffs, dtype=np.float64))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         comp, row = self.basis._slots

@@ -89,8 +89,12 @@ def cmd_run(args) -> int:
 
     final = traj.final_state
     write_snapshots(final, "final")
+    steps = max(len(traj.step_infos), 1)
+    iters = sum(i.picard_iters for i in traj.step_infos) / steps
+    sweeps = sum(i.full_sweeps for i in traj.step_infos) / steps
     print(f"finished at t={final.time:.6f}; min rho={final.rho.values.min():.6e}; "
-          f"worst contraction ratio={traj.max_contraction_ratio():.3f}")
+          f"worst contraction ratio={traj.max_contraction_ratio():.3f}; "
+          f"per step {iters:.2f} Picard iterations, {sweeps:.2f} full sweeps")
     print(f"wrote {out}/diagnostics.csv and final snapshots")
     return 0
 

@@ -24,7 +24,7 @@ from .basis import max_mode_count
 from .constitutive import PhysParams
 from .errors import ParseError, ValidationError
 from .experiments import BENCHMARK_NAMES, Coupling, SweepSpec
-from .solver import RegParams
+from .solver import RegParams, step_count
 
 
 def ints(raw: str) -> tuple[int, ...]:
@@ -245,10 +245,14 @@ def _check_shared(require, dim: int, shape: tuple, modes: int, benchmark: str | 
     if benchmark is not None:
         require(benchmark in BENCHMARK_NAMES, "benchmark", f"must be one of {', '.join(BENCHMARK_NAMES)}")
     require(0 <= t_end < math.inf, "t_end", "must be finite and nonnegative")
-    steps = t_end / dt
-    require(abs(steps - round(steps)) <= 1e-8 * max(steps, 1.0), "t_end", "must be an integer number of dt steps")
+    # run_simulation's own rule, so the parser accepts exactly the runs it makes
+    try:
+        steps = step_count(0.0, t_end, dt)
+    except ValueError:
+        steps = None
+    require(steps is not None, "t_end", "must be an integer number of dt steps")
     require(seed >= 0, "seed", "must be nonnegative")
-    return round(steps)
+    return steps
 
 
 _SNAPSHOT_PATHS = ("rho_path", "velocity_path", "magnetic_path")

@@ -8,8 +8,15 @@ hyperviscous term is taken at the midpoint inside the velocity solve, and
 every remaining nonlinearity is evaluated at the iterated midpoint state.
 Each iteration sweeps the density, the magnetic field and the velocity once,
 and the loop stops when their largest relative update is below
-``picard_tol``; the density corridor is checked on the converged step.  The
-velocity sweep is one factored system per iteration, the density-weighted
+``picard_tol``; the density corridor is checked on the converged step.  A
+run carries the level before from one step to the next as a starting guess
+only: the loop starts from the extrapolation ``2 x_n - x_(n-1)``.  Once the
+density and the velocity have converged, the iterations that follow keep
+the density sweep, the momentum force less its Lorentz part and the velocity
+system, and sweep the magnetic field alone, with the Lorentz force it drives
+and the velocity solve, since B, whose diffusivity ``nu_b(rho)`` is split
+into an exact and an explicit part, is often the last block to converge.  The
+velocity sweep is one factored system per full sweep, the density-weighted
 Gram matrix of the new density plus the implicit hyperviscous half
 ``1/2 h eta |k|^4`` on its diagonal (zero when eta = 0).  The
 converged map is second-order accurate and time-reversible, which is what
@@ -125,9 +132,14 @@ class StepInfo:
 
     ``update_norms`` holds, per iteration, the largest relative update of the
     velocity coefficients, the density and the magnetic field, and
-    ``contraction_ratios`` the ratios of consecutive ones."""
+    ``contraction_ratios`` the ratios of consecutive ones.  ``full_sweeps``
+    counts the iterations that swept the density, formed the momentum force
+    and built the velocity system; the others (``picard_iters -
+    full_sweeps``) kept them and swept the magnetic field alone, and their
+    kept density counts as a zero update in ``update_norms``."""
 
     picard_iters: int
+    full_sweeps: int
     update_norms: list[float]
     contraction_ratios: list[float]
     corridor_margin: float
@@ -378,64 +390,103 @@ def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
     return ScalarField._adopt(a.grid, 0.5 * (a.values + b.values), 0.5 * (a.spectrum + b.spectrum))
 
 
+def _extrapolated(a: ScalarField, b: ScalarField) -> ScalarField:
+    """``2 a - b``, the level after ``a`` on the line through ``b`` and ``a``,
+    values and spectra both."""
+    return ScalarField._adopt(a.grid, 2.0 * a.values - b.values, 2.0 * a.spectrum - b.spectrum)
+
+
+def _lorentz_entries(basis: GalerkinBasis, b: VectorField, curl_b: list[np.ndarray]) -> np.ndarray:
+    """The Lorentz force ``(curl B) x B`` tested against every basis mode:
+    the part of :func:`momentum_residual` that a magnetic-only iteration
+    redoes, one box forward per component."""
+    return basis.project_force_spectra([_forward(g, b.grid, basis.box) for g in _cross(curl_b, b.component_values())])
+
+
 def advance_step(
     state: State,
     phys: PhysParams,
     reg: RegParams,
     *,
     dt: float | None = None,
+    previous: State | None = None,
 ) -> tuple[State, StepInfo]:
     """One time step of the coupled system via the fixed-point loop: each
     iteration sweeps the density, then the magnetic field, then solves the
     shifted velocity system ``MassOperator(basis, rho_new, shift)``, until
     the largest relative update of the three is below ``picard_tol``.  At
     the fixed point the shift cancels, so the step satisfies
-    ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.  Raises
-    :class:`PicardDivergence` when the iteration stops contracting (halve dt
-    and retry) and :class:`MaximumPrincipleViolation` when the converged
-    density leaves the corridor."""
+    ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.
+
+    ``previous``, the level one step of ``dt`` before ``state``, serves only
+    as a starting guess: the loop starts from the linear extrapolation
+    ``2 x_n - x_(n-1)`` of lambda, rho and B, and without it from ``x_n``.
+    Once an iteration's density and velocity updates are both at most
+    ``picard_tol``, the loop keeps that iteration's density sweep,
+    midpoints, momentum force less its Lorentz part and velocity system, and
+    the following iterations sweep the magnetic field, redo the Lorentz
+    force and solve for the velocity alone, until a velocity update exceeds
+    ``picard_tol`` again.  Raises :class:`PicardDivergence` when the
+    iteration stops contracting (halve dt and retry) and
+    :class:`MaximumPrincipleViolation` when the converged density leaves the
+    corridor."""
     basis = state.basis
     h = reg.dt if dt is None else dt
     lam_old = state.velocity.values
     rho_old = state.rho
     b_old = state.magnetic
 
-    rhs_base = basis.gram(rho_old) @ lam_old
+    rhs_base = basis.apply_blocks(basis.gram_blocks(rho_old), lam_old)
     # the implicit half of the hyperviscous midpoint -eta |k|^4 lambda_mid:
     # unconditionally stable for arbitrarily stiff eta |k|^4
     shift = (0.5 * h * reg.eta) * basis.eigen_k2**2
 
-    lam_k = lam_old.copy()
-    rho_new = rho_old
-    b_new = b_old
+    if previous is None:
+        lam_k = lam_old.copy()
+        rho_new = rho_old
+        b_new = b_old
+    else:
+        lam_k = 2.0 * lam_old - previous.velocity.values
+        rho_new = _extrapolated(rho_old, previous.rho)
+        b_prev = previous.magnetic.components
+        b_new = VectorField(b_old.grid, [_extrapolated(a, b) for a, b in zip(b_old.components, b_prev)])
     b_mid = _magnetic_midpoint(b_old, b_new)
     update_norms: list[float] = []
     ratios: list[float] = []
+    full_sweeps = 0
+    magnetic_only = False
 
     for _ in range(reg.picard_max_iters):
-        lam_mid = 0.5 * (lam_old + lam_k)
-        vel_mid = VelocityCoeffs(basis, lam_mid)
-        u_mid = vel_mid.field
         # each update is measured as it is made, so no earlier iterate is held
-        rho_next = solve_density_step(
-            rho_old, u_mid, reg.epsilon, h, density_floor=reg.density_floor, guess=rho_new
-        )
-        upd = _relative_update([rho_next.values], [rho_new.values])
-        rho_new = rho_next
-        rho_mid = _midpoint(rho_old, rho_new)
+        if magnetic_only:
+            rho_upd = 0.0  # the kept density sweep
+        else:
+            full_sweeps += 1
+            vel_mid = VelocityCoeffs(basis, 0.5 * (lam_old + lam_k))
+            u_mid = vel_mid.field
+            rho_next = solve_density_step(
+                rho_old, u_mid, reg.epsilon, h, density_floor=reg.density_floor, guess=rho_new
+            )
+            rho_upd = _relative_update([rho_next.values], [rho_new.values])
+            rho_new = rho_next
+            rho_mid = _midpoint(rho_old, rho_new)
         b_next = solve_magnetic_step(
             b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, mid=b_mid
         )
-        upd = max(upd, _relative_update(b_next.component_values(), b_new.component_values()))
+        b_upd = _relative_update(b_next.component_values(), b_new.component_values())
         b_new = b_next
         # the residual and the next iteration's sweep share this midpoint
         b_mid = _magnetic_midpoint(b_old, b_new)
-        n_mid = momentum_residual(rho_mid, vel_mid, b_mid[0], phys, reg, curl_b=b_mid[1])
+        if magnetic_only:
+            n_mid = n_rest + _lorentz_entries(basis, *b_mid)
+        else:
+            n_mid = momentum_residual(rho_mid, vel_mid, b_mid[0], phys, reg, curl_b=b_mid[1])
+            mass = MassOperator(basis, rho_new, shift)
 
-        lam_next = MassOperator(basis, rho_new, shift).solve(rhs_base + h * n_mid + shift * lam_k)
-
-        upd = max(upd, _relative_update([lam_next], [lam_k]))
+        lam_next = mass.solve(rhs_base + h * n_mid + shift * lam_k)
+        lam_upd = _relative_update([lam_next], [lam_k])
         lam_k = lam_next
+        upd = max(rho_upd, b_upd, lam_upd)
         if update_norms and update_norms[-1] > 100.0 * np.finfo(float).eps:
             ratios.append(upd / update_norms[-1])
         update_norms.append(upd)
@@ -446,6 +497,13 @@ def advance_step(
                 raise PicardDivergence(
                     f"fixed-point updates stopped contracting (ratio {ratios[-1]:.3f}); halve dt"
                 )
+        if lam_upd > reg.picard_tol:
+            magnetic_only = False
+        elif not magnetic_only and rho_upd <= reg.picard_tol:
+            # only B is still moving: keep the density sweep, the midpoints,
+            # the velocity system and the force less its Lorentz part
+            magnetic_only = True
+            n_rest = n_mid - _lorentz_entries(basis, *b_mid)
     else:
         raise PicardDivergence(
             f"no fixed-point convergence in {reg.picard_max_iters} iterations; halve dt"
@@ -460,6 +518,7 @@ def advance_step(
     new_state = State(state.time + h, rho_new, VelocityCoeffs(basis, lam_k), b_new)
     info = StepInfo(
         picard_iters=len(update_norms),
+        full_sweeps=full_sweeps,
         update_norms=update_norms,
         contraction_ratios=ratios,
         corridor_margin=margin,
@@ -535,8 +594,10 @@ def run_simulation(
     if on_step is not None:
         on_step(0, state, None)
 
+    previous = None
     for step in range(1, nsteps + 1):
-        state, info = advance_step(state, phys, reg)
+        new, info = advance_step(state, phys, reg, previous=previous)
+        previous, state = state, new
         infos.append(info)
 
         drift = abs(state.mass - mass0) / max(abs(mass0), 1e-300)

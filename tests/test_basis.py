@@ -186,6 +186,9 @@ def test_block_solve_matches_dense_solve(shape, n, rng):
     assert np.linalg.norm(x - dense) <= 1e-13 * np.linalg.norm(dense)
     residual = np.linalg.norm(op.matrix @ x - b)
     assert residual <= 10 * n * np.finfo(float).eps * np.linalg.norm(op.matrix, 2) * np.linalg.norm(x)
+    # the product, too, runs one block at a time
+    dense = op.matrix @ b
+    assert np.linalg.norm(op.apply(b) - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_singular_mass_when_one_component_block_is_indefinite(grid1d):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -52,6 +53,9 @@ def test_run_subcommand_and_outputs(tmp_path, capsys):
     assert main(["run", cfg]) == 0
     captured = capsys.readouterr().out
     assert "finished at t=" in captured
+    # the closing line says how the steps converged
+    iters, sweeps = map(float, re.search(r"per step (\S+) Picard iterations, (\S+) full sweeps", captured).groups())
+    assert 1.0 <= sweeps <= iters
     assert (out / "diagnostics.csv").exists()
     assert (out / "config_echo.cfg").exists()
     assert (out / "rho_final.qmhd").exists()
@@ -103,7 +107,9 @@ def test_paths_are_read_relative_to_the_working_directory(tmp_path, monkeypatch)
     assert main(["run", "later/config_echo.cfg"]) == 0
 
 
-def test_bad_config_exit_code(tmp_path):
+def test_bad_config_exit_code(tmp_path, monkeypatch):
+    # the config's default directory is relative: keep any output in tmp_path
+    monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "bad.cfg", "[grid]\npoints = 32\nbogus = 1\n")
     assert main(["check", cfg]) == 2
     assert main(["run", cfg]) == 2
@@ -121,7 +127,9 @@ def test_bad_config_exit_code(tmp_path):
     ],
     ids=["nan_gamma", "infinite_dt", "unresolvable_modes", "rows_miss_t_end"],
 )
-def test_unusable_config_is_a_config_error(tmp_path, capsys, text, message):
+def test_unusable_config_is_a_config_error(tmp_path, monkeypatch, capsys, text, message):
+    # the config's default directory is relative: keep any output in tmp_path
+    monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "bad.cfg", text)
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import os
 import re
 
+import numpy as np
 import pytest
 
 from qmhd.config import RunConfig, canonical_text, parse_config, parse_config_text
@@ -131,6 +132,38 @@ def test_t_end_must_divide():
     text = "[grid]\npoints = 32\n[regularization]\ndt = 0.001\nt_end = 0.0015\n"
     with pytest.raises(ValidationError):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "dt, t_end",
+    # 3 and 10 steps just inside and just outside the 1e-8 rule, where a
+    # rule written twice gave the two verdicts apart
+    [(1e-3, 0.0030000000300000004), (1e-2, 0.100000001), (1e-3, 0.003), (1e-3, 0.0015)],
+    ids=["edge_3_steps", "edge_10_steps", "whole", "half_step"],
+)
+def test_parser_and_run_share_the_step_grid_rule(dt, t_end):
+    from qmhd import GalerkinBasis, PhysParams, RegParams, TorusGrid, initial_state, run_simulation
+    from qmhd.fields import ScalarField, VectorField
+
+    text = f"[grid]\npoints = 16\nmodes = 3\n[regularization]\ndt = {dt!r}\nt_end = {t_end!r}\n"
+    try:
+        parse_config_text(text)
+        parsed = True
+    except ValidationError as exc:
+        assert str(exc) == "regularization.t_end: must be an integer number of dt steps (line 6)"
+        parsed = False
+    grid = TorusGrid((16,))
+    reg = RegParams(dt=dt)
+    state = initial_state(
+        ScalarField(grid, np.ones(grid.shape)), VectorField.zero(grid), VectorField.zero(grid),
+        GalerkinBasis.lowest_modes(grid, 3), reg,
+    )
+    try:
+        run_simulation(state, PhysParams(), reg, t_end)
+        ran = True
+    except ValueError:
+        ran = False
+    assert parsed == ran
 
 
 @pytest.mark.parametrize(

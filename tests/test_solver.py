@@ -617,8 +617,8 @@ def test_run_simulation_invariants_and_determinism():
 
 
 def test_one_mass_operator_per_picard_iteration(monkeypatch):
-    # each fixed-point iteration factors one velocity system, and nothing is
-    # handed from one step to the next
+    # each full sweep factors one velocity system, a magnetic-only iteration
+    # reuses it, and only the level before is handed from one step to the next
     grid, basis = _default_setup()
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=0.02, eta=1e-3, delta=1e-3, dt=1e-3)
@@ -634,14 +634,163 @@ def test_one_mass_operator_per_picard_iteration(monkeypatch):
     monkeypatch.setattr(MassOperator, "__init__", counting)
     traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.003)
     assert len(traj.step_infos) == 3
-    assert len(built) == sum(info.picard_iters for info in traj.step_infos)
-    # stepping states built afresh gives the same run, bit for bit
-    state = traj.states[0]
+    assert len(built) == sum(info.full_sweeps for info in traj.step_infos)
+    # stepping states built afresh, each with the level before, gives the
+    # same run, bit for bit
+    state, previous = traj.states[0], None
     for s in fresh.states[1:]:
-        state, _ = advance_step(State(state.time, state.rho, state.velocity, state.magnetic), phys, reg)
+        afresh = State(state.time, state.rho, state.velocity, state.magnetic)
+        state, _ = advance_step(afresh, phys, reg, previous=previous)
+        previous = afresh
         assert np.array_equal(state.rho.values, s.rho.values)
         assert np.array_equal(state.velocity.values, s.velocity.values)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(state.magnetic.components, s.magnetic.components))
+
+
+def _benchmark_physics():
+    return PhysParams(kappa=0.1), RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+
+
+def _relative_distance(a: State, b: State) -> float:
+    """Largest relative l2 distance of lambda, rho and B between two states."""
+    pairs = [([a.velocity.values], [b.velocity.values]), ([a.rho.values], [b.rho.values]),
+             (a.magnetic.component_values(), b.magnetic.component_values())]
+    return max(
+        np.sqrt(sum(np.sum((x - y) ** 2) for x, y in zip(xs, ys))) / np.sqrt(sum(np.sum(y**2) for y in ys))
+        for xs, ys in pairs
+    )
+
+
+@pytest.mark.parametrize("shape, n_modes", [((64,), 9), ((32, 32), 60), ((16, 16, 16), 27)])
+def test_extrapolated_start_reaches_the_step_of_a_fresh_start(shape, n_modes):
+    # the level before is a starting guess only: a run, which starts each
+    # step from 2 x_n - x_(n-1), ends where stepping from x_n ends, to the
+    # fixed-point tolerance
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    traj = run_simulation(state, phys, reg, 5 * reg.dt)
+    for _ in range(5):
+        state, _ = advance_step(state, phys, reg)
+    assert _relative_distance(traj.final_state, state) <= 1e-9
+
+
+def test_magnetic_only_iterations_redo_the_sweep_and_the_lorentz_force_alone(monkeypatch):
+    import qmhd.solver as solver
+
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    counts = count_transforms(monkeypatch)
+    # each event: its name and the transforms made before it
+    events = []
+
+    def at_entry(name, fn):
+        def traced(*args, **kwargs):
+            events.append((name, counts.copy()))
+            return fn(*args, **kwargs)
+
+        return traced
+
+    for name in ("solve_magnetic_step", "momentum_residual"):
+        monkeypatch.setattr(solver, name, at_entry(name, getattr(solver, name)))
+    lorentz = solver._lorentz_entries
+
+    def lorentz_at_exit(*args):
+        out = lorentz(*args)
+        events.append(("lorentz", counts.copy()))
+        return out
+
+    monkeypatch.setattr(solver, "_lorentz_entries", lorentz_at_exit)
+    built = []
+    init = MassOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MassOperator, "__init__", counting)
+    traj = run_simulation(state, phys, reg, 3 * reg.dt)
+
+    full = sum(i.full_sweeps for i in traj.step_infos)
+    assert full < sum(i.picard_iters for i in traj.step_infos)
+    assert len(built) == full
+    assert [name for name, _ in events].count("momentum_residual") == full
+    # a magnetic-only iteration runs from its sweep to its Lorentz force with
+    # nothing between: 3 full forwards in the sweep, 3 full inverses for B
+    # and 3 for the curl of the midpoint field, 3 box forwards for the force
+    windows = [
+        after - before
+        for (name, before), (next_name, after) in zip(events, events[1:])
+        if name == "solve_magnetic_step" and next_name == "lorentz"
+    ]
+    assert windows == [transform_counts(backward_full=6, forward_full=3, forward_box=3)] * (
+        sum(i.picard_iters for i in traj.step_infos) - full
+    )
+
+
+def test_a_velocity_update_after_the_freeze_resumes_full_sweeps(monkeypatch):
+    # no state was found whose Lorentz force moves lambda by more than
+    # picard_tol once density and velocity have converged (their updates
+    # contract with B's), so the velocity update of the first magnetic-only
+    # iteration is reported as 10 picard_tol instead: the loop then sweeps
+    # the density, the force and the velocity system afresh, and still
+    # returns the step's fixed point
+    import qmhd.solver as solver
+
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    plain, plain_info = advance_step(state, phys, reg)
+    assert plain_info.full_sweeps < plain_info.picard_iters
+
+    calls = []
+    density, lorentz, update = solver.solve_density_step, solver._lorentz_entries, solver._relative_update
+
+    def traced_density(*args, **kwargs):
+        calls.append("density")
+        return density(*args, **kwargs)
+
+    def traced_lorentz(*args):
+        calls.append("lorentz")
+        return lorentz(*args)
+
+    def raised_update(new, old):
+        calls.append("update")
+        out = update(new, old)
+        # the freeze forms the first Lorentz force, and a magnetic-only
+        # iteration measures its velocity update right after its own
+        if calls.count("lorentz") == 2 and calls[-2] == "lorentz":
+            return max(out, 10 * reg.picard_tol)
+        return out
+
+    monkeypatch.setattr(solver, "solve_density_step", traced_density)
+    monkeypatch.setattr(solver, "_lorentz_entries", traced_lorentz)
+    monkeypatch.setattr(solver, "_relative_update", raised_update)
+    new, info = advance_step(state, phys, reg)
+    second = [i for i, c in enumerate(calls) if c == "lorentz"][1]
+    assert calls[second:].index("density") == 2
+    assert info.full_sweeps > plain_info.full_sweeps
+    assert _relative_distance(new, plain) <= 1e-9
+
+
+def test_a_step_reads_the_gram_matrix_only_as_blocks(monkeypatch):
+    # the old-level product M[rho_old] lambda_old is formed block by block
+    grid, basis = _default_setup()
+    phys, reg = _benchmark_physics()
+    state = _benchmark_state(grid, basis, reg)
+    expected = basis.gram(state.rho) @ state.velocity.values
+
+    def refused(self, rho):
+        raise AssertionError("the n x n Gram matrix was assembled inside a step")
+
+    monkeypatch.setattr(GalerkinBasis, "gram", refused)
+    blocks = basis.apply_blocks(basis.gram_blocks(state.rho), state.velocity.values)
+    assert np.linalg.norm(blocks - expected) <= 1e-14 * np.linalg.norm(expected)
+    run_simulation(state, phys, reg, 2 * reg.dt)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.01])
@@ -670,7 +819,7 @@ def test_step_satisfies_unshifted_velocity_equation(eta):
 def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
     # the midpoint density and magnetic field average both levels' spectra,
     # and the step hands the residual the curl of the midpoint field, so every
-    # residual call of a step costs the transforms of
+    # residual call of a step, one per full sweep, costs the transforms of
     # test_momentum_residual_transform_count_independent_of_mode_count less
     # the 3 for curl B; each iteration makes those 3 once, shared with the
     # next magnetic sweep, whose own transforms are its 3 forwards
@@ -697,7 +846,7 @@ def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
             calls.clear()
         _, info = advance_step(benchmark_state("random_smooth", grid, basis, reg), phys, reg)
         residual = _residual_counts(grid.dim, curl_given=True)
-        assert per_call[momentum_residual] == [residual] * info.picard_iters, shape
+        assert per_call[momentum_residual] == [residual] * info.full_sweeps, shape
         assert per_call[solve_magnetic_step] == [transform_counts(forward_full=3)] * info.picard_iters, shape
 
 
