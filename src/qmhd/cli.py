@@ -58,7 +58,7 @@ def cmd_run(args) -> int:
     state = _build_state(config, basis, grid)
     try:
         # the parser checks a benchmark's steps from t = 0; snapshot data start at their own time
-        step_count(state.time, config.t_end, config.reg.dt, config.diagnostics_every)
+        steps = step_count(state.time, config.t_end, config.reg.dt, config.diagnostics_every)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -82,9 +82,10 @@ def cmd_run(args) -> int:
             if config.snapshot_every and step % config.snapshot_every == 0:
                 write_snapshots(s, f"{step:08d}")
 
-        # sampled at the row cadence, the trajectory holds the row states only
+        # rows and snapshots stream from on_step, so the trajectory holds
+        # the initial and the final state only
         traj = run_simulation(
-            state, config.phys, config.reg, config.t_end, sample_every=config.diagnostics_every, on_step=on_step
+            state, config.phys, config.reg, config.t_end, sample_every=max(steps, 1), on_step=on_step
         )
 
     final = traj.final_state

@@ -7,9 +7,10 @@ error, an unknown section or key, a duplicate key or an unparsable value is
 a ``ParseError`` with the file's line number.  ``build`` constructs the
 dataclasses once from the values read, and every constraint is a
 ``ValidationError`` raised at parse time, with the line of the key that
-breaks it when the file sets one.  Paths are read relative to the
-working directory.  ``canonical_text`` renders a run config back with every
-key explicit, and the echo is idempotent.
+breaks it when the file sets one.  A delta ladder's rungs set eta =
+epsilon = delta², so its manifest may set neither.  Paths are read
+relative to the working directory.  ``canonical_text`` renders a run config
+back with every key explicit, and the echo is idempotent.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from .basis import max_mode_count
 from .constitutive import PhysParams
 from .errors import ParseError, ValidationError
-from .experiments import BENCHMARK_NAMES, Coupling, SweepSpec
+from .experiments import BENCHMARK_NAMES, SweepSpec
 from .solver import RegParams, step_count
 
 
@@ -50,7 +51,6 @@ _SCHEMA: dict[str, dict[str, tuple[typing.Callable, str]]] = {
         "c2": (float, "phys.c2"),
         "nu_d0": (float, "phys.resistivity.d0"),
         "nu_a": (float, "phys.resistivity.a"),
-        "nu_a_prime": (float, "phys.resistivity.a_prime"),
         "nu_threshold": (float, "phys.resistivity.threshold"),
     },
     "regularization": {
@@ -101,10 +101,6 @@ _MANIFEST_SCHEMA: dict[str, dict[str, tuple[typing.Callable, str]]] = {
         "seed": (int, "spec.seed"),
         "output": (str, "output"),
         "workers": (int, "workers"),
-        "eta_coeff": (float, "eta_coeff"),
-        "eta_exponent": (float, "eta_exponent"),
-        "epsilon_coeff": (float, "epsilon_coeff"),
-        "epsilon_exponent": (float, "epsilon_exponent"),
     },
     "physics": _under("spec.", _SCHEMA["physics"]),
     "regularization": _under("spec.", _SCHEMA["regularization"], drop=("t_end",)),
@@ -133,15 +129,11 @@ class RunConfig:
 @dataclass(frozen=True)
 class SweepManifest:
     """A ladder, the directory it writes and the processes that run its
-    rungs.  A ``<target>_coeff`` slaves eta or epsilon to the swept value."""
+    rungs."""
 
     spec: SweepSpec
     output: str
     workers: int = 1
-    eta_coeff: float | None = None
-    eta_exponent: float = 2.0
-    epsilon_coeff: float | None = None
-    epsilon_exponent: float = 2.0
 
 
 def read_sections(text: str, schema) -> tuple[dict[str, object], dict[str, int]]:
@@ -297,15 +289,10 @@ def parse_manifest_text(text: str) -> SweepManifest:
     require(spec.sample_every >= 1, "sample_every", "must be at least 1")
     require(steps % spec.sample_every == 0, "sample_every", f"must divide the {steps} steps to t_end")
     require(manifest.workers >= 1, "workers", "must be at least 1")
-    rules = (
-        ("eta", manifest.eta_coeff, manifest.eta_exponent),
-        ("epsilon", manifest.epsilon_coeff, manifest.epsilon_exponent),
-    )
-    for target, coeff, exponent in rules:
-        require(coeff is None or math.isfinite(coeff), f"{target}_coeff", "must be finite")
-        require(math.isfinite(exponent), f"{target}_exponent", "must be finite")
-    couplings = tuple(Coupling(target, coeff, exponent) for target, coeff, exponent in rules if coeff is not None)
-    return replace(manifest, spec=replace(spec, couplings=couplings))
+    if spec.parameter == "delta":
+        for key in ("eta", "epsilon"):
+            require(f"spec.reg.{key}" not in lines, key, "a delta rung sets eta = epsilon = delta^2; leave it out")
+    return manifest
 
 
 def _fmt(value) -> str:

@@ -39,23 +39,19 @@ def require_finite(params) -> None:
 @dataclass(frozen=True)
 class ResistivityParams:
     """Magnetic diffusivity law nu_b(rho) = d0 rho^-a below ``threshold``,
-    constant d2 = d0 * threshold^-a above it.
-
-    a_prime is the upper end of the paper's admissible exponent range and
-    only bounds ``a``.
+    constant d2 = d0 * threshold^-a above it, with 2 <= a < 3.
     """
 
     d0: float = 1.0
     a: float = 2.0
-    a_prime: float = 2.5
     threshold: float = 1.0
 
     def __post_init__(self):
         require_finite(self)
         if self.d0 <= 0:
             raise ValueError("resistivity constant d0 must be positive")
-        if not (2.0 <= self.a < self.a_prime < 3.0):
-            raise ValueError("resistivity exponents must satisfy 2 <= a < a' < 3")
+        if not (2.0 <= self.a < 3.0):
+            raise ValueError("resistivity exponent must satisfy 2 <= a < 3")
         if self.threshold <= 0:
             raise ValueError("resistivity threshold must be positive")
 

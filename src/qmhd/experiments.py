@@ -1,5 +1,6 @@
 """Parameter-limit studies: Galerkin refinement, vanishing regularization
-(epsilon and eta slaved to delta), and the vanishing-Planck-constant limit.
+(a delta rung sets eta = epsilon = delta²), and the vanishing-Planck-constant
+limit.
 
 Each sweep runs one simulation per rung from shared initial data, measures
 solution distances against the final (limit) rung, archives the norm
@@ -222,15 +223,6 @@ def capillarity_term_weak_integral(
 
 
 @dataclass(frozen=True)
-class Coupling:
-    """Slaved parameter rule: target = coeff * value ** exponent."""
-
-    target: str
-    coeff: float
-    exponent: float
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     parameter: str
     values: tuple
@@ -241,7 +233,6 @@ class SweepSpec:
     phys: PhysParams = field(default_factory=PhysParams)
     reg: RegParams = field(default_factory=RegParams)
     n_modes: int = 9
-    couplings: tuple[Coupling, ...] = ()
     sample_every: int = 1
     seed: int = 0
 
@@ -266,19 +257,19 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
 
     def rung_params(self, value) -> tuple[PhysParams, RegParams, int]:
+        """The physics, regularization and mode count of one rung.  A delta
+        rung sets eta = epsilon = delta², the regime of the
+        vanishing-regularization limit."""
         phys, reg, n = self.phys, self.reg, self.n_modes
         if self.parameter == "kappa":
             phys = replace(phys, kappa=float(value))
         elif self.parameter == "n":
             n = int(value)
+        elif self.parameter == "delta":
+            delta = float(value)
+            reg = replace(reg, delta=delta, eta=delta**2, epsilon=delta**2)
         else:
             reg = replace(reg, **{self.parameter: float(value)})
-        for rule in self.couplings:
-            coupled = rule.coeff * float(value) ** rule.exponent
-            if rule.target == "kappa":
-                phys = replace(phys, kappa=coupled)
-            else:
-                reg = replace(reg, **{rule.target: coupled})
         return phys, reg, n
 
 

@@ -427,7 +427,8 @@ def advance_step(
     the following iterations sweep the magnetic field, redo the Lorentz
     force and solve for the velocity alone, until a velocity update exceeds
     ``picard_tol`` again.  Raises :class:`PicardDivergence` when the
-    iteration stops contracting (halve dt and retry) and
+    iteration stops contracting, two consecutive update ratios being at
+    least 1 (halve dt and retry), and
     :class:`MaximumPrincipleViolation` when the converged density leaves the
     corridor."""
     basis = state.basis
@@ -441,20 +442,19 @@ def advance_step(
     # unconditionally stable for arbitrarily stiff eta |k|^4
     shift = (0.5 * h * reg.eta) * basis.eigen_k2**2
 
-    if previous is None:
-        lam_k = lam_old.copy()
-        rho_new = rho_old
-        b_new = b_old
-    else:
-        lam_k = 2.0 * lam_old - previous.velocity.values
-        rho_new = _extrapolated(rho_old, previous.rho)
-        b_prev = previous.magnetic.components
-        b_new = VectorField(b_old.grid, [_extrapolated(a, b) for a, b in zip(b_old.components, b_prev)])
+    # without the level before, the start 2 x_n - x_n is x_n itself
+    before = state if previous is None else previous
+    lam_k = 2.0 * lam_old - before.velocity.values
+    rho_new = _extrapolated(rho_old, before.rho)
+    b_new = VectorField(b_old.grid, [_extrapolated(a, b) for a, b in zip(b_old.components, before.magnetic.components)])
     b_mid = _magnetic_midpoint(b_old, b_new)
     update_norms: list[float] = []
     ratios: list[float] = []
     full_sweeps = 0
     magnetic_only = False
+    # the divergence rule reads only the ratios after the last return from
+    # magnetic-only iterations to full sweeps: a ratio across it compares two maps
+    first_ratio = 0
 
     for _ in range(reg.picard_max_iters):
         # each update is measured as it is made, so no earlier iterate is held
@@ -492,12 +492,15 @@ def advance_step(
         update_norms.append(upd)
         if upd <= reg.picard_tol:
             break
-        if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
+        if len(ratios) - first_ratio >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
             if upd > 1e4 * np.finfo(float).eps:
                 raise PicardDivergence(
-                    f"fixed-point updates stopped contracting (ratio {ratios[-1]:.3f}); halve dt"
+                    f"fixed-point updates stopped contracting (ratio {ratios[-1]:.3f}, last update "
+                    f"{upd:.3e}, picard_tol {reg.picard_tol:g}); halve dt"
                 )
         if lam_upd > reg.picard_tol:
+            if magnetic_only:
+                first_ratio = len(ratios) + 1  # past the ratio of the next, full, sweep
             magnetic_only = False
         elif not magnetic_only and rho_upd <= reg.picard_tol:
             # only B is still moving: keep the density sweep, the midpoints,
@@ -506,7 +509,8 @@ def advance_step(
             n_rest = n_mid - _lorentz_entries(basis, *b_mid)
     else:
         raise PicardDivergence(
-            f"no fixed-point convergence in {reg.picard_max_iters} iterations; halve dt"
+            f"no fixed-point convergence in {reg.picard_max_iters} iterations (last update "
+            f"{update_norms[-1]:.3e}, picard_tol {reg.picard_tol:g}); halve dt"
         )
 
     margin = corridor_margin(rho_old, rho_new, VelocityCoeffs(basis, 0.5 * (lam_old + lam_k)).field, h)

@@ -31,7 +31,7 @@ from qmhd.diagnostics import (
     compute_dissipation,
     energy_identity_residual,
 )
-from qmhd.experiments import Coupling, SweepSpec, benchmark_state, run_sweep
+from qmhd.experiments import SweepSpec, benchmark_state, run_sweep
 from qmhd.fields import ScalarField, VectorField
 from qmhd.solver import solve_density_step, solve_magnetic_step
 
@@ -292,7 +292,6 @@ def test_criterion_9_regularization_limit():
         t_end=0.2,
         phys=PhysParams(kappa=0.1),
         reg=RegParams(dt=1e-3, s=1, picard_tol=1e-11),
-        couplings=(Coupling("eta", 1.0, 2.0), Coupling("epsilon", 1.0, 2.0)),
         n_modes=9,
         sample_every=5,
     )

@@ -66,6 +66,28 @@ def test_run_subcommand_and_outputs(tmp_path, capsys):
     assert (out / "rho_00000005.qmhd").exists()
 
 
+def test_run_holds_the_initial_and_the_final_state_only(tmp_path, monkeypatch):
+    # rows and snapshots stream from the per-step hook, so the trajectory
+    # samples only its two ends, whatever the row cadence
+    import qmhd.cli
+
+    trajectories = []
+    run_simulation = qmhd.cli.run_simulation
+
+    def kept(*args, **kwargs):
+        trajectories.append(run_simulation(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(qmhd.cli, "run_simulation", kept)
+    out = tmp_path / "out"
+    text = RUN_CFG.format(out=out).replace("t_end = 0.005", "t_end = 0.006").replace("diagnostics_every = 1", "diagnostics_every = 2")
+    assert main(["run", _write(tmp_path, "run.cfg", text)]) == 0
+    (traj,) = trajectories
+    assert len(traj.step_infos) == 6
+    assert [s.time for s in traj.states] == pytest.approx([0.0, 0.006])
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_run_deterministic_outputs(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     cfg1 = _write(tmp_path, "r1.cfg", RUN_CFG.format(out=out1))
@@ -308,11 +330,15 @@ dt = 0.001
         ("0.1, 0.05, 0", "inf, 0.05, 0", "ladder values must be finite"),
         ("dt = 0.001", "dt = nan", "RegParams: dt must be finite, got nan (line 11)"),
         ("kappa = 0.05", "kappa = inf", "PhysParams: kappa must be finite"),
-        ("points = 32", "points = 32\neta_coeff = nan", "sweep.eta_coeff: must be finite (line 5)"),
+        ("[sweep]\nparameter = kappa", "[regularization]\neta = 0.01\n[sweep]\nparameter = delta",
+         "regularization.eta: a delta rung sets eta = epsilon = delta^2; leave it out (line 2)"),
+        ("[sweep]\nparameter = kappa", "[regularization]\nepsilon = 0.01\n[sweep]\nparameter = delta",
+         "regularization.epsilon: a delta rung sets eta = epsilon = delta^2; leave it out (line 2)"),
     ],
     ids=["typo_line_11", "repeated_key", "two_rungs", "non_numeric_rung", "odd_points",
          "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "sampling_misses_t_end", "partial_step", "negative_seed",
-         "unresolvable_modes", "unresolvable_mode_rung", "infinite_rung", "nan_dt", "infinite_kappa", "nan_coupling"],
+         "unresolvable_modes", "unresolvable_mode_rung", "infinite_rung", "nan_dt", "infinite_kappa", "delta_ladder_sets_eta",
+         "delta_ladder_sets_epsilon"],
 )
 def test_bad_manifest_is_a_config_error_before_any_output(tmp_path, capsys, old, new, message):
     out = tmp_path / "out"
@@ -333,9 +359,8 @@ def _ladder_specs():
     """The SweepSpec each removed limit-study script built at its defaults,
     with the output directory and worker count it used."""
     from qmhd import PhysParams, RegParams
-    from qmhd.experiments import Coupling, SweepSpec
+    from qmhd.experiments import SweepSpec
 
-    slaved = (Coupling("eta", 1.0, 2.0), Coupling("epsilon", 1.0, 2.0))
     common = dict(dim=1, points=128, sample_every=5, seed=0)
     return {
         "planck_limit": (
@@ -359,7 +384,6 @@ def _ladder_specs():
                 t_end=0.2,
                 phys=PhysParams(kappa=0.1),
                 reg=RegParams(dt=1e-3, s=1, picard_tol=1e-11),
-                couplings=slaved,
                 n_modes=9,
                 **common,
             ),
@@ -373,7 +397,6 @@ def _ladder_specs():
                 t_end=0.2,
                 phys=PhysParams(kappa=0.1),
                 reg=RegParams(dt=1e-3, s=4, picard_tol=1e-11),
-                couplings=slaved,
                 n_modes=9,
                 **common,
             ),
@@ -408,3 +431,31 @@ def test_ladder_manifest_matches_script_spec(name):
 def test_every_ladder_manifest_is_tested():
     names = {f[: -len(".sweep")] for f in os.listdir(LADDERS) if f.endswith(".sweep")}
     assert names == set(_ladder_specs())
+
+
+def _first_step_cases():
+    from qmhd import PicardDivergence
+
+    stalls = pytest.mark.xfail(
+        strict=True,
+        raises=PicardDivergence,
+        reason="the s = 4 capillarity term (lap^9 on 128 points) holds the velocity update near 5e-7 relative, "
+        "a roundoff floor above picard_tol that no smaller dt brings down",
+    )
+    return [pytest.param(name, marks=stalls) if name == "regularization_limit_s4" else name for name in sorted(_ladder_specs())]
+
+
+@pytest.mark.parametrize("name", _first_step_cases())
+def test_first_step_of_each_ladder_converges(name):
+    from qmhd.basis import GalerkinBasis
+    from qmhd.cli import parse_sweep_manifest
+    from qmhd.experiments import benchmark_state
+    from qmhd.grid import TorusGrid
+    from qmhd.solver import advance_step
+
+    spec, _, _ = parse_sweep_manifest(os.path.join(LADDERS, f"{name}.sweep"))
+    phys, reg, n = spec.rung_params(spec.values[0])
+    grid = TorusGrid((spec.points,) * spec.dim)
+    state = benchmark_state(spec.benchmark, grid, GalerkinBasis.lowest_modes(grid, n), reg, seed=spec.seed)
+    _, info = advance_step(state, phys, reg)
+    assert info.update_norms[-1] <= reg.picard_tol

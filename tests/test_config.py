@@ -93,9 +93,9 @@ def test_non_finite_parameters_rejected(section, key, value):
     [
         ("[physics]\nkappa = 0.1\n\n# comment\ngamma = nan\n", 5),
         ("[regularization]\ndt = 0.001\nt_end = 0.002\nepsilon = -1\n", 4),
-        ("[physics]\nnu_a_prime = 2.1\nkappa = 0.2\nnu_a = 2.9\n", 4),
+        ("[physics]\nnu_d0 = 2.0\nkappa = 0.2\nnu_a = 3.0\n", 4),
     ],
-    ids=["nan_after_a_valid_key", "negative_epsilon", "exponent_pair"],
+    ids=["nan_after_a_valid_key", "negative_epsilon", "exponent_range"],
 )
 def test_parameter_errors_name_their_line(text, line):
     # a parameter class's own check names the first key that breaks it

@@ -162,7 +162,7 @@ def test_resistivity_validation():
     with pytest.raises(ValueError):
         ResistivityParams(a=1.0)
     with pytest.raises(ValueError):
-        ResistivityParams(a=2.5, a_prime=2.1)
+        ResistivityParams(a=3.0)
 
 
 def test_phys_validation():

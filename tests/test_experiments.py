@@ -5,7 +5,6 @@ from qmhd import GalerkinBasis, PhysParams, RegParams, TorusGrid
 from qmhd.errors import QMHDError
 from qmhd.experiments import (
     BENCHMARK_NAMES,
-    Coupling,
     SweepSpec,
     benchmark_fields,
     benchmark_state,
@@ -128,10 +127,10 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("volume", (0.2, 0.1, 0.05), "density_bump", 1, 32, 0.01)
     spec = SweepSpec("delta", (0.1, 0.05, 0.025), "density_bump", 1, 32, 0.01,
-                     couplings=(Coupling("eta", 1.0, 2.0),))
+                     reg=RegParams(epsilon=0.3, eta=0.2))
     phys, reg, n = spec.rung_params(0.05)
-    assert reg.delta == 0.05
-    assert reg.eta == pytest.approx(0.05**2)
+    # a delta rung sets eta = epsilon = delta^2 over the given values
+    assert (reg.delta, reg.eta, reg.epsilon) == (0.05, 0.05**2, 0.05**2)
 
 
 def test_single_rung_reference_distance_is_zero():
@@ -201,7 +200,6 @@ def test_delta_sweep_higher_capillarity_order():
         points=32,
         t_end=0.01,
         reg=RegParams(dt=1e-3, s=4, picard_tol=1e-11),
-        couplings=(Coupling("eta", 1.0, 2.0), Coupling("epsilon", 1.0, 2.0)),
         n_modes=3,
     )
     result = run_sweep(spec)

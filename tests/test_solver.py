@@ -777,6 +777,42 @@ def test_a_velocity_update_after_the_freeze_resumes_full_sweeps(monkeypatch):
     assert _relative_distance(new, plain) <= 1e-9
 
 
+def test_a_return_to_full_sweeps_is_not_read_as_divergence(monkeypatch):
+    # a kept force shifted by 1e-3 of the Lorentz entries' norm makes the
+    # first magnetic-only iteration jump (ratio > 1), and the full sweep
+    # that undoes the jump moves lambda by about as much again (ratio ~ 1):
+    # the two ratios compare different maps, and the step still converges
+    # to its fixed point
+    import qmhd.solver as solver
+
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    plain, _ = advance_step(state, phys, reg)
+    lorentz = solver._lorentz_entries
+    calls = []
+
+    def shifted_at_the_freeze(*args):
+        out = lorentz(*args)
+        calls.append(1)
+        return out - 1e-3 * np.linalg.norm(out) if len(calls) == 1 else out
+
+    monkeypatch.setattr(solver, "_lorentz_entries", shifted_at_the_freeze)
+    new, info = advance_step(state, phys, reg)
+    assert max(info.contraction_ratios) > 1.0
+    assert info.full_sweeps < info.picard_iters
+    assert _relative_distance(new, plain) <= 1e-12
+
+
+def test_picard_divergence_names_the_last_update_and_the_tolerance():
+    grid, basis = _default_setup()
+    phys, reg = _benchmark_physics()
+    reg = RegParams(epsilon=reg.epsilon, eta=reg.eta, delta=reg.delta, dt=reg.dt, picard_max_iters=2)
+    with pytest.raises(PicardDivergence, match=r"in 2 iterations \(last update \S+, picard_tol 1e-10\)"):
+        advance_step(_benchmark_state(grid, basis, reg), phys, reg)
+
+
 def test_a_step_reads_the_gram_matrix_only_as_blocks(monkeypatch):
     # the old-level product M[rho_old] lambda_old is formed block by block
     grid, basis = _default_setup()
