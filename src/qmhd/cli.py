@@ -27,18 +27,6 @@ from .snapshots import atomic_write, read_snapshot, write_snapshot
 from .solver import cfl_report, initial_state, run_simulation, step_count
 
 
-def _apply_threads(threads: int) -> int:
-    env = os.environ.get("QMHD_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            raise UsageError(f"QMHD_THREADS must be an integer, got {env!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    return threads
-
-
 def _build_state(config: RunConfig, basis: GalerkinBasis, grid: TorusGrid):
     if config.benchmark:
         return benchmark_state(config.benchmark, grid, basis, config.reg, seed=config.seed)
@@ -52,7 +40,6 @@ def _build_state(config: RunConfig, basis: GalerkinBasis, grid: TorusGrid):
 
 def cmd_run(args) -> int:
     config = parse_config(args.config)
-    _apply_threads(config.threads)
     grid = TorusGrid(config.points)
     basis = GalerkinBasis.lowest_modes(grid, config.modes)
     state = _build_state(config, basis, grid)
@@ -109,10 +96,10 @@ def parse_sweep_manifest(path) -> tuple[SweepSpec, str, int]:
 
 def cmd_sweep(args) -> int:
     spec, out, workers = parse_sweep_manifest(args.manifest)
-    _apply_threads(1)
-    os.makedirs(out, exist_ok=True)
     result = run_sweep(spec, workers=workers)
     rows = sweep_rows(result)
+    # created once every rung has run, so a failed sweep leaves nothing behind
+    os.makedirs(out, exist_ok=True)
 
     columns = sorted({k for row in rows for k in row})
     csv_path = os.path.join(out, "sweep_results.csv")
@@ -145,7 +132,6 @@ def _print_check(name: str, ok: bool, detail: str) -> bool:
 
 def cmd_check(args) -> int:
     config = parse_config(args.config)
-    _apply_threads(config.threads)
     from .basis import MassOperator
     from .constitutive import cold_enthalpy, cold_pressure, enthalpy, pressure
     from .diagnostics import bohm_identity_check

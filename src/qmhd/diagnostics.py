@@ -1,8 +1,12 @@
 """Numerical verification of the conservation structure: the energy
 identity, the BD (Bresch-Desjardins) entropy identity, the quantum-force
 algebraic identity, the log-Sobolev-type inequality record, weak-form
-residuals against a battery of space-time test functions, and the norm
-monitors consumed by the limit experiments.
+residuals, and the norm monitors consumed by the limit experiments.
+
+The weak form pairs each equation with test functions g(t) phi(x).  The
+spatial factors phi are two fixed batteries built from the grid alone, one
+scalar and one vector, and every test function has the same time factor
+g(t) = (1 - t/T)^2 (``envelope``), which vanishes at the final time T.
 
 Time derivatives of the functionals are centered differences on stored
 snapshots, so the residuals measure what the scheme actually produced; with
@@ -516,34 +520,28 @@ def quantum_inequality_check(rho: ScalarField, floor: float = 1e-8) -> QuantumIn
 # weak-form residuals
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Separable space-time test function g(t) * phi(x) with g(T) = 0."""
-
-    name: str
-    spatial: ScalarField | VectorField
-    envelope: Callable[[float], float]
-
-    def g(self, t: float) -> float:
-        return float(self.envelope(t))
+def envelope(t: float, t_final: float) -> float:
+    """The time factor g(t) = (1 - t/T)^2 of every test function g(t) phi(x):
+    it vanishes at the final time T, as the weak formulation asks."""
+    return (1.0 - t / t_final) ** 2
 
 
-def default_scalar_battery(grid, t_final: float) -> list[TestFunction]:
+def default_scalar_battery(grid) -> dict[str, ScalarField]:
+    """The spatial factors phi(x) of the scalar test functions, by name."""
     mesh = grid.mesh
-    env = lambda t: (1.0 - t / t_final) ** 2
-    fns = [
-        TestFunction("const", ScalarField(grid, np.ones(grid.shape)), env),
-        TestFunction("cos_x", ScalarField(grid, np.cos(mesh[0])), env),
-        TestFunction("sin_x", ScalarField(grid, np.sin(mesh[0])), env),
-    ]
+    battery = {
+        "const": ScalarField(grid, np.ones(grid.shape)),
+        "cos_x": ScalarField(grid, np.cos(mesh[0])),
+        "sin_x": ScalarField(grid, np.sin(mesh[0])),
+    }
     if grid.dim >= 2:
-        fns.append(TestFunction("cos_y", ScalarField(grid, np.cos(mesh[1])), env))
-    return fns
+        battery["cos_y"] = ScalarField(grid, np.cos(mesh[1]))
+    return battery
 
 
-def default_vector_battery(grid, t_final: float) -> list[TestFunction]:
+def default_vector_battery(grid) -> dict[str, VectorField]:
+    """The spatial factors phi(x) of the vector test functions, by name."""
     mesh = grid.mesh
-    env = lambda t: (1.0 - t / t_final) ** 2
     zero = np.zeros(grid.shape)
     items = [
         ("e0_sin_x", [np.sin(mesh[0]), zero, zero]),
@@ -552,7 +550,7 @@ def default_vector_battery(grid, t_final: float) -> list[TestFunction]:
     ]
     if grid.dim >= 2:
         items.append(("e0_cos_y", [np.cos(mesh[1]), zero, zero]))
-    return [TestFunction(name, VectorField.from_arrays(grid, arrs), env) for name, arrs in items]
+    return {name: VectorField.from_arrays(grid, arrs) for name, arrs in items}
 
 
 def quantum_pairing(w: np.ndarray, dw, grad_div_phi, grad_phi, grid) -> float:
@@ -594,13 +592,10 @@ class _VectorTest:
         )
 
 
-def weak_form_residual(
-    traj: Trajectory,
-    scalar_battery: Sequence[TestFunction] | None = None,
-    vector_battery: Sequence[TestFunction] | None = None,
-) -> dict[str, dict[str, float]]:
+def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
     """Distributional residuals of continuity, momentum and induction over
-    the sampled trajectory, one number per test function.
+    the sampled trajectory, one number per test function g(t) phi(x): phi
+    from the fixed batteries, g the one ``envelope``.
 
     Quadrature is midpoint-in-time with the summation-by-parts pairing, so a
     conservative scheme telescopes the continuity item to solver tolerance
@@ -612,26 +607,20 @@ def weak_form_residual(
     dim = grid.dim
     phys = traj.phys
     t_final = traj.times[-1]
-    if scalar_battery is None:
-        scalar_battery = default_scalar_battery(grid, t_final)
-    if vector_battery is None:
-        vector_battery = default_vector_battery(grid, t_final)
+    scalars = default_scalar_battery(grid)
+    vectors = default_vector_battery(grid)
 
     from .fields import dealiased_product
 
-    scalar_grads = [gradient(tf.spatial).component_values() for tf in scalar_battery]
-    vector_tests = [_VectorTest.of(tf.spatial) for tf in vector_battery]
+    scalar_grads = [gradient(phi).component_values() for phi in scalars.values()]
+    vector_tests = [_VectorTest.of(phi) for phi in vectors.values()]
 
-    first, t_first = traj.states[0], traj.times[0]
+    first, g_first = traj.states[0], envelope(traj.times[0], t_final)
     m_first = [first.rho.values * first.u.component_values()[l] for l in range(3)]
     b_first = first.magnetic.component_values()
-    continuity = [tf.g(t_first) * inner_product(first.rho, tf.spatial) for tf in scalar_battery]
-    momentum = [
-        tf.g(t_first) * _pair(m_first, d.values, grid) for tf, d in zip(vector_battery, vector_tests)
-    ]
-    magnetic = [
-        tf.g(t_first) * _pair(b_first, d.values, grid) for tf, d in zip(vector_battery, vector_tests)
-    ]
+    continuity = [g_first * inner_product(first.rho, phi) for phi in scalars.values()]
+    momentum = [g_first * _pair(m_first, d.values, grid) for d in vector_tests]
+    magnetic = [g_first * _pair(b_first, d.values, grid) for d in vector_tests]
 
     for (s0, s1), (t0, t1) in zip(pairwise(traj.states), pairwise(traj.times)):
         # midpoint fields, derived once per interval
@@ -655,16 +644,14 @@ def weak_form_residual(
         emf = _cross(uv, bv)
         nu = magnetic_diffusivity(rv, phys)
 
-        for i, tf in enumerate(scalar_battery):
-            g0, g1 = tf.g(t0), tf.g(t1)
-            gmid = 0.5 * (g0 + g1)
-            continuity[i] += (g1 - g0) * inner_product(rho_mid, tf.spatial)
+        g0, g1 = envelope(t0, t_final), envelope(t1, t_final)
+        gmid = 0.5 * (g0 + g1)
+        for i, phi in enumerate(scalars.values()):
+            continuity[i] += (g1 - g0) * inner_product(rho_mid, phi)
             flux_pairing = sum(_integral(flux[l] * scalar_grads[i][l], grid) for l in range(dim))
             continuity[i] += h * gmid * flux_pairing
 
-        for i, (tf, d) in enumerate(zip(vector_battery, vector_tests)):
-            g0, g1 = tf.g(t0), tf.g(t1)
-            gmid = 0.5 * (g0 + g1)
+        for i, d in enumerate(vector_tests):
             term = 0.0
             # transport: rho u (x) u : grad phi
             for j in range(dim):
@@ -696,9 +683,9 @@ def weak_form_residual(
             magnetic[i] += h * gmid * term
 
     return {
-        "continuity": {tf.name: float(r) for tf, r in zip(scalar_battery, continuity)},
-        "momentum": {tf.name: float(r) for tf, r in zip(vector_battery, momentum)},
-        "magnetic": {tf.name: float(r) for tf, r in zip(vector_battery, magnetic)},
+        "continuity": {name: float(r) for name, r in zip(scalars, continuity)},
+        "momentum": {name: float(r) for name, r in zip(vectors, momentum)},
+        "magnetic": {name: float(r) for name, r in zip(vectors, magnetic)},
     }
 
 

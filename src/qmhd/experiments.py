@@ -5,7 +5,9 @@ limit.
 Each sweep runs one simulation per rung from shared initial data, measures
 solution distances against the final (limit) rung, archives the norm
 monitors, and evaluates the weak integrals of the terms that are supposed to
-vanish.  Everything is deterministic for a fixed configuration.
+vanish.  Those integrals pair each term with the diagnostics' fixed vector
+battery under its one envelope g(t) = (1 - t/T)^2.  Everything is
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .diagnostics import (
     _VectorTest,
     compute_energy,
     default_vector_battery,
+    envelope,
     norm_monitor,
     quantum_pairing,
 )
@@ -167,52 +170,47 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
 # weak integrals of the vanishing terms
 
 
-def quantum_term_weak_integral(
-    traj: Trajectory, kappa: float, battery=None
-) -> dict[str, float]:
+def quantum_term_weak_integral(traj: Trajectory, kappa: float) -> dict[str, float]:
     """Space-time weak integral of the quantum force in its integrated-by-
     parts form; reports the value and value/kappa^2."""
-    grid = traj.states[0].rho.grid
-    if battery is None:
-        battery = default_vector_battery(grid, traj.times[-1])
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
-    tests = [_VectorTest.of(tf.spatial) for tf in battery]
-    acc = [0.0] * len(battery)
+    grid = traj.states[0].rho.grid
+    t_final = traj.times[-1]
+    tests = [_VectorTest.of(phi) for phi in default_vector_battery(grid).values()]
+    acc = [0.0] * len(tests)
     for wt, time, s in zip(_trapezoid(traj), traj.times, traj.states):
         w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
         dw = [derivative(w, j).values for j in range(grid.dim)]
-        for t, tf in enumerate(battery):
-            pairing = quantum_pairing(w.values, dw, tests[t].grad_div, tests[t].grad, grid)
-            acc[t] += wt * tf.g(time) * pairing
+        g = envelope(time, t_final)
+        for t, d in enumerate(tests):
+            acc[t] += wt * g * quantum_pairing(w.values, dw, d.grad_div, d.grad, grid)
     total = sum(2.0 * kappa**2 * a for a in acc)
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
 
 
-def capillarity_term_weak_integral(
-    traj: Trajectory, delta: float, s_order: int, battery=None
-) -> dict[str, float]:
+def capillarity_term_weak_integral(traj: Trajectory, delta: float, s_order: int) -> dict[str, float]:
     """Space-time weak integral of the capillarity term in transposed form;
     reports the value and the value scaled by delta^((1-alpha)/2) with
     alpha = (4s+2)/(4s+3)."""
-    grid = traj.states[0].rho.grid
-    if battery is None:
-        battery = default_vector_battery(grid, traj.times[-1])
     if delta == 0.0:
         return {"value": 0.0, "scaled": 0.0}
+    grid = traj.states[0].rho.grid
+    t_final = traj.times[-1]
+    battery = list(default_vector_battery(grid).values())
     lap_power = _laplacian_power(grid, 2 * s_order + 1)
     acc = [0.0] * len(battery)
     for wt, time, st in zip(_trapezoid(traj), traj.times, traj.states):
         rho = st.rho
         # lap^s moved across: pair lap^(2s+1) rho against div(rho phi)
         hi_field = ScalarField._adopt(grid, None, lap_power * rho.spectrum)
-        for t, tf in enumerate(battery):
+        g = envelope(time, t_final)
+        for t, phi in enumerate(battery):
             inner = 0.0
             for l in range(grid.dim):
-                phi_l = tf.spatial.components[l].values
-                prod = dealias(ScalarField._adopt(grid, rho.values * phi_l))
+                prod = dealias(ScalarField._adopt(grid, rho.values * phi.components[l].values))
                 inner += inner_product(hi_field, derivative(prod, l))
-            acc[t] += wt * tf.g(time) * inner
+            acc[t] += wt * g * inner
     total = sum(-delta * a for a in acc)
     alpha = (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
     return {"value": float(total), "scaled": float(total / delta ** ((1.0 - alpha) / 2.0))}
@@ -242,11 +240,15 @@ class SweepSpec:
         vals = tuple(self.values)
         if len(vals) < 3:
             raise ValueError("a ladder needs at least 3 rungs")
+        if not self.t_end > 0:
+            raise ValueError("a ladder needs t_end > 0")
         diffs = np.diff(np.asarray(vals, dtype=float))
         if self.parameter == "n":
             if not all(float(v).is_integer() for v in vals):
                 raise ValueError("mode counts must be integers")
             vals = tuple(int(v) for v in vals)
+            if min(vals) < 1:
+                raise ValueError("mode counts must be at least 1")
             if not np.all(diffs > 0):
                 raise ValueError("mode-count ladders must be strictly increasing")
         else:

@@ -263,16 +263,14 @@ def solve_magnetic_step(
     phys: PhysParams,
     *,
     density_floor: float = 1e-8,
-    guess: VectorField | None = None,
     mid: tuple[VectorField, list[np.ndarray]] | None = None,
 ) -> VectorField:
     """One sweep of the midpoint map of the induction equation with given
     (time-centered) velocity and density: mean diffusivity integrated
-    exactly, transport and the variable-diffusivity remainder at the midpoint
-    of ``B_old`` and ``guess`` (default ``B_old``), then a divergence-free
-    projection.  The step is the map's fixed point.  ``mid`` gives that
-    midpoint and its curl samples ready made (``_magnetic_midpoint``), in
-    place of ``guess``."""
+    exactly, transport and the variable-diffusivity remainder at the
+    midpoint field, then a divergence-free projection.  The step is the
+    map's fixed point.  ``mid`` is that midpoint with its curl samples, as
+    ``_magnetic_midpoint`` makes them; it defaults to ``B_old``'s own."""
     grid = B_old.grid
     if rho.values.min() < density_floor:
         raise DensityFloorViolation("magnetic solve: density below the floor")
@@ -280,7 +278,7 @@ def solve_magnetic_step(
     full, half = _heat_factors(grid, nu_bar, dt)
 
     if mid is None:
-        mid = _magnetic_midpoint(B_old, B_old if guess is None else guess)
+        mid = _magnetic_midpoint(B_old, B_old)
     b_mid, curl_mid = mid
     spec_old = [c.spectrum for c in B_old.components]
 

@@ -4,6 +4,9 @@ pass/fail line each (run with ``pytest tests/test_acceptance.py -v -s``).
 Desk scale: 1D at 128 points, 2D at 64^2, one 3D 32^3 smoke run.
 """
 
+import csv
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -31,7 +34,7 @@ from qmhd.diagnostics import (
     compute_dissipation,
     energy_identity_residual,
 )
-from qmhd.experiments import SweepSpec, benchmark_state, run_sweep
+from qmhd.experiments import benchmark_state
 from qmhd.fields import ScalarField, VectorField
 from qmhd.solver import solve_density_step, solve_magnetic_step
 
@@ -243,31 +246,33 @@ def test_criterion_7_single_mode_oracle():
 # 8. vanishing Planck constant
 
 
-def test_criterion_8_planck_limit():
-    spec = SweepSpec(
-        "kappa",
-        (0.2, 0.1, 0.05, 0.025, 0.0),
-        "density_bump",
-        dim=1,
-        points=128,
-        t_end=0.25,
-        phys=PhysParams(),
-        reg=RegParams(epsilon=0.01, eta=1e-3, delta=1e-3, dt=1e-3, picard_tol=1e-11),
-        n_modes=9,
-        sample_every=5,
-    )
-    result = run_sweep(spec)
-    d_su = [r.distance_to_reference["sqrt_rho_u"] for r in result.rungs[:-1]]
-    d_b = [r.distance_to_reference["magnetic"] for r in result.rungs[:-1]]
+LADDERS = os.path.join(os.path.dirname(__file__), os.pardir, "ladders")
+
+
+def _ladder_rows(name, tmp_path, monkeypatch):
+    """Run ``ladders/<name>.sweep`` with ``qmhd sweep`` from ``tmp_path`` and
+    read back its ``sweep_results.csv``: one row of floats per rung, in
+    ladder order."""
+    manifest = os.path.abspath(os.path.join(LADDERS, f"{name}.sweep"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", manifest]) == 0
+    with open(tmp_path / "runs" / name / "sweep_results.csv", newline="") as fh:
+        return [{k: float(v) for k, v in row.items() if v} for row in csv.DictReader(fh)]
+
+
+def test_criterion_8_planck_limit(tmp_path, monkeypatch):
+    rows = _ladder_rows("planck_limit", tmp_path, monkeypatch)
+    d_su = [r["dist_sqrt_rho_u"] for r in rows[:-1]]
+    d_b = [r["dist_magnetic"] for r in rows[:-1]]
     monotone = all(a > b > 0 for a, b in zip(d_su, d_su[1:])) and all(
         a > b > 0 for a, b in zip(d_b, d_b[1:])
     )
-    ratios = [r.weak_integrals["per_kappa_sq"] for r in result.rungs[:-1]]
+    ratios = [r["weak_per_kappa_sq"] for r in rows[:-1]]
     bounded = max(np.abs(ratios)) <= 5.0 * max(min(np.abs(ratios)), 1e-12)
     quantum_vanishes = all(
         a > b for a, b in zip(
-            [r.quantum_energy_max for r in result.rungs[:-1]],
-            [r.quantum_energy_max for r in result.rungs[1:-1]],
+            [r["quantum_energy_max"] for r in rows[:-1]],
+            [r["quantum_energy_max"] for r in rows[1:-1]],
         )
     )
     _report(
@@ -282,21 +287,9 @@ def test_criterion_8_planck_limit():
 # 9. vanishing regularization (eta and epsilon slaved to delta)
 
 
-def test_criterion_9_regularization_limit():
-    spec = SweepSpec(
-        "delta",
-        (0.08, 0.04, 0.02, 0.01),
-        "density_bump",
-        dim=1,
-        points=128,
-        t_end=0.2,
-        phys=PhysParams(kappa=0.1),
-        reg=RegParams(dt=1e-3, s=1, picard_tol=1e-11),
-        n_modes=9,
-        sample_every=5,
-    )
-    result = run_sweep(spec)
-    caps = [r.capillary_energy_max for r in result.rungs]
+def test_criterion_9_regularization_limit(tmp_path, monkeypatch):
+    rows = _ladder_rows("regularization_limit_s1", tmp_path, monkeypatch)
+    caps = [r["capillary_energy_max"] for r in rows]
     cap_monotone = all(a > b > 0 for a, b in zip(caps, caps[1:]))
     watched = (
         "grad_sqrt_rho_L2",
@@ -306,12 +299,12 @@ def test_criterion_9_regularization_limit():
         "grad_B_L2",
     )
     spread = {
-        key: max(r.monitors_max[key] for r in result.rungs)
-        / max(min(r.monitors_max[key] for r in result.rungs), 1e-300)
+        key: max(r[f"max_{key}"] for r in rows)
+        / max(min(r[f"max_{key}"] for r in rows), 1e-300)
         for key in watched
     }
     within = all(v <= 2.0 for v in spread.values())
-    min_rho = [r.min_rho for r in result.rungs]
+    min_rho = [r["min_rho"] for r in rows]
     _report(
         9,
         cap_monotone and within,
@@ -327,8 +320,6 @@ def test_criterion_9_regularization_limit():
 def test_criterion_10_determinism(tmp_path):
     # literally identical config text, executed twice from different working
     # directories; every emitted file must agree byte for byte
-    import os
-
     cfg_text = """
 [grid]
 points = 64

@@ -223,13 +223,16 @@ def test_failed_rename_keeps_old_output_and_leaves_no_temp_file(
     assert sorted(p.name for p in out.iterdir()) == [name]
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "chk.cfg", "[grid]\npoints = 32\nmodes = 6\n")
-    monkeypatch.setenv("QMHD_THREADS", "2")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_threads_key_sets_no_thread_variable(tmp_path, monkeypatch):
+    # the BLAS pools exist once numpy has loaded, so qmhd leaves these alone
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cfg = _write(tmp_path, "chk.cfg", "[grid]\npoints = 32\nmodes = 6\n[determinism]\nthreads = 4\n")
     assert main(["check", cfg]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    monkeypatch.setenv("QMHD_THREADS", "bogus")
-    assert main(["check", cfg]) == 1
+    assert [var for var in THREAD_VARS if var in os.environ] == []
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -334,11 +337,13 @@ dt = 0.001
          "regularization.eta: a delta rung sets eta = epsilon = delta^2; leave it out (line 2)"),
         ("[sweep]\nparameter = kappa", "[regularization]\nepsilon = 0.01\n[sweep]\nparameter = delta",
          "regularization.epsilon: a delta rung sets eta = epsilon = delta^2; leave it out (line 2)"),
+        ("kappa\nvalues = 0.1, 0.05, 0", "n\nvalues = 0, 3, 9", "SweepSpec: mode counts must be at least 1 (line 3)"),
+        ("t_end = 0.004", "t_end = 0", "SweepSpec: a ladder needs t_end > 0 (line 6)"),
     ],
     ids=["typo_line_11", "repeated_key", "two_rungs", "non_numeric_rung", "odd_points",
          "unknown_benchmark", "no_workers", "fractional_modes", "no_sampling", "sampling_misses_t_end", "partial_step", "negative_seed",
          "unresolvable_modes", "unresolvable_mode_rung", "infinite_rung", "nan_dt", "infinite_kappa", "delta_ladder_sets_eta",
-         "delta_ladder_sets_epsilon"],
+         "delta_ladder_sets_epsilon", "zero_mode_rung", "zero_t_end"],
 )
 def test_bad_manifest_is_a_config_error_before_any_output(tmp_path, capsys, old, new, message):
     out = tmp_path / "out"
@@ -349,6 +354,16 @@ def test_bad_manifest_is_a_config_error_before_any_output(tmp_path, capsys, old,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
+    # the initial density 0.5 is below 10x this floor, so the first rung fails
+    out = tmp_path / "faildir"
+    text = BAD_MANIFEST.format(out=out) + "density_floor = 0.1\n"
+    manifest = _write(tmp_path, "fails.sweep", text)
+    assert main(["sweep", manifest]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
     assert not out.exists()
 
 

@@ -126,6 +126,10 @@ def test_sweep_spec_validation():
         SweepSpec("kappa", (0.05, 0.1, 0.2), "density_bump", 1, 32, 0.01)
     with pytest.raises(ValueError):
         SweepSpec("volume", (0.2, 0.1, 0.05), "density_bump", 1, 32, 0.01)
+    with pytest.raises(ValueError, match="mode counts must be at least 1"):
+        SweepSpec("n", (0, 3, 9), "density_bump", 1, 32, 0.01)
+    with pytest.raises(ValueError, match="a ladder needs t_end > 0"):
+        SweepSpec("kappa", (0.2, 0.1, 0.0), "density_bump", 1, 32, 0.0)
     spec = SweepSpec("delta", (0.1, 0.05, 0.025), "density_bump", 1, 32, 0.01,
                      reg=RegParams(epsilon=0.3, eta=0.2))
     phys, reg, n = spec.rung_params(0.05)
