@@ -38,6 +38,11 @@ def _build_state(config: RunConfig, basis: GalerkinBasis, grid: TorusGrid):
     return initial_state(rho, vel, mag, basis, config.reg, time=t0)
 
 
+def _per_step(iters: float, sweeps: float) -> str:
+    """How a run's steps converged, on average."""
+    return f"per step {iters:.2f} Picard iterations, {sweeps:.2f} full sweeps"
+
+
 def cmd_run(args) -> int:
     config = parse_config(args.config)
     grid = TorusGrid(config.points)
@@ -77,12 +82,8 @@ def cmd_run(args) -> int:
 
     final = traj.final_state
     write_snapshots(final, "final")
-    steps = max(len(traj.step_infos), 1)
-    iters = sum(i.picard_iters for i in traj.step_infos) / steps
-    sweeps = sum(i.full_sweeps for i in traj.step_infos) / steps
     print(f"finished at t={final.time:.6f}; min rho={final.rho.values.min():.6e}; "
-          f"worst contraction ratio={traj.max_contraction_ratio():.3f}; "
-          f"per step {iters:.2f} Picard iterations, {sweeps:.2f} full sweeps")
+          f"worst contraction ratio={traj.max_contraction_ratio():.3f}; {_per_step(*traj.mean_counts())}")
     print(f"wrote {out}/diagnostics.csv and final snapshots")
     return 0
 
@@ -120,7 +121,8 @@ def cmd_sweep(args) -> int:
     print(f"sweep over {spec.parameter}: {len(result.rungs)} rungs")
     for rung in result.rungs:
         dist = rung.distance_to_reference.get("sqrt_rho_u", 0.0)
-        print(f"  value={rung.value:<12g} min_rho={rung.min_rho:.4e} dist(sqrt_rho_u)={dist:.4e}")
+        print(f"  value={rung.value:<12g} min_rho={rung.min_rho:.4e} dist(sqrt_rho_u)={dist:.4e} "
+              f"{_per_step(rung.picard_iters_per_step, rung.full_sweeps_per_step)}")
     print(f"wrote {csv_path}")
     return 0
 

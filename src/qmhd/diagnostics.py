@@ -1,7 +1,7 @@
 """Numerical verification of the conservation structure: the energy
 identity, the BD (Bresch-Desjardins) entropy identity, the quantum-force
-algebraic identity, the log-Sobolev-type inequality record, weak-form
-residuals, and the norm monitors consumed by the limit experiments.
+algebraic identity, weak-form residuals, and the norm monitors consumed by
+the limit experiments.
 
 The weak form pairs each equation with test functions g(t) phi(x).  The
 spatial factors phi are two fixed batteries built from the grid alone, one
@@ -473,47 +473,6 @@ def bohm_identity_check(rho: ScalarField, kappa: float, floor: float = 1e-8) -> 
         )
 
     return BohmIdentityReport(dist(f1, f2), dist(f1, f3), dist(f2, f3))
-
-
-@dataclass(frozen=True)
-class QuantumInequalityReport:
-    """All integrals of the second-order log-density inequality, plus the
-    empirically admissible constants against both candidate right sides."""
-
-    hess_sqrt: float
-    quartic_gradient: float
-    gradient_rhs: float
-    hessian_rhs: float
-    c1_gradient: float
-    c2_gradient: float
-    c1_hessian: float
-    c2_hessian: float
-
-
-def quantum_inequality_check(rho: ScalarField, floor: float = 1e-8) -> QuantumInequalityReport:
-    grid = rho.grid
-    rvals = _check_floor(rho, floor, "quantum inequality")
-    w = ScalarField._adopt(grid, np.sqrt(rvals))
-    q = ScalarField._adopt(grid, rvals**0.25)
-    logr = ScalarField._adopt(grid, np.log(rvals))
-    hess_sqrt = _integral(hessian_frobenius_sq(w), grid)
-    quartic = _integral(grad_sq(q) ** 2, grid)
-    grad_rhs = _integral(rvals * grad_sq(logr), grid)
-    hess_rhs = _integral(rvals * hessian_frobenius_sq(logr), grid)
-
-    def ratio(num: float, den: float) -> float:
-        return num / den if den > 0 else np.inf
-
-    return QuantumInequalityReport(
-        hess_sqrt=hess_sqrt,
-        quartic_gradient=quartic,
-        gradient_rhs=grad_rhs,
-        hessian_rhs=hess_rhs,
-        c1_gradient=ratio(grad_rhs, hess_sqrt),
-        c2_gradient=ratio(grad_rhs, quartic),
-        c1_hessian=ratio(hess_rhs, hess_sqrt),
-        c2_hessian=ratio(hess_rhs, quartic),
-    )
 
 
 # --------------------------------------------------------------------------

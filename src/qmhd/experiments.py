@@ -284,6 +284,9 @@ class RungResult:
     quantum_energy_max: float
     weak_integrals: dict[str, float]
     distance_to_reference: dict[str, float]
+    # mean per step; printed by ``qmhd sweep``, not written to its CSV
+    picard_iters_per_step: float
+    full_sweeps_per_step: float
     tail_energy: float | None = None
 
 
@@ -321,6 +324,7 @@ def _run_rung(spec: SweepSpec, value) -> tuple[Trajectory, RungResult]:
     elif spec.parameter == "delta":
         weak = capillarity_term_weak_integral(traj, reg.delta, reg.s)
 
+    iters, sweeps = traj.mean_counts()
     rung = RungResult(
         value=float(value),
         monitors_max=monitors,
@@ -329,6 +333,8 @@ def _run_rung(spec: SweepSpec, value) -> tuple[Trajectory, RungResult]:
         quantum_energy_max=quant_max,
         weak_integrals=weak,
         distance_to_reference={},
+        picard_iters_per_step=iters,
+        full_sweeps_per_step=sweeps,
     )
     return traj, rung
 

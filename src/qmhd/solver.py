@@ -9,8 +9,10 @@ every remaining nonlinearity is evaluated at the iterated midpoint state.
 Each iteration sweeps the density, the magnetic field and the velocity once,
 and the loop stops when their largest relative update is below
 ``picard_tol``; the density corridor is checked on the converged step.  A
-run carries the level before from one step to the next as a starting guess
-only: the loop starts from the extrapolation ``2 x_n - x_(n-1)``.  Once the
+run carries the three levels before from one step to the next as a starting
+guess only: the loop starts from the polynomial through them and ``x_n``,
+cubic in the velocity and the density and quadratic in the magnetic field,
+whose stiff mean diffusion a higher order would amplify.  Once the
 density and the velocity have converged, the iterations that follow keep
 the density sweep, the momentum force less its Lorentz part and the velocity
 system, and sweep the magnetic field alone, with the Lorentz force it drives
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -388,10 +391,33 @@ def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
     return ScalarField._adopt(a.grid, 0.5 * (a.values + b.values), 0.5 * (a.spectrum + b.spectrum))
 
 
-def _extrapolated(a: ScalarField, b: ScalarField) -> ScalarField:
-    """``2 a - b``, the level after ``a`` on the line through ``b`` and ``a``,
-    values and spectra both."""
-    return ScalarField._adopt(a.grid, 2.0 * a.values - b.values, 2.0 * a.spectrum - b.spectrum)
+# orders of the polynomial a step starts from: lambda and rho through up to
+# three levels before x_n, B through up to two.  B's mean diffusion is
+# integrated exactly and is stiff (``magnetic_mean_exact`` reads 1.4-2.2 on
+# the benchmark runs), and an order-p extrapolation amplifies a mode that
+# decays by r per step by about r^-p: a cubic start of B took more
+# iterations at low density than a quadratic one
+_START_ORDER = 3
+_MAGNETIC_START_ORDER = 2
+
+
+def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
+    """The value one step after ``levels[0]`` on the polynomial through
+    ``levels``, most recent first and one step apart: for order ``p =
+    len(levels) - 1`` the weights are ``(-1)^j C(p+1, j+1)``, that is ``1``,
+    then ``2, -1``, ``3, -3, 1`` and ``4, -6, 4, -1``."""
+    p = len(levels) - 1
+    out = comb(p + 1, 1) * levels[0]
+    for j in range(1, p + 1):
+        out += (-1) ** j * comb(p + 1, j + 1) * levels[j]
+    return out
+
+
+def _extrapolated(levels: Sequence[ScalarField]) -> ScalarField:
+    """:func:`_extrapolate` of fields, values and spectra both."""
+    return ScalarField._adopt(
+        levels[0].grid, _extrapolate([f.values for f in levels]), _extrapolate([f.spectrum for f in levels])
+    )
 
 
 def _lorentz_entries(basis: GalerkinBasis, b: VectorField, curl_b: list[np.ndarray]) -> np.ndarray:
@@ -407,7 +433,7 @@ def advance_step(
     reg: RegParams,
     *,
     dt: float | None = None,
-    previous: State | None = None,
+    history: Sequence[State] = (),
 ) -> tuple[State, StepInfo]:
     """One time step of the coupled system via the fixed-point loop: each
     iteration sweeps the density, then the magnetic field, then solves the
@@ -416,9 +442,12 @@ def advance_step(
     the fixed point the shift cancels, so the step satisfies
     ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.
 
-    ``previous``, the level one step of ``dt`` before ``state``, serves only
-    as a starting guess: the loop starts from the linear extrapolation
-    ``2 x_n - x_(n-1)`` of lambda, rho and B, and without it from ``x_n``.
+    ``history``, the levels before ``state``, most recent first and each one
+    step of ``dt`` earlier, serves only as a starting guess: the loop starts
+    from the polynomial through ``state`` and that history, of order up to
+    three for lambda and rho and up to two for B (``_START_ORDER``,
+    ``_MAGNETIC_START_ORDER``), lower when fewer levels are given, and
+    without any from ``x_n``.
     Once an iteration's density and velocity updates are both at most
     ``picard_tol``, the loop keeps that iteration's density sweep,
     midpoints, momentum force less its Lorentz part and velocity system, and
@@ -440,11 +469,11 @@ def advance_step(
     # unconditionally stable for arbitrarily stiff eta |k|^4
     shift = (0.5 * h * reg.eta) * basis.eigen_k2**2
 
-    # without the level before, the start 2 x_n - x_n is x_n itself
-    before = state if previous is None else previous
-    lam_k = 2.0 * lam_old - before.velocity.values
-    rho_new = _extrapolated(rho_old, before.rho)
-    b_new = VectorField(b_old.grid, [_extrapolated(a, b) for a, b in zip(b_old.components, before.magnetic.components)])
+    levels = [state, *history[:_START_ORDER]]
+    lam_k = _extrapolate([s.velocity.values for s in levels])
+    rho_new = _extrapolated([s.rho for s in levels])
+    b_levels = [s.magnetic.components for s in levels[: _MAGNETIC_START_ORDER + 1]]
+    b_new = VectorField(b_old.grid, [_extrapolated(c) for c in zip(*b_levels)])
     b_mid = _magnetic_midpoint(b_old, b_new)
     update_norms: list[float] = []
     ratios: list[float] = []
@@ -549,6 +578,14 @@ class Trajectory:
     def final_state(self) -> State:
         return self.states[-1]
 
+    def mean_counts(self) -> tuple[float, float]:
+        """Mean Picard iterations and full sweeps per step."""
+        steps = max(len(self.step_infos), 1)
+        return (
+            sum(i.picard_iters for i in self.step_infos) / steps,
+            sum(i.full_sweeps for i in self.step_infos) / steps,
+        )
+
     def max_contraction_ratio(self) -> float:
         worst = 0.0
         for info in self.step_infos:
@@ -596,10 +633,13 @@ def run_simulation(
     if on_step is not None:
         on_step(0, state, None)
 
-    previous = None
+    # the levels before ``state`` that a start reads, at most three, so
+    # memory stays bounded in run length
+    history: list[State] = []
     for step in range(1, nsteps + 1):
-        new, info = advance_step(state, phys, reg, previous=previous)
-        previous, state = state, new
+        new, info = advance_step(state, phys, reg, history=history)
+        history = [state, *history][:_START_ORDER]
+        state = new
         infos.append(info)
 
         drift = abs(state.mass - mass0) / max(abs(mass0), 1e-300)

@@ -201,6 +201,19 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert (out / "sweep_results.csv").read_bytes() == (out2 / "sweep_results.csv").read_bytes()
 
 
+def test_sweep_prints_each_rungs_iterations_and_full_sweeps(tmp_path, capsys):
+    out = tmp_path / "sweep_out"
+    manifest = _write(tmp_path, "sweep.cfg", SWEEP_MANIFEST.format(out=out))
+    assert main(["sweep", manifest]) == 0
+    captured = capsys.readouterr().out
+    counts = re.findall(r"value=.* per step (\S+) Picard iterations, (\S+) full sweeps", captured)
+    assert len(counts) == 3
+    for iters, sweeps in counts:
+        assert 1.0 <= float(sweeps) <= float(iters)
+    # the counts are printed only
+    assert "picard" not in (out / "sweep_results.csv").read_text().lower()
+
+
 @pytest.mark.parametrize(
     "command, text, name",
     [("run", RUN_CFG, "config_echo.cfg"), ("sweep", SWEEP_MANIFEST, "sweep_results.csv")],

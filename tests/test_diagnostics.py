@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmhd import (
-    DensityFloorViolation,
     GalerkinBasis,
     NonuniformSampling,
     PhysParams,
@@ -31,7 +30,6 @@ from qmhd.diagnostics import (
     default_vector_battery,
     energy_identity_residual,
     norm_monitor,
-    quantum_inequality_check,
     weak_form_residual,
 )
 from qmhd.fields import (
@@ -361,24 +359,6 @@ def test_bohm_identity_check_cases():
     # spectral decay until the roundoff floor of the third derivatives
     assert finer <= rough / 10.0
     assert finer <= 1e-8
-
-
-def test_quantum_inequality_record():
-    grid = TorusGrid((64,))
-    x = grid.mesh[0]
-    const = ScalarField(grid, np.full(grid.shape, 3.0))
-    rep = quantum_inequality_check(const)
-    assert rep.hess_sqrt == pytest.approx(0.0, abs=1e-12)
-    assert rep.quartic_gradient == pytest.approx(0.0, abs=1e-12)
-
-    rho = ScalarField(grid, 2.0 + np.cos(x))
-    rep = quantum_inequality_check(rho)
-    assert rep.hess_sqrt > 0 and rep.quartic_gradient > 0
-    assert rep.hessian_rhs > 0
-    # the hessian right side admits positive constants on this sample
-    assert rep.c1_hessian > 0 and rep.c2_hessian > 0
-    with pytest.raises(DensityFloorViolation):
-        quantum_inequality_check(ScalarField(grid, np.full(grid.shape, 1e-9)))
 
 
 # --------------------------------------------------------------------------

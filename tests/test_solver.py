@@ -591,6 +591,40 @@ def test_low_density_step_converges_where_inner_loops_stalled():
     assert all(i.div_b_norm <= 1e-12 for i in traj.step_infos)
     assert all(i.corridor_margin <= 1e-8 for i in traj.step_infos)
 
+
+def _stepped_from_the_line(state, phys, reg, nsteps):
+    """``nsteps`` steps by hand, each started from ``2 x_n - x_(n-1)``: the
+    history cut to the one level before."""
+    infos, before = [], []
+    for _ in range(nsteps):
+        new, info = advance_step(state, phys, reg, history=before)
+        before, state = [state], new
+        infos.append(info)
+    return state, infos
+
+
+def test_low_density_start_takes_no_more_iterations_than_the_line():
+    # the probe of the stiff low-density regime, 40 steps: B's start stops at
+    # quadratic order, and a run takes no more iterations than starting each
+    # step from the line through the level before, and fewer full sweeps
+    grid, basis = _default_setup(nx=128)
+    x = grid.mesh[0]
+    z = np.zeros(grid.shape)
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+    state = initial_state(
+        ScalarField(grid, 1.0 + 0.6 * np.cos(x)),
+        VectorField.from_arrays(grid, [0.3 * np.sin(x), 0.2 * np.cos(x), z]),
+        VectorField.from_arrays(grid, [z, 0.5 * np.cos(x), 0.4 * np.sin(x)]),
+        basis,
+        reg,
+    )
+    traj = run_simulation(state, phys, reg, 40 * reg.dt)
+    _, line = _stepped_from_the_line(state, phys, reg, 40)
+    assert sum(i.picard_iters for i in traj.step_infos) <= sum(i.picard_iters for i in line)
+    assert sum(i.full_sweeps for i in traj.step_infos) < sum(i.full_sweeps for i in line)
+
+
 def test_run_simulation_zero_steps():
     grid, basis = _default_setup()
     phys, reg = PhysParams(), RegParams(dt=1e-3)
@@ -620,7 +654,7 @@ def test_run_simulation_invariants_and_determinism():
 
 def test_one_mass_operator_per_picard_iteration(monkeypatch):
     # each full sweep factors one velocity system, a magnetic-only iteration
-    # reuses it, and only the level before is handed from one step to the next
+    # reuses it, and only the levels before are handed from one step to the next
     grid, basis = _default_setup()
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=0.02, eta=1e-3, delta=1e-3, dt=1e-3)
@@ -637,13 +671,13 @@ def test_one_mass_operator_per_picard_iteration(monkeypatch):
     traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.003)
     assert len(traj.step_infos) == 3
     assert len(built) == sum(info.full_sweeps for info in traj.step_infos)
-    # stepping states built afresh, each with the level before, gives the
+    # stepping states built afresh, each with the levels before, gives the
     # same run, bit for bit
-    state, previous = traj.states[0], None
+    state, history = traj.states[0], []
     for s in fresh.states[1:]:
         afresh = State(state.time, state.rho, state.velocity, state.magnetic)
-        state, _ = advance_step(afresh, phys, reg, previous=previous)
-        previous = afresh
+        state, _ = advance_step(afresh, phys, reg, history=history)
+        history = [afresh, *history]
         assert np.array_equal(state.rho.values, s.rho.values)
         assert np.array_equal(state.velocity.values, s.velocity.values)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(state.magnetic.components, s.magnetic.components))
@@ -665,8 +699,8 @@ def _relative_distance(a: State, b: State) -> float:
 
 @pytest.mark.parametrize("shape, n_modes", [((64,), 9), ((32, 32), 60), ((16, 16, 16), 27)])
 def test_extrapolated_start_reaches_the_step_of_a_fresh_start(shape, n_modes):
-    # the level before is a starting guess only: a run, which starts each
-    # step from 2 x_n - x_(n-1), ends where stepping from x_n ends, to the
+    # the levels before are a starting guess only: a run, which starts each
+    # step from their extrapolation, ends where stepping from x_n ends, to the
     # fixed-point tolerance
     grid = TorusGrid(shape)
     basis = GalerkinBasis.lowest_modes(grid, n_modes)
@@ -676,6 +710,26 @@ def test_extrapolated_start_reaches_the_step_of_a_fresh_start(shape, n_modes):
     for _ in range(5):
         state, _ = advance_step(state, phys, reg)
     assert _relative_distance(traj.final_state, state) <= 1e-9
+
+
+def test_higher_order_start_moves_no_fixed_point_and_saves_full_sweeps():
+    # a run starts each step from the polynomial through up to three levels
+    # before; it ends where starting from the line through the level before
+    # ends, to the fixed-point tolerance, after fewer full sweeps
+    grid = TorusGrid((32, 32))
+    basis = GalerkinBasis.lowest_modes(grid, 60)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("random_smooth", grid, basis, reg, seed=0)
+    traj = run_simulation(state, phys, reg, 12 * reg.dt)
+    line, line_infos = _stepped_from_the_line(state, phys, reg, 12)
+    assert _relative_distance(traj.final_state, line) <= 1e-9
+    assert sum(i.full_sweeps for i in traj.step_infos) < sum(i.full_sweeps for i in line_infos)
+    # the second step sees one level before, so a two-step run is the line's
+    two = run_simulation(state, phys, reg, 2 * reg.dt).final_state
+    line, _ = _stepped_from_the_line(state, phys, reg, 2)
+    assert np.array_equal(two.rho.values, line.rho.values)
+    assert np.array_equal(two.velocity.values, line.velocity.values)
+    assert all(np.array_equal(a, b) for a, b in zip(two.magnetic.component_values(), line.magnetic.component_values()))
 
 
 def test_magnetic_only_iterations_redo_the_sweep_and_the_lorentz_force_alone(monkeypatch):
