@@ -262,9 +262,10 @@ class MassOperator:
     hyperviscous midpoint, zero by default).  It is held as its component
     blocks (:meth:`GalerkinBasis.gram_blocks`), one SPD system each, checked
     once by a stacked Cholesky (a non-finite entry is a ValueError, an
-    indefinite block :class:`SingularMass`), solved by stacked
-    ``numpy.linalg.solve`` and applied block by block; the full n x n
-    ``matrix`` is built only when read."""
+    indefinite block :class:`SingularMass`) and solved by stacked
+    ``numpy.linalg.solve``; :meth:`GalerkinBasis.apply_blocks` and
+    :meth:`GalerkinBasis.unblock` read ``blocks`` as a product and as the
+    n x n matrix."""
 
     def __init__(self, basis: GalerkinBasis, rho: ScalarField, shift: np.ndarray | float = 0.0):
         self.basis = basis
@@ -280,13 +281,6 @@ class MassOperator:
                 "density-weighted Gram matrix is not positive definite; "
                 "the density floor was breached"
             ) from exc
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.basis.unblock(self.blocks)
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.basis.apply_blocks(self.blocks, np.asarray(coeffs, dtype=np.float64))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         comp, row = self.basis._slots

@@ -296,7 +296,7 @@ def _centred_residual(
         _, lhs, rhs, terms = rows[k]
         r = dedt + lhs - rhs
         scale = max(abs(dedt), *(abs(v) for v in terms), 1e-300)
-        times.append(traj.times[k])
+        times.append(traj.states[k].time)
         raw.append(r)
         rel.append(r / scale)
     return ResidualSeries(np.array(times), np.array(raw), np.array(rel))
@@ -462,15 +462,7 @@ def bohm_identity_check(rho: ScalarField, kappa: float, floor: float = 1e-8) -> 
     f3 = bohm_force_hessian_form(rho, kappa, floor)
 
     def dist(a: VectorField, b: VectorField) -> float:
-        return float(
-            np.sqrt(
-                sum(
-                    ((x.values - y.values) ** 2).mean() * rho.grid.volume
-                    for x, y in zip(a.components, b.components)
-                )
-            )
-            / kappa**2
-        )
+        return l2_norm(a - b) / kappa**2
 
     return BohmIdentityReport(dist(f1, f2), dist(f1, f3), dist(f2, f3))
 

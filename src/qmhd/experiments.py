@@ -6,13 +6,17 @@ Each sweep runs one simulation per rung from shared initial data, measures
 solution distances against the final (limit) rung, archives the norm
 monitors, and evaluates the weak integrals of the terms that are supposed to
 vanish.  Those integrals pair each term with the diagnostics' fixed vector
-battery under its one envelope g(t) = (1 - t/T)^2.  Everything is
+battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
+the samples (``_battery_sums``).  The capillarity integral pairs the
+scheme's own force term (:func:`qmhd.solver._capillary_gradient`), so it
+costs one inverse transform per axis and sample.  Everything is
 deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -32,8 +36,7 @@ from .errors import QMHDError
 from .fields import (
     ScalarField,
     VectorField,
-    _laplacian_power,
-    dealias,
+    dealias,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     derivative,
     divergence,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     gradient,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
@@ -42,7 +45,7 @@ from .fields import (
     spectral_resample,
 )
 from .grid import TorusGrid
-from .solver import RegParams, State, Trajectory, initial_state, run_simulation
+from .solver import RegParams, State, Trajectory, _capillary_gradient, initial_state, run_simulation
 
 BENCHMARK_NAMES = ("single_mode", "density_bump", "random_smooth")
 
@@ -170,48 +173,51 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
 # weak integrals of the vanishing terms
 
 
+def _battery_sums(traj: Trajectory, tests: list, pairing: Callable[[State], Callable]) -> list[float]:
+    """For each vector test, the trapezoid sum over the samples of weight x
+    envelope x pairing: ``pairing(state)`` derives what the state's pairings
+    share and returns the pairing with one test."""
+    t_final = traj.times[-1]
+    acc = [0.0] * len(tests)
+    for wt, s in zip(_trapezoid(traj), traj.states):
+        g = envelope(s.time, t_final)
+        pair = pairing(s)
+        for t, test in enumerate(tests):
+            acc[t] += wt * g * pair(test)
+    return acc
+
+
 def quantum_term_weak_integral(traj: Trajectory, kappa: float) -> dict[str, float]:
     """Space-time weak integral of the quantum force in its integrated-by-
     parts form; reports the value and value/kappa^2."""
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
     grid = traj.states[0].rho.grid
-    t_final = traj.times[-1]
     tests = [_VectorTest.of(phi) for phi in default_vector_battery(grid).values()]
-    acc = [0.0] * len(tests)
-    for wt, time, s in zip(_trapezoid(traj), traj.times, traj.states):
+
+    def pairing(s: State):
         w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
         dw = [derivative(w, j).values for j in range(grid.dim)]
-        g = envelope(time, t_final)
-        for t, d in enumerate(tests):
-            acc[t] += wt * g * quantum_pairing(w.values, dw, d.grad_div, d.grad, grid)
-    total = sum(2.0 * kappa**2 * a for a in acc)
+        return lambda d: quantum_pairing(w.values, dw, d.grad_div, d.grad, grid)
+
+    total = sum(2.0 * kappa**2 * a for a in _battery_sums(traj, tests, pairing))
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
 
 
 def capillarity_term_weak_integral(traj: Trajectory, delta: float, s_order: int) -> dict[str, float]:
-    """Space-time weak integral of the capillarity term in transposed form;
-    reports the value and the value scaled by delta^((1-alpha)/2) with
-    alpha = (4s+2)/(4s+3)."""
+    """Space-time weak integral of the capillarity term: the scheme's own
+    force -delta rho g (:func:`qmhd.solver._capillary_gradient`) paired with
+    each test field.  Reports the value and the value scaled by
+    delta^((1-alpha)/2) with alpha = (4s+2)/(4s+3)."""
     if delta == 0.0:
         return {"value": 0.0, "scaled": 0.0}
     grid = traj.states[0].rho.grid
-    t_final = traj.times[-1]
-    battery = list(default_vector_battery(grid).values())
-    lap_power = _laplacian_power(grid, 2 * s_order + 1)
-    acc = [0.0] * len(battery)
-    for wt, time, st in zip(_trapezoid(traj), traj.times, traj.states):
-        rho = st.rho
-        # lap^s moved across: pair lap^(2s+1) rho against div(rho phi)
-        hi_field = ScalarField._adopt(grid, None, lap_power * rho.spectrum)
-        g = envelope(time, t_final)
-        for t, phi in enumerate(battery):
-            inner = 0.0
-            for l in range(grid.dim):
-                prod = dealias(ScalarField._adopt(grid, rho.values * phi.components[l].values))
-                inner += inner_product(hi_field, derivative(prod, l))
-            acc[t] += wt * g * inner
-    total = sum(-delta * a for a in acc)
+
+    def pairing(st: State):
+        force = [ScalarField._adopt(grid, -delta * st.rho.values * g) for g in _capillary_gradient(st.rho, s_order)]
+        return lambda phi: sum(inner_product(f, c) for f, c in zip(force, phi.components))
+
+    total = sum(_battery_sums(traj, list(default_vector_battery(grid).values()), pairing))
     alpha = (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
     return {"value": float(total), "scaled": float(total / delta ** ((1.0 - alpha) / 2.0))}
 

@@ -432,10 +432,7 @@ def cross(a: VectorField, b: VectorField) -> VectorField:
 
 
 def integrate(f: ScalarField) -> float:
-    grid = f.grid
-    if f._spectrum is not None and f._values is None:
-        return float(f._spectrum.flat[0].real * grid.volume)
-    return float(f.values.mean() * grid.volume)
+    return float(f.values.mean() * f.grid.volume)
 
 
 def inner_product(f, g) -> float:

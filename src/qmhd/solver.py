@@ -34,7 +34,12 @@ the samples of its curl once: the residual reads them, and so does the next
 iteration's magnetic sweep, whose midpoint is the same field.
 ``_reference_diffusivity`` is the one split of ``nu_b`` into the constant
 the magnetic sweep integrates exactly and its explicit remainder, and
-``cfl_report`` reads the same split.
+``cfl_report`` reads the same split.  ``_capillary_gradient`` is the one
+home of the capillarity force, which the residual assembles and the
+vanishing-regularization weak integral (:mod:`qmhd.experiments`) pairs with
+its test fields, and ``_div_b_bound`` is the one solenoidal rule, which
+``run_simulation`` applies after each step and ``qmhd check`` to the
+initial state.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -295,6 +300,17 @@ def solve_magnetic_step(
     return project_divergence_free(VectorField(grid, [ScalarField._adopt(grid, None, s) for s in spec_new]))
 
 
+def _capillary_gradient(rho: ScalarField, s: int) -> Iterator[np.ndarray]:
+    """Samples of g_a = -d_a P lap^(2s+1) rho (P the 2/3 mask), one active
+    axis a at a time.  The capillarity force is -delta rho g: for a mode in
+    component a, - delta < lap^s d_a P(rho e_i), lap^(s+1) rho > equals
+    - delta < rho g_a, e_i >."""
+    grid = rho.grid
+    cap_spec = np.where(grid.dealias_mask, _laplacian_power(grid, 2 * s + 1) * rho.spectrum, 0.0)
+    for a in range(grid.dim):
+        yield _backward(-1j * grid.kvec[a] * cap_spec, grid)
+
+
 def momentum_residual(
     rho: ScalarField,
     velocity: VelocityCoeffs,
@@ -342,13 +358,12 @@ def momentum_residual(
             dr = reg.epsilon * _backward(1j * k[j] * rho.spectrum, grid)
             for l in range(3):
                 body[l] -= dr * du[j][l]
-    # minus delta rho g_a: capillarity in transposed weak form.  For a mode
-    # in component a, - delta < lap^s d_a P(rho e_i), lap^(s+1) rho > equals
-    # - delta < rho g_a, e_i > with g_a = -d_a P lap^(2s+1) rho (P = 2/3 mask)
+    # minus delta rho g_a, capillarity in transposed weak form; each axis's
+    # samples are freed before the next axis's are formed
     if reg.delta:
-        cap_spec = np.where(grid.dealias_mask, _laplacian_power(grid, 2 * reg.s + 1) * rho.spectrum, 0.0)
+        cap = _capillary_gradient(rho, reg.s)
         for a in range(dim):
-            body[a] -= reg.delta * rvals * _backward(-1j * k[a] * cap_spec, grid)
+            body[a] -= reg.delta * rvals * next(cap)
     force = [_forward(g, grid, box) for g in body]
     del body
 
@@ -562,13 +577,17 @@ def advance_step(
 class Trajectory:
     """Sampled states of one run plus per-step bookkeeping."""
 
-    times: list[float]
     states: list[State]
     step_infos: list[StepInfo]
     dt: float
     sample_every: int
     phys: PhysParams
     reg: RegParams
+
+    @property
+    def times(self) -> list[float]:
+        """The sample times, each state's own."""
+        return [s.time for s in self.states]
 
     @property
     def sampled_dt(self) -> float:
@@ -609,6 +628,11 @@ def step_count(t0: float, t_end: float, dt: float, every: int = 1) -> int:
     return nsteps
 
 
+def _div_b_bound(b: VectorField) -> float:
+    """The largest L2 norm of div B a run accepts: 1e-12 max(||B||, 1)."""
+    return 1e-12 * max(l2_norm(b), 1.0)
+
+
 def run_simulation(
     initial: State,
     phys: PhysParams,
@@ -627,7 +651,6 @@ def run_simulation(
     nsteps = step_count(initial.time, t_end, reg.dt, sample_every)
     mass0 = initial.mass
     state = initial
-    times = [state.time]
     states = [state]
     infos: list[StepInfo] = []
     if on_step is not None:
@@ -645,17 +668,15 @@ def run_simulation(
         drift = abs(state.mass - mass0) / max(abs(mass0), 1e-300)
         if drift > 1e-10:
             raise QMHDError(f"mass conservation broke: relative drift {drift:.3e}")
-        b_scale = max(l2_norm(state.magnetic), 1e-300)
-        if info.div_b_norm > 1e-12 * max(b_scale, 1.0):
+        if info.div_b_norm > _div_b_bound(state.magnetic):
             raise QMHDError(f"magnetic field stopped being solenoidal: {info.div_b_norm:.3e}")
 
         if step % sample_every == 0:
-            times.append(state.time)
             states.append(state)
         if on_step is not None:
             on_step(step, state, info)
 
-    return Trajectory(times, states, infos, reg.dt, sample_every, phys, reg)
+    return Trajectory(states, infos, reg.dt, sample_every, phys, reg)
 
 
 def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, float]:

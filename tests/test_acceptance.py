@@ -260,8 +260,23 @@ def _ladder_rows(name, tmp_path, monkeypatch):
         return [{k: float(v) for k, v in row.items() if v} for row in csv.DictReader(fh)]
 
 
-def test_criterion_8_planck_limit(tmp_path, monkeypatch):
-    rows = _ladder_rows("planck_limit", tmp_path, monkeypatch)
+@pytest.fixture(scope="module")
+def planck_ladder(tmp_path_factory):
+    """``ladders/planck_limit.sweep`` run once: its CSV rows and the fitted
+    orders of its ``sweep_manifest.txt``."""
+    out = tmp_path_factory.mktemp("planck")
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _ladder_rows("planck_limit", out, mp)
+    with open(out / "runs" / "planck_limit" / "sweep_manifest.txt") as fh:
+        orders = {
+            key: float(value)
+            for key, value in (line.split(" = ") for line in fh if line.startswith("order_"))
+        }
+    return rows, orders
+
+
+def test_criterion_8_planck_limit(planck_ladder):
+    rows, _ = planck_ladder
     d_su = [r["dist_sqrt_rho_u"] for r in rows[:-1]]
     d_b = [r["dist_magnetic"] for r in rows[:-1]]
     monotone = all(a > b > 0 for a, b in zip(d_su, d_su[1:])) and all(
@@ -281,6 +296,13 @@ def test_criterion_8_planck_limit(tmp_path, monkeypatch):
         f"distances sqrt_rho_u {['%.3e' % v for v in d_su]}, B {['%.3e' % v for v in d_b]}; "
         f"weak integral / kappa^2 in [{min(ratios):.4f}, {max(ratios):.4f}]",
     )
+
+
+def test_planck_ladder_orders_are_the_kappa_squared_scaling(planck_ladder):
+    # the distances to the kappa = 0 rung scale as kappa^2 in every field
+    _, orders = planck_ladder
+    assert len(orders) == 6
+    assert all(abs(v - 2.0) <= 0.05 for v in orders.values()), orders
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import os
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qmhd.cli import main
+from qmhd.fields import VectorField
 from qmhd.snapshots import read_snapshot
 
 RUN_CFG = """
@@ -168,6 +171,25 @@ def test_check_passes_on_default_config(tmp_path, capsys):
     assert main(["check", cfg]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_check_fails_on_a_divergent_initial_field(tmp_path, monkeypatch, capsys):
+    import qmhd.cli
+
+    build = qmhd.cli.benchmark_state
+
+    def divergent(*args, **kwargs):
+        # B = (0.1 sin x, 0, 0) has divergence 0.1 cos x
+        state = build(*args, **kwargs)
+        grid = state.rho.grid
+        zero = np.zeros(grid.shape)
+        return replace(state, magnetic=VectorField.from_arrays(grid, [0.1 * np.sin(grid.mesh[0]), zero, zero]))
+
+    monkeypatch.setattr(qmhd.cli, "benchmark_state", divergent)
+    cfg = _write(tmp_path, "chk.cfg", "[grid]\npoints = 32\nmodes = 6\n")
+    assert main(["check", cfg]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and "initial B solenoidal" in failed[0]
 
 
 def test_inspect_reports_writer_side_norms(tmp_path, capsys):

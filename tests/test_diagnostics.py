@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -332,10 +334,11 @@ def test_nonuniform_sampling_rejected():
     basis = GalerkinBasis.lowest_modes(grid, 3)
     phys, reg = PhysParams(), RegParams(dt=1e-3)
     state = _mini_benchmark(grid, basis, reg)
-    traj = Trajectory([0.0, 1e-3, 3e-3], [state, state, state], [], reg.dt, 1, phys, reg)
+    states = [replace(state, time=t) for t in (0.0, 1e-3, 3e-3)]
+    traj = Trajectory(states, [], reg.dt, 1, phys, reg)
     with pytest.raises(NonuniformSampling):
         energy_identity_residual(traj)
-    short = Trajectory([0.0, 1e-3], [state, state], [], reg.dt, 1, phys, reg)
+    short = Trajectory(states[:2], [], reg.dt, 1, phys, reg)
     with pytest.raises(NonuniformSampling):
         energy_identity_residual(short)
 
@@ -416,9 +419,7 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=0.01, dt=1e-3)
     traj = run_simulation(_mini_benchmark(grid, basis, reg), phys, reg, 8e-3)
-    short = Trajectory(
-        traj.times[:5], traj.states[:5], traj.step_infos[:4], traj.dt, 1, phys, reg
-    )
+    short = Trajectory(traj.states[:5], traj.step_infos[:4], traj.dt, 1, phys, reg)
     weak_form_residual(traj)  # fills the states' lazily computed samples
     counts = count_transforms(monkeypatch)
 

@@ -16,7 +16,17 @@ from qmhd.experiments import (
     sweep_rows,
     trajectory_distance,
 )
-from qmhd.fields import ScalarField, VectorField, divergence, l2_norm
+from qmhd.diagnostics import default_vector_battery, envelope
+from qmhd.fields import (
+    ScalarField,
+    VectorField,
+    _laplacian_power,
+    dealias,
+    derivative,
+    divergence,
+    inner_product,
+    l2_norm,
+)
 from qmhd.solver import VelocityCoeffs, initial_state, run_simulation
 
 
@@ -117,6 +127,41 @@ def test_quantum_and_capillarity_integral_trivial_cases():
     assert quantum_term_weak_integral(traj, 0.3)["value"] == pytest.approx(0.0, abs=1e-12)
     assert capillarity_term_weak_integral(traj, 0.0, 1)["value"] == 0.0
     assert capillarity_term_weak_integral(traj, 0.1, 1)["value"] == pytest.approx(0.0, abs=1e-12)
+
+
+def _capillarity_integral_reference(traj, delta, s_order):
+    """The integral by its own discretization: -delta times the trapezoid sum
+    of g(t) sum_l < lap^(2s+1) rho, d_l P(rho phi_l) >, P the 2/3 mask."""
+    grid = traj.states[0].rho.grid
+    battery = list(default_vector_battery(grid).values())
+    lap_power = _laplacian_power(grid, 2 * s_order + 1)
+    weights = np.full(len(traj.states), traj.sampled_dt)
+    weights[[0, -1]] *= 0.5
+    acc = [0.0] * len(battery)
+    for wt, st in zip(weights, traj.states):
+        hi_field = ScalarField._adopt(grid, None, lap_power * st.rho.spectrum)
+        g = envelope(st.time, traj.times[-1])
+        for t, phi in enumerate(battery):
+            inner = 0.0
+            for l in range(grid.dim):
+                prod = dealias(ScalarField._adopt(grid, st.rho.values * phi.components[l].values))
+                inner += inner_product(hi_field, derivative(prod, l))
+            acc[t] += wt * g * inner
+    return sum(-delta * a for a in acc)
+
+
+@pytest.mark.parametrize("shape,n_modes", [((128,), 9), ((32, 32), 27)])
+def test_capillarity_integral_matches_its_own_discretization(shape, n_modes):
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    reg = RegParams(epsilon=0.02, eta=0.01, delta=1e-4, s=1, dt=1e-3)
+    state = benchmark_state("random_smooth", grid, basis, reg, seed=0)
+    traj = run_simulation(state, PhysParams(kappa=0.3), reg, 4e-3)
+    for s_order in (1, 2):
+        got = capillarity_term_weak_integral(traj, reg.delta, s_order)["value"]
+        ref = _capillarity_integral_reference(traj, reg.delta, s_order)
+        assert ref != 0.0
+        assert abs(got - ref) <= 1e-12 * abs(ref), (s_order, got, ref)
 
 
 def test_sweep_spec_validation():
