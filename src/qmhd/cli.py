@@ -83,7 +83,7 @@ def cmd_run(args) -> int:
     final = traj.final_state
     write_snapshots(final, "final")
     print(f"finished at t={final.time:.6f}; min rho={final.rho.values.min():.6e}; "
-          f"worst contraction ratio={traj.max_contraction_ratio():.3f}; {_per_step(*traj.mean_counts())}")
+          f"worst contraction ratio={traj.max_contraction_ratio:.3f}; {_per_step(*traj.mean_counts())}")
     print(f"wrote {out}/diagnostics.csv and final snapshots")
     return 0
 

@@ -2,10 +2,10 @@
 (a delta rung sets eta = epsilon = delta²), and the vanishing-Planck-constant
 limit.
 
-Each sweep runs one simulation per rung from shared initial data, measures
-solution distances against the final (limit) rung, archives the norm
-monitors, and evaluates the weak integrals of the terms that are supposed to
-vanish.  Those integrals pair each term with the diagnostics' fixed vector
+Each sweep runs the final (limit) rung first, then one simulation per rung
+from shared initial data, measuring as each finishes its distances to the
+limit rung, its norm monitors, and the weak integrals of the terms that are
+supposed to vanish.  Those integrals pair each term with the diagnostics' fixed vector
 battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
 the samples (``_battery_sums``).  The capillarity integral pairs the
 scheme's own force term (:func:`qmhd.solver._capillary_gradient`), so it
@@ -16,6 +16,7 @@ deterministic for a fixed configuration.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -281,7 +282,7 @@ class SweepSpec:
         return phys, reg, n
 
 
-@dataclass
+@dataclass(frozen=True)
 class RungResult:
     value: float
     monitors_max: dict[str, float]
@@ -303,12 +304,18 @@ class SweepResult:
     convergence_orders: dict[str, float]
 
 
-def _run_rung(spec: SweepSpec, value) -> tuple[Trajectory, RungResult]:
+def _simulate(spec: SweepSpec, value) -> Trajectory:
     grid = TorusGrid((spec.points,) * spec.dim)
     phys, reg, n = spec.rung_params(value)
     basis = GalerkinBasis.lowest_modes(grid, n)
     state = benchmark_state(spec.benchmark, grid, basis, reg, seed=spec.seed)
-    traj = run_simulation(state, phys, reg, spec.t_end, sample_every=spec.sample_every)
+    return run_simulation(state, phys, reg, spec.t_end, sample_every=spec.sample_every)
+
+
+def _measure(spec: SweepSpec, reference: Trajectory, value) -> RungResult:
+    """One rung's result; the limit rung is ``reference`` itself."""
+    traj = reference if value == spec.values[-1] else _simulate(spec, value)
+    phys, reg = traj.phys, traj.reg
 
     monitors = {k: 0.0 for k in MONITOR_KEYS}
     min_rho = np.inf
@@ -329,47 +336,35 @@ def _run_rung(spec: SweepSpec, value) -> tuple[Trajectory, RungResult]:
         weak = quantum_term_weak_integral(traj, phys.kappa)
     elif spec.parameter == "delta":
         weak = capillarity_term_weak_integral(traj, reg.delta, reg.s)
+    tail = float(np.sum(reference.final_state.velocity.values[int(value):] ** 2)) if spec.parameter == "n" else None
 
     iters, sweeps = traj.mean_counts()
-    rung = RungResult(
+    return RungResult(
         value=float(value),
         monitors_max=monitors,
         min_rho=float(min_rho),
         capillary_energy_max=cap_max,
         quantum_energy_max=quant_max,
         weak_integrals=weak,
-        distance_to_reference={},
+        distance_to_reference=trajectory_distance(traj, reference),
         picard_iters_per_step=iters,
         full_sweeps_per_step=sweeps,
+        tail_energy=tail,
     )
-    return traj, rung
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Execute every rung, measure distances to the final (limit) rung."""
+    """Run the final (limit) rung, then measure every rung against it, so
+    at most two trajectories are held at once."""
+    measure = partial(_measure, spec, _simulate(spec, spec.values[-1]))
     if workers > 1:
         # imported here, so that commands running no pool skip importing multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_run_rung, [spec] * len(spec.values), spec.values))
+            rungs = list(pool.map(measure, spec.values))
     else:
-        pairs = [_run_rung(spec, v) for v in spec.values]
-    trajectories = [p[0] for p in pairs]
-    rungs = [p[1] for p in pairs]
-
-    reference = trajectories[-1]
-    for i, traj in enumerate(trajectories):
-        if i == len(trajectories) - 1:
-            rungs[i].distance_to_reference = {k: 0.0 for k in StateDistance.__annotations__}
-        else:
-            rungs[i].distance_to_reference = trajectory_distance(traj, reference)
-
-    if spec.parameter == "n":
-        ref_final = reference.final_state.velocity.values
-        for rung in rungs:
-            n1 = int(rung.value)
-            rung.tail_energy = float(np.sum(ref_final[n1:] ** 2))
+        rungs = [measure(v) for v in spec.values]
 
     orders: dict[str, float] = {}
     vals = np.array([r.value for r in rungs[:-1]], dtype=float)

@@ -15,7 +15,8 @@ offset size   content
 ====== ====== =====================================================
 
 Samples follow in row-major (C) order; vector fields store their three
-component blocks consecutively.  Writes are atomic (temp file + rename).
+component blocks consecutively.  Writes are atomic (temp file + rename) and
+give the file the mode ``open()`` would.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ def atomic_write(path, payload: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0o777)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,15 +89,18 @@ def read_snapshot(path) -> tuple[ScalarField | VectorField, float]:
     shape = tuple(n for n in (n0, n1, n2)[:dim])
     if any(n == 0 for n in shape):
         raise SnapshotFormatError(f"{path}: zero axis in shape {shape}")
-    grid = TorusGrid(shape)
-    count = grid.num_points * (3 if kind == 1 else 1)
-    expected = _HEADER.size + count * 8
-    if len(raw) != expected:
-        raise SnapshotFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size, count=count)
-    if kind == 1:
-        comps = data.reshape((3,) + grid.shape)
-        return VectorField.from_arrays(grid, [comps[i] for i in range(3)]), time
-    if kind != 0:
-        raise SnapshotFormatError(f"{path}: bad field kind {kind}")
-    return ScalarField(grid, data.reshape(grid.shape)), time
+    try:
+        grid = TorusGrid(shape)
+        count = grid.num_points * (3 if kind == 1 else 1)
+        expected = _HEADER.size + count * 8
+        if len(raw) != expected:
+            raise SnapshotFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size, count=count)
+        if kind == 1:
+            comps = data.reshape((3,) + grid.shape)
+            return VectorField.from_arrays(grid, [comps[i] for i in range(3)]), time
+        if kind != 0:
+            raise SnapshotFormatError(f"{path}: bad field kind {kind}")
+        return ScalarField(grid, data.reshape(grid.shape)), time
+    except ValueError as exc:  # the grid or the field types reject the data
+        raise SnapshotFormatError(f"{path}: {exc}") from None

@@ -575,14 +575,18 @@ def advance_step(
 
 @dataclass
 class Trajectory:
-    """Sampled states of one run plus per-step bookkeeping."""
+    """Sampled states of one run plus running totals of its steps' counts;
+    a caller that wants every step's :class:`StepInfo` takes it from
+    ``run_simulation(on_step=...)``."""
 
     states: list[State]
-    step_infos: list[StepInfo]
     dt: float
     sample_every: int
     phys: PhysParams
     reg: RegParams
+    picard_iters: int = 0
+    full_sweeps: int = 0
+    max_contraction_ratio: float = 0.0
 
     @property
     def times(self) -> list[float]:
@@ -599,18 +603,8 @@ class Trajectory:
 
     def mean_counts(self) -> tuple[float, float]:
         """Mean Picard iterations and full sweeps per step."""
-        steps = max(len(self.step_infos), 1)
-        return (
-            sum(i.picard_iters for i in self.step_infos) / steps,
-            sum(i.full_sweeps for i in self.step_infos) / steps,
-        )
-
-    def max_contraction_ratio(self) -> float:
-        worst = 0.0
-        for info in self.step_infos:
-            if info.contraction_ratios:
-                worst = max(worst, max(info.contraction_ratios))
-        return worst
+        steps = max((len(self.states) - 1) * self.sample_every, 1)
+        return self.picard_iters / steps, self.full_sweeps / steps
 
 
 def step_count(t0: float, t_end: float, dt: float, every: int = 1) -> int:
@@ -651,8 +645,7 @@ def run_simulation(
     nsteps = step_count(initial.time, t_end, reg.dt, sample_every)
     mass0 = initial.mass
     state = initial
-    states = [state]
-    infos: list[StepInfo] = []
+    traj = Trajectory([state], reg.dt, sample_every, phys, reg)
     if on_step is not None:
         on_step(0, state, None)
 
@@ -663,7 +656,9 @@ def run_simulation(
         new, info = advance_step(state, phys, reg, history=history)
         history = [state, *history][:_START_ORDER]
         state = new
-        infos.append(info)
+        traj.picard_iters += info.picard_iters
+        traj.full_sweeps += info.full_sweeps
+        traj.max_contraction_ratio = max([traj.max_contraction_ratio, *info.contraction_ratios])
 
         drift = abs(state.mass - mass0) / max(abs(mass0), 1e-300)
         if drift > 1e-10:
@@ -672,11 +667,11 @@ def run_simulation(
             raise QMHDError(f"magnetic field stopped being solenoidal: {info.div_b_norm:.3e}")
 
         if step % sample_every == 0:
-            states.append(state)
+            traj.states.append(state)
         if on_step is not None:
             on_step(step, state, info)
 
-    return Trajectory(states, infos, reg.dt, sample_every, phys, reg)
+    return traj
 
 
 def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, float]:

@@ -7,6 +7,7 @@ import pytest
 import qmhd.fields
 from qmhd import TorusGrid
 from qmhd.fields import ScalarField, VectorField
+from qmhd.solver import run_simulation
 
 
 @pytest.fixture
@@ -46,6 +47,18 @@ def mode_profile(grid, mode):
         return np.full(grid.shape, 1.0 / np.sqrt(vol))
     phase = sum(mode.wavevector[a] * grid.mesh[a] for a in range(grid.dim))
     return np.sqrt(2.0 / vol) * (np.cos(phase) if mode.trig == "cos" else np.sin(phase))
+
+
+def run_with_infos(*args, **kwargs):
+    """``run_simulation(*args, **kwargs)`` and the list of every step's
+    ``StepInfo``, collected through ``on_step``."""
+    infos = []
+
+    def keep(step, state, info):
+        if info is not None:
+            infos.append(info)
+
+    return run_simulation(*args, on_step=keep, **kwargs), infos
 
 
 def count_transforms(monkeypatch) -> Counter:

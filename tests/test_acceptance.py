@@ -38,6 +38,7 @@ from qmhd.experiments import benchmark_state
 from qmhd.fields import ScalarField, VectorField
 from qmhd.solver import solve_density_step, solve_magnetic_step
 
+from conftest import run_with_infos
 from test_solver import semi_discrete_rhs
 
 
@@ -129,10 +130,10 @@ def test_criterion_4_conservation_suite_2d():
     phys = PhysParams(kappa=0.05)
     reg = RegParams(epsilon=0.01, dt=1e-3, picard_tol=1e-11)
     state = benchmark_state("density_bump", grid, basis, reg)
-    traj = run_simulation(state, phys, reg, 1.0, sample_every=100)
+    traj, infos = run_with_infos(state, phys, reg, 1.0, sample_every=100)
     drift = abs(traj.final_state.mass - state.mass) / state.mass
-    div_b = max(i.div_b_norm for i in traj.step_infos)
-    corridor = max(i.corridor_margin for i in traj.step_infos)
+    div_b = max(i.div_b_norm for i in infos)
+    corridor = max(i.corridor_margin for i in infos)
     _report(
         4,
         drift <= 1e-10 and div_b <= 1e-12 and corridor <= 1e-8,
@@ -233,7 +234,7 @@ def test_criterion_7_single_mode_oracle():
         t_eval=traj.times,
     )
     err = float(np.max(np.abs([s.velocity.values[0] for s in traj.states] - sol.y[0])))
-    worst_ratio = traj.max_contraction_ratio()
+    worst_ratio = traj.max_contraction_ratio
     _report(
         7,
         err <= 1e-6 and worst_ratio < 1.0,
@@ -390,9 +391,9 @@ def test_smoke_3d():
     phys = PhysParams(kappa=0.05)
     reg = RegParams(epsilon=0.01, dt=2e-3, picard_tol=1e-10)
     state = benchmark_state("single_mode", grid, basis, reg)
-    traj = run_simulation(state, phys, reg, 0.01)
+    traj, infos = run_with_infos(state, phys, reg, 0.01)
     drift = abs(traj.final_state.mass - state.mass) / state.mass
-    div_b = max(i.div_b_norm for i in traj.step_infos)
-    ok = drift <= 1e-10 and div_b <= 1e-12 and traj.max_contraction_ratio() < 1.0
+    div_b = max(i.div_b_norm for i in infos)
+    ok = drift <= 1e-10 and div_b <= 1e-12 and traj.max_contraction_ratio < 1.0
     print(f"\n3d smoke: {'PASS' if ok else 'FAIL'} - mass drift {drift:.2e}, div B {div_b:.2e}")
     assert ok

@@ -86,7 +86,7 @@ def test_run_holds_the_initial_and_the_final_state_only(tmp_path, monkeypatch):
     text = RUN_CFG.format(out=out).replace("t_end = 0.005", "t_end = 0.006").replace("diagnostics_every = 1", "diagnostics_every = 2")
     assert main(["run", _write(tmp_path, "run.cfg", text)]) == 0
     (traj,) = trajectories
-    assert len(traj.step_infos) == 6
+    assert (len(traj.states) - 1) * traj.sample_every == 6
     assert [s.time for s in traj.states] == pytest.approx([0.0, 0.006])
     assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 4
 
@@ -207,6 +207,19 @@ def test_inspect_reports_writer_side_norms(tmp_path, capsys):
 
 def test_inspect_missing_file_is_io_error(tmp_path):
     assert main(["inspect", str(tmp_path / "missing.qmhd")]) == 4
+
+
+@pytest.mark.parametrize("points, reason", [(8, "field values must be finite"), (9, "points per axis must be even")])
+def test_inspect_of_data_the_field_types_reject_is_io_error(tmp_path, capsys, points, reason):
+    from qmhd.snapshots import _HEADER, MAGIC, VERSION
+
+    samples = np.ones(points)
+    samples[3] = np.nan if points == 8 else 2.0
+    path = tmp_path / "bad.qmhd"
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 1, points, 0, 0, 0, 0.0) + samples.astype("<f8").tobytes())
+    assert main(["inspect", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(path) in err and reason in err
 
 
 def test_sweep_subcommand(tmp_path, capsys):

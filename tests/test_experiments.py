@@ -276,6 +276,39 @@ def test_sweep_parallel_matches_serial():
         assert a.monitors_max == b.monitors_max
 
 
+def test_a_sweep_holds_at_most_two_trajectories(monkeypatch):
+    # the limit rung runs first, and each other rung is measured against it
+    # as it finishes and then let go
+    import gc
+    import weakref
+
+    import qmhd.experiments
+
+    runs, alive = [], []
+    run = qmhd.experiments.run_simulation
+
+    def tracked(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        runs.append(weakref.ref(traj))
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in runs))
+        return traj
+
+    monkeypatch.setattr(qmhd.experiments, "run_simulation", tracked)
+    spec = SweepSpec(
+        "kappa",
+        (0.1, 0.05, 0.02, 0.0),
+        "density_bump",
+        dim=1,
+        points=32,
+        t_end=0.004,
+        reg=RegParams(dt=1e-3, picard_tol=1e-11),
+        n_modes=6,
+    )
+    run_sweep(spec)
+    assert len(alive) == 4 and max(alive) == 2
+
+
 def test_content_hash_stable(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"abc123")

@@ -4,7 +4,7 @@ import pytest
 from qmhd import TorusGrid
 from qmhd.errors import SnapshotFormatError
 from qmhd.fields import ScalarField, VectorField
-from qmhd.snapshots import MAGIC, read_snapshot, write_snapshot
+from qmhd.snapshots import MAGIC, atomic_write, read_snapshot, write_snapshot
 
 from conftest import band_limited_vector
 
@@ -82,3 +82,16 @@ def test_no_temp_files_left(tmp_path, rng):
     write_snapshot(tmp_path / "ok.qmhd", f, time=0.0)
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".qmhd-tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask, mode):
+    import os
+    import stat
+
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "out.bin", b"payload")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.bin").st_mode) == mode

@@ -39,7 +39,14 @@ from qmhd.solver import (
     solve_magnetic_step,
 )
 
-from conftest import band_limited_scalar, band_limited_vector, count_transforms, mode_profile, transform_counts
+from conftest import (
+    band_limited_scalar,
+    band_limited_vector,
+    count_transforms,
+    mode_profile,
+    run_with_infos,
+    transform_counts,
+)
 
 
 # --------------------------------------------------------------------------
@@ -584,12 +591,34 @@ def test_low_density_step_converges_where_inner_loops_stalled():
         basis,
         reg,
     )
-    traj = run_simulation(state, phys, reg, 20 * reg.dt)
-    assert len(traj.step_infos) == 20
+    traj, infos = run_with_infos(state, phys, reg, 20 * reg.dt)
+    assert len(infos) == 20
     mass0 = traj.states[0].mass
     assert abs(traj.final_state.mass - mass0) <= 1e-10 * mass0
-    assert all(i.div_b_norm <= 1e-12 for i in traj.step_infos)
-    assert all(i.corridor_margin <= 1e-8 for i in traj.step_infos)
+    assert all(i.div_b_norm <= 1e-12 for i in infos)
+    assert all(i.corridor_margin <= 1e-8 for i in infos)
+
+
+def test_run_memory_does_not_grow_with_its_step_count():
+    # a run keeps running totals of its steps' counts: sampled only at its
+    # ends, a run of 400 steps holds no more than one of 100
+    import tracemalloc
+
+    grid, basis = _default_setup(n_modes=3, nx=16)
+    phys, reg = PhysParams(), RegParams(dt=1e-3)
+    state = _benchmark_state(grid, basis, reg)
+
+    def held(nsteps):
+        tracemalloc.start()
+        try:
+            traj = run_simulation(state, phys, reg, nsteps * reg.dt, sample_every=nsteps)
+            assert len(traj.states) == 2
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    run_simulation(state, phys, reg, 100 * reg.dt, sample_every=100)  # warms the caches
+    assert held(400) - held(100) <= 4096
 
 
 def _stepped_from_the_line(state, phys, reg, nsteps):
@@ -621,8 +650,8 @@ def test_low_density_start_takes_no_more_iterations_than_the_line():
     )
     traj = run_simulation(state, phys, reg, 40 * reg.dt)
     _, line = _stepped_from_the_line(state, phys, reg, 40)
-    assert sum(i.picard_iters for i in traj.step_infos) <= sum(i.picard_iters for i in line)
-    assert sum(i.full_sweeps for i in traj.step_infos) < sum(i.full_sweeps for i in line)
+    assert traj.picard_iters <= sum(i.picard_iters for i in line)
+    assert traj.full_sweeps < sum(i.full_sweeps for i in line)
 
 
 def test_run_simulation_zero_steps():
@@ -639,14 +668,14 @@ def test_run_simulation_invariants_and_determinism():
     reg = RegParams(epsilon=0.02, eta=1e-3, delta=1e-3, dt=1e-3, picard_tol=1e-12)
 
     def one_run():
-        return run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.05)
+        return run_with_infos(_benchmark_state(grid, basis, reg), phys, reg, 0.05)
 
-    t1, t2 = one_run(), one_run()
+    (t1, infos), (t2, _) = one_run(), one_run()
     mass0 = t1.states[0].mass
     assert abs(t1.final_state.mass - mass0) <= 1e-10 * mass0
-    assert all(i.div_b_norm <= 1e-12 for i in t1.step_infos)
-    assert all(i.corridor_margin <= 1e-8 for i in t1.step_infos)
-    assert t1.max_contraction_ratio() < 1.0
+    assert all(i.div_b_norm <= 1e-12 for i in infos)
+    assert all(i.corridor_margin <= 1e-8 for i in infos)
+    assert t1.max_contraction_ratio < 1.0
     for s1, s2 in zip(t1.states, t2.states):
         assert np.array_equal(s1.rho.values, s2.rho.values)
         assert np.array_equal(s1.velocity.values, s2.velocity.values)
@@ -669,8 +698,8 @@ def test_one_mass_operator_per_picard_iteration(monkeypatch):
 
     monkeypatch.setattr(MassOperator, "__init__", counting)
     traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.003)
-    assert len(traj.step_infos) == 3
-    assert len(built) == sum(info.full_sweeps for info in traj.step_infos)
+    assert len(traj.states) == 1 + 3
+    assert len(built) == traj.full_sweeps
     # stepping states built afresh, each with the levels before, gives the
     # same run, bit for bit
     state, history = traj.states[0], []
@@ -723,7 +752,7 @@ def test_higher_order_start_moves_no_fixed_point_and_saves_full_sweeps():
     traj = run_simulation(state, phys, reg, 12 * reg.dt)
     line, line_infos = _stepped_from_the_line(state, phys, reg, 12)
     assert _relative_distance(traj.final_state, line) <= 1e-9
-    assert sum(i.full_sweeps for i in traj.step_infos) < sum(i.full_sweeps for i in line_infos)
+    assert traj.full_sweeps < sum(i.full_sweeps for i in line_infos)
     # the second step sees one level before, so a two-step run is the line's
     two = run_simulation(state, phys, reg, 2 * reg.dt).final_state
     line, _ = _stepped_from_the_line(state, phys, reg, 2)
@@ -770,8 +799,8 @@ def test_magnetic_only_iterations_redo_the_sweep_and_the_lorentz_force_alone(mon
     monkeypatch.setattr(MassOperator, "__init__", counting)
     traj = run_simulation(state, phys, reg, 3 * reg.dt)
 
-    full = sum(i.full_sweeps for i in traj.step_infos)
-    assert full < sum(i.picard_iters for i in traj.step_infos)
+    full = traj.full_sweeps
+    assert full < traj.picard_iters
     assert len(built) == full
     assert [name for name, _ in events].count("momentum_residual") == full
     # a magnetic-only iteration runs from its sweep to its Lorentz force with
@@ -783,7 +812,7 @@ def test_magnetic_only_iterations_redo_the_sweep_and_the_lorentz_force_alone(mon
         if name == "solve_magnetic_step" and next_name == "lorentz"
     ]
     assert windows == [transform_counts(backward_full=6, forward_full=3, forward_box=3)] * (
-        sum(i.picard_iters for i in traj.step_infos) - full
+        traj.picard_iters - full
     )
 
 
@@ -951,7 +980,7 @@ def test_factor_cache_bounded_over_run():
     reg = RegParams(epsilon=0.02, eta=1e-3, dt=1e-3)
     _density_factors.cache_clear()
     traj = run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 0.01)
-    assert len(traj.step_infos) == 10
+    assert len(traj.states) == 1 + 10
     info = _density_factors.cache_info()
     assert info.currsize == 1 and info.misses == 1
 
@@ -977,7 +1006,11 @@ def test_run_simulation_samples_end_at_t_end():
     traj = run_simulation(state, phys, reg, 0.006, sample_every=3, on_step=lambda *call: seen.append(call))
     # the hook sees the initial state and every step's state, sampled or not
     assert [step for step, _, _ in seen] == list(range(7))
-    assert seen[0][2] is None and all(info is i for (_, _, info), i in zip(seen[1:], traj.step_infos))
+    assert seen[0][2] is None
+    # the trajectory's totals are those of the infos the hook sees
+    infos = [info for _, _, info in seen[1:]]
+    assert (traj.picard_iters, traj.full_sweeps) == (sum(i.picard_iters for i in infos), sum(i.full_sweeps for i in infos))
+    assert traj.max_contraction_ratio == max(r for i in infos for r in i.contraction_ratios)
     assert traj.states == [seen[k][1] for k in (0, 3, 6)]
     assert traj.final_state.time == pytest.approx(0.006)
 

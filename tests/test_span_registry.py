@@ -7,17 +7,21 @@ import importlib
 import importlib.util
 import os
 
+from qmhd import GalerkinBasis, PhysParams, RegParams, TorusGrid, advance_step
+from qmhd.experiments import benchmark_state
+
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "spans.py")
 
 
-def _registry():
+def _spans():
     spec = importlib.util.spec_from_file_location("qmhd_benchmark_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.REGISTRY
+    return module
 
 
-REGISTRY = _registry()
+SPANS = _spans()
+REGISTRY = SPANS.REGISTRY
 
 
 def test_every_registry_name_resolves_and_is_bound_where_listed():
@@ -37,3 +41,18 @@ def test_every_registry_name_resolves_and_is_bound_where_listed():
             if vars(importlib.import_module(other)).get(name) is not target:
                 problems.append(f"{other} does not bind {home}.{name}")
     assert not problems
+
+
+def test_the_step_attribute_reads_what_advance_step_returns():
+    # the benchmark reads each step's iterations and worst ratio off the
+    # StepInfo that advance_step returns; a slimmer StepInfo fails here
+    # instead of leaving solver.picard_* unmeasured
+    grid = TorusGrid((32,))
+    basis = GalerkinBasis.lowest_modes(grid, 6)
+    phys, reg = PhysParams(kappa=0.1), RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
+    state = benchmark_state("density_bump", grid, basis, reg)
+    result = advance_step(state, phys, reg)
+    info = result[1]
+    assert info.contraction_ratios
+    attr = SPANS.ATTRS["advance_step"]((state, phys, reg), {}, result)
+    assert attr == [info.picard_iters, max(info.contraction_ratios, default=0.0)]
