@@ -141,6 +141,25 @@ class GalerkinBasis:
         return [(sel, *_pair_terms(self.grid, self.wavevectors[sel], self.amplitudes[sel])) for sel in self._blocks]
 
     @cached_property
+    def _divergence_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored terms of the pairs of every component along an active
+        axis a, each weighted by ``i k_a``: mode, flat half-spectrum index and
+        weighted ``a`` or ``conj(a)``."""
+        grid = self.grid
+        tables = self._scatter_tables[: grid.dim]
+        return (
+            np.concatenate([sel[row] for sel, row, _, _ in tables]),
+            np.concatenate([index for _, _, index, _ in tables]),
+            np.concatenate([1j * np.ravel(grid.kvec[a])[index] * amp for a, (_, _, index, amp) in enumerate(tables)]),
+        )
+
+    def divergence_samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid samples of div u for the velocity of ``coeffs``: one scatter
+        of every weighted term and one box inverse transform."""
+        mode, index, weight = self._divergence_table
+        return _backward(_scatter(self.grid, index, coeffs[mode] * weight), self.grid, self.box)
+
+    @cached_property
     def box(self) -> tuple:
         """The block of the half spectrum that holds every stored term of
         the mode pairs: the rows of each leading axis (sorted) and the number

@@ -16,7 +16,6 @@ deterministic for a fixed configuration.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -353,18 +352,34 @@ def _measure(spec: SweepSpec, reference: Trajectory, value) -> RungResult:
     )
 
 
+# the sweep and limit-rung trajectory of a pool worker, installed once per
+# worker by ``_install_sweep``, so that a task carries only its rung's value
+_worker_sweep: tuple[SweepSpec, Trajectory] | None = None
+
+
+def _install_sweep(spec: SweepSpec, reference: Trajectory) -> None:
+    global _worker_sweep
+    _worker_sweep = (spec, reference)
+
+
+def _measure_installed(value) -> RungResult:
+    return _measure(*_worker_sweep, value)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the final (limit) rung, then measure every rung against it, so
-    at most two trajectories are held at once."""
-    measure = partial(_measure, spec, _simulate(spec, spec.values[-1]))
+    at most two trajectories are held at once.  With ``workers > 1`` each
+    worker receives the spec and the limit rung once, and each task only
+    its rung's value."""
+    reference = _simulate(spec, spec.values[-1])
     if workers > 1:
         # imported here, so that commands running no pool skip importing multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rungs = list(pool.map(measure, spec.values))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_install_sweep, initargs=(spec, reference)) as pool:
+            rungs = list(pool.map(_measure_installed, spec.values))
     else:
-        rungs = [measure(v) for v in spec.values]
+        rungs = [_measure(spec, reference, v) for v in spec.values]
 
     orders: dict[str, float] = {}
     vals = np.array([r.value for r in rungs[:-1]], dtype=float)

@@ -35,8 +35,9 @@ Spectral conventions
   the divergence-free projection drop that content, while even operators
   (Laplacian powers, heat factors, Sobolev weights) keep ``(N/2)^2``.
 * Kernels: each operator formula has one home, which the public operators,
-  the solver and the diagnostics all call: ``_curl_spectra``, ``_cross``,
-  ``_laplacian_power`` and ``_gradient_samples``.
+  the solver and the diagnostics all call: ``_curl_spectra``,
+  ``_divergence_spectrum``, ``_cross``, ``_laplacian_power`` and
+  ``_gradient_samples``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> n
         return np.fft.rfftn(values, norm="forward", out=out)
     *rows, ncols = box
     last = grid.dim - 1
-    spec = np.fft.rfft(values, axis=last, norm="forward")[..., :ncols]
+    # a copy of the kept columns, so the full last-axis pass is freed at once
+    spec = np.fft.rfft(values, axis=last, norm="forward")[..., :ncols].copy()
     for axis in range(last - 1, -1, -1):
         spec = np.fft.fft(spec, axis=axis, norm="forward").take(rows[axis], axis=axis)
     return spec
@@ -311,6 +313,15 @@ def _curl_spectra(s, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
+def _divergence_spectrum(s, grid: TorusGrid) -> np.ndarray:
+    """The divergence spectrum of a vector field with component spectra ``s``."""
+    k = grid.kvec
+    acc = 1j * k[0] * s[0]
+    for axis in range(1, grid.dim):
+        acc += 1j * k[axis] * s[axis]
+    return acc
+
+
 def _cross(a, b) -> list[np.ndarray]:
     """Pointwise cross product of two three-component sample lists."""
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
@@ -350,13 +361,9 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(v: VectorField) -> ScalarField:
     grid = v.grid
-    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    kmax = np.sqrt(grid.k_squared_max)
-    ref = 0.0
-    for axis in range(grid.dim):
-        spec = v.components[axis].spectrum
-        acc += 1j * grid.kvec[axis] * spec
-        ref = max(ref, kmax * _spectral_norm(spec, grid))
+    s = [c.spectrum for c in v.components]
+    acc = _divergence_spectrum(s, grid)
+    ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(s[axis], grid) for axis in range(grid.dim))
     _tail_check(acc, grid, "divergence", ref)
     return ScalarField._adopt(grid, None, acc)
 

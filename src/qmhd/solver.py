@@ -10,14 +10,19 @@ Each iteration sweeps the density, the magnetic field and the velocity once,
 and the loop stops when their largest relative update is below
 ``picard_tol``; the density corridor is checked on the converged step.  A
 run carries the three levels before from one step to the next as a starting
-guess only: the loop starts from the polynomial through them and ``x_n``,
-cubic in the velocity and the density and quadratic in the magnetic field,
-whose stiff mean diffusion a higher order would amplify.  Once the
-density and the velocity have converged, the iterations that follow keep
-the density sweep, the momentum force less its Lorentz part and the velocity
-system, and sweep the magnetic field alone, with the Lorentz force it drives
-and the velocity solve, since B, whose diffusivity ``nu_b(rho)`` is split
-into an exact and an explicit part, is often the last block to converge.  The
+guess only: the velocity and the density start from the cubic through them
+and ``x_n``, and the magnetic field from ``E b_n`` plus the quadratic through
+its increments ``b_(n-j) - E b_(n-j-1)``, with ``E`` the factor of its exact
+mean diffusion.  A polynomial in B itself cannot follow that stiff decay; in
+its frame only the smooth forcing is extrapolated.  Once the density and the
+velocity have converged, the iterations that follow keep the density sweep,
+the split of ``nu_b(rho_mid)`` with its heat factors, the momentum force less
+its Lorentz part and the velocity system, and sweep the magnetic field
+alone, with the Lorentz force it drives and the velocity solve, since B,
+whose diffusivity ``nu_b(rho)`` is split into an exact and an explicit part,
+is often the last block to converge.  The corridor check reads sup |div u|
+off the converged coefficients (``GalerkinBasis.divergence_samples``), and
+``StepInfo.div_b_norm`` comes from B's spectra by Parseval.  The
 velocity sweep is one factored system per full sweep, the density-weighted
 Gram matrix of the new density plus the implicit hyperviscous half
 ``1/2 h eta |k|^4`` on its diagonal (zero when eta = 0).  The
@@ -73,10 +78,12 @@ from .fields import (
     _cross,
     _curl_spectra,
     _dealiased_forward,
+    _divergence_spectrum,
     _forward,
     _gradient_samples,
     _laplacian_power,
-    divergence,
+    _spectral_norm,
+    divergence,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     integrate,
     l2_norm,
     project_divergence_free,
@@ -233,10 +240,9 @@ def solve_density_step(
 _CORRIDOR_SLACK = 1e-8
 
 
-def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, u: VectorField, dt: float) -> float:
+def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, sup: float, dt: float) -> float:
     """Relative excess of ``rho_new`` over the maximum-principle corridor
-    min/max rho_old * exp(-+dt * |div u|_inf)."""
-    sup = float(np.max(np.abs(divergence(u).values)))
+    min/max rho_old * exp(-+dt * sup), ``sup`` being |div u|_inf."""
     lower = rho_old.values.min() * np.exp(-abs(dt) * sup)
     upper = rho_old.values.max() * np.exp(abs(dt) * sup)
     below = (lower - rho_new.values.min()) / lower
@@ -263,6 +269,13 @@ def _reference_diffusivity(rho_values: np.ndarray, phys: PhysParams) -> tuple[fl
     return nu_bar, nu_vals - nu_bar
 
 
+def _magnetic_diffusion(rho: ScalarField, phys: PhysParams, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a magnetic sweep reads of its density: the remainder nu_b -
+    nu_bar and the heat factors of nu_bar over dt and dt/2."""
+    nu_bar, nu_fluct = _reference_diffusivity(rho.values, phys)
+    return (nu_fluct, *_heat_factors(rho.grid, nu_bar, dt))
+
+
 def solve_magnetic_step(
     B_old: VectorField,
     u: VectorField,
@@ -272,18 +285,20 @@ def solve_magnetic_step(
     *,
     density_floor: float = 1e-8,
     mid: tuple[VectorField, list[np.ndarray]] | None = None,
+    diffusion: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> VectorField:
     """One sweep of the midpoint map of the induction equation with given
     (time-centered) velocity and density: mean diffusivity integrated
     exactly, transport and the variable-diffusivity remainder at the
     midpoint field, then a divergence-free projection.  The step is the
     map's fixed point.  ``mid`` is that midpoint with its curl samples, as
-    ``_magnetic_midpoint`` makes them; it defaults to ``B_old``'s own."""
+    ``_magnetic_midpoint`` makes them; it defaults to ``B_old``'s own.
+    ``diffusion`` is ``_magnetic_diffusion`` of ``rho``, for a caller that
+    sweeps more than once at one density."""
     grid = B_old.grid
     if rho.values.min() < density_floor:
         raise DensityFloorViolation("magnetic solve: density below the floor")
-    nu_bar, nu_fluct = _reference_diffusivity(rho.values, phys)
-    full, half = _heat_factors(grid, nu_bar, dt)
+    nu_fluct, full, half = _magnetic_diffusion(rho, phys, dt) if diffusion is None else diffusion
 
     if mid is None:
         mid = _magnetic_midpoint(B_old, B_old)
@@ -366,6 +381,13 @@ def momentum_residual(
             body[a] -= reg.delta * rvals * next(cap)
     force = [_forward(g, grid, box) for g in body]
     del body
+    # the strain d_j u_l + d_l u_j of two active axes, formed in place once
+    # and shared by the entries (j, l) and (l, j); along an inactive axis l
+    # only d_j u_l remains
+    for j in range(dim):
+        for l in range(j, dim):
+            du[j][l] += du[l][j]
+            du[l][j] = du[j][l]
 
     # stress T_jl = P(rho u_j) u_l - rho (d_j u_l + d_l u_j) + delta_jl (P + Pc)
     # + 4 kappa^2 d_j sqrt(rho) d_l sqrt(rho), one entry at a time; along an
@@ -378,7 +400,8 @@ def momentum_residual(
         lap_r = -grid.k_squared[basis.box_index] * rho.spectrum[basis.box_index]
     for l in range(3):
         for j in range(dim):
-            t = mom[j] * uvals[l] - rvals * (du[j][l] + du[l][j] if l < dim else du[j][l])
+            t = mom[j] * uvals[l]
+            t -= rvals * du[j][l]
             if j == l:
                 t += p_tot
             if phys.kappa and l < dim:
@@ -406,14 +429,12 @@ def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
     return ScalarField._adopt(a.grid, 0.5 * (a.values + b.values), 0.5 * (a.spectrum + b.spectrum))
 
 
-# orders of the polynomial a step starts from: lambda and rho through up to
-# three levels before x_n, B through up to two.  B's mean diffusion is
-# integrated exactly and is stiff (``magnetic_mean_exact`` reads 1.4-2.2 on
-# the benchmark runs), and an order-p extrapolation amplifies a mode that
-# decays by r per step by about r^-p: a cubic start of B took more
-# iterations at low density than a quadratic one
+# the levels before x_n a step starts from: lambda and rho take the cubic
+# through them, B the quadratic through their increments in the frame of its
+# exact mean diffusion (``_magnetic_start``).  A cubic in B's increments, over
+# a fifth level, cut the fastest step further but took more iterations at
+# low density
 _START_ORDER = 3
-_MAGNETIC_START_ORDER = 2
 
 
 def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
@@ -433,6 +454,35 @@ def _extrapolated(levels: Sequence[ScalarField]) -> ScalarField:
     return ScalarField._adopt(
         levels[0].grid, _extrapolate([f.values for f in levels]), _extrapolate([f.spectrum for f in levels])
     )
+
+
+def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> VectorField:
+    """B's starting guess ``E b_n + q`` from ``levels``, ``x_n`` first and
+    each one step before the last.  ``E = exp(-nu_bar dt |k|^2)`` is the
+    factor the magnetic sweep integrates exactly, with ``nu_bar`` the
+    reference diffusivity of rho_n, and ``q`` extrapolates the increments
+    ``b_(n-j) - E b_(n-j-1)``: quadratic through four levels, lower through
+    fewer, zero from ``x_n`` alone.  A polynomial in B itself cannot follow
+    the stiff exponential decay; in this frame only the smooth forcing is
+    extrapolated.  One inverse transform per component gives the samples."""
+    grid = levels[0].rho.grid
+    nu_bar, _ = _reference_diffusivity(levels[0].rho.values, phys)
+    decay, _ = _heat_factors(grid, nu_bar, dt)
+    comps = []
+    for axis in range(3):
+        spec = [s.magnetic.components[axis].spectrum for s in levels]
+        start = decay * spec[0]
+        if len(spec) > 1:
+            start += _extrapolate([a - decay * b for a, b in zip(spec, spec[1:])])
+        comps.append(ScalarField._adopt(grid, _backward(start, grid), start))
+    return VectorField(grid, comps)
+
+
+def _div_norm(b: VectorField) -> float:
+    """L2 norm of div B from its spectra (Parseval), with no transform."""
+    grid = b.grid
+    div = _divergence_spectrum([c.spectrum for c in b.components], grid)
+    return float(np.sqrt(grid.volume)) * _spectral_norm(div, grid)
 
 
 def _lorentz_entries(basis: GalerkinBasis, b: VectorField, curl_b: list[np.ndarray]) -> np.ndarray:
@@ -458,17 +508,21 @@ def advance_step(
     ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.
 
     ``history``, the levels before ``state``, most recent first and each one
-    step of ``dt`` earlier, serves only as a starting guess: the loop starts
-    from the polynomial through ``state`` and that history, of order up to
-    three for lambda and rho and up to two for B (``_START_ORDER``,
-    ``_MAGNETIC_START_ORDER``), lower when fewer levels are given, and
-    without any from ``x_n``.
+    step of ``dt`` earlier, serves only as a starting guess.  lambda and rho
+    start from the polynomial through ``state`` and up to ``_START_ORDER``
+    of those levels, cubic through four, lower through fewer and ``x_n``
+    itself without any; B starts from ``E b_n`` plus the extrapolation of
+    its increments in the frame of its exact mean diffusion
+    (``_magnetic_start``), which reads the same levels.
     Once an iteration's density and velocity updates are both at most
     ``picard_tol``, the loop keeps that iteration's density sweep,
-    midpoints, momentum force less its Lorentz part and velocity system, and
-    the following iterations sweep the magnetic field, redo the Lorentz
-    force and solve for the velocity alone, until a velocity update exceeds
-    ``picard_tol`` again.  Raises :class:`PicardDivergence` when the
+    midpoints, magnetic diffusion split, momentum force less its Lorentz
+    part and velocity system, and the following iterations sweep the
+    magnetic field, redo the Lorentz force and solve for the velocity
+    alone, until a velocity update exceeds ``picard_tol`` again.  The
+    corridor check reads sup |div u| off the converged midpoint
+    coefficients, and ``StepInfo.div_b_norm`` comes from B's spectra.
+    Raises :class:`PicardDivergence` when the
     iteration stops contracting, two consecutive update ratios being at
     least 1 (halve dt and retry), and
     :class:`MaximumPrincipleViolation` when the converged density leaves the
@@ -487,8 +541,7 @@ def advance_step(
     levels = [state, *history[:_START_ORDER]]
     lam_k = _extrapolate([s.velocity.values for s in levels])
     rho_new = _extrapolated([s.rho for s in levels])
-    b_levels = [s.magnetic.components for s in levels[: _MAGNETIC_START_ORDER + 1]]
-    b_new = VectorField(b_old.grid, [_extrapolated(c) for c in zip(*b_levels)])
+    b_new = _magnetic_start(levels, phys, h)
     b_mid = _magnetic_midpoint(b_old, b_new)
     update_norms: list[float] = []
     ratios: list[float] = []
@@ -512,8 +565,9 @@ def advance_step(
             rho_upd = _relative_update([rho_next.values], [rho_new.values])
             rho_new = rho_next
             rho_mid = _midpoint(rho_old, rho_new)
+            diffusion = _magnetic_diffusion(rho_mid, phys, h)
         b_next = solve_magnetic_step(
-            b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, mid=b_mid
+            b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, mid=b_mid, diffusion=diffusion
         )
         b_upd = _relative_update(b_next.component_values(), b_new.component_values())
         b_new = b_next
@@ -546,7 +600,8 @@ def advance_step(
             magnetic_only = False
         elif not magnetic_only and rho_upd <= reg.picard_tol:
             # only B is still moving: keep the density sweep, the midpoints,
-            # the velocity system and the force less its Lorentz part
+            # the diffusion split, the velocity system and the force less its
+            # Lorentz part
             magnetic_only = True
             n_rest = n_mid - _lorentz_entries(basis, *b_mid)
     else:
@@ -555,12 +610,12 @@ def advance_step(
             f"{update_norms[-1]:.3e}, picard_tol {reg.picard_tol:g}); halve dt"
         )
 
-    margin = corridor_margin(rho_old, rho_new, VelocityCoeffs(basis, 0.5 * (lam_old + lam_k)).field, h)
+    sup_div_u = float(np.max(np.abs(basis.divergence_samples(0.5 * (lam_old + lam_k)))))
+    margin = corridor_margin(rho_old, rho_new, sup_div_u, h)
     if margin > _CORRIDOR_SLACK:
         raise MaximumPrincipleViolation(
             f"density left the maximum-principle corridor by {margin:.3e} relative; reduce dt"
         )
-    div_b = l2_norm(divergence(b_new))
     new_state = State(state.time + h, rho_new, VelocityCoeffs(basis, lam_k), b_new)
     info = StepInfo(
         picard_iters=len(update_norms),
@@ -568,7 +623,7 @@ def advance_step(
         update_norms=update_norms,
         contraction_ratios=ratios,
         corridor_margin=margin,
-        div_b_norm=div_b,
+        div_b_norm=_div_norm(b_new),
     )
     return new_state, info
 

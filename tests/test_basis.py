@@ -9,7 +9,7 @@ import pytest
 
 from qmhd import GalerkinBasis, MassOperator, SingularMass, TorusGrid, VelocityCoeffs
 from qmhd.basis import BasisMode, _scalar_mode_keys, enumerate_modes, max_mode_count
-from qmhd.fields import ScalarField, _forward, inner_product, laplacian
+from qmhd.fields import ScalarField, _forward, divergence, inner_product, laplacian
 
 from conftest import band_limited_vector, mode_profile
 
@@ -289,6 +289,16 @@ def test_reconstruct_matches_profile_sum(shape, rng):
         assert field._spectrum is not None
         fwd = _forward(field.values, grid)
         assert np.max(np.abs(field._spectrum - fwd)) <= 1e-13 * np.max(np.abs(fwd))
+
+
+@pytest.mark.parametrize("shape, n", [((64,), 9), ((32, 32), 60), ((16, 16, 16), 27), ((16, 16), 1)])
+def test_divergence_samples_are_the_divergence_of_the_reconstruction(shape, n, rng):
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n)
+    lam = rng.standard_normal(basis.n)
+    ref = divergence(basis.reconstruct(lam)).values
+    got = basis.divergence_samples(lam)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_reconstruct_component_without_modes_is_zero():

@@ -14,6 +14,7 @@ re-records the file by running this module as a script.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -33,6 +34,10 @@ from qmhd.experiments import (
 )
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "diagnostics_reference.json")
+
+# an entry matches when it moved by at most REL_TOL of its size plus ABS_TOL,
+# the floor for entries at roundoff level
+REL_TOL, ABS_TOL = 1e-12, 1e-15
 
 # name -> (grid shape, velocity modes); every regularization is on
 CASES = {
@@ -91,15 +96,39 @@ def test_diagnostics_match_stored_values(case):
     bad = {
         k: (got[k], v)
         for k, v in expected.items()
-        if not abs(got[k] - v) <= 1e-12 * abs(v) + 1e-15
+        if not abs(got[k] - v) <= REL_TOL * abs(v) + ABS_TOL
     }
     assert not bad, bad
 
 
+def largest_changes(old: dict[str, float], new: dict[str, float]) -> dict[str, tuple[float, str]]:
+    """Per key family (the name up to its first ``[`` or ``.``), the largest
+    relative change |new - old| / |old| of a key both maps hold, and that key.
+    A key that moved by at most ABS_TOL is at roundoff and counts as unchanged."""
+    worst: dict[str, tuple[float, str]] = {}
+    for key in sorted(old.keys() & new.keys()):
+        family = re.split(r"[\[.]", key, maxsplit=1)[0]
+        a, b = old[key], new[key]
+        change = abs(b - a) / abs(a) if abs(b - a) > ABS_TOL else 0.0
+        if family not in worst or change > worst[family][0]:
+            worst[family] = (change, key)
+    return worst
+
+
 if __name__ == "__main__":
     # writes the reference file from the code on the import path; run it only
-    # on a commit whose diagnostics are the ones to pin
+    # on a commit whose diagnostics are the ones to pin.  It first prints, per
+    # case and key family, the largest relative change against the stored file
     data = {case: record(trajectory(*args)) for case, args in CASES.items()}
+    if os.path.exists(REFERENCE):
+        with open(REFERENCE) as fh:
+            stored = json.load(fh)
+        for case, values in data.items():
+            old = stored.get(case, {})
+            if sorted(old) != sorted(values):
+                print(f"{case}: keys differ from the stored file")
+            for family, (change, key) in largest_changes(old, values).items():
+                print(f"{case} {family}: {change:.2e} on {key} (stored {old[key]:.3e})")
     with open(REFERENCE, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -276,6 +276,35 @@ def test_sweep_parallel_matches_serial():
         assert a.monitors_max == b.monitors_max
 
 
+def test_a_parallel_sweep_sends_each_rung_only_its_value(monkeypatch):
+    # the limit rung's trajectory goes to each worker once, with the spec;
+    # a task carries the rung's value and pickles to under 1 KiB
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+
+    sizes = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(self, fn, /, *args, **kwargs):
+        sizes.append(len(pickle.dumps((fn, args, kwargs))))
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    spec = SweepSpec(
+        "kappa",
+        (0.1, 0.05, 0.0),
+        "density_bump",
+        dim=1,
+        points=32,
+        t_end=0.004,
+        reg=RegParams(dt=1e-3, picard_tol=1e-11),
+        n_modes=6,
+    )
+    result = run_sweep(spec, workers=2)
+    assert len(sizes) == 3 and max(sizes) < 1024
+    assert result.rungs[-1].distance_to_reference["rho"] == 0.0
+
+
 def test_a_sweep_holds_at_most_two_trajectories(monkeypatch):
     # the limit rung runs first, and each other rung is measured against it
     # as it finishes and then let go

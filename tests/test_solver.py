@@ -32,6 +32,7 @@ from qmhd.fields import (
 )
 from qmhd.solver import (
     _density_factors,
+    _div_norm,
     _magnetic_midpoint,
     cfl_report,
     momentum_residual,
@@ -633,9 +634,9 @@ def _stepped_from_the_line(state, phys, reg, nsteps):
 
 
 def test_low_density_start_takes_no_more_iterations_than_the_line():
-    # the probe of the stiff low-density regime, 40 steps: B's start stops at
-    # quadratic order, and a run takes no more iterations than starting each
-    # step from the line through the level before, and fewer full sweeps
+    # the probe of the stiff low-density regime, 40 steps: a run takes no
+    # more iterations than starting each step from the line through the
+    # level before, and fewer full sweeps
     grid, basis = _default_setup(nx=128)
     x = grid.mesh[0]
     z = np.zeros(grid.shape)
@@ -652,6 +653,50 @@ def test_low_density_start_takes_no_more_iterations_than_the_line():
     _, line = _stepped_from_the_line(state, phys, reg, 40)
     assert traj.picard_iters <= sum(i.picard_iters for i in line)
     assert traj.full_sweeps < sum(i.full_sweeps for i in line)
+
+
+def test_a_force_free_decay_is_started_at_its_fixed_point():
+    # B = 0.3 (0, cos 3x, sin 3x) has curl B = -3 B, so at rest and at a
+    # uniform density above the nu_b threshold it only decays, by exactly the
+    # factor the magnetic sweep integrates: B's start in the frame of that
+    # decay is the step's fixed point, and every step takes one iteration
+    grid, basis = _default_setup()
+    x = grid.mesh[0]
+    z = np.zeros(grid.shape)
+    phys, reg = _benchmark_physics()
+    b0 = [z, 0.3 * np.cos(3 * x), 0.3 * np.sin(3 * x)]
+    state = initial_state(
+        ScalarField(grid, np.full(grid.shape, 1.5)),
+        VectorField.from_arrays(grid, [z, z, z]),
+        VectorField.from_arrays(grid, b0),
+        basis,
+        reg,
+    )
+    traj, infos = run_with_infos(state, phys, reg, 8 * reg.dt)
+    assert [i.picard_iters for i in infos] == [1] * 8
+    assert max(i.update_norms[0] for i in infos) <= 1e-11
+    decay = np.exp(-float(magnetic_diffusivity(1.5, phys)) * 9 * traj.final_state.time)
+    b = traj.final_state.magnetic.component_values()
+    assert max(np.max(np.abs(c - decay * c0)) for c, c0 in zip(b, b0)) <= 1e-14
+
+
+def test_a_kappa_rung_takes_at_most_140_iterations():
+    # the first rung of the benchmark's kappa ladder: 1D 128, 9 modes,
+    # random_smooth, 50 steps; started in the frame of its exact diffusion, a
+    # steady step needs one full sweep and one magnetic-only sweep
+    grid, basis = _default_setup(nx=128)
+    _, reg = _benchmark_physics()
+    state = benchmark_state("random_smooth", grid, basis, reg, seed=0)
+    traj = run_simulation(state, PhysParams(kappa=0.2), reg, 50 * reg.dt)
+    assert traj.picard_iters <= 140
+
+
+def test_div_norm_is_the_l2_norm_of_the_divergence(rng):
+    # StepInfo.div_b_norm reads div B off B's spectra by Parseval
+    for shape in ((64,), (32, 32), (16, 16, 16)):
+        v = band_limited_vector(TorusGrid(shape), rng)
+        ref = l2_norm(divergence(v))
+        assert abs(_div_norm(v) - ref) <= 1e-13 * ref
 
 
 def test_run_simulation_zero_steps():
@@ -1016,13 +1061,22 @@ def test_run_simulation_samples_end_at_t_end():
 
 
 def test_cfl_report_and_every_magnetic_sweep_share_one_reference_diffusivity(monkeypatch):
+    # B's start splits nu_b(rho_n) once, each full sweep splits nu_b(rho_mid)
+    # once, and the magnetic-only sweeps that follow it reuse that split
     import qmhd.solver as solver
 
-    grid, basis = _default_setup()
-    # rho stays below the threshold, so nu_b(rho) varies about its mean
-    phys = PhysParams(kappa=0.1, resistivity=ResistivityParams(threshold=2.0))
-    reg = RegParams(epsilon=0.02, eta=1e-3, dt=1e-3)
-    state = _benchmark_state(grid, basis, reg)
+    grid, basis = _default_setup(nx=128)
+    x = grid.mesh[0]
+    z = np.zeros(grid.shape)
+    # rho crosses the threshold, so nu_b(rho) varies about its mean
+    phys, reg = _benchmark_physics()
+    state = initial_state(
+        ScalarField(grid, 1.0 + 0.3 * np.cos(x)),
+        VectorField.from_arrays(grid, [0.3 * np.sin(x), 0.2 * np.cos(x), z]),
+        VectorField.from_arrays(grid, [z, 0.5 * np.cos(x), 0.4 * np.sin(x)]),
+        basis,
+        reg,
+    )
     reference, sweep = solver._reference_diffusivity, solver.solve_magnetic_step
     calls = {"reference": 0, "sweep": 0}
 
@@ -1039,7 +1093,8 @@ def test_cfl_report_and_every_magnetic_sweep_share_one_reference_diffusivity(mon
     report = cfl_report(state, phys, reg)
     assert calls == {"reference": 1, "sweep": 0}
     _, info = advance_step(state, phys, reg)
-    assert calls == {"reference": 1 + info.picard_iters, "sweep": info.picard_iters}
+    assert info.full_sweeps < info.picard_iters
+    assert calls == {"reference": 1 + 1 + info.full_sweeps, "sweep": info.picard_iters}
 
     nu = magnetic_diffusivity(state.rho.values, phys)
     nu_bar, remainder = reference(state.rho.values, phys)

@@ -18,6 +18,7 @@ ALLOWED = {
     ("experiments.py", "dealias"): "benchmarks/spans.py wraps this binding",
     ("experiments.py", "divergence"): "benchmarks/spans.py wraps this binding",
     ("experiments.py", "gradient"): "benchmarks/spans.py wraps this binding",
+    ("solver.py", "divergence"): "benchmarks/spans.py wraps this binding",
 }
 
 
