@@ -20,8 +20,9 @@ weight, so the Gram matrix is block diagonal, one block per component;
 as blocks, and the n x n ``gram`` serves ``qmhd check`` and the tests.
 :class:`MassOperator` is the one place the velocity system is factored: the
 Gram blocks plus an optional nonnegative diagonal shift, which the time step
-uses for the implicit half of the hyperviscous midpoint, each block an SPD
-system solved with ``numpy.linalg``.
+uses for the implicit half of the hyperviscous midpoint and of the viscous
+stress at the mean density (``eigen_k2`` and ``viscous_k2``), each block an
+SPD system solved with ``numpy.linalg``.
 
 Mode ordering is deterministic: ascending |k|^2, then lexicographic
 wavevector (half-space representative, first nonzero entry positive),
@@ -110,6 +111,9 @@ class GalerkinBasis:
         self.components = np.array([m.component for m in self.modes])
         self._blocks = [np.flatnonzero(self.components == comp) for comp in range(3)]
         self.eigen_k2 = np.array([float(m.k_squared) for m in self.modes])
+        # -div(2 D(e_i)) tested against e_i: |k|^2 from the Laplacian and k_c^2
+        # from grad div along the mode's own component c (0 for c >= dim)
+        self.viscous_k2 = self.eigen_k2 + np.array([float(m.wavevector[m.component]) ** 2 for m in self.modes])
         self.wavevectors = np.array([m.wavevector[: grid.dim] for m in self.modes], dtype=np.intp).reshape(-1, grid.dim)
         # 1/sqrt(vol), sqrt(2/vol) cos and sqrt(2/vol) sin as pair amplitudes
         self.amplitudes = amp = np.full(self.n, 1.0 / np.sqrt(2.0 * grid.volume), dtype=np.complex128)
@@ -278,9 +282,10 @@ class VelocityCoeffs:
 class MassOperator:
     """The velocity system ``M[rho] + diag(shift)``: the density-weighted
     Gram matrix plus a nonnegative diagonal (the implicit half of the
-    hyperviscous midpoint, zero by default).  It is held as its component
-    blocks (:meth:`GalerkinBasis.gram_blocks`), one SPD system each, checked
-    once by a stacked Cholesky (a non-finite entry is a ValueError, an
+    hyperviscous midpoint and of the mean-density viscous stress, zero by
+    default).  It is held as its component blocks
+    (:meth:`GalerkinBasis.gram_blocks`), one SPD system each, checked once
+    by a stacked Cholesky (a non-finite entry is a ValueError, an
     indefinite block :class:`SingularMass`) and solved by stacked
     ``numpy.linalg.solve``; :meth:`GalerkinBasis.apply_blocks` and
     :meth:`GalerkinBasis.unblock` read ``blocks`` as a product and as the

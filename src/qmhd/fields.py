@@ -22,7 +22,8 @@ Spectral conventions
   first columns of the last axis (``GalerkinBasis.box``).  Given a box, the
   pair runs axis by axis in the order ``rfftn``/``irfftn`` do and skips each
   line outside it: ``_forward`` returns only the box block, and
-  ``_backward`` reads a full-layout spectrum that is zero outside the box.
+  ``_backward`` reads a full-layout spectrum that is zero outside the box,
+  or the box's columns of one.
   A skipped line is all zero or never read, so the kept entries are bitwise
   those of the full transform.
 * Weights: a sum over the full spectrum is a sum over the half with
@@ -71,7 +72,8 @@ def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> n
 
 def _backward(coeffs: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
     """Half-spectrum coefficients to real samples; with a box, only the box
-    entries of ``coeffs`` are read, so it must be zero outside the box."""
+    entries of ``coeffs`` are read, so it must be zero outside the box, and
+    ``coeffs`` may be cut to the box's last-axis columns."""
     if box is None:
         return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
     *rows, ncols = box
@@ -335,8 +337,13 @@ def _laplacian_power(grid: TorusGrid, p: int) -> np.ndarray:
 
 def _gradient_samples(v: VectorField, grid: TorusGrid, box: tuple | None = None) -> list[list[np.ndarray]]:
     """Samples of d_j v_l (active j rows, components l as columns), by box
-    inverses when ``box`` is given."""
-    return [[_backward(1j * grid.kvec[j] * c.spectrum, grid, box) for c in v.components] for j in range(grid.dim)]
+    inverses when ``box`` is given, which form only the box's columns of
+    each derivative spectrum."""
+    cols = slice(None) if box is None else slice(box[-1])
+    return [
+        [_backward(1j * grid.kvec[j][..., cols] * c.spectrum[..., cols], grid, box) for c in v.components]
+        for j in range(grid.dim)
+    ]
 
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:

@@ -24,10 +24,13 @@ is often the last block to converge.  The corridor check reads sup |div u|
 off the converged coefficients (``GalerkinBasis.divergence_samples``), and
 ``StepInfo.div_b_norm`` comes from B's spectra by Parseval.  The
 velocity sweep is one factored system per full sweep, the density-weighted
-Gram matrix of the new density plus the implicit hyperviscous half
-``1/2 h eta |k|^4`` on its diagonal (zero when eta = 0).  The
-converged map is second-order accurate and time-reversible, which is what
-the identity diagnostics measure against.
+Gram matrix of the new density plus, on its diagonal, the implicit half of
+the hyperviscous term and of the viscous stress at the mean density rho_bar,
+``1/2 h (eta |k|^4 + rho_bar (|k|^2 + k_c^2))`` with ``k_c`` the
+wavevector's entry along the mode's own component; the shift cancels at the
+fixed point and only speeds the velocity's convergence.  The converged map
+is second-order accurate and time-reversible, which is what the identity
+diagnostics measure against.
 
 Each right-hand side is summed on the grid before it is transformed: the
 momentum force as one body force and one stress tensor, transformed per
@@ -503,9 +506,12 @@ def advance_step(
     """One time step of the coupled system via the fixed-point loop: each
     iteration sweeps the density, then the magnetic field, then solves the
     shifted velocity system ``MassOperator(basis, rho_new, shift)``, until
-    the largest relative update of the three is below ``picard_tol``.  At
-    the fixed point the shift cancels, so the step satisfies
-    ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.
+    the largest relative update of the three is below ``picard_tol``.  The
+    shift ``1/2 h (eta |k|^4 + rho_bar (|k|^2 + k_c^2))`` is the implicit
+    half of the hyperviscous term and of the viscous stress at the mean
+    density ``rho_bar = mass / volume`` (``GalerkinBasis.viscous_k2``).  It
+    sits on both sides, so at the fixed point it cancels and the step
+    satisfies ``M[rho_new] lambda_new - M[rho_old] lambda_old = h N(mid)``.
 
     ``history``, the levels before ``state``, most recent first and each one
     step of ``dt`` earlier, serves only as a starting guess.  lambda and rho
@@ -534,9 +540,12 @@ def advance_step(
     b_old = state.magnetic
 
     rhs_base = basis.apply_blocks(basis.gram_blocks(rho_old), lam_old)
-    # the implicit half of the hyperviscous midpoint -eta |k|^4 lambda_mid:
-    # unconditionally stable for arbitrarily stiff eta |k|^4
-    shift = (0.5 * h * reg.eta) * basis.eigen_k2**2
+    # the implicit half of the hyperviscous midpoint -eta |k|^4 lambda_mid,
+    # unconditionally stable for arbitrarily stiff eta |k|^4, and of the
+    # viscous stress at the mean density, -rho_bar (|k|^2 + k_c^2) lambda_mid,
+    # which mass conservation keeps the same at every level
+    rho_bar = state.mass / rho_old.grid.volume
+    shift = 0.5 * h * (reg.eta * basis.eigen_k2**2 + rho_bar * basis.viscous_k2)
 
     levels = [state, *history[:_START_ORDER]]
     lam_k = _extrapolate([s.velocity.values for s in levels])

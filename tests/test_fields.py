@@ -433,4 +433,5 @@ def test_box_transforms_are_bitwise_the_full_transforms(shape, n_modes, nyquist)
     outside[_box_index(box)] = False
     assert np.any(spec) and not np.any(spec[outside])
     assert np.array_equal(_backward(spec, grid, box), _backward(spec, grid))
+    assert np.array_equal(_backward(spec[..., : box[-1]], grid, box), _backward(spec, grid))
     assert np.array_equal(_forward(values, grid, box), _forward(values, grid)[_box_index(box)])
