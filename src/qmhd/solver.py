@@ -6,9 +6,11 @@ loop per step: stiff constant-coefficient pieces (density diffusion, mean
 magnetic diffusion) are integrated exactly by spectral factors, the
 hyperviscous term is taken at the midpoint inside the velocity solve, and
 every remaining nonlinearity is evaluated at the iterated midpoint state.
-Each iteration sweeps the density, the magnetic field and the velocity once,
-and the loop stops when their largest relative update is below
-``picard_tol``; the density corridor is checked on the converged step.  A
+Each iteration sweeps the density, the magnetic field and the velocity once
+and appends their relative updates ``(lambda, rho, B)`` to the step's one
+record, ``StepInfo.updates``: the loop stops when the largest is at most
+``picard_tol``, and the switch below and both divergence rules read the same
+record.  The density corridor is checked on the converged step.  A
 run carries the three levels before from one step to the next as a starting
 guess only: the velocity and the density start from the cubic through them
 and ``x_n``, and the magnetic field from ``E b_n`` plus the quadratic through
@@ -20,7 +22,9 @@ the split of ``nu_b(rho_mid)`` with its heat factors, the momentum force less
 its Lorentz part and the velocity system, and sweep the magnetic field
 alone, with the Lorentz force it drives and the velocity solve, since B,
 whose diffusivity ``nu_b(rho)`` is split into an exact and an explicit part,
-is often the last block to converge.  The corridor check reads sup |div u|
+is often the last block to converge.  The iterations are magnetic-only
+exactly while that kept force, ``n_rest``, is held, and each records a zero
+density update.  The corridor check reads sup |div u|
 off the converged coefficients (``GalerkinBasis.divergence_samples``), and
 ``StepInfo.div_b_norm`` comes from B's spectra by Parseval.  The
 velocity sweep is one factored system per full sweep, the density-weighted
@@ -144,24 +148,46 @@ class State:
         return integrate(self.rho)
 
 
+# the blocks of an iteration's update, in the order of ``StepInfo.updates``
+_BLOCKS = ("velocity", "density", "magnetic field")
+
+
+def _contraction_ratios(updates: Sequence[tuple[float, float, float]]) -> list[float]:
+    """Ratios of the largest updates of consecutive iterations, skipping each
+    ratio over an update at roundoff (at most 100 eps)."""
+    norms = [max(u) for u in updates]
+    return [b / a for a, b in zip(norms, norms[1:]) if a > 100.0 * np.finfo(float).eps]
+
+
 @dataclass
 class StepInfo:
     """Per-step bookkeeping for logging and the contraction diagnostics.
 
-    ``update_norms`` holds, per iteration, the largest relative update of the
-    velocity coefficients, the density and the magnetic field, and
+    ``updates`` is the step's record: per iteration, the relative updates
+    ``(lambda, rho, B)`` of the velocity coefficients, the density and the
+    magnetic field.  ``update_norms`` are their maxima and
     ``contraction_ratios`` the ratios of consecutive ones.  ``full_sweeps``
     counts the iterations that swept the density, formed the momentum force
     and built the velocity system; the others (``picard_iters -
     full_sweeps``) kept them and swept the magnetic field alone, and their
-    kept density counts as a zero update in ``update_norms``."""
+    kept density counts as a zero update."""
 
-    picard_iters: int
+    updates: list[tuple[float, float, float]]
     full_sweeps: int
-    update_norms: list[float]
-    contraction_ratios: list[float]
     corridor_margin: float
     div_b_norm: float
+
+    @property
+    def picard_iters(self) -> int:
+        return len(self.updates)
+
+    @property
+    def update_norms(self) -> list[float]:
+        return [max(u) for u in self.updates]
+
+    @property
+    def contraction_ratios(self) -> list[float]:
+        return _contraction_ratios(self.updates)
 
 
 def initial_state(
@@ -495,6 +521,17 @@ def _lorentz_entries(basis: GalerkinBasis, b: VectorField, curl_b: list[np.ndarr
     return basis.project_force_spectra([_forward(g, b.grid, basis.box) for g in _cross(curl_b, b.component_values())])
 
 
+def _picard_divergence(head: str, updates: Sequence[tuple[float, float, float]], reg: RegParams) -> PicardDivergence:
+    """The :class:`PicardDivergence` of a step whose record is ``updates``:
+    ``head``, then the last update, the tolerance and the block that moved
+    most in the last iteration."""
+    last = updates[-1]
+    return PicardDivergence(
+        f"{head}last update {max(last):.3e}, picard_tol {reg.picard_tol:g}), "
+        f"largest in the {_BLOCKS[int(np.argmax(last))]}; halve dt"
+    )
+
+
 def advance_step(
     state: State,
     phys: PhysParams,
@@ -520,19 +557,25 @@ def advance_step(
     itself without any; B starts from ``E b_n`` plus the extrapolation of
     its increments in the frame of its exact mean diffusion
     (``_magnetic_start``), which reads the same levels.
-    Once an iteration's density and velocity updates are both at most
-    ``picard_tol``, the loop keeps that iteration's density sweep,
-    midpoints, magnetic diffusion split, momentum force less its Lorentz
-    part and velocity system, and the following iterations sweep the
-    magnetic field, redo the Lorentz force and solve for the velocity
-    alone, until a velocity update exceeds ``picard_tol`` again.  The
-    corridor check reads sup |div u| off the converged midpoint
-    coefficients, and ``StepInfo.div_b_norm`` comes from B's spectra.
-    Raises :class:`PicardDivergence` when the
-    iteration stops contracting, two consecutive update ratios being at
-    least 1 (halve dt and retry), and
-    :class:`MaximumPrincipleViolation` when the converged density leaves the
-    corridor."""
+
+    Each iteration appends its relative updates ``(lambda, rho, B)`` to one
+    record, ``StepInfo.updates``, which the stopping rule, the switch and
+    both divergence rules read.  Once an iteration's velocity and density
+    updates are both at most ``picard_tol``, the loop keeps that
+    iteration's density sweep, midpoints, magnetic diffusion split,
+    velocity system and momentum force less its Lorentz part, ``n_rest``:
+    the iterations are magnetic-only exactly while ``n_rest`` is held.
+    They sweep the magnetic field, redo the Lorentz force and solve for the
+    velocity alone, recording a zero density update, until a velocity
+    update exceeds ``picard_tol`` again.  The corridor check reads
+    sup |div u| off the converged midpoint coefficients, and
+    ``StepInfo.div_b_norm`` comes from B's spectra.  Raises
+    :class:`PicardDivergence`, naming the block of the last iteration's
+    largest update, when the iteration stops contracting, the last two
+    ratios of consecutive largest updates since the last return to full
+    sweeps being at least 1, or when ``picard_max_iters`` iterations do not
+    converge (halve dt and retry), and :class:`MaximumPrincipleViolation`
+    when the converged density leaves the corridor."""
     basis = state.basis
     h = reg.dt if dt is None else dt
     lam_old = state.velocity.values
@@ -552,17 +595,18 @@ def advance_step(
     rho_new = _extrapolated([s.rho for s in levels])
     b_new = _magnetic_start(levels, phys, h)
     b_mid = _magnetic_midpoint(b_old, b_new)
-    update_norms: list[float] = []
-    ratios: list[float] = []
+    updates: list[tuple[float, float, float]] = []
     full_sweeps = 0
-    magnetic_only = False
-    # the divergence rule reads only the ratios after the last return from
-    # magnetic-only iterations to full sweeps: a ratio across it compares two maps
-    first_ratio = 0
+    # the force less its Lorentz part, held exactly while B alone is swept
+    n_rest = None
+    # the divergence rule reads the record from iteration ``since``, the first
+    # full sweep after the last return from magnetic-only iterations: a ratio
+    # across the return compares two maps
+    since = 0
 
-    for _ in range(reg.picard_max_iters):
+    for it in range(reg.picard_max_iters):
         # each update is measured as it is made, so no earlier iterate is held
-        if magnetic_only:
+        if n_rest is not None:
             rho_upd = 0.0  # the kept density sweep
         else:
             full_sweeps += 1
@@ -582,7 +626,7 @@ def advance_step(
         b_new = b_next
         # the residual and the next iteration's sweep share this midpoint
         b_mid = _magnetic_midpoint(b_old, b_new)
-        if magnetic_only:
+        if n_rest is not None:
             n_mid = n_rest + _lorentz_entries(basis, *b_mid)
         else:
             n_mid = momentum_residual(rho_mid, vel_mid, b_mid[0], phys, reg, curl_b=b_mid[1])
@@ -591,33 +635,24 @@ def advance_step(
         lam_next = mass.solve(rhs_base + h * n_mid + shift * lam_k)
         lam_upd = _relative_update([lam_next], [lam_k])
         lam_k = lam_next
-        upd = max(rho_upd, b_upd, lam_upd)
-        if update_norms and update_norms[-1] > 100.0 * np.finfo(float).eps:
-            ratios.append(upd / update_norms[-1])
-        update_norms.append(upd)
+        updates.append((lam_upd, rho_upd, b_upd))
+        upd = max(updates[-1])
         if upd <= reg.picard_tol:
             break
-        if len(ratios) - first_ratio >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
-            if upd > 1e4 * np.finfo(float).eps:
-                raise PicardDivergence(
-                    f"fixed-point updates stopped contracting (ratio {ratios[-1]:.3f}, last update "
-                    f"{upd:.3e}, picard_tol {reg.picard_tol:g}); halve dt"
-                )
-        if lam_upd > reg.picard_tol:
-            if magnetic_only:
-                first_ratio = len(ratios) + 1  # past the ratio of the next, full, sweep
-            magnetic_only = False
-        elif not magnetic_only and rho_upd <= reg.picard_tol:
+        # two ratios in the window need three of its iterations
+        if len(updates) - since > 2 and upd > 1e4 * np.finfo(float).eps:
+            last = _contraction_ratios(updates[since:])[-2:]
+            if len(last) == 2 and last[0] >= 1.0 and last[1] >= 1.0:
+                raise _picard_divergence(f"fixed-point updates stopped contracting (ratio {last[1]:.3f}, ", updates, reg)
+        if n_rest is not None and lam_upd > reg.picard_tol:
+            since, n_rest = it + 1, None
+        elif n_rest is None and max(lam_upd, rho_upd) <= reg.picard_tol:
             # only B is still moving: keep the density sweep, the midpoints,
             # the diffusion split, the velocity system and the force less its
             # Lorentz part
-            magnetic_only = True
             n_rest = n_mid - _lorentz_entries(basis, *b_mid)
     else:
-        raise PicardDivergence(
-            f"no fixed-point convergence in {reg.picard_max_iters} iterations (last update "
-            f"{update_norms[-1]:.3e}, picard_tol {reg.picard_tol:g}); halve dt"
-        )
+        raise _picard_divergence(f"no fixed-point convergence in {reg.picard_max_iters} iterations (", updates, reg)
 
     sup_div_u = float(np.max(np.abs(basis.divergence_samples(0.5 * (lam_old + lam_k)))))
     margin = corridor_margin(rho_old, rho_new, sup_div_u, h)
@@ -626,15 +661,7 @@ def advance_step(
             f"density left the maximum-principle corridor by {margin:.3e} relative; reduce dt"
         )
     new_state = State(state.time + h, rho_new, VelocityCoeffs(basis, lam_k), b_new)
-    info = StepInfo(
-        picard_iters=len(update_norms),
-        full_sweeps=full_sweeps,
-        update_norms=update_norms,
-        contraction_ratios=ratios,
-        corridor_margin=margin,
-        div_b_norm=_div_norm(b_new),
-    )
-    return new_state, info
+    return new_state, StepInfo(updates, full_sweeps, margin, _div_norm(b_new))
 
 
 @dataclass

@@ -321,6 +321,45 @@ def test_snapshots_follow_their_own_cadence_and_finals_are_at_t_end(tmp_path):
         assert read_snapshot(out / f"{name}_final.qmhd")[1] == pytest.approx(0.006)
 
 
+RESUME_CFG = """
+[grid]
+dim = 2
+points = 32
+modes = 27
+[physics]
+kappa = 0.1
+[regularization]
+epsilon = 0.01
+eta = 0.001
+delta = 0.0001
+dt = 0.001
+t_end = 0.008
+[output]
+directory = {out}
+snapshot_every = 4
+[initial]
+"""
+
+
+def test_a_run_resumed_from_its_snapshots_reaches_the_uninterrupted_final_state(tmp_path):
+    # a resume has no levels before its snapshots, so its first steps start
+    # from lower-order guesses: it meets the same fixed points to within
+    # picard_tol, not bitwise
+    fields = ("rho", "velocity", "magnetic")
+    whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+    from_step_4 = "".join(f"{f}_path = {whole / f}_00000004.qmhd\n" for f in fields)
+    for out, initial in [(whole, "benchmark = random_smooth\n"), (resumed, from_step_4)]:
+        assert main(["run", _write(tmp_path, f"{out.name}.cfg", RESUME_CFG.format(out=out) + initial)]) == 0
+    assert read_snapshot(resumed / "rho_00000000.qmhd")[1] == pytest.approx(0.004)
+    for f in fields:
+        a, b = (read_snapshot(out / f"{f}_final.qmhd")[0] for out in (whole, resumed))
+        if isinstance(a, VectorField):
+            a, b = (np.array(v.component_values()) for v in (a, b))
+        else:
+            a, b = a.values, b.values
+        assert np.linalg.norm(b - a) <= 1e-10 * np.linalg.norm(a), f
+
+
 @pytest.mark.parametrize(
     "t0, every, message",
     [(0.0015, 1, "is not a whole number of steps"), (0.002, 2, "the 3 steps to t_end are not a multiple of the sampling cadence 2")],

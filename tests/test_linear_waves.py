@@ -69,3 +69,47 @@ def test_magnetosonic_wave_matches_linear_oracle():
     control = oracle(2.0 * kappa**2)
     control_error = np.linalg.norm(finals[-1] - control) / np.linalg.norm(control)
     assert errors[-1] < 1e-3 * control_error, (errors[-1], control_error)
+
+
+def test_shear_alfven_wave_matches_linear_oracle():
+    # (u_y, B_y) = (v sin kx, b cos kx) about (rho0, 0, B0 e_x), B0 along k:
+    #   rho0 v' = -(rho0 k^2 + eta k^4) v - B0 k b
+    #   b' = B0 k v - nu_b(rho0) k^2 b
+    # the shear viscosity rho0 k^2 is half the longitudinal one, magnetic
+    # tension and field-line stretching couple v and b, and rho stays uniform
+    k, rho0, b0, amp, t_end = 2, 1.5, 0.5, 1e-6, 1.0
+    kappa, delta, eps, eta, d0 = 0.3, 1e-3, 0.02, 1e-3, 0.05
+    phys = PhysParams(kappa=kappa, resistivity=ResistivityParams(d0=d0))
+    grid = TorusGrid((32,))
+    basis = GalerkinBasis(grid, [BasisMode((k, 0, 0), "sin", 1)])
+    x = grid.mesh[0]
+    zero = np.zeros(grid.shape)
+
+    def run(dt: float) -> np.ndarray:
+        reg = RegParams(epsilon=eps, eta=eta, delta=delta, dt=dt, picard_tol=1e-11)
+        rho = ScalarField(grid, np.full(grid.shape, rho0))
+        u = VectorField.from_arrays(grid, [zero, amp * np.sin(k * x), zero])
+        b = VectorField.from_arrays(grid, [np.full(grid.shape, b0), amp * np.cos(k * x), zero])
+        final = run_simulation(initial_state(rho, u, b, basis, reg), phys, reg, t_end).final_state
+        # v sin kx has the coefficient -i v / 2 at k, b cos kx the coefficient b / 2
+        return np.array([
+            -2.0 * final.u.components[1].spectrum[k].imag,
+            2.0 * final.magnetic.components[1].spectrum[k].real,
+        ])
+
+    def oracle(shear: float) -> np.ndarray:
+        matrix = np.array([
+            [-(shear + eta * k**4) / rho0, -b0 * k / rho0],
+            [b0 * k, -d0 * k**2],
+        ])
+        return _exact(matrix, np.array([amp, amp]), t_end)
+
+    exact = oracle(rho0 * k**2)
+    finals = [run(dt) for dt in (8e-3, 4e-3, 2e-3, 1e-3)]
+    errors = [np.linalg.norm(y - exact) / np.linalg.norm(exact) for y in finals]
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(r >= 3.7 for r in ratios), (errors, ratios)
+    # the longitudinal viscosity in place of the shear one
+    control = oracle(2.0 * rho0 * k**2)
+    control_error = np.linalg.norm(finals[-1] - control) / np.linalg.norm(control)
+    assert errors[-1] < 1e-3 * control_error, (errors[-1], control_error)

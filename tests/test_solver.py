@@ -943,8 +943,9 @@ def test_picard_divergence_names_the_last_update_and_the_tolerance():
     grid, basis = _default_setup()
     phys, reg = _benchmark_physics()
     reg = RegParams(epsilon=reg.epsilon, eta=reg.eta, delta=reg.delta, dt=reg.dt, picard_max_iters=2)
-    with pytest.raises(PicardDivergence, match=r"in 2 iterations \(last update \S+, picard_tol 1e-10\)"):
+    with pytest.raises(PicardDivergence, match=r"in 2 iterations \(last update \S+, picard_tol 1e-10\)") as failure:
         advance_step(_benchmark_state(grid, basis, reg), phys, reg)
+    assert str(failure.value).endswith("), largest in the magnetic field; halve dt")
 
 
 def test_a_step_reads_the_gram_matrix_only_as_blocks(monkeypatch):
@@ -1022,6 +1023,25 @@ def test_a_3d_step_takes_three_full_sweeps():
     state = benchmark_state("density_bump", grid, basis, reg, seed=0)
     _, infos = run_with_infos(state, phys, reg, 2 * reg.dt)
     assert [(i.picard_iters, i.full_sweeps) for i in infos] == [(6, 3), (5, 3)]
+
+
+def test_the_step_record_shows_b_alone_moving_in_magnetic_only_iterations():
+    # the setup of the test above: after the switch the density sweep is kept,
+    # so its update is exactly 0, the velocity stays converged and B moves
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    _, info = advance_step(benchmark_state("density_bump", grid, basis, reg, seed=0), phys, reg)
+    magnetic_only = info.updates[info.full_sweeps:]
+    assert magnetic_only
+    lam_upd, rho_upd, _ = info.updates[info.full_sweeps - 1]
+    assert max(lam_upd, rho_upd) <= reg.picard_tol
+    for lam_upd, rho_upd, b_upd in magnetic_only:
+        assert rho_upd == 0.0
+        assert lam_upd <= reg.picard_tol and b_upd > 0.0
+    norms = [max(u) for u in info.updates]
+    assert info.update_norms == norms
+    assert info.contraction_ratios == [b / a for a, b in zip(norms, norms[1:])]
 
 
 def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
