@@ -5,10 +5,14 @@ The space is held in Fourier form, each mode a +-k pair
 ``a exp(ik.x) + conj(a) exp(-ik.x)`` in one Cartesian component.  The
 stored terms of all pairs lie in one block of the half spectrum, the basis's
 ``box``, and every transform of a velocity quantity is a box transform
-(:mod:`qmhd.fields`).  Projection gathers mode entries of the box block of
-each component, through one readout table; ``reconstruct`` scatters
-``coeff * a`` and ``coeff * conj(a)`` as ``ScalarField.from_modes`` does, then
-makes one box inverse transform per component; the Gram matrix gathers the
+(:mod:`qmhd.fields`).  A velocity's one Fourier form is its three box blocks,
+stacked: ``box_spectra`` scatters ``coeff * a`` and ``coeff * conj(a)`` into
+them through one table, as ``ScalarField.from_modes`` does into a half
+spectrum, and ``VelocityCoeffs.spectra`` caches them.  ``reconstruct``
+box-inverts each component's block into samples and keeps no spectrum; the
+velocity's derivatives are the blocks differentiated at ``box_kvec``.
+Projection gathers mode entries of the box block of each component, through
+one readout table; the Gram matrix gathers the
 dealiased density spectrum at ``-(k_i +- k_j)`` reduced mod N, which is the
 grid quadrature exactly, aliasing included.  Capillarity in the momentum
 residual is a projection as well (:func:`qmhd.solver.momentum_residual`).
@@ -39,7 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularMass
-from .fields import ScalarField, VectorField, _backward, _box_index, _half_index, _pair_terms, _scatter, dealias
+from .fields import ScalarField, VectorField, _backward, _box_index, _box_shape, _divergence_spectrum, _half_index
+from .fields import _pair_terms, _scatter, dealias
 from .grid import TorusGrid
 
 
@@ -125,43 +130,34 @@ class GalerkinBasis:
         return cls(grid, enumerate_modes(grid, n))
 
     def reconstruct(self, coeffs: np.ndarray) -> VectorField:
-        """The velocity field: each component's half spectrum is scattered
-        from the mode pairs and box-transformed once."""
+        """The velocity field of ``coeffs``: one box inverse transform of each
+        component's block of :meth:`box_spectra`, none for a component
+        without modes.  The field holds samples only."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (self.n,):
             raise ValueError(f"expected {self.n} coefficients, got {coeffs.shape}")
         grid = self.grid
-        comps = []
-        for sel, row, index, amp in self._scatter_tables:
-            spec = _scatter(grid, index, coeffs[sel][row] * amp)
-            vals = _backward(spec, grid, self.box) if sel.size else np.zeros(grid.shape)
-            comps.append(ScalarField._adopt(grid, vals, spec))
-        return VectorField(grid, comps)
+        comps = zip(self.box_spectra(coeffs), self._blocks)
+        vals = [_backward(spec, grid, self.box) if sel.size else np.zeros(grid.shape) for spec, sel in comps]
+        return VectorField(grid, [ScalarField._adopt(grid, v) for v in vals])
+
+    def box_spectra(self, coeffs: np.ndarray) -> np.ndarray:
+        """The velocity of ``coeffs`` in Fourier form: the box blocks of its
+        three component spectra, stacked ``(3, *block shape)``."""
+        mode, index, amp = self._box_table
+        return _scatter(index, coeffs[mode] * amp, (3, *_box_shape(self.box)))
 
     @cached_property
-    def _scatter_tables(self) -> list[tuple[np.ndarray, ...]]:
-        """Per component: its modes and the stored terms of their pairs (row,
-        flat half-spectrum index, ``a`` or ``conj(a)``)."""
-        return [(sel, *_pair_terms(self.grid, self.wavevectors[sel], self.amplitudes[sel])) for sel in self._blocks]
-
-    @cached_property
-    def _divergence_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored terms of the pairs of every component along an active
-        axis a, each weighted by ``i k_a``: mode, flat half-spectrum index and
-        weighted ``a`` or ``conj(a)``."""
-        grid = self.grid
-        tables = self._scatter_tables[: grid.dim]
-        return (
-            np.concatenate([sel[row] for sel, row, _, _ in tables]),
-            np.concatenate([index for _, _, index, _ in tables]),
-            np.concatenate([1j * np.ravel(grid.kvec[a])[index] * amp for a, (_, _, index, amp) in enumerate(tables)]),
-        )
+    def _box_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored terms of every mode pair: mode, flat index in the
+        stacked box blocks and ``a`` or ``conj(a)``."""
+        mode, index, amp = _pair_terms(self.grid, self.wavevectors, self.amplitudes, self.box)
+        return mode, self.components[mode] * np.prod(_box_shape(self.box)) + index, amp
 
     def divergence_samples(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid samples of div u for the velocity of ``coeffs``: one scatter
-        of every weighted term and one box inverse transform."""
-        mode, index, weight = self._divergence_table
-        return _backward(_scatter(self.grid, index, coeffs[mode] * weight), self.grid, self.box)
+        """Grid samples of div u for the velocity of ``coeffs``: its blocks
+        differentiated at :attr:`box_kvec`, one box inverse transform."""
+        return _backward(_divergence_spectrum(self.box_spectra(coeffs), self.box_kvec), self.grid, self.box)
 
     @cached_property
     def box(self) -> tuple:
@@ -170,7 +166,7 @@ class GalerkinBasis:
         of last-axis columns.  Velocity transforms run on it
         (:func:`qmhd.fields._forward`, :func:`qmhd.fields._backward`)."""
         shape = self.grid.spectral_shape
-        at = np.unravel_index(np.concatenate([table[2] for table in self._scatter_tables]), shape)
+        at = np.unravel_index(_pair_terms(self.grid, self.wavevectors, self.amplitudes)[1], shape)
         rows = [np.flatnonzero(np.bincount(at[a], minlength=shape[a])) for a in range(self.grid.dim - 1)]
         return (*rows, int(at[-1].max()) + 1)
 
@@ -180,11 +176,17 @@ class GalerkinBasis:
         return _box_index(self.box)
 
     @cached_property
+    def box_kvec(self) -> list[np.ndarray]:
+        """The derivative wavenumbers ``grid.kvec`` of the active axes on the box block."""
+        return [k[self.box_index] for k in self.grid.kvec[: self.grid.dim]]
+
+    @cached_property
     def _readout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather table of the L2 coefficients ``<f, e_i> = 2 vol Re(conj(a_i) c_{k_i})``
-        from the box block."""
+        from the stacked box blocks."""
         weight = 2.0 * self.grid.volume * np.conj(self.amplitudes)
-        return _gather_table(self.grid, self.wavevectors, weight, self.box)
+        index, re_w, im_w = _gather_table(self.grid, self.wavevectors, weight, self.box)
+        return self.components * np.prod(_box_shape(self.box)) + index, re_w, im_w
 
     def project(self, v: VectorField) -> np.ndarray:
         """L2 projection coefficients, read off the box block of the Fourier
@@ -195,9 +197,7 @@ class GalerkinBasis:
         """Same as :meth:`project` but straight from the box blocks of the
         component spectra (:func:`qmhd.fields._forward` with ``box``)."""
         index, re_w, im_w = self._readout
-        c = np.empty(self.n, dtype=np.complex128)
-        for comp, sel in enumerate(self._blocks):
-            c[sel] = spectra[comp].reshape(-1)[index[sel]]
+        c = np.ravel(spectra)[index]
         return re_w * c.real + im_w * c.imag
 
     @cached_property
@@ -273,6 +273,11 @@ class VelocityCoeffs:
             raise ValueError("velocity coefficients must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """The velocity's box blocks (:meth:`GalerkinBasis.box_spectra`)."""
+        return self.basis.box_spectra(self.values)
 
     @cached_property
     def field(self) -> VectorField:

@@ -24,7 +24,7 @@ from .experiments import SweepSpec, benchmark_state, content_hash, run_sweep, sw
 from .fields import ScalarField, VectorField, divergence, l2_norm
 from .grid import TorusGrid
 from .snapshots import atomic_write, read_snapshot, write_snapshot
-from .solver import _div_b_bound, cfl_report, initial_state, run_simulation, step_count
+from .solver import _div_b_bound, _div_norm, cfl_report, initial_state, run_simulation, step_count
 
 
 def _build_state(config: RunConfig, basis: GalerkinBasis, grid: TorusGrid):
@@ -185,7 +185,7 @@ def cmd_check(args) -> int:
     ok &= _print_check("unit-density Gram is identity", err <= 1e-12, f"max dev {err:.2e}")
 
     state = benchmark_state(config.benchmark or "density_bump", grid, basis, config.reg, seed=config.seed)
-    err = l2_norm(divergence(state.magnetic))
+    err = _div_norm(state.magnetic)
     ok &= _print_check("initial B solenoidal", err <= _div_b_bound(state.magnetic), f"L2 div {err:.2e}")
     lam = state.velocity.values
     err = float(np.linalg.norm(basis.project(state.u) - lam) / max(np.linalg.norm(lam), 1e-300))
@@ -209,7 +209,7 @@ def cmd_inspect(args) -> int:
                 f"  component {i}: L2 {l2_norm(c)!r} min {float(c.values.min())!r} "
                 f"max {float(c.values.max())!r}"
             )
-        print(f"  div L2    {l2_norm(divergence(field))!r}")
+        print(f"  div L2    {_div_norm(field)!r}")
     else:
         print(f"  L2        {l2_norm(field)!r}")
         print(f"  min/max   {float(field.values.min())!r} {float(field.values.max())!r}")

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .basis import VelocityCoeffs
 from .constitutive import (
     PhysParams,
     bohm_force_divergence_form,
@@ -50,6 +51,7 @@ from .errors import DensityFloorViolation, NonuniformSampling
 from .fields import (
     ScalarField,
     VectorField,
+    _backward,
     _cross,
     _gradient_samples,
     curl,
@@ -62,7 +64,7 @@ from .fields import (
     lp_norm,
     sobolev_seminorm,
 )
-from .solver import RegParams, State, Trajectory
+from .solver import RegParams, State, Trajectory, _div_norm
 
 
 # --------------------------------------------------------------------------
@@ -120,19 +122,20 @@ class DerivedFields:
 
     Every per-state report takes the record as ``fields`` and then reads the
     state only through it, so callers holding bare fields pass no state.
-    ``box`` is the velocity's box in the half spectrum when it lies in a
-    Galerkin span (:attr:`qmhd.basis.GalerkinBasis.box`); the gradient's
-    inverse transforms then run on it."""
+    ``velocity`` is the state's velocity in its Galerkin span, if any: the
+    velocity gradient and lap u then differentiate its box blocks
+    (:attr:`qmhd.basis.VelocityCoeffs.spectra`) by box inverse transforms;
+    without it they differentiate the half spectra of ``u``."""
 
     rho: ScalarField
     u: VectorField
     magnetic: VectorField
     floor: float
-    box: tuple | None = None
+    velocity: VelocityCoeffs | None = None
 
     @classmethod
     def of(cls, state: State, reg: RegParams) -> "DerivedFields":
-        return cls(state.rho, state.u, state.magnetic, reg.density_floor, state.basis.box)
+        return cls(state.rho, state.u, state.magnetic, reg.density_floor, state.velocity)
 
     @cached_property
     def rho_values(self) -> np.ndarray:
@@ -147,13 +150,24 @@ class DerivedFields:
         return ScalarField._adopt(self.rho.grid, np.sqrt(self.rho_values))
 
     @cached_property
+    def velocity_spectra(self) -> tuple:
+        """The velocity's component spectra, the wavenumbers ``k`` and
+        squares ``k^2`` of their entries, and their box: the box blocks, or
+        the half spectra of ``u`` and no box."""
+        grid, v = self.u.grid, self.velocity
+        if v is None:
+            return [c.spectrum for c in self.u.components], grid.kvec, grid.k_squared, None
+        return v.spectra, v.basis.box_kvec, grid.k_squared[v.basis.box_index], v.basis.box
+
+    @cached_property
     def velocity_gradient(self) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
         """The velocity gradient d_j u_l (active j rows, all three components
         l as columns) and, pointwise, |D(u)|^2 and |A(u)|^2 of its symmetric
         and antisymmetric parts (full 3x3 tensor)."""
         grid = self.u.grid
         dim = grid.dim
-        du = _gradient_samples(self.u, grid, self.box)
+        spectra, k, _, box = self.velocity_spectra
+        du = _gradient_samples(spectra, k, grid, box)
         strain = np.zeros(grid.shape)
         spin = np.zeros(grid.shape)
         for j in range(3):
@@ -242,7 +256,8 @@ def _dissipation(
     hess_enthalpy = enthalpy_second(rvals, phys) + cold_enthalpy_second(rvals, phys)
     pressure_gradient = _integral(hess_enthalpy * sum(d**2 for d in drho), grid)
     cb = [c.values for c in curl(f.magnetic).components]
-    lap_u = [laplacian(c) for c in f.u.components]
+    spectra, _, k2, box = f.velocity_spectra
+    lap_u = [ScalarField._adopt(grid, _backward(-k2 * s, grid, box)) for s in spectra]
     logr = ScalarField._adopt(grid, np.log(rvals))
     quantum_hessian = _integral(rvals * hessian_frobenius_sq(logr), grid)
     capillary_sq = sobolev_seminorm(f.rho, 2 * (reg.s + 1)) ** 2
@@ -724,7 +739,7 @@ class DiagnosticsWriter:
         e = compute_energy(state, self.phys, self.reg, f)
         d = compute_dissipation(state, self.phys, self.reg, f)
         mon = norm_monitor(state, self.phys, self.reg, f)
-        div_b = l2_norm(divergence(state.magnetic))
+        div_b = _div_norm(state.magnetic)
         iters = info.picard_iters if info is not None else 0
         ratio = (
             max(info.contraction_ratios) if info is not None and info.contraction_ratios else 0.0

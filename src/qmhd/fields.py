@@ -22,10 +22,11 @@ Spectral conventions
   first columns of the last axis (``GalerkinBasis.box``).  Given a box, the
   pair runs axis by axis in the order ``rfftn``/``irfftn`` do and skips each
   line outside it: ``_forward`` returns only the box block, and
-  ``_backward`` reads a full-layout spectrum that is zero outside the box,
-  or the box's columns of one.
-  A skipped line is all zero or never read, so the kept entries are bitwise
-  those of the full transform.
+  ``_backward`` takes exactly that block, the spectrum being zero outside
+  it.  A skipped line is all zero or never read, so the kept entries are
+  bitwise those of the full transform.  The velocity's one Fourier form is
+  its three box blocks (``GalerkinBasis.box_spectra``); its fields hold
+  samples only.
 * Weights: a sum over the full spectrum is a sum over the half with
   ``TorusGrid.hermitian_weights``: 1 on the last axis's k=0 and Nyquist
   planes, whose mirror images are stored in the same plane, 2 elsewhere.
@@ -71,23 +72,18 @@ def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> n
 
 
 def _backward(coeffs: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
-    """Half-spectrum coefficients to real samples; with a box, only the box
-    entries of ``coeffs`` are read, so it must be zero outside the box, and
-    ``coeffs`` may be cut to the box's last-axis columns."""
+    """Half-spectrum coefficients to real samples; with a box, ``coeffs`` is
+    the box block, as ``_forward`` with that box returns it, of a spectrum
+    that is zero outside the box."""
     if box is None:
         return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
-    *rows, ncols = box
     last = grid.dim - 1
-    spec = coeffs[..., :ncols]
-    for axis in range(1, last):
-        spec = spec.take(rows[axis], axis=axis)
+    spec = coeffs
     for axis in range(last):
-        if axis:
-            # this axis's rows outside the box are zero: put the box rows in place
-            lines = np.zeros(spec.shape[:axis] + (grid.shape[axis],) + spec.shape[axis + 1 :], dtype=np.complex128)
-            lines[(slice(None),) * axis + (rows[axis],)] = spec
-            spec = lines
-        spec = np.fft.ifft(spec, axis=axis, norm="forward")
+        # this axis's rows outside the box are zero: put the box rows in place
+        lines = np.zeros(spec.shape[:axis] + (grid.shape[axis],) + spec.shape[axis + 1 :], dtype=np.complex128)
+        lines[(slice(None),) * axis + (box[axis],)] = spec
+        spec = np.fft.ifft(lines, axis=axis, norm="forward")
     return np.fft.irfft(spec, n=grid.shape[last], axis=last, norm="forward")
 
 
@@ -95,6 +91,11 @@ def _box_index(box: tuple) -> tuple[np.ndarray, ...]:
     """Index that reads the box block out of a half spectrum."""
     *rows, ncols = box
     return np.ix_(*rows, np.arange(ncols))
+
+
+def _box_shape(box: tuple) -> tuple[int, ...]:
+    """Shape of the box block."""
+    return tuple(len(r) for r in box[:-1]) + (box[-1],)
 
 
 def _dealiased_forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -121,23 +122,25 @@ def _half_index(grid: TorusGrid, k: np.ndarray, box: tuple | None = None) -> tup
     p = np.moveaxis(np.where(mirrored[..., None], -p % n, p), -1, 0)
     if box is None:
         return np.ravel_multi_index(tuple(p), grid.spectral_shape), mirrored
-    *rows, ncols = box
-    at = tuple(np.searchsorted(r, p[a]) for a, r in enumerate(rows)) + (p[-1],)
-    return np.ravel_multi_index(at, tuple(len(r) for r in rows) + (ncols,)), mirrored
+    at = tuple(np.searchsorted(r, p[a]) for a, r in enumerate(box[:-1])) + (p[-1],)
+    return np.ravel_multi_index(at, _box_shape(box)), mirrored
 
 
-def _pair_terms(grid: TorusGrid, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stored terms (row, flat index, value) of ``sum c exp(ik.x) + conj(c) exp(-ik.x)`` over rows of k."""
-    index, mirrored = _half_index(grid, np.stack([k, -k], axis=1).reshape(-1, grid.dim))
+def _pair_terms(
+    grid: TorusGrid, k: np.ndarray, c: np.ndarray, box: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stored terms (row, flat index, value) of ``sum c exp(ik.x) + conj(c) exp(-ik.x)``
+    over rows of k, indexed in the half spectrum or, given a box, in the box block."""
+    index, mirrored = _half_index(grid, np.stack([k, -k], axis=1).reshape(-1, grid.dim), box)
     keep = np.flatnonzero(~mirrored)
     return keep // 2, index[keep], np.stack([c, np.conj(c)], axis=1).reshape(-1)[keep]
 
 
-def _scatter(grid: TorusGrid, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Half spectrum holding the sum of the complex ``terms`` at each flat index."""
-    size = int(np.prod(grid.spectral_shape))
+def _scatter(index: np.ndarray, terms: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of ``shape`` holding the sum of the complex ``terms`` at each flat index."""
+    size = int(np.prod(shape))
     spec = np.bincount(index, terms.real, size) + 1j * np.bincount(index, terms.imag, size)
-    return spec.reshape(grid.spectral_shape)
+    return spec.reshape(shape)
 
 
 class ScalarField:
@@ -185,7 +188,7 @@ class ScalarField:
         pairs = list(modes)
         k = np.array([tuple(k)[: grid.dim] for k, _ in pairs], dtype=np.intp).reshape(-1, grid.dim)
         _, index, terms = _pair_terms(grid, k, 0.5 * np.array([c for _, c in pairs], dtype=np.complex128))
-        return cls.from_spectrum(grid, _scatter(grid, index, terms))
+        return cls.from_spectrum(grid, _scatter(index, terms, grid.spectral_shape))
 
     @classmethod
     def _adopt(cls, grid: TorusGrid, values: np.ndarray | None, spectrum: np.ndarray | None = None) -> "ScalarField":
@@ -315,11 +318,11 @@ def _curl_spectra(s, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def _divergence_spectrum(s, grid: TorusGrid) -> np.ndarray:
-    """The divergence spectrum of a vector field with component spectra ``s``."""
-    k = grid.kvec
+def _divergence_spectrum(s, k) -> np.ndarray:
+    """The divergence spectrum of a vector field with component spectra
+    ``s``, given the wavenumbers ``k`` of their entries along each active axis."""
     acc = 1j * k[0] * s[0]
-    for axis in range(1, grid.dim):
+    for axis in range(1, len(k)):
         acc += 1j * k[axis] * s[axis]
     return acc
 
@@ -335,15 +338,12 @@ def _laplacian_power(grid: TorusGrid, p: int) -> np.ndarray:
     return (-1.0) ** p * grid.k_squared**p
 
 
-def _gradient_samples(v: VectorField, grid: TorusGrid, box: tuple | None = None) -> list[list[np.ndarray]]:
-    """Samples of d_j v_l (active j rows, components l as columns), by box
-    inverses when ``box`` is given, which form only the box's columns of
-    each derivative spectrum."""
-    cols = slice(None) if box is None else slice(box[-1])
-    return [
-        [_backward(1j * grid.kvec[j][..., cols] * c.spectrum[..., cols], grid, box) for c in v.components]
-        for j in range(grid.dim)
-    ]
+def _gradient_samples(spectra, k, grid: TorusGrid, box: tuple | None = None) -> list[list[np.ndarray]]:
+    """Samples of d_j v_l (active j rows, components l as columns) of the
+    vector field with component spectra ``spectra``, given the wavenumbers
+    ``k`` of their entries: half spectra at ``grid.kvec``, or box blocks at
+    the box's wavenumbers, inverted by box transforms."""
+    return [[_backward(1j * k[j] * s, grid, box) for s in spectra] for j in range(grid.dim)]
 
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:
@@ -369,7 +369,7 @@ def gradient(f: ScalarField) -> VectorField:
 def divergence(v: VectorField) -> ScalarField:
     grid = v.grid
     s = [c.spectrum for c in v.components]
-    acc = _divergence_spectrum(s, grid)
+    acc = _divergence_spectrum(s, grid.kvec[: grid.dim])
     ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(s[axis], grid) for axis in range(grid.dim))
     _tail_check(acc, grid, "divergence", ref)
     return ScalarField._adopt(grid, None, acc)

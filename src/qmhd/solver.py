@@ -388,11 +388,10 @@ def momentum_residual(
     k = grid.kvec
     dim = grid.dim
     box = basis.box
-    k_box = [k[j][basis.box_index] for j in range(dim)]
+    k_box = basis.box_kvec
 
-    # velocity gradient d_j u_l for active j; the reconstructed velocity
-    # carries its spectra
-    du = _gradient_samples(u, grid, box)
+    # velocity gradient d_j u_l for active j, from the velocity's box blocks
+    du = _gradient_samples(velocity.spectra, k_box, grid, box)
 
     # body force G_l, accumulated on the grid: the Lorentz force (curl B) x B,
     body = _cross(_curl_samples(B) if curl_b is None else curl_b, B.component_values())
@@ -510,7 +509,7 @@ def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> Vec
 def _div_norm(b: VectorField) -> float:
     """L2 norm of div B from its spectra (Parseval), with no transform."""
     grid = b.grid
-    div = _divergence_spectrum([c.spectrum for c in b.components], grid)
+    div = _divergence_spectrum([c.spectrum for c in b.components], grid.kvec[: grid.dim])
     return float(np.sqrt(grid.volume)) * _spectral_norm(div, grid)
 
 

@@ -529,11 +529,11 @@ def test_rows_reach_the_file_as_they_are_written(tmp_path):
 
 # (grid shape, velocity modes) -> transforms of one CSV row: the monitor,
 # energy and dissipation reports share sqrt(rho) and the velocity gradient,
-# whose 3d inverses run on the basis's box
+# whose 3d inverses, and the 3 of lap u, run on the basis's box
 ROW_TRANSFORMS = {
-    ((128,), 9): transform_counts(backward_full=11, forward_full=4, backward_box=3),
-    ((64, 64), 120): transform_counts(backward_full=16, forward_full=4, backward_box=6),
-    ((32, 32, 32), 27): transform_counts(backward_full=22, forward_full=4, backward_box=9),
+    ((128,), 9): transform_counts(backward_full=7, forward_full=4, backward_box=6),
+    ((64, 64), 120): transform_counts(backward_full=12, forward_full=4, backward_box=9),
+    ((32, 32, 32), 27): transform_counts(backward_full=18, forward_full=4, backward_box=12),
 }
 
 
@@ -557,6 +557,53 @@ def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_mode
     with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
         writer.write_row(state)
     assert counts == ROW_TRANSFORMS[(shape, n_modes)]
+
+
+@pytest.mark.parametrize("shape, n_modes", [((128,), 9), ((32, 32), 60), ((16, 16, 16), 27)])
+def test_box_block_reports_equal_the_half_spectrum_reports(shape, n_modes):
+    # DerivedFields.of differentiates the velocity's box blocks; a record of
+    # the bare fields differentiates their half spectra
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
+    grid = TorusGrid(shape)
+    state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, n_modes), reg)
+
+    def entries(f):
+        return [
+            *compute_energy(None, phys, reg, f).as_dict().values(),
+            *compute_dissipation(None, phys, reg, f).as_dict().values(),
+            *norm_monitor(None, phys, reg, f).values(),
+            *bd_entropy_report(None, phys, reg, f).as_dict().values(),
+        ]
+
+    assert DerivedFields.of(state, reg).velocity is state.velocity
+    boxed = entries(DerivedFields.of(state, reg))
+    bare = entries(DerivedFields(state.rho, state.u, state.magnetic, reg.density_floor))
+    assert len(boxed) == 7 + 7 + len(MONITOR_KEYS) + 17
+    for a, b in zip(boxed, bare):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_row_div_b_is_the_norm_the_run_checks(tmp_path):
+    # a step's row reports, bitwise, the div B norm of its StepInfo
+    import csv
+
+    grid = TorusGrid((16, 16))
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
+    state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, 24), reg)
+    infos = []
+    with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
+
+        def row(step, s, info):
+            writer.write_row(s, info)
+            infos.append(info)
+
+        run_simulation(state, phys, reg, 3 * reg.dt, on_step=row)
+    with open(tmp_path / "diag.csv") as fh:
+        div_b = [float(r["div_b"]) for r in csv.DictReader(fh)]
+    assert len(div_b) == 4
+    assert div_b[1:] == [info.div_b_norm for info in infos[1:]]
 
 
 @pytest.mark.parametrize("shape", [(128,), (32, 32), (16, 16, 16)])

@@ -1044,6 +1044,27 @@ def test_the_step_record_shows_b_alone_moving_in_magnetic_only_iterations():
     assert info.contraction_ratios == [b / a for a, b in zip(norms, norms[1:])]
 
 
+def test_a_run_keeps_the_velocity_as_samples_and_box_blocks():
+    # the velocity's one Fourier form is its box blocks: no reconstructed
+    # component of a level holds a spectrum, and the blocks are the box of
+    # the transform of the samples
+    from qmhd.fields import _forward
+
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    history = []
+    for _ in range(2):
+        new, _ = advance_step(state, phys, reg, history=history)
+        history = [state, *history]
+        state = new
+    for level in (state, *history):
+        assert all(c._spectrum is None for c in level.u.components)
+        block = np.stack([_forward(c.values, grid, basis.box) for c in level.u.components])
+        assert np.max(np.abs(level.velocity.spectra - block)) <= 1e-13 * np.max(np.abs(block))
+
+
 def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
     # the midpoint density and magnetic field average both levels' spectra,
     # and the step hands the residual the curl of the midpoint field, so every
