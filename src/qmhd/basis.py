@@ -129,15 +129,16 @@ class GalerkinBasis:
     def lowest_modes(cls, grid: TorusGrid, n: int) -> "GalerkinBasis":
         return cls(grid, enumerate_modes(grid, n))
 
-    def reconstruct(self, coeffs: np.ndarray) -> VectorField:
+    def reconstruct(self, coeffs: np.ndarray, spectra: np.ndarray | None = None) -> VectorField:
         """The velocity field of ``coeffs``: one box inverse transform of each
-        component's block of :meth:`box_spectra`, none for a component
-        without modes.  The field holds samples only."""
+        component's block of :meth:`box_spectra`, which a caller that holds
+        them passes as ``spectra``, and none for a component without modes.
+        The field holds samples only."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (self.n,):
             raise ValueError(f"expected {self.n} coefficients, got {coeffs.shape}")
         grid = self.grid
-        comps = zip(self.box_spectra(coeffs), self._blocks)
+        comps = zip(self.box_spectra(coeffs) if spectra is None else spectra, self._blocks)
         vals = [_backward(spec, grid, self.box) if sel.size else np.zeros(grid.shape) for spec, sel in comps]
         return VectorField(grid, [ScalarField._adopt(grid, v) for v in vals])
 
@@ -281,7 +282,8 @@ class VelocityCoeffs:
 
     @cached_property
     def field(self) -> VectorField:
-        return self.basis.reconstruct(self.values)
+        """The velocity's samples: its cached :attr:`spectra`, box-inverted."""
+        return self.basis.reconstruct(self.values, self.spectra)
 
 
 class MassOperator:

@@ -25,7 +25,7 @@ each interval's midpoint fields once for the whole test battery.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, astuple, dataclass, fields as dc_fields, replace
+from dataclasses import asdict, dataclass, fields as dc_fields, replace
 from functools import cached_property, reduce
 from itertools import pairwise
 from operator import add
@@ -185,13 +185,19 @@ class DerivedFields:
 # energy identity
 
 
+def _terms(report, prefix: str = "") -> list[float]:
+    """The fields of a report dataclass whose names start with ``prefix``, in
+    declaration order, read without copying the report."""
+    return [getattr(report, f.name) for f in dc_fields(report) if f.name.startswith(prefix)]
+
+
 @dataclass(frozen=True)
 class _Terms:
     """A term-by-term report; its total sums the terms in field order."""
 
     @property
     def total(self) -> float:
-        return reduce(add, astuple(self))
+        return reduce(add, _terms(self))
 
     def as_dict(self) -> dict[str, float]:
         return {**asdict(self), "total": self.total}
@@ -325,7 +331,7 @@ def energy_identity_residual(traj: Trajectory) -> ResidualSeries:
         f = DerivedFields.of(s, reg)
         energy = compute_energy(s, phys, reg, f).total
         d = compute_dissipation(s, phys, reg, f)
-        return energy, d.total, 0.0, asdict(d).values()
+        return energy, d.total, 0.0, _terms(d)
 
     return _centred_residual(traj, balance)
 
@@ -363,11 +369,11 @@ class BDEntropyReport:
 
     @property
     def lhs_total(self) -> float:
-        return reduce(add, (v for k, v in asdict(self).items() if k.startswith("lhs_")))
+        return reduce(add, _terms(self, "lhs_"))
 
     @property
     def rhs_total(self) -> float:
-        return reduce(add, (v for k, v in asdict(self).items() if k.startswith("rhs_")))
+        return reduce(add, _terms(self, "rhs_"))
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)

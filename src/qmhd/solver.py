@@ -11,12 +11,18 @@ and appends their relative updates ``(lambda, rho, B)`` to the step's one
 record, ``StepInfo.updates``: the loop stops when the largest is at most
 ``picard_tol``, and the switch below and both divergence rules read the same
 record.  The density corridor is checked on the converged step.  A
-run carries the three levels before from one step to the next as a starting
-guess only: the velocity and the density start from the cubic through them
-and ``x_n``, and the magnetic field from ``E b_n`` plus the quadratic through
-its increments ``b_(n-j) - E b_(n-j-1)``, with ``E`` the factor of its exact
-mean diffusion.  A polynomial in B itself cannot follow that stiff decay; in
-its frame only the smooth forcing is extrapolated.  Once the density and the
+run carries the five levels before from one step to the next as a starting
+guess only.  The velocity and the density start from the polynomial through
+``x_n`` and the levels before, the cubic raised one order at a time up to the
+quintic while the velocity's next backward difference, the leading term the
+lower order leaves out, exceeds ``picard_tol`` relative to the velocity and
+still falls with the order (``_start_order``): on ``run_2d_n120`` the cubic
+misses ``picard_tol`` in every steady step, and the quintic does not.  The
+magnetic field starts from ``E b_n`` plus the quadratic through its
+increments ``b_(n-j) - E b_(n-j-1)`` over the first three levels, with ``E``
+the factor of its exact mean diffusion.  A polynomial in B itself cannot
+follow that stiff decay; in its frame only the smooth forcing is
+extrapolated.  Once the density and the
 velocity have converged, the iterations that follow keep the density sweep,
 the split of ``nu_b(rho_mid)`` with its heat factors, the momentum force less
 its Lorentz part and the velocity system, and sweep the magnetic field
@@ -445,11 +451,15 @@ def momentum_residual(
     return entries
 
 
+# the smallest scale an update is measured against
+_UPDATE_SCALE = 1e-8
+
+
 def _relative_update(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
     """l2 norm of ``new - old`` over all arrays, relative to that of ``new``."""
     change = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(new, old)))
     scale = np.sqrt(sum(np.linalg.norm(a) ** 2 for a in new))
-    return float(change / max(scale, 1e-8))
+    return float(change / max(scale, _UPDATE_SCALE))
 
 
 def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -457,24 +467,58 @@ def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
     return ScalarField._adopt(a.grid, 0.5 * (a.values + b.values), 0.5 * (a.spectrum + b.spectrum))
 
 
-# the levels before x_n a step starts from: lambda and rho take the cubic
-# through them, B the quadratic through their increments in the frame of its
-# exact mean diffusion (``_magnetic_start``).  A cubic in B's increments, over
-# a fifth level, cut the fastest step further but took more iterations at
-# low density
+# lambda and rho start from the cubic through x_n and the three levels before
+# it, raised one order at a time up to the quintic through the five levels
+# before (``_start_order``); B starts from the quadratic through the
+# increments of the first three in the frame of its exact mean diffusion
+# (``_magnetic_start``).  A cubic in B's increments, over a fifth level, cut
+# the fastest step further but took more iterations at low density, and so
+# did giving B lambda's order
 _START_ORDER = 3
+_MAX_START_ORDER = 5
+
+# lambda_n and its backward differences nabla^p lambda_n, p = _START_ORDER ..
+# _MAX_START_ORDER, as weights on the levels, most recent first: the first
+# row picks lambda_n, row 1 + p - _START_ORDER holds (-1)^j C(p, j)
+_DIFFERENCES = np.array(
+    [[1.0] + [0.0] * _MAX_START_ORDER]
+    + [[(-1) ** j * comb(p, j) for j in range(_MAX_START_ORDER + 1)] for p in range(_START_ORDER, _MAX_START_ORDER + 1)]
+)
 
 
 def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
     """The value one step after ``levels[0]`` on the polynomial through
     ``levels``, most recent first and one step apart: for order ``p =
     len(levels) - 1`` the weights are ``(-1)^j C(p+1, j+1)``, that is ``1``,
-    then ``2, -1``, ``3, -3, 1`` and ``4, -6, 4, -1``."""
+    then ``2, -1``, ``3, -3, 1``, ``4, -6, 4, -1`` and so on up to the
+    quintic's ``6, -15, 20, -15, 6, -1``."""
     p = len(levels) - 1
     out = comb(p + 1, 1) * levels[0]
     for j in range(1, p + 1):
         out += (-1) ** j * comb(p + 1, j + 1) * levels[j]
     return out
+
+
+def _start_order(levels: Sequence[np.ndarray], tol: float) -> int:
+    """The order of the polynomial a step starts lambda and rho from, given
+    at most ``_MAX_START_ORDER + 1`` of lambda's ``levels``, most recent
+    first and one step apart: the cubic, or the polynomial through all of
+    them if there are fewer than five, raised one order at a time while the
+    next backward difference ``nabla^(p+1) lambda_n``, the leading term the
+    order-``p`` start leaves out, exceeds ``tol`` times ``|lambda_n|``
+    (floored at ``_UPDATE_SCALE``, as the update is measured) and is still
+    smaller than ``nabla^p lambda_n``.  Differences that stop falling are
+    roundoff, which a higher order only amplifies.  One product of the
+    levels gives every norm the rule reads."""
+    p = min(_START_ORDER, len(levels) - 1)
+    if len(levels) > _START_ORDER + 1:
+        d = _DIFFERENCES[: len(levels) - _START_ORDER + 1, : len(levels)] @ levels
+        # |lambda_n|^2, then |nabla^(_START_ORDER + i) lambda_n|^2 at i
+        norm_sq, *diff_sq = np.linalg.vecdot(d, d).tolist()
+        floor = tol**2 * max(norm_sq, _UPDATE_SCALE**2)
+        while p < len(levels) - 1 and floor < diff_sq[p + 1 - _START_ORDER] < diff_sq[p - _START_ORDER]:
+            p += 1
+    return p
 
 
 def _extrapolated(levels: Sequence[ScalarField]) -> ScalarField:
@@ -551,11 +595,15 @@ def advance_step(
 
     ``history``, the levels before ``state``, most recent first and each one
     step of ``dt`` earlier, serves only as a starting guess.  lambda and rho
-    start from the polynomial through ``state`` and up to ``_START_ORDER``
-    of those levels, cubic through four, lower through fewer and ``x_n``
-    itself without any; B starts from ``E b_n`` plus the extrapolation of
-    its increments in the frame of its exact mean diffusion
-    (``_magnetic_start``), which reads the same levels.
+    start from the polynomial through ``state`` and up to
+    ``_MAX_START_ORDER`` of those levels, of the order ``_start_order``
+    reads off lambda's levels: the cubic through four, raised up to the
+    quintic through six while lambda's next backward difference exceeds
+    ``picard_tol`` and still falls, and the polynomial through all of them
+    when there are four or fewer, ``x_n`` itself without any.  B starts
+    from ``E b_n`` plus the extrapolation of its increments in the frame of
+    its exact mean diffusion (``_magnetic_start``), which reads up to the
+    first ``_START_ORDER`` of the levels.
 
     Each iteration appends its relative updates ``(lambda, rho, B)`` to one
     record, ``StepInfo.updates``, which the stopping rule, the switch and
@@ -589,10 +637,12 @@ def advance_step(
     rho_bar = state.mass / rho_old.grid.volume
     shift = 0.5 * h * (reg.eta * basis.eigen_k2**2 + rho_bar * basis.viscous_k2)
 
-    levels = [state, *history[:_START_ORDER]]
-    lam_k = _extrapolate([s.velocity.values for s in levels])
-    rho_new = _extrapolated([s.rho for s in levels])
-    b_new = _magnetic_start(levels, phys, h)
+    levels = [state, *history[:_MAX_START_ORDER]]
+    lams = [s.velocity.values for s in levels]
+    order = _start_order(lams, reg.picard_tol)
+    lam_k = _extrapolate(lams[: order + 1])
+    rho_new = _extrapolated([s.rho for s in levels[: order + 1]])
+    b_new = _magnetic_start(levels[: _START_ORDER + 1], phys, h)
     b_mid = _magnetic_midpoint(b_old, b_new)
     updates: list[tuple[float, float, float]] = []
     full_sweeps = 0
@@ -739,12 +789,12 @@ def run_simulation(
     if on_step is not None:
         on_step(0, state, None)
 
-    # the levels before ``state`` that a start reads, at most three, so
+    # the levels before ``state`` that a start reads, at most five, so
     # memory stays bounded in run length
     history: list[State] = []
     for step in range(1, nsteps + 1):
         new, info = advance_step(state, phys, reg, history=history)
-        history = [state, *history][:_START_ORDER]
+        history = [state, *history][:_MAX_START_ORDER]
         state = new
         traj.picard_iters += info.picard_iters
         traj.full_sweeps += info.full_sweeps

@@ -33,7 +33,9 @@ from qmhd.fields import (
 from qmhd.solver import (
     _density_factors,
     _div_norm,
+    _extrapolate,
     _magnetic_midpoint,
+    _start_order,
     cfl_report,
     momentum_residual,
     solve_density_step,
@@ -790,7 +792,7 @@ def test_extrapolated_start_reaches_the_step_of_a_fresh_start(shape, n_modes):
 
 
 def test_higher_order_start_moves_no_fixed_point_and_saves_full_sweeps():
-    # a run starts each step from the polynomial through up to three levels
+    # a run starts each step from the polynomial through up to five levels
     # before; it ends where starting from the line through the level before
     # ends, to the fixed-point tolerance, after fewer full sweeps
     grid = TorusGrid((32, 32))
@@ -807,6 +809,89 @@ def test_higher_order_start_moves_no_fixed_point_and_saves_full_sweeps():
     assert np.array_equal(two.rho.values, line.rho.values)
     assert np.array_equal(two.velocity.values, line.velocity.values)
     assert all(np.array_equal(a, b) for a, b in zip(two.magnetic.component_values(), line.magnetic.component_values()))
+
+
+def _polynomial_levels(degree, rng, h=0.05, n=9):
+    """Samples at t = 0, h, ..., 6h of a degree-``degree`` polynomial in time
+    with random vector coefficients, most recent first."""
+    coef = rng.standard_normal((degree + 1, n))
+    return [sum(c * (t * h) ** k for k, c in enumerate(coef)) for t in range(6, -1, -1)]
+
+
+def test_the_start_order_rises_while_the_differences_fall_above_picard_tol(rng):
+    tol = 1e-10
+    # the six levels before the last sample of a quintic: nabla^4 and nabla^5
+    # lie far above tol |lambda_n| and fall, so the start is the quintic, which
+    # reproduces the last sample to roundoff
+    nxt, *levels = _polynomial_levels(5, rng)
+    assert _start_order(levels, tol) == 5
+    assert np.max(np.abs(_extrapolate(levels) - nxt)) <= 1e-13 * np.max(np.abs(nxt))
+    # five levels allow the quartic at most
+    assert _start_order(levels[:5], tol) == 4
+    # a quartic's nabla^5 is roundoff, below tol |lambda_n|: the quartic
+    nxt, *levels = _polynomial_levels(4, rng)
+    assert _start_order(levels, tol) == 4
+    assert np.max(np.abs(_extrapolate(levels[:5]) - nxt)) <= 1e-13 * np.max(np.abs(nxt))
+    # levels that differ by roundoff, or by noise whose differences grow with
+    # their order, keep the cubic
+    base = rng.standard_normal(9)
+    for noise in (1e-16, 1e-6):
+        levels = [base + noise * rng.standard_normal(9) for _ in range(6)]
+        assert _start_order(levels, tol) == 3
+
+
+def test_a_steady_step_takes_one_full_sweep():
+    # 2D 32^2, 60 modes: from the fifth step on the levels before hold
+    # nabla^4 lambda_n above picard_tol, so the start rises past the cubic,
+    # whose first velocity update of about 3e-9 would cost a second full sweep
+    grid = TorusGrid((32, 32))
+    basis = GalerkinBasis.lowest_modes(grid, 60)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("random_smooth", grid, basis, reg, seed=0)
+    _, infos = run_with_infos(state, phys, reg, 12 * reg.dt)
+    assert [i.full_sweeps for i in infos[4:]] == [1] * 8
+
+
+@pytest.mark.parametrize("held", [0, 1, 2, 3])
+def test_a_start_from_at_most_three_levels_before_is_the_polynomial_through_all(monkeypatch, held):
+    # with three levels before or fewer, lambda and rho start from the
+    # polynomial through all of them and x_n, weights 1; 2, -1; 3, -3, 1;
+    # 4, -6, 4, -1, summed in that order
+    import qmhd.solver as solver
+
+    grid = TorusGrid((32, 32))
+    basis = GalerkinBasis.lowest_modes(grid, 60)
+    phys, reg = _benchmark_physics()
+    states = [benchmark_state("random_smooth", grid, basis, reg, seed=0)]
+    for _ in range(held):
+        states.append(advance_step(states[-1], phys, reg, history=states[-2::-1])[0])
+    state, history = states[-1], states[-2::-1]
+
+    def polynomial(levels):
+        weights = {1: [1], 2: [2, -1], 3: [3, -3, 1], 4: [4, -6, 4, -1]}[len(levels)]
+        out = weights[0] * levels[0]
+        for w, level in zip(weights[1:], levels[1:]):
+            out += w * level
+        return out
+
+    seen = {}
+    density_step, coeffs = solver.solve_density_step, solver.VelocityCoeffs
+
+    def density(*args, guess, **kwargs):
+        seen.setdefault("rho", guess.values)
+        return density_step(*args, guess=guess, **kwargs)
+
+    def velocity(basis, values):
+        seen.setdefault("lam_mid", values)
+        return coeffs(basis, values)
+
+    monkeypatch.setattr(solver, "solve_density_step", density)
+    monkeypatch.setattr(solver, "VelocityCoeffs", velocity)
+    advance_step(state, phys, reg, history=history)
+    levels = [state, *history]
+    lam_start = polynomial([s.velocity.values for s in levels])
+    assert np.array_equal(seen["lam_mid"], 0.5 * (state.velocity.values + lam_start))
+    assert np.array_equal(seen["rho"], polynomial([s.rho.values for s in levels]))
 
 
 def test_magnetic_only_iterations_redo_the_sweep_and_the_lorentz_force_alone(monkeypatch):
