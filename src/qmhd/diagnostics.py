@@ -18,8 +18,12 @@ The fields of a state that several reports read live in one
 their optional ``fields`` argument, and a CSV row builds one record for its
 energy, dissipation and monitor reports.  The BD report reuses the
 dissipation terms and the state's energy report, with only the kinetic term
-taken at the shifted velocity u + grad(2 log rho).  The weak form derives
-each interval's midpoint fields once for the whole test battery.
+taken at the shifted velocity u + grad(2 log rho).  The weak form forms
+each interval's integrands once, at the midpoint fields, grouped by the
+derivative of the test field each meets (grad phi, div phi, lap phi,
+grad div phi, phi, curl phi), and pairs each group with each test field
+once through ``_pair``.  The quantum force's two integrands have one home,
+``quantum_flux``, which the Planck ladder's weak integral reads too.
 """
 
 from __future__ import annotations
@@ -104,9 +108,17 @@ def _integral(values: np.ndarray, grid) -> float:
     return float(values.mean() * grid.volume)
 
 
-def _pair(a: Sequence[np.ndarray], b: Sequence[np.ndarray], grid) -> float:
-    """L2 pairing of two three-component vector fields given by samples."""
-    return float(sum((a[l] * b[l]).mean() for l in range(3)) * grid.volume)
+def _pair(a, b, grid) -> float:
+    """L2 pairing of two fields given by samples: arrays, or nested lists of
+    them paired entry by entry, each list cut to the shorter one, so that a
+    list over the active axes pairs with a three-component one."""
+
+    def mean(a, b):
+        if isinstance(a, np.ndarray):
+            return (a * b).mean()
+        return sum(mean(x, y) for x, y in zip(a, b))
+
+    return float(mean(a, b) * grid.volume)
 
 
 # --------------------------------------------------------------------------
@@ -525,18 +537,13 @@ def default_vector_battery(grid) -> dict[str, VectorField]:
     return {name: VectorField.from_arrays(grid, arrs) for name, arrs in items}
 
 
-def quantum_pairing(w: np.ndarray, dw, grad_div_phi, grad_phi, grid) -> float:
-    """int w grad w . grad div phi + 2 int d_j w d_l w d_j phi_l, w = sqrt(rho):
-    the quantum force 2 kappa^2 rho grad(lap w / w) paired with a test field
-    phi, integrated by parts and divided by 2 kappa^2.  Takes samples:
-    ``dw[j]``, ``grad_div_phi[l]`` and ``grad_phi[j][l]`` over active axes."""
-    inner = 0.0
-    for l in range(grid.dim):
-        inner += _integral(w * dw[l] * grad_div_phi[l], grid)
-    for j in range(grid.dim):
-        for l in range(grid.dim):
-            inner += 2.0 * _integral(dw[j] * dw[l] * grad_phi[j][l], grid)
-    return inner
+def quantum_flux(w: np.ndarray, dw) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+    """The two integrands of the quantum force 2 kappa^2 rho grad(lap w / w),
+    w = sqrt(rho), paired with a test field phi, integrated by parts and
+    divided by 2 kappa^2: ``2 d_j w d_l w``, which meets d_j phi_l, and
+    ``w d_l w``, which meets d_l div phi.  Takes samples of w and ``dw[j]``
+    over the active axes."""
+    return [[2.0 * dj * dl for dl in dw] for dj in dw], [w * dl for dl in dw]
 
 
 @dataclass(frozen=True)
@@ -564,6 +571,60 @@ class _VectorTest:
         )
 
 
+def _interval_integrands(s0: State, s1: State, phys: PhysParams) -> tuple:
+    """What one interval pairs with the test fields, formed once at the
+    midpoint of its end states: rho and its flux rho u, which meet phi and
+    grad phi; the momentum and its flux, the flux grouped by the derivative
+    of phi each part meets (grad phi, div phi, lap phi, grad div phi, phi);
+    and B and its flux, which meet phi and curl phi.  The midpoint fields
+    are freed on return; only the integrands are held."""
+    from .fields import dealiased_product
+
+    grid = s0.rho.grid
+    dim = grid.dim
+    rho_mid = ScalarField._adopt(grid, 0.5 * (s0.rho.values + s1.rho.values))
+    rv = rho_mid.values
+    uv = [0.5 * (a + b) for a, b in zip(s0.u.component_values(), s1.u.component_values())]
+    bv = [
+        0.5 * (a + b)
+        for a, b in zip(s0.magnetic.component_values(), s1.magnetic.component_values())
+    ]
+    wv = 0.5 * (np.sqrt(s0.rho.values) + np.sqrt(s1.rho.values))
+    dw = [derivative(ScalarField._adopt(grid, wv), j).values for j in range(dim)]
+    mv = [rv * uv[l] for l in range(3)]
+    mass_flux = [
+        dealiased_product(rho_mid, ScalarField._adopt(grid, uv[l])).values for l in range(dim)
+    ]
+    q_grad, q_grad_div = quantum_flux(wv, dw)
+    kq = 2.0 * phys.kappa**2
+
+    # with grad phi: transport rho u_j u_l and the factored viscosity's
+    # 2 d_j w w u_l, both carried by u_l; for l < dim also the factored
+    # viscosity's 2 w u_j d_l w and the quantum term 2 kappa^2 2 d_j w d_l w
+    carried = [mv[j] + 2.0 * dw[j] * wv for j in range(dim)]
+    with_grad = [[carried[j] * uv[l] for l in range(3)] for j in range(dim)]
+    for j in range(dim):
+        for l in range(dim):
+            with_grad[j][l] += 2.0 * wv * uv[j] * dw[l] + kq * q_grad[j][l]
+    cb = curl(VectorField.from_arrays(grid, bv)).component_values()
+    momentum_flux = (
+        with_grad,
+        # with div phi: the pressure work P + Pc
+        pressure(rv, phys) + cold_pressure(rv, phys),
+        # with lap phi: the factored viscosity's rho u
+        mv,
+        # with grad div phi: the factored viscosity's rho u_l and the quantum
+        # term 2 kappa^2 w d_l w
+        [m + kq * q for m, q in zip(mv, q_grad_div)],
+        # with phi: the Lorentz force (curl B) x B
+        _cross(cb, bv),
+    )
+    # with curl phi: the EMF u x B less the resistive nu_b curl B
+    nu = magnetic_diffusivity(rv, phys)
+    induction_flux = [e - nu * c for e, c in zip(_cross(uv, bv), cb)]
+    return rho_mid, mass_flux, mv, momentum_flux, bv, induction_flux
+
+
 def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
     """Distributional residuals of continuity, momentum and induction over
     the sampled trajectory, one number per test function g(t) phi(x): phi
@@ -571,18 +632,15 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
 
     Quadrature is midpoint-in-time with the summation-by-parts pairing, so a
     conservative scheme telescopes the continuity item to solver tolerance
-    when the density diffusion is off.  One pass over the intervals derives
-    the midpoint fields once and pairs them with every test function.
+    when the density diffusion is off.  One pass over the intervals forms
+    each interval's integrands once (``_interval_integrands``) and pairs
+    each group of them with every test function once.
     """
     h = _require_uniform(traj)
     grid = traj.states[0].rho.grid
-    dim = grid.dim
-    phys = traj.phys
     t_final = traj.times[-1]
     scalars = default_scalar_battery(grid)
     vectors = default_vector_battery(grid)
-
-    from .fields import dealiased_product
 
     scalar_grads = [gradient(phi).component_values() for phi in scalars.values()]
     vector_tests = [_VectorTest.of(phi) for phi in vectors.values()]
@@ -595,64 +653,22 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
     magnetic = [g_first * _pair(b_first, d.values, grid) for d in vector_tests]
 
     for (s0, s1), (t0, t1) in zip(pairwise(traj.states), pairwise(traj.times)):
-        # midpoint fields, derived once per interval
-        rho_mid = ScalarField._adopt(grid, 0.5 * (s0.rho.values + s1.rho.values))
-        rv = rho_mid.values
-        uv = [0.5 * (a + b) for a, b in zip(s0.u.component_values(), s1.u.component_values())]
-        bv = [
-            0.5 * (a + b)
-            for a, b in zip(s0.magnetic.component_values(), s1.magnetic.component_values())
-        ]
-        wv = 0.5 * (np.sqrt(s0.rho.values) + np.sqrt(s1.rho.values))
-        w_mid = ScalarField._adopt(grid, wv)
-        dw = [derivative(w_mid, j).values for j in range(dim)]
-        mv = [rv * uv[l] for l in range(3)]
-        flux = [
-            dealiased_product(rho_mid, ScalarField._adopt(grid, uv[l])).values for l in range(dim)
-        ]
-        ptot = pressure(rv, phys) + cold_pressure(rv, phys)
-        cb = curl(VectorField.from_arrays(grid, bv)).component_values()
-        lorentz = _cross(cb, bv)
-        emf = _cross(uv, bv)
-        nu = magnetic_diffusivity(rv, phys)
-
+        rho_mid, mass_flux, m, m_flux, b, b_flux = _interval_integrands(s0, s1, traj.phys)
         g0, g1 = envelope(t0, t_final), envelope(t1, t_final)
         gmid = 0.5 * (g0 + g1)
         for i, phi in enumerate(scalars.values()):
             continuity[i] += (g1 - g0) * inner_product(rho_mid, phi)
-            flux_pairing = sum(_integral(flux[l] * scalar_grads[i][l], grid) for l in range(dim))
-            continuity[i] += h * gmid * flux_pairing
-
+            continuity[i] += h * gmid * _pair(mass_flux, scalar_grads[i], grid)
         for i, d in enumerate(vector_tests):
-            term = 0.0
-            # transport: rho u (x) u : grad phi
-            for j in range(dim):
-                for l in range(3):
-                    term += _integral(mv[j] * uv[l] * d.grad[j][l], grid)
-            # pressure work
-            term += _integral(ptot * d.div, grid)
-            # viscosity in the factored form
-            for j in range(dim):
-                for l in range(3):
-                    term += 2.0 * _integral(dw[j] * wv * uv[l] * d.grad[j][l], grid)
-                    if l < dim:
-                        term += 2.0 * _integral(wv * uv[j] * dw[l] * d.grad[j][l], grid)
-            for l in range(3):
-                term += _integral(mv[l] * d.lap[l], grid)
-            for l in range(dim):
-                term += _integral(mv[l] * d.grad_div[l], grid)
-            # quantum terms in the integrated-by-parts form
-            if phys.kappa:
-                term += 2.0 * phys.kappa**2 * quantum_pairing(wv, dw, d.grad_div, d.grad, grid)
-            # Lorentz force
-            term += _pair(lorentz, d.values, grid)
-            momentum[i] += (g1 - g0) * _pair(mv, d.values, grid)
-            momentum[i] += h * gmid * term
-
-            term = _pair(emf, d.curl, grid)
-            term -= _integral(nu * sum(cb[l] * d.curl[l] for l in range(3)), grid)
-            magnetic[i] += (g1 - g0) * _pair(bv, d.values, grid)
-            magnetic[i] += h * gmid * term
+            # the test's derivatives in the order of the momentum flux's groups
+            derivs = (d.grad, d.div, d.lap, d.grad_div, d.values)
+            momentum[i] += (g1 - g0) * _pair(m, d.values, grid)
+            momentum[i] += h * gmid * _pair(m_flux, derivs, grid)
+            magnetic[i] += (g1 - g0) * _pair(b, d.values, grid)
+            magnetic[i] += h * gmid * _pair(b_flux, d.curl, grid)
+        # freed before the next interval's are formed: one interval's
+        # integrands are held at a time
+        del rho_mid, mass_flux, m, m_flux, b, b_flux
 
     return {
         "continuity": {name: float(r) for name, r in zip(scalars, continuity)},

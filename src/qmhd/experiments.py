@@ -7,7 +7,9 @@ from shared initial data, measuring as each finishes its distances to the
 limit rung, its norm monitors, and the weak integrals of the terms that are
 supposed to vanish.  Those integrals pair each term with the diagnostics' fixed vector
 battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
-the samples (``_battery_sums``).  The capillarity integral pairs the
+the samples (``_battery_sums``).  The quantum integral forms its two
+integrands once per sample (:func:`qmhd.diagnostics.quantum_flux`, which
+the weak form reads too).  The capillarity integral pairs the
 scheme's own force term (:func:`qmhd.solver._capillary_gradient`), so it
 costs one inverse transform per axis and sample.  Everything is
 deterministic for a fixed configuration.
@@ -25,12 +27,13 @@ from .constitutive import PhysParams
 from .diagnostics import (
     MONITOR_KEYS,
     DerivedFields,
+    _pair,
     _VectorTest,
     compute_energy,
     default_vector_battery,
     envelope,
     norm_monitor,
-    quantum_pairing,
+    quantum_flux,
 )
 from .errors import QMHDError
 from .fields import (
@@ -189,7 +192,8 @@ def _battery_sums(traj: Trajectory, tests: list, pairing: Callable[[State], Call
 
 def quantum_term_weak_integral(traj: Trajectory, kappa: float) -> dict[str, float]:
     """Space-time weak integral of the quantum force in its integrated-by-
-    parts form; reports the value and value/kappa^2."""
+    parts form, its two integrands (:func:`qmhd.diagnostics.quantum_flux`)
+    formed once per sample; reports the value and value/kappa^2."""
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
     grid = traj.states[0].rho.grid
@@ -197,8 +201,8 @@ def quantum_term_weak_integral(traj: Trajectory, kappa: float) -> dict[str, floa
 
     def pairing(s: State):
         w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
-        dw = [derivative(w, j).values for j in range(grid.dim)]
-        return lambda d: quantum_pairing(w.values, dw, d.grad_div, d.grad, grid)
+        q_grad, q_grad_div = quantum_flux(w.values, [derivative(w, j).values for j in range(grid.dim)])
+        return lambda d: _pair(q_grad_div, d.grad_div, grid) + _pair(q_grad, d.grad, grid)
 
     total = sum(2.0 * kappa**2 * a for a in _battery_sums(traj, tests, pairing))
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
@@ -298,7 +302,6 @@ class RungResult:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
     rungs: list[RungResult]
     convergence_orders: dict[str, float]
 
@@ -390,7 +393,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             if good.sum() >= 2:
                 slope, _ = np.polyfit(np.log(vals[good]), np.log(dists[good]), 1)
                 orders[key] = float(slope)
-    return SweepResult(spec, rungs, orders)
+    return SweepResult(rungs, orders)
 
 
 def sweep_rows(result: SweepResult) -> list[dict[str, float]]:

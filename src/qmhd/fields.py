@@ -355,15 +355,8 @@ def derivative(f: ScalarField, axis: int) -> ScalarField:
 
 
 def gradient(f: ScalarField) -> VectorField:
-    grid = f.grid
-    spec = f.spectrum
-    comps = []
-    for axis in range(3):
-        if axis < grid.dim:
-            comps.append(ScalarField._adopt(grid, None, 1j * grid.kvec[axis] * spec))
-        else:
-            comps.append(ScalarField._adopt(grid, np.zeros(grid.shape)))
-    return VectorField(grid, comps)
+    """The three partial derivatives (zero along inactive axes)."""
+    return VectorField(f.grid, [derivative(f, axis) for axis in range(3)])
 
 
 def divergence(v: VectorField) -> ScalarField:

@@ -521,13 +521,6 @@ def _start_order(levels: Sequence[np.ndarray], tol: float) -> int:
     return p
 
 
-def _extrapolated(levels: Sequence[ScalarField]) -> ScalarField:
-    """:func:`_extrapolate` of fields, values and spectra both."""
-    return ScalarField._adopt(
-        levels[0].grid, _extrapolate([f.values for f in levels]), _extrapolate([f.spectrum for f in levels])
-    )
-
-
 def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> VectorField:
     """B's starting guess ``E b_n + q`` from ``levels``, ``x_n`` first and
     each one step before the last.  ``E = exp(-nu_bar dt |k|^2)`` is the
@@ -641,7 +634,9 @@ def advance_step(
     lams = [s.velocity.values for s in levels]
     order = _start_order(lams, reg.picard_tol)
     lam_k = _extrapolate(lams[: order + 1])
-    rho_new = _extrapolated([s.rho for s in levels[: order + 1]])
+    # samples only: the first iteration always sweeps the density, and the
+    # sweep reads no more of its guess
+    rho_new = ScalarField._adopt(rho_old.grid, _extrapolate([s.rho.values for s in levels[: order + 1]]))
     b_new = _magnetic_start(levels[: _START_ORDER + 1], phys, h)
     b_mid = _magnetic_midpoint(b_old, b_new)
     updates: list[tuple[float, float, float]] = []
@@ -720,7 +715,6 @@ class Trajectory:
     ``run_simulation(on_step=...)``."""
 
     states: list[State]
-    dt: float
     sample_every: int
     phys: PhysParams
     reg: RegParams
@@ -735,7 +729,7 @@ class Trajectory:
 
     @property
     def sampled_dt(self) -> float:
-        return self.dt * self.sample_every
+        return self.reg.dt * self.sample_every
 
     @property
     def final_state(self) -> State:
@@ -785,7 +779,7 @@ def run_simulation(
     nsteps = step_count(initial.time, t_end, reg.dt, sample_every)
     mass0 = initial.mass
     state = initial
-    traj = Trajectory([state], reg.dt, sample_every, phys, reg)
+    traj = Trajectory([state], sample_every, phys, reg)
     if on_step is not None:
         on_step(0, state, None)
 

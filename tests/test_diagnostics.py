@@ -335,10 +335,10 @@ def test_nonuniform_sampling_rejected():
     phys, reg = PhysParams(), RegParams(dt=1e-3)
     state = _mini_benchmark(grid, basis, reg)
     states = [replace(state, time=t) for t in (0.0, 1e-3, 3e-3)]
-    traj = Trajectory(states, reg.dt, 1, phys, reg)
+    traj = Trajectory(states, 1, phys, reg)
     with pytest.raises(NonuniformSampling):
         energy_identity_residual(traj)
-    short = Trajectory(states[:2], reg.dt, 1, phys, reg)
+    short = Trajectory(states[:2], 1, phys, reg)
     with pytest.raises(NonuniformSampling):
         energy_identity_residual(short)
 
@@ -419,7 +419,7 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=0.01, dt=1e-3)
     traj = run_simulation(_mini_benchmark(grid, basis, reg), phys, reg, 8e-3)
-    short = Trajectory(traj.states[:5], traj.dt, 1, phys, reg)
+    short = Trajectory(traj.states[:5], 1, phys, reg)
     weak_form_residual(traj)  # fills the states' lazily computed samples
     counts = count_transforms(monkeypatch)
 

@@ -878,6 +878,7 @@ def test_a_start_from_at_most_three_levels_before_is_the_polynomial_through_all(
     density_step, coeffs = solver.solve_density_step, solver.VelocityCoeffs
 
     def density(*args, guess, **kwargs):
+        seen.setdefault("rho_spectrum", guess._spectrum)
         seen.setdefault("rho", guess.values)
         return density_step(*args, guess=guess, **kwargs)
 
@@ -892,6 +893,8 @@ def test_a_start_from_at_most_three_levels_before_is_the_polynomial_through_all(
     lam_start = polynomial([s.velocity.values for s in levels])
     assert np.array_equal(seen["lam_mid"], 0.5 * (state.velocity.values + lam_start))
     assert np.array_equal(seen["rho"], polynomial([s.rho.values for s in levels]))
+    # the density sweep reads only the guess's samples, so the start forms no spectrum
+    assert seen["rho_spectrum"] is None
 
 
 def test_magnetic_only_iterations_redo_the_sweep_and_the_lorentz_force_alone(monkeypatch):
