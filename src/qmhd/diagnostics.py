@@ -111,12 +111,13 @@ def _integral(values: np.ndarray, grid) -> float:
 def _pair(a, b, grid) -> float:
     """L2 pairing of two fields given by samples: arrays, or nested lists of
     them paired entry by entry, each list cut to the shorter one, so that a
-    list over the active axes pairs with a three-component one."""
+    list over the active axes pairs with a three-component one.  An entry
+    that is None, a field zero everywhere (``_drop_zeros``), is skipped."""
 
     def mean(a, b):
         if isinstance(a, np.ndarray):
             return (a * b).mean()
-        return sum(mean(x, y) for x, y in zip(a, b))
+        return sum(mean(x, y) for x, y in zip(a, b) if x is not None and y is not None)
 
     return float(mean(a, b) * grid.volume)
 
@@ -546,28 +547,38 @@ def quantum_flux(w: np.ndarray, dw) -> tuple[list[list[np.ndarray]], list[np.nda
     return [[2.0 * dj * dl for dl in dw] for dj in dw], [w * dl for dl in dw]
 
 
+def _drop_zeros(samples):
+    """``samples``, an array or nested lists of them, with each array that is
+    zero everywhere replaced by None, which ``_pair`` skips."""
+    if isinstance(samples, np.ndarray):
+        return samples if np.any(samples) else None
+    return [_drop_zeros(a) for a in samples]
+
+
 @dataclass(frozen=True)
 class _VectorTest:
     """Samples of a vector test field and of every derivative the momentum
-    and induction pairings read."""
+    and induction pairings read; an array that is zero everywhere, such as
+    the zero components of ``(sin x, 0, 0)`` and their derivatives, is None
+    and is not paired."""
 
-    values: list[np.ndarray]
-    grad: list[list[np.ndarray]]  # d_j phi_l, active j
-    div: np.ndarray
-    lap: list[np.ndarray]
-    grad_div: list[np.ndarray]  # active axes
-    curl: list[np.ndarray]
+    values: list[np.ndarray | None]
+    grad: list[list[np.ndarray | None]]  # d_j phi_l, active j
+    div: np.ndarray | None
+    lap: list[np.ndarray | None]
+    grad_div: list[np.ndarray | None]  # active axes
+    curl: list[np.ndarray | None]
 
     @classmethod
     def of(cls, phi: VectorField) -> "_VectorTest":
         div_phi = divergence(phi)
         return cls(
-            values=phi.component_values(),
-            grad=[[derivative(c, j).values for c in phi.components] for j in range(phi.grid.dim)],
-            div=div_phi.values,
-            lap=[laplacian(c).values for c in phi.components],
-            grad_div=gradient(div_phi).component_values()[: phi.grid.dim],
-            curl=curl(phi).component_values(),
+            values=_drop_zeros(phi.component_values()),
+            grad=_drop_zeros([[derivative(c, j).values for c in phi.components] for j in range(phi.grid.dim)]),
+            div=_drop_zeros(div_phi.values),
+            lap=_drop_zeros([laplacian(c).values for c in phi.components]),
+            grad_div=_drop_zeros(gradient(div_phi).component_values()[: phi.grid.dim]),
+            curl=_drop_zeros(curl(phi).component_values()),
         )
 
 
@@ -642,7 +653,7 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
     scalars = default_scalar_battery(grid)
     vectors = default_vector_battery(grid)
 
-    scalar_grads = [gradient(phi).component_values() for phi in scalars.values()]
+    scalar_grads = [_drop_zeros(gradient(phi).component_values()) for phi in scalars.values()]
     vector_tests = [_VectorTest.of(phi) for phi in vectors.values()]
 
     first, g_first = traj.states[0], envelope(traj.times[0], t_final)

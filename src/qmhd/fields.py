@@ -12,7 +12,9 @@ Spectral conventions
 * Normalization: ``f(x) = sum_k c_k exp(i k.x)``, so ``c_0`` is the mean of
   ``f``.  This module owns the only transform pair, ``_forward`` (real samples
   to coefficients) and ``_backward`` (coefficients to real samples); nothing
-  else in the package calls ``numpy.fft``.
+  else in the package calls ``numpy.fft``.  Both are one axis-by-axis
+  kernel: the passes of ``numpy.fft.rfftn``/``irfftn`` in their order, the
+  leading-axis passes in place, so the results are bitwise theirs.
 * Layout: real fields have Hermitian spectra, ``c_{-k} = conj(c_k)``, so only
   the ``numpy.fft.rfftn`` half is stored: leading axes hold all wavenumbers in
   transform order, the last axis holds 0..N/2.  Shapes are
@@ -20,11 +22,10 @@ Spectral conventions
 * Box form: a velocity in the Galerkin span is nonzero only on a small block
   of the half spectrum, its box: a set of rows on each leading axis and the
   first columns of the last axis (``GalerkinBasis.box``).  Given a box, the
-  pair runs axis by axis in the order ``rfftn``/``irfftn`` do and skips each
-  line outside it: ``_forward`` returns only the box block, and
-  ``_backward`` takes exactly that block, the spectrum being zero outside
-  it.  A skipped line is all zero or never read, so the kept entries are
-  bitwise those of the full transform.  The velocity's one Fourier form is
+  same kernel skips each line outside it: ``_forward`` returns only the box
+  block, and ``_backward`` takes exactly that block, the spectrum being zero
+  outside it.  A skipped line is all zero or never read, so the kept
+  entries are bitwise those of the full transform.  The velocity's one Fourier form is
   its three box blocks (``GalerkinBasis.box_spectra``); its fields hold
   samples only.
 * Weights: a sum over the full spectrum is a sum over the half with
@@ -40,6 +41,9 @@ Spectral conventions
   the solver and the diagnostics all call: ``_curl_spectra``,
   ``_divergence_spectrum``, ``_cross``, ``_laplacian_power`` and
   ``_gradient_samples``.
+* Active axes: curls and the divergence-free projection sum over the active
+  axes only, so a curl component with no active-axis term (the first in 1D)
+  is zero by construction and is neither formed nor transformed.
 """
 
 from __future__ import annotations
@@ -56,34 +60,39 @@ from .grid import TorusGrid
 def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
     """Real samples to half-spectrum coefficients, or to the box block of
     them when a box ``(rows of each leading axis, ..., number of last-axis
-    columns)`` is given."""
-    if box is None:
-        # with ``out`` numpy runs the leading-axis passes in that one array
-        # instead of allocating a new one per axis (about 1/3 faster at 32^3)
-        out = np.empty(grid.spectral_shape, dtype=np.complex128)
-        return np.fft.rfftn(values, norm="forward", out=out)
-    *rows, ncols = box
+    columns)`` is given: ``rfft`` along the last axis, then ``fft`` along
+    each leading axis in reverse order, in place, as ``numpy.fft.rfftn``
+    runs them.  A box keeps its columns after the first pass and its rows
+    after each later one."""
     last = grid.dim - 1
-    # a copy of the kept columns, so the full last-axis pass is freed at once
-    spec = np.fft.rfft(values, axis=last, norm="forward")[..., :ncols].copy()
+    spec = np.fft.rfft(values, axis=last, norm="forward")
+    if box is not None:
+        # a copy of the kept columns, so the full last-axis pass is freed at once
+        spec = spec[..., : box[-1]].copy()
     for axis in range(last - 1, -1, -1):
-        spec = np.fft.fft(spec, axis=axis, norm="forward").take(rows[axis], axis=axis)
+        np.fft.fft(spec, axis=axis, norm="forward", out=spec)
+        if box is not None:
+            spec = spec.take(box[axis], axis=axis)
     return spec
 
 
 def _backward(coeffs: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
     """Half-spectrum coefficients to real samples; with a box, ``coeffs`` is
     the box block, as ``_forward`` with that box returns it, of a spectrum
-    that is zero outside the box."""
-    if box is None:
-        return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
+    that is zero outside the box.  ``ifft`` along the leading axes in order,
+    in place, then one ``irfft``, as ``numpy.fft.irfftn`` runs them."""
     last = grid.dim - 1
     spec = coeffs
+    if box is None and last:
+        # the one copy, which the leading-axis passes overwrite
+        spec = np.array(coeffs, dtype=np.complex128, order="C")
     for axis in range(last):
-        # this axis's rows outside the box are zero: put the box rows in place
-        lines = np.zeros(spec.shape[:axis] + (grid.shape[axis],) + spec.shape[axis + 1 :], dtype=np.complex128)
-        lines[(slice(None),) * axis + (box[axis],)] = spec
-        spec = np.fft.ifft(lines, axis=axis, norm="forward")
+        if box is not None:
+            # this axis's rows outside the box are zero: put the box rows in place
+            lines = np.zeros(spec.shape[:axis] + (grid.shape[axis],) + spec.shape[axis + 1 :], dtype=np.complex128)
+            lines[(slice(None),) * axis + (box[axis],)] = spec
+            spec = lines
+        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
     return np.fft.irfft(spec, n=grid.shape[last], axis=last, norm="forward")
 
 
@@ -308,14 +317,31 @@ def _tail_check(spec: np.ndarray, grid: TorusGrid, op: str, reference: float) ->
         )
 
 
-def _curl_spectra(s, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three curl spectra of a vector field with component spectra ``s``."""
-    k = grid.kvec
-    return (
-        1j * (k[1] * s[2] - k[2] * s[1]),
-        1j * (k[2] * s[0] - k[0] * s[2]),
-        1j * (k[0] * s[1] - k[1] * s[0]),
-    )
+def _curl_operands(dim: int) -> tuple[int, ...]:
+    """The components whose spectra an active-axis curl reads: all three,
+    but for the first in 1D, which only inactive derivatives meet."""
+    return (1, 2) if dim == 1 else (0, 1, 2)
+
+
+def _curl_spectra(s, grid: TorusGrid) -> list[np.ndarray | None]:
+    """The three curl spectra of a vector field with component spectra
+    ``s``, each the sum of its active-axis terms ``+-i k_j s_l``, so that a
+    component with none, the first in 1D, is zero by construction and comes
+    back as None.  Only the entries ``_curl_operands`` names are read."""
+    k, dim = grid.kvec, grid.dim
+    out = []
+    for i in range(3):
+        # curl_i = i (k_j s_l - k_l s_j), (i, j, l) cyclic
+        j, l = (i + 1) % 3, (i + 2) % 3
+        if j < dim and l < dim:
+            out.append(1j * (k[j] * s[l] - k[l] * s[j]))
+        elif j < dim:
+            out.append(1j * (k[j] * s[l]))
+        elif l < dim:
+            out.append(-1j * (k[l] * s[j]))
+        else:
+            out.append(None)
+    return out
 
 
 def _divergence_spectrum(s, k) -> np.ndarray:
@@ -373,9 +399,14 @@ def curl(v: VectorField) -> VectorField:
     s = [c.spectrum for c in v.components]
     out = _curl_spectra(s, grid)
     ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(sp, grid) for sp in s)
+    comps = []
     for c in out:
-        _tail_check(c, grid, "curl", ref)
-    return VectorField(grid, [ScalarField._adopt(grid, None, np.ascontiguousarray(c)) for c in out])
+        if c is None:
+            comps.append(ScalarField._adopt(grid, np.zeros(grid.shape), np.zeros(grid.spectral_shape, dtype=np.complex128)))
+        else:
+            _tail_check(c, grid, "curl", ref)
+            comps.append(ScalarField._adopt(grid, None, np.ascontiguousarray(c)))
+    return VectorField(grid, comps)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -421,12 +452,16 @@ def dealiased_product(a: ScalarField, b: ScalarField) -> ScalarField:
 
 
 def project_divergence_free(v: VectorField) -> VectorField:
-    """Leray projection: remove the gradient part, keep the mean."""
+    """Leray projection: remove the gradient part, keep the mean.  Sums over
+    the active axes only; the inactive components keep their spectra."""
     grid = v.grid
     k = grid.kvec
     s = [c.spectrum for c in v.components]
-    kv = (k[0] * s[0] + k[1] * s[1] + k[2] * s[2]) / grid.leray_k_squared
-    out = [s[axis] - k[axis] * kv for axis in range(3)]
+    kv = k[0] * s[0]
+    for axis in range(1, grid.dim):
+        kv += k[axis] * s[axis]
+    kv /= grid.leray_k_squared
+    out = [s[axis] - k[axis] * kv if axis < grid.dim else s[axis] for axis in range(3)]
     return VectorField(grid, [ScalarField._adopt(grid, None, c) for c in out])
 
 

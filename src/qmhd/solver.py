@@ -89,6 +89,7 @@ from .fields import (
     VectorField,
     _backward,
     _cross,
+    _curl_operands,
     _curl_spectra,
     _dealiased_forward,
     _divergence_spectrum,
@@ -286,9 +287,11 @@ def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, sup: float, dt: 
 
 
 def _curl_samples(B: VectorField) -> list[np.ndarray]:
-    """Grid samples of curl B, one inverse transform per component."""
+    """Grid samples of curl B, one inverse transform per component that has
+    an active-axis term; the one without (the first in 1D) is zero samples."""
     grid = B.grid
-    return [_backward(c, grid) for c in _curl_spectra([c.spectrum for c in B.components], grid)]
+    spectra = _curl_spectra([c.spectrum for c in B.components], grid)
+    return [np.zeros(grid.shape) if c is None else _backward(c, grid) for c in spectra]
 
 
 def _magnetic_midpoint(b_old: VectorField, b_new: VectorField) -> tuple[VectorField, list[np.ndarray]]:
@@ -342,11 +345,14 @@ def solve_magnetic_step(
 
     # electromotive field u x B minus the variable-coefficient part of the
     # resistive term, nu' curl B, at the midpoint; the 2/3 mask is linear, so
-    # one dealiased transform per component takes both
+    # one dealiased transform per component takes both, for each component
+    # the curl reads
     emf = _cross(u.component_values(), b_mid.component_values())
-    rhs = [_dealiased_forward(e - nu_fluct * c, grid) for e, c in zip(emf, curl_mid)]
+    rhs = [None] * 3
+    for l in _curl_operands(grid.dim):
+        rhs[l] = _dealiased_forward(emf[l] - nu_fluct * curl_mid[l], grid)
     curl_rhs = _curl_spectra(rhs, grid)
-    spec_new = [full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
+    spec_new = [full * so if cr is None else full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
     return project_divergence_free(VectorField(grid, [ScalarField._adopt(grid, None, s) for s in spec_new]))
 
 
@@ -761,6 +767,19 @@ def _div_b_bound(b: VectorField) -> float:
     return 1e-12 * max(l2_norm(b), 1.0)
 
 
+def _start_level(state: State) -> State:
+    """``state`` as a later step's start reads it, as one of the levels in
+    ``history``: lambda, rho's samples and B's spectra.  B's samples, rho's
+    spectrum and the velocity's cached blocks and samples are not kept."""
+    grid = state.rho.grid
+    return State(
+        state.time,
+        ScalarField._adopt(grid, state.rho.values),
+        VelocityCoeffs(state.basis, state.velocity.values),
+        VectorField(grid, [ScalarField._adopt(grid, None, c.spectrum) for c in state.magnetic.components]),
+    )
+
+
 def run_simulation(
     initial: State,
     phys: PhysParams,
@@ -784,11 +803,11 @@ def run_simulation(
         on_step(0, state, None)
 
     # the levels before ``state`` that a start reads, at most five, so
-    # memory stays bounded in run length
+    # memory stays bounded in run length, each as ``_start_level`` keeps it
     history: list[State] = []
     for step in range(1, nsteps + 1):
         new, info = advance_step(state, phys, reg, history=history)
-        history = [state, *history][:_MAX_START_ORDER]
+        history = [_start_level(state), *history][:_MAX_START_ORDER]
         state = new
         traj.picard_iters += info.picard_iters
         traj.full_sweeps += info.full_sweeps

@@ -366,15 +366,22 @@ def _ready(field):
     return field
 
 
+def _curl_inverses(dim):
+    """Inverse transforms of curl B's samples: one per component with an
+    active-axis term, all three but the first in 1D."""
+    return 2 if dim == 1 else 3
+
+
 def _residual_counts(dim, curl_given=False):
     """Transforms of one residual call with kappa, epsilon and delta on.
-    Full inverses: 3 for curl B (none when the caller passes its samples),
-    d for grad rho, d for capillarity, d for the dealiased momentum and d for
-    grad sqrt(rho); full forwards: d for the momentum and 1 for sqrt(rho).
-    On the basis's box: 3d inverses for the velocity gradient, and the 3
-    body-force and 3d stress forwards.  7 + 11d in all."""
+    Full inverses: 3 for curl B, 2 in 1D, where its first component is zero
+    by construction (none when the caller passes its samples), d for grad
+    rho, d for capillarity, d for the dealiased momentum and d for grad
+    sqrt(rho); full forwards: d for the momentum and 1 for sqrt(rho).  On
+    the basis's box: 3d inverses for the velocity gradient, and the 3
+    body-force and 3d stress forwards.  7 + 11d in all, 17 in 1D."""
     return transform_counts(
-        backward_full=(0 if curl_given else 3) + 4 * dim,
+        backward_full=(0 if curl_given else _curl_inverses(dim)) + 4 * dim,
         forward_full=1 + dim,
         backward_box=3 * dim,
         forward_box=3 + 3 * dim,
@@ -395,7 +402,7 @@ def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch
         counts.clear()
         momentum_residual(rho, vel, b, phys, reg)
         assert counts == _residual_counts(grid.dim), (shape, n)
-        assert counts.total() == 7 + 11 * grid.dim
+        assert counts.total() == 4 + _curl_inverses(grid.dim) + 11 * grid.dim
 
 
 def test_magnetic_step_one_forward_per_component(monkeypatch, rng):
@@ -1158,8 +1165,10 @@ def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
     # and the step hands the residual the curl of the midpoint field, so every
     # residual call of a step, one per full sweep, costs the transforms of
     # test_momentum_residual_transform_count_independent_of_mode_count less
-    # the 3 for curl B; each iteration makes those 3 once, shared with the
-    # next magnetic sweep, whose own transforms are its 3 forwards
+    # the inverses for curl B; each iteration makes those once, shared with
+    # the next magnetic sweep, whose own transforms are its forwards of the
+    # right-hand-side components the curl reads: y and z in 1D, all three
+    # in 2D and 3D
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=1e-3)
     counts = count_transforms(monkeypatch)
@@ -1184,7 +1193,8 @@ def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
         _, info = advance_step(benchmark_state("random_smooth", grid, basis, reg), phys, reg)
         residual = _residual_counts(grid.dim, curl_given=True)
         assert per_call[momentum_residual] == [residual] * info.full_sweeps, shape
-        assert per_call[solve_magnetic_step] == [transform_counts(forward_full=3)] * info.picard_iters, shape
+        sweep = transform_counts(forward_full=2 if grid.dim == 1 else 3)
+        assert per_call[solve_magnetic_step] == [sweep] * info.picard_iters, shape
 
 
 def test_factor_cache_bounded_over_run():
