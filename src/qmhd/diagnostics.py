@@ -7,6 +7,10 @@ The weak form pairs each equation with test functions g(t) phi(x).  The
 spatial factors phi are two fixed batteries built from the grid alone, one
 scalar and one vector, and every test function has the same time factor
 g(t) = (1 - t/T)^2 (``envelope``), which vanishes at the final time T.
+Each vector test field is one scalar test phi in one component c, phi e_c,
+and is paired through one record (``_VectorTest``) of c, phi and the
+samples of the derivatives of phi the pairings read; a derivative that is
+zero everywhere is neither transformed nor paired.
 
 Time derivatives of the functionals are centered differences on stored
 snapshots, so the residuals measure what the scheme actually produced; with
@@ -21,8 +25,8 @@ dissipation terms and the state's energy report, with only the kinetic term
 taken at the shifted velocity u + grad(2 log rho).  The weak form forms
 each interval's integrands once, at the midpoint fields, grouped by the
 derivative of the test field each meets (grad phi, div phi, lap phi,
-grad div phi, phi, curl phi), and pairs each group with each test field
-once through ``_pair``.  The quantum force's two integrands have one home,
+grad div phi, phi, curl phi), and pairs column c of each group with each
+record once through ``_pair``.  The quantum force's two integrands have one home,
 ``quantum_flux``, which the Planck ladder's weak integral reads too.
 """
 
@@ -109,15 +113,14 @@ def _integral(values: np.ndarray, grid) -> float:
 
 
 def _pair(a, b, grid) -> float:
-    """L2 pairing of two fields given by samples: arrays, or nested lists of
-    them paired entry by entry, each list cut to the shorter one, so that a
-    list over the active axes pairs with a three-component one.  An entry
-    that is None, a field zero everywhere (``_drop_zeros``), is skipped."""
+    """L2 pairing of integrand samples ``a`` with test samples ``b``: arrays,
+    or nested lists of equal length paired entry by entry.  A test entry that
+    is None, zero everywhere (``_samples``), is skipped."""
 
     def mean(a, b):
         if isinstance(a, np.ndarray):
             return (a * b).mean()
-        return sum(mean(x, y) for x, y in zip(a, b) if x is not None and y is not None)
+        return sum(mean(x, y) for x, y in zip(a, b, strict=True) if y is not None)
 
     return float(mean(a, b) * grid.volume)
 
@@ -524,71 +527,85 @@ def default_scalar_battery(grid) -> dict[str, ScalarField]:
     return battery
 
 
+# each vector test field is one scalar test in one component c:
+# name -> (c, name in ``default_scalar_battery``)
+_VECTOR_TESTS = {"e0_sin_x": (0, "sin_x"), "e1_cos_x": (1, "cos_x"), "e2_sin_x": (2, "sin_x"), "e0_cos_y": (0, "cos_y")}
+
+
 def default_vector_battery(grid) -> dict[str, VectorField]:
-    """The spatial factors phi(x) of the vector test functions, by name."""
-    mesh = grid.mesh
-    zero = np.zeros(grid.shape)
-    items = [
-        ("e0_sin_x", [np.sin(mesh[0]), zero, zero]),
-        ("e1_cos_x", [zero, np.cos(mesh[0]), zero]),
-        ("e2_sin_x", [zero, zero, np.sin(mesh[0])]),
-    ]
-    if grid.dim >= 2:
-        items.append(("e0_cos_y", [np.cos(mesh[1]), zero, zero]))
-    return {name: VectorField.from_arrays(grid, arrs) for name, arrs in items}
+    """The spatial factors phi(x) of the vector test functions, by name,
+    each a scalar test in one component (``_VECTOR_TESTS``)."""
+    scalars, zero = default_scalar_battery(grid), ScalarField._adopt(grid, np.zeros(grid.shape))
+    return {
+        name: VectorField(grid, [scalars[phi] if l == c else zero for l in range(3)])
+        for name, (c, phi) in _VECTOR_TESTS.items()
+        if phi in scalars
+    }
 
 
 def quantum_flux(w: np.ndarray, dw) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
     """The two integrands of the quantum force 2 kappa^2 rho grad(lap w / w),
     w = sqrt(rho), paired with a test field phi, integrated by parts and
-    divided by 2 kappa^2: ``2 d_j w d_l w``, which meets d_j phi_l, and
-    ``w d_l w``, which meets d_l div phi.  Takes samples of w and ``dw[j]``
-    over the active axes."""
-    return [[2.0 * dj * dl for dl in dw] for dj in dw], [w * dl for dl in dw]
+    divided by 2 kappa^2: ``2 d_j w d_l w``, by column l, which meets
+    d_j phi_l, and ``w d_l w``, which meets d_l div phi.  Takes samples of w
+    and ``dw[j]`` over the active axes."""
+    return [[2.0 * dj * dl for dj in dw] for dl in dw], [w * dl for dl in dw]
 
 
-def _drop_zeros(samples):
-    """``samples``, an array or nested lists of them, with each array that is
-    zero everywhere replaced by None, which ``_pair`` skips."""
-    if isinstance(samples, np.ndarray):
-        return samples if np.any(samples) else None
-    return [_drop_zeros(a) for a in samples]
+def _samples(f: ScalarField) -> np.ndarray | None:
+    """The samples of a test field's derivative ``f``, given by its spectrum,
+    or None, which ``_pair`` skips, when that spectrum is zero everywhere: a
+    zero test array is neither transformed nor paired."""
+    return f.values if np.any(f.spectrum) else None
+
+
+def _test_gradient(phi: ScalarField) -> list[np.ndarray | None]:
+    """The samples of d_j phi over the active axes j (``_samples``)."""
+    return [_samples(derivative(phi, j)) for j in range(phi.grid.dim)]
 
 
 @dataclass(frozen=True)
 class _VectorTest:
-    """Samples of a vector test field and of every derivative the momentum
-    and induction pairings read; an array that is zero everywhere, such as
-    the zero components of ``(sin x, 0, 0)`` and their derivatives, is None
-    and is not paired."""
+    """A vector test field phi e_c, one scalar phi in one component c, and
+    the samples of the derivatives of phi that the momentum and induction
+    pairings read; an array that is zero everywhere is None and is not
+    paired.  The divergence d_c phi and its gradient are None when c is not
+    an active axis, and the curl of phi e_c is e_(c+1) d_(c+2) phi -
+    e_(c+2) d_(c+1) phi, indices mod 3, so it reads the gradient's samples."""
 
-    values: list[np.ndarray | None]
-    grad: list[list[np.ndarray | None]]  # d_j phi_l, active j
+    c: int
+    phi: ScalarField
+    grad: list[np.ndarray | None]  # d_j phi, active j
     div: np.ndarray | None
-    lap: list[np.ndarray | None]
-    grad_div: list[np.ndarray | None]  # active axes
+    lap: np.ndarray | None
+    grad_div: list[np.ndarray | None] | None  # d_j d_c phi, active j
     curl: list[np.ndarray | None]
 
     @classmethod
-    def of(cls, phi: VectorField) -> "_VectorTest":
-        div_phi = divergence(phi)
-        return cls(
-            values=_drop_zeros(phi.component_values()),
-            grad=_drop_zeros([[derivative(c, j).values for c in phi.components] for j in range(phi.grid.dim)]),
-            div=_drop_zeros(div_phi.values),
-            lap=_drop_zeros([laplacian(c).values for c in phi.components]),
-            grad_div=_drop_zeros(gradient(div_phi).component_values()[: phi.grid.dim]),
-            curl=_drop_zeros(curl(phi).component_values()),
-        )
+    def of(cls, field: VectorField) -> "_VectorTest":
+        nonzero = [c for c, f in enumerate(field.components) if np.any(f.values)]
+        if len(nonzero) != 1:
+            raise ValueError("a vector test field is one scalar in one component")
+        c = nonzero[0]
+        phi = field.components[c]
+        grad = _test_gradient(phi)
+        along = grad + [None] * (3 - len(grad))  # d_j phi on all three axes
+        curl = [None] * 3
+        curl[(c + 1) % 3] = along[(c + 2) % 3]
+        curl[(c + 2) % 3] = None if along[(c + 1) % 3] is None else -along[(c + 1) % 3]
+        if c >= field.grid.dim:
+            return cls(c, phi, grad, None, _samples(laplacian(phi)), None, curl)
+        return cls(c, phi, grad, grad[c], _samples(laplacian(phi)), _test_gradient(derivative(phi, c)), curl)
 
 
 def _interval_integrands(s0: State, s1: State, phys: PhysParams) -> tuple:
     """What one interval pairs with the test fields, formed once at the
     midpoint of its end states: rho and its flux rho u, which meet phi and
-    grad phi; the momentum and its flux, the flux grouped by the derivative
-    of phi each part meets (grad phi, div phi, lap phi, grad div phi, phi);
-    and B and its flux, which meet phi and curl phi.  The midpoint fields
-    are freed on return; only the integrands are held."""
+    grad phi; the momentum and, for each column c, its flux grouped by the
+    derivative of the test field phi e_c each part meets (grad phi, div phi,
+    lap phi, grad div phi, phi); and B and its flux, which meet phi and
+    curl phi.  The midpoint fields are freed on return; only the integrands
+    are held."""
     from .fields import dealiased_product
 
     grid = s0.rho.grid
@@ -609,27 +626,25 @@ def _interval_integrands(s0: State, s1: State, phys: PhysParams) -> tuple:
     q_grad, q_grad_div = quantum_flux(wv, dw)
     kq = 2.0 * phys.kappa**2
 
-    # with grad phi: transport rho u_j u_l and the factored viscosity's
-    # 2 d_j w w u_l, both carried by u_l; for l < dim also the factored
-    # viscosity's 2 w u_j d_l w and the quantum term 2 kappa^2 2 d_j w d_l w
+    # with grad phi, by column l: transport rho u_j u_l and the factored
+    # viscosity's 2 d_j w w u_l, both carried by u_l; for l < dim also the
+    # factored viscosity's 2 w u_j d_l w and the quantum term
+    # 2 kappa^2 2 d_j w d_l w
     carried = [mv[j] + 2.0 * dw[j] * wv for j in range(dim)]
-    with_grad = [[carried[j] * uv[l] for l in range(3)] for j in range(dim)]
-    for j in range(dim):
-        for l in range(dim):
-            with_grad[j][l] += 2.0 * wv * uv[j] * dw[l] + kq * q_grad[j][l]
+    with_grad = [[carried[j] * uv[l] for j in range(dim)] for l in range(3)]
+    for l in range(dim):
+        for j in range(dim):
+            with_grad[l][j] += 2.0 * wv * uv[j] * dw[l] + kq * q_grad[l][j]
+    # with div phi: the pressure work P + Pc
+    work = pressure(rv, phys) + cold_pressure(rv, phys)
+    # with grad div phi: the factored viscosity's rho u_l and the quantum
+    # term 2 kappa^2 w d_l w
+    with_grad_div = [mv[l] + kq * q_grad_div[l] for l in range(dim)]
+    # with phi: the Lorentz force (curl B) x B
     cb = curl(VectorField.from_arrays(grid, bv)).component_values()
-    momentum_flux = (
-        with_grad,
-        # with div phi: the pressure work P + Pc
-        pressure(rv, phys) + cold_pressure(rv, phys),
-        # with lap phi: the factored viscosity's rho u
-        mv,
-        # with grad div phi: the factored viscosity's rho u_l and the quantum
-        # term 2 kappa^2 w d_l w
-        [m + kq * q for m, q in zip(mv, q_grad_div)],
-        # with phi: the Lorentz force (curl B) x B
-        _cross(cb, bv),
-    )
+    lorentz = _cross(cb, bv)
+    # column c of each group, with lap phi the factored viscosity's rho u_c
+    momentum_flux = [(with_grad[c], work, mv[c], with_grad_div, lorentz[c]) for c in range(3)]
     # with curl phi: the EMF u x B less the resistive nu_b curl B
     nu = magnetic_diffusivity(rv, phys)
     induction_flux = [e - nu * c for e, c in zip(_cross(uv, bv), cb)]
@@ -653,15 +668,15 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
     scalars = default_scalar_battery(grid)
     vectors = default_vector_battery(grid)
 
-    scalar_grads = [_drop_zeros(gradient(phi).component_values()) for phi in scalars.values()]
+    scalar_grads = [_test_gradient(phi) for phi in scalars.values()]
     vector_tests = [_VectorTest.of(phi) for phi in vectors.values()]
 
     first, g_first = traj.states[0], envelope(traj.times[0], t_final)
     m_first = [first.rho.values * first.u.component_values()[l] for l in range(3)]
     b_first = first.magnetic.component_values()
     continuity = [g_first * inner_product(first.rho, phi) for phi in scalars.values()]
-    momentum = [g_first * _pair(m_first, d.values, grid) for d in vector_tests]
-    magnetic = [g_first * _pair(b_first, d.values, grid) for d in vector_tests]
+    momentum = [g_first * _pair(m_first[d.c], d.phi.values, grid) for d in vector_tests]
+    magnetic = [g_first * _pair(b_first[d.c], d.phi.values, grid) for d in vector_tests]
 
     for (s0, s1), (t0, t1) in zip(pairwise(traj.states), pairwise(traj.times)):
         rho_mid, mass_flux, m, m_flux, b, b_flux = _interval_integrands(s0, s1, traj.phys)
@@ -671,11 +686,12 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
             continuity[i] += (g1 - g0) * inner_product(rho_mid, phi)
             continuity[i] += h * gmid * _pair(mass_flux, scalar_grads[i], grid)
         for i, d in enumerate(vector_tests):
-            # the test's derivatives in the order of the momentum flux's groups
-            derivs = (d.grad, d.div, d.lap, d.grad_div, d.values)
-            momentum[i] += (g1 - g0) * _pair(m, d.values, grid)
-            momentum[i] += h * gmid * _pair(m_flux, derivs, grid)
-            magnetic[i] += (g1 - g0) * _pair(b, d.values, grid)
+            # column c of each momentum group meets the derivative of phi e_c
+            # that the group meets, group by group, in the groups' order
+            derivs = (d.grad, d.div, d.lap, d.grad_div, d.phi.values)
+            momentum[i] += (g1 - g0) * _pair(m[d.c], d.phi.values, grid)
+            momentum[i] += h * gmid * _pair(m_flux[d.c], derivs, grid)
+            magnetic[i] += (g1 - g0) * _pair(b[d.c], d.phi.values, grid)
             magnetic[i] += h * gmid * _pair(b_flux, d.curl, grid)
         # freed before the next interval's are formed: one interval's
         # integrands are held at a time

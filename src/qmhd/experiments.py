@@ -5,14 +5,18 @@ limit.
 Each sweep runs the final (limit) rung first, then one simulation per rung
 from shared initial data, measuring as each finishes its distances to the
 limit rung, its norm monitors, and the weak integrals of the terms that are
-supposed to vanish.  Those integrals pair each term with the diagnostics' fixed vector
-battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
-the samples (``_battery_sums``).  The quantum integral forms its two
+supposed to vanish.  Those integrals pair each term with the diagnostics'
+fixed vector battery under its one envelope g(t) = (1 - t/T)^2, through
+one walk over the samples (``_battery_sums``) and the records of the test
+fields phi e_c that the weak form reads too
+(:class:`qmhd.diagnostics._VectorTest`).  Both terms have components along
+the active axes only, so each pairs its component c with phi, or gives 0
+when c is not an active axis.  The quantum integral forms its two
 integrands once per sample (:func:`qmhd.diagnostics.quantum_flux`, which
-the weak form reads too).  The capillarity integral pairs the
-scheme's own force term (:func:`qmhd.solver._capillary_gradient`), so it
-costs one inverse transform per axis and sample.  Everything is
-deterministic for a fixed configuration.
+the weak form reads too).  The capillarity integral pairs the scheme's own
+force term (:func:`qmhd.solver._capillary_gradient`), so it costs one
+inverse transform per axis and sample.  Everything is deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -176,11 +180,13 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
 # weak integrals of the vanishing terms
 
 
-def _battery_sums(traj: Trajectory, tests: list, pairing: Callable[[State], Callable]) -> list[float]:
-    """For each vector test, the trapezoid sum over the samples of weight x
-    envelope x pairing: ``pairing(state)`` derives what the state's pairings
-    share and returns the pairing with one test."""
+def _battery_sums(traj: Trajectory, pairing: Callable[[State], Callable]) -> list[float]:
+    """For each vector test field's record (:class:`qmhd.diagnostics._VectorTest`),
+    the trapezoid sum over the samples of weight x envelope x pairing:
+    ``pairing(state)`` derives what the state's pairings share and returns
+    the pairing with one record."""
     t_final = traj.times[-1]
+    tests = [_VectorTest.of(phi) for phi in default_vector_battery(traj.states[0].rho.grid).values()]
     acc = [0.0] * len(tests)
     for wt, s in zip(_trapezoid(traj), traj.states):
         g = envelope(s.time, t_final)
@@ -197,14 +203,13 @@ def quantum_term_weak_integral(traj: Trajectory, kappa: float) -> dict[str, floa
     if kappa == 0.0:
         return {"value": 0.0, "per_kappa_sq": 0.0}
     grid = traj.states[0].rho.grid
-    tests = [_VectorTest.of(phi) for phi in default_vector_battery(grid).values()]
 
     def pairing(s: State):
         w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
         q_grad, q_grad_div = quantum_flux(w.values, [derivative(w, j).values for j in range(grid.dim)])
-        return lambda d: _pair(q_grad_div, d.grad_div, grid) + _pair(q_grad, d.grad, grid)
+        return lambda d: _pair(q_grad_div, d.grad_div, grid) + _pair(q_grad[d.c], d.grad, grid) if d.c < grid.dim else 0.0
 
-    total = sum(2.0 * kappa**2 * a for a in _battery_sums(traj, tests, pairing))
+    total = sum(2.0 * kappa**2 * a for a in _battery_sums(traj, pairing))
     return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
 
 
@@ -219,9 +224,9 @@ def capillarity_term_weak_integral(traj: Trajectory, delta: float, s_order: int)
 
     def pairing(st: State):
         force = [ScalarField._adopt(grid, -delta * st.rho.values * g) for g in _capillary_gradient(st.rho, s_order)]
-        return lambda phi: sum(inner_product(f, c) for f, c in zip(force, phi.components))
+        return lambda d: inner_product(force[d.c], d.phi) if d.c < grid.dim else 0.0
 
-    total = sum(_battery_sums(traj, list(default_vector_battery(grid).values()), pairing))
+    total = sum(_battery_sums(traj, pairing))
     alpha = (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
     return {"value": float(total), "scaled": float(total / delta ** ((1.0 - alpha) / 2.0))}
 

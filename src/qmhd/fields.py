@@ -386,10 +386,11 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def divergence(v: VectorField) -> ScalarField:
+    """The divergence, which reads only the components along active axes."""
     grid = v.grid
-    s = [c.spectrum for c in v.components]
+    s = [c.spectrum for c in v.components[: grid.dim]]
     acc = _divergence_spectrum(s, grid.kvec[: grid.dim])
-    ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(s[axis], grid) for axis in range(grid.dim))
+    ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(sp, grid) for sp in s)
     _tail_check(acc, grid, "divergence", ref)
     return ScalarField._adopt(grid, None, acc)
 

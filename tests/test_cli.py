@@ -173,6 +173,20 @@ def test_check_passes_on_default_config(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_python_m_qmhd_runs_the_command_line(tmp_path):
+    # ``python -m qmhd`` runs the command line without the installed script
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = _write(tmp_path, "chk.cfg", "[grid]\npoints = 32\nmodes = 6\n")
+    for args, out in ((["--version"], "qmhd "), (["check", cfg], "PASS")):
+        done = subprocess.run([sys.executable, "-m", "qmhd", *args], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert out in done.stdout
+
+
 def test_check_fails_on_a_divergent_initial_field(tmp_path, monkeypatch, capsys):
     import qmhd.cli
 

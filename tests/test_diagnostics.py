@@ -29,11 +29,13 @@ from qmhd.diagnostics import (
     bohm_identity_check,
     compute_dissipation,
     compute_energy,
+    default_scalar_battery,
     default_vector_battery,
     energy_identity_residual,
     norm_monitor,
     weak_form_residual,
 )
+from qmhd.diagnostics import _test_gradient, _VectorTest
 from qmhd.fields import (
     ScalarField,
     VectorField,
@@ -435,6 +437,56 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     extra = [count(t, 4) - count(t, 1) for t in (short, traj)]
     assert extra[0] > 0
     assert extra[0] == extra[1]
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8)])
+def test_vector_test_records_hold_the_nonzero_derivatives_only(shape):
+    # a record holds the derivatives of phi e_c that the three-component
+    # operators give, each array nonzero somewhere, and None where they
+    # give zero everywhere
+    grid = TorusGrid(shape)
+    dim = grid.dim
+    for name, field in default_vector_battery(grid).items():
+        d = _VectorTest.of(field)
+        # c is the field's one nonzero component
+        assert [bool(np.any(f.values)) for f in field.components] == [l == d.c for l in range(3)], name
+        assert np.array_equal(d.phi.values, field.components[d.c].values)
+        div = divergence(field)
+        pairs = [
+            *zip(d.grad, [derivative(field.components[d.c], j).values for j in range(dim)]),
+            (d.div, div.values),
+            (d.lap, laplacian(field.components[d.c]).values),
+            *zip(d.grad_div or [None] * dim, gradient(div).component_values()[:dim]),
+            *zip(d.curl, curl(field).component_values()),
+        ]
+        for got, expected in pairs:
+            if got is None:
+                assert not np.any(expected), name
+            else:
+                assert np.any(got), name
+                assert np.array_equal(got, expected), name
+
+
+def test_a_vector_test_field_is_one_scalar_in_one_component():
+    grid = TorusGrid((16, 16))
+    x, zero = grid.mesh[0], np.zeros(grid.shape)
+    for arrays in ([np.sin(x), np.cos(x), zero], [zero, zero, zero]):
+        with pytest.raises(ValueError, match="one scalar in one component"):
+            _VectorTest.of(VectorField.from_arrays(grid, arrays))
+
+
+def test_test_records_transform_only_their_nonzero_derivatives(monkeypatch):
+    # at 64^2: d_x of cos x and sin x and d_y of cos y for the scalar tests
+    # (none for const); d_x phi, d_x d_x phi and lap phi for e0_sin_x, and
+    # one first derivative and lap phi for each other vector test, whose
+    # curl reads its first derivatives.  Each battery's scalar fields are
+    # forwarded once: 4 + 3
+    grid = TorusGrid((64, 64))
+    scalars, vectors = default_scalar_battery(grid), default_vector_battery(grid)
+    counts = count_transforms(monkeypatch)
+    [_test_gradient(phi) for phi in scalars.values()]
+    [_VectorTest.of(phi) for phi in vectors.values()]
+    assert counts == transform_counts(backward_full=12, forward_full=7)
 
 
 # --------------------------------------------------------------------------

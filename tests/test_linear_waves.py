@@ -6,7 +6,10 @@ whose solution for one Fourier mode is the exponential of a small matrix.
 Each case runs the solver at halving time steps and requires the error
 against that exact solution to fall at second order, and to sit well below
 the error against an oracle with one coefficient doubled, so a wrong factor
-in the scheme cannot hide inside the time-discretization error.
+in the scheme cannot hide inside the time-discretization error.  The
+circularly polarized Alfvén wave runs at amplitude 1: it solves the full
+nonlinear system exactly, and its coefficients obey a small linear system
+of the same kind.
 """
 
 import numpy as np
@@ -184,3 +187,56 @@ def test_oblique_2d_wave_matches_linear_oracle():
     control = oracle(2.0)
     control_error = np.linalg.norm(finals[-1] - control) / np.linalg.norm(control)
     assert errors[-1] < 1e-3 * control_error, (errors[-1], control_error)
+
+
+def test_circularly_polarized_alfven_wave_matches_exact_solution():
+    # (u_y, u_z) = A (cos x, sin x) and (B_y, B_z) = A (cos x, sin x) about
+    # rho = 1 and B0 = e_x, at amplitude A = 1: |B|^2 is constant and u.grad u
+    # vanishes, so rho stays 1 and the wave is an exact nonlinear solution.
+    # Each Fourier coefficient of (u_y, B_y) and of (u_z, B_z) obeys
+    #   u' = i k B0 b - (rho k^2 + eta k^4) u,   b' = i k B0 u - nu_b(1) k^2 b
+    # with k = 1; the Lorentz force, the induction's cross products and the
+    # dealiased products all act at O(1) amplitude
+    k, b0, t_end = 1, 1.0, 0.2
+    eta, nu_b = 1e-3, 1.0  # nu_b(1) = d0 at the default resistivity
+    phys = PhysParams(kappa=0.1)
+    grid = TorusGrid((64,))
+    basis = GalerkinBasis.lowest_modes(grid, 9)
+    x = grid.mesh[0]
+    zero = np.zeros(grid.shape)
+
+    def run(dt: float):
+        reg = RegParams(epsilon=1e-2, eta=eta, delta=1e-4, dt=dt, picard_tol=1e-12)
+        rho = ScalarField(grid, np.ones(grid.shape))
+        u = VectorField.from_arrays(grid, [zero, np.cos(x), np.sin(x)])
+        b = VectorField.from_arrays(grid, [np.full(grid.shape, b0), np.cos(x), np.sin(x)])
+        return run_simulation(initial_state(rho, u, b, basis, reg), phys, reg, t_end).final_state
+
+    def coefficients(state) -> np.ndarray:
+        # (u_y, B_y, u_z, B_z) at wavenumber k
+        u, b = state.u.components, state.magnetic.components
+        return np.array([u[1].spectrum[k], b[1].spectrum[k], u[2].spectrum[k], b[2].spectrum[k]])
+
+    def oracle(lorentz: float) -> np.ndarray:
+        matrix = np.array([[-(k**2 + eta * k**4), lorentz * 1j * k * b0], [1j * k * b0, -nu_b * k**2]])
+        lam, vec = np.linalg.eig(matrix)
+        # cos x has the coefficient 1/2 at k, sin x the coefficient -i/2
+        pairs = [np.array([0.5, 0.5]), np.array([-0.5j, -0.5j])]
+        return np.concatenate([vec @ (np.exp(lam * t_end) * np.linalg.solve(vec, y0)) for y0 in pairs])
+
+    def rms(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sqrt(np.mean(np.abs(a - b) ** 2)))
+
+    exact = oracle(1.0)
+    finals = [run(dt) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+    errors = [rms(coefficients(f), exact) for f in finals]
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(r >= 3.7 for r in ratios), (errors, ratios)
+    # the Lorentz force doubled
+    control_error = rms(coefficients(finals[-1]), oracle(2.0))
+    assert errors[-1] < 1e-3 * control_error, (errors[-1], control_error)
+    for f in finals:
+        assert np.max(np.abs(f.rho.values - 1.0)) <= 1e-13
+        assert np.max(np.abs(f.u.components[0].values)) <= 1e-15
+        # div B = d_x B_x: B_x keeps its mean and nothing else
+        assert np.max(np.abs(f.magnetic.components[0].spectrum[1:])) <= 1e-15
