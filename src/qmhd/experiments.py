@@ -163,11 +163,14 @@ def _trapezoid(traj: Trajectory) -> list[float]:
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
-    """Space-time L2 distances over the common sample times (trapezoid)."""
+    """Space-time L2 distances over the common sample times (trapezoid);
+    a trajectory is at distance zero from itself, with no comparison."""
+    keys = list(StateDistance.__annotations__)
+    if a is b:
+        return {k: 0.0 for k in keys}
     ta, tb = np.asarray(a.times), np.asarray(b.times)
     if len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-10:
         raise QMHDError("trajectories must share their sample times")
-    keys = list(StateDistance.__annotations__)
     sq = {k: 0.0 for k in keys}
     for w, sa, sb in zip(_trapezoid(a), a.states, b.states):
         d = compare_states(sa, sb).as_dict()

@@ -12,9 +12,12 @@ Spectral conventions
 * Normalization: ``f(x) = sum_k c_k exp(i k.x)``, so ``c_0`` is the mean of
   ``f``.  This module owns the only transform pair, ``_forward`` (real samples
   to coefficients) and ``_backward`` (coefficients to real samples); nothing
-  else in the package calls ``numpy.fft``.  Both are one axis-by-axis
-  kernel: the passes of ``numpy.fft.rfftn``/``irfftn`` in their order, the
-  leading-axis passes in place, so the results are bitwise theirs.
+  else in the package transforms.  Both are one axis-by-axis kernel: the
+  passes of ``numpy.fft.rfftn``/``irfftn`` in their order, the leading-axis
+  passes in place, so the results are bitwise theirs.  Each pass calls the
+  pocketfft kernel that ``numpy.fft`` dispatches to, bound once at import,
+  with the scale factor and output array ``numpy.fft`` would pass, so no
+  pass pays ``numpy.fft``'s Python wrapper.
 * Layout: real fields have Hermitian spectra, ``c_{-k} = conj(c_k)``, so only
   the ``numpy.fft.rfftn`` half is stored: leading axes hold all wavenumbers in
   transform order, the last axis holds 0..N/2.  Shapes are
@@ -52,9 +55,20 @@ import warnings
 from typing import Iterable
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import SpectralTailWarning
 from .grid import TorusGrid
+
+# numpy.fft's own pocketfft kernels, which its wrappers dispatch to: even
+# lengths and float64 samples only, as TorusGrid admits
+_rfft = _pocketfft_umath.rfft_n_even
+_fft = _pocketfft_umath.fft
+_ifft = _pocketfft_umath.ifft
+_irfft = _pocketfft_umath.irfft
+# each kernel's axes argument for a pass along axis a: (a,) in, () for the
+# scale factor, (a,) out
+_AXES = tuple([(a,), (), (a,)] for a in range(3))
 
 
 def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> np.ndarray:
@@ -65,12 +79,13 @@ def _forward(values: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> n
     runs them.  A box keeps its columns after the first pass and its rows
     after each later one."""
     last = grid.dim - 1
-    spec = np.fft.rfft(values, axis=last, norm="forward")
+    spec = np.empty(values.shape[:last] + (grid.spectral_shape[last],), dtype=np.complex128)
+    _rfft(values, 1 / grid.shape[last], axes=_AXES[last], out=spec)
     if box is not None:
         # a copy of the kept columns, so the full last-axis pass is freed at once
         spec = spec[..., : box[-1]].copy()
     for axis in range(last - 1, -1, -1):
-        np.fft.fft(spec, axis=axis, norm="forward", out=spec)
+        _fft(spec, 1 / grid.shape[axis], axes=_AXES[axis], out=spec)
         if box is not None:
             spec = spec.take(box[axis], axis=axis)
     return spec
@@ -92,8 +107,9 @@ def _backward(coeffs: np.ndarray, grid: TorusGrid, box: tuple | None = None) -> 
             lines = np.zeros(spec.shape[:axis] + (grid.shape[axis],) + spec.shape[axis + 1 :], dtype=np.complex128)
             lines[(slice(None),) * axis + (box[axis],)] = spec
             spec = lines
-        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
-    return np.fft.irfft(spec, n=grid.shape[last], axis=last, norm="forward")
+        _ifft(spec, 1.0, axes=_AXES[axis], out=spec)
+    values = np.empty(spec.shape[:last] + (grid.shape[last],))
+    return _irfft(spec, 1.0, axes=_AXES[last], out=values)
 
 
 def _box_index(box: tuple) -> tuple[np.ndarray, ...]:

@@ -221,9 +221,14 @@ def initial_state(
 # spectral integrating factors
 
 
+def _heat_factor(grid: TorusGrid, coef: float, dt: float) -> np.ndarray:
+    """exp(-coef dt |k|^2) on the half spectrum."""
+    return np.exp(-coef * dt * grid.k_squared)
+
+
 def _heat_factors(grid: TorusGrid, coef: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-coef dt |k|^2) and exp(-coef dt |k|^2 / 2) on the half spectrum."""
-    return np.exp(-coef * dt * grid.k_squared), np.exp(-0.5 * coef * dt * grid.k_squared)
+    """The heat factors over dt and dt/2: exp(-coef dt |k|^2) and exp(-coef dt |k|^2 / 2)."""
+    return _heat_factor(grid, coef, dt), _heat_factor(grid, 0.5 * coef, dt)
 
 
 @lru_cache(maxsize=8)
@@ -538,7 +543,7 @@ def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> Vec
     extrapolated.  One inverse transform per component gives the samples."""
     grid = levels[0].rho.grid
     nu_bar, _ = _reference_diffusivity(levels[0].rho.values, phys)
-    decay, _ = _heat_factors(grid, nu_bar, dt)
+    decay = _heat_factor(grid, nu_bar, dt)
     comps = []
     for axis in range(3):
         spec = [s.magnetic.components[axis].spectrum for s in levels]

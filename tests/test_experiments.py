@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmhd.experiments
 from qmhd import GalerkinBasis, PhysParams, RegParams, TorusGrid
 from qmhd.errors import QMHDError
 from qmhd.experiments import (
@@ -182,7 +183,16 @@ def test_sweep_spec_validation():
     assert (reg.delta, reg.eta, reg.epsilon) == (0.05, 0.05**2, 0.05**2)
 
 
-def test_single_rung_reference_distance_is_zero():
+def test_single_rung_reference_distance_is_zero(monkeypatch):
+    # the limit rung is the reference itself: its distances are zeros that
+    # compare no state with itself
+    compared = []
+
+    def recorded(a, b):
+        compared.append(a is b)
+        return compare_states(a, b)
+
+    monkeypatch.setattr(qmhd.experiments, "compare_states", recorded)
     spec = SweepSpec(
         "kappa",
         (0.2, 0.1, 0.05),
@@ -195,11 +205,13 @@ def test_single_rung_reference_distance_is_zero():
     )
     result = run_sweep(spec)
     assert all(v == 0.0 for v in result.rungs[-1].distance_to_reference.values())
+    assert compared and not any(compared)
     # monotone distances down a kappa ladder on this smooth short benchmark
     d = [r.distance_to_reference["sqrt_rho_u"] for r in result.rungs[:-1]]
     assert d[0] > d[1] > 0
     rows = sweep_rows(result)
     assert len(rows) == 3 and "dist_sqrt_rho_u" in rows[0]
+    assert all(v == 0.0 for k, v in rows[-1].items() if k.startswith("dist_"))
 
 
 def test_n_sweep_tail_energy_monotone():

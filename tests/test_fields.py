@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmhd.fields
 from qmhd import SpectralTailWarning, TorusGrid
 from qmhd.basis import GalerkinBasis
 from qmhd.fields import (
@@ -382,7 +383,7 @@ def test_band_limited_fixture_matches_full_layout_reference(shape):
 
 def test_fields_is_the_only_transform_home():
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmhd"
-    pattern = re.compile(r"\b(np|numpy|scipy)\.fft\b|from\s+(numpy|scipy)\s+import\s+fft\b")
+    pattern = re.compile(r"\b(np|numpy|scipy)\.fft\b|from\s+(numpy|scipy)\s+import\s+fft\b|_pocketfft")
     offenders = [
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py"))
@@ -391,8 +392,54 @@ def test_fields_is_the_only_transform_home():
         if pattern.search(line)
     ]
     assert offenders == []
-    calls = re.findall(r"np\.fft\.(\w+)", (src / "fields.py").read_text())
-    assert sorted(set(calls)) == ["fft", "ifft", "irfft", "rfft"]
+    # fields binds numpy.fft's four pocketfft kernels once and calls no wrapper
+    text = (src / "fields.py").read_text()
+    assert re.findall(r"np\.fft\.(\w+)\(", text) == []
+    assert re.findall(r"^from numpy\.fft import (\w+)$", text, re.MULTILINE) == ["_pocketfft_umath"]
+    kernels = np.fft._pocketfft_umath
+    bound = {name: getattr(qmhd.fields, name) for name in ("_rfft", "_fft", "_ifft", "_irfft")}
+    assert bound == {
+        "_rfft": kernels.rfft_n_even,
+        "_fft": kernels.fft,
+        "_ifft": kernels.ifft,
+        "_irfft": kernels.irfft,
+    }
+
+
+@pytest.mark.parametrize("shape, n_modes", [((128,), 9), ((64, 32), 20), ((16, 12, 8), 27)])
+def test_transforms_run_without_the_numpy_fft_wrappers(shape, n_modes, monkeypatch):
+    # the kernels call pocketfft directly: with numpy.fft's wrappers raising,
+    # full and box transforms still give numpy's rfftn/irfftn bytes
+    grid = TorusGrid(shape)
+    rng = np.random.default_rng(17)
+    box = GalerkinBasis.lowest_modes(grid, n_modes).box
+    values = rng.standard_normal(shape)
+    coeffs = np.fft.rfftn(values, norm="forward")
+    boxed = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    boxed[_box_index(box)] = coeffs[_box_index(box)]
+    axes = tuple(range(grid.dim))
+    expected = {
+        "forward": coeffs.tobytes(),
+        "forward box": coeffs[_box_index(box)].tobytes(),
+        "backward": np.fft.irfftn(coeffs, s=shape, axes=axes, norm="forward").tobytes(),
+        "backward box": np.fft.irfftn(boxed, s=shape, axes=axes, norm="forward").tobytes(),
+    }
+
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("a numpy.fft wrapper was called")
+
+    for module in (np.fft, np.fft._pocketfft):
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(module, name, wrapper_called)
+    with pytest.raises(AssertionError, match="wrapper"):
+        np.fft.rfftn(values)
+    got = {
+        "forward": _forward(values, grid).tobytes(),
+        "forward box": _forward(values, grid, box).tobytes(),
+        "backward": _backward(coeffs, grid).tobytes(),
+        "backward box": _backward(coeffs[_box_index(box)], grid, box).tobytes(),
+    }
+    assert got == expected
 
 
 @pytest.mark.parametrize("shape", [(128,), (64, 32), (16, 12, 8)])

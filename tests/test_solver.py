@@ -34,6 +34,8 @@ from qmhd.solver import (
     _density_factors,
     _div_norm,
     _extrapolate,
+    _heat_factor,
+    _heat_factors,
     _magnetic_midpoint,
     _start_order,
     cfl_report,
@@ -1195,6 +1197,18 @@ def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
         assert per_call[momentum_residual] == [residual] * info.full_sweeps, shape
         sweep = transform_counts(forward_full=2 if grid.dim == 1 else 3)
         assert per_call[solve_magnetic_step] == [sweep] * info.picard_iters, shape
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 8), (8, 8, 8)])
+def test_heat_factors_are_bitwise_the_exponentials(shape):
+    # the magnetic start reads only the full-step factor, which it forms alone
+    grid = TorusGrid(shape)
+    k2 = grid.k_squared
+    for coef, dt in [(0.02, 1e-3), (1e-3, 2.5e-4), (0.7, 0.01)]:
+        full, half = _heat_factors(grid, coef, dt)
+        assert full.tobytes() == np.exp(-coef * dt * k2).tobytes()
+        assert half.tobytes() == np.exp(-0.5 * coef * dt * k2).tobytes()
+        assert _heat_factor(grid, coef, dt).tobytes() == full.tobytes()
 
 
 def test_factor_cache_bounded_over_run():
