@@ -102,11 +102,10 @@ def cmd_sweep(args) -> int:
     # created once every rung has run, so a failed sweep leaves nothing behind
     os.makedirs(out, exist_ok=True)
 
-    columns = sorted({k for row in rows for k in row})
+    # every rung's row has the same keys, each holding a float
+    columns = sorted(rows[0])
     csv_path = os.path.join(out, "sweep_results.csv")
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(row.get(c, "")) if isinstance(row.get(c), float) else str(row.get(c, "")) for c in columns))
+    lines = [",".join(columns)] + [",".join(repr(row[c]) for c in columns) for row in rows]
     atomic_write(csv_path, ("\n".join(lines) + "\n").encode())
 
     manifest_lines = ["[sweep.result]"]
@@ -118,11 +117,10 @@ def cmd_sweep(args) -> int:
     manifest_text = "\n".join(manifest_lines) + "\n"
     atomic_write(os.path.join(out, "sweep_manifest.txt"), manifest_text.encode())
 
-    print(f"sweep over {spec.parameter}: {len(result.rungs)} rungs")
-    for rung in result.rungs:
-        dist = rung.distance_to_reference.get("sqrt_rho_u", 0.0)
-        print(f"  value={rung.value:<12g} min_rho={rung.min_rho:.4e} dist(sqrt_rho_u)={dist:.4e} "
-              f"{_per_step(rung.picard_iters_per_step, rung.full_sweeps_per_step)}")
+    print(f"sweep over {spec.parameter}: {len(rows)} rungs")
+    for row, counts in zip(rows, result.counts):
+        print(f"  value={row['value']:<12g} min_rho={row['min_rho']:.4e} "
+              f"dist(sqrt_rho_u)={row['dist_sqrt_rho_u']:.4e} {_per_step(*counts)}")
     print(f"wrote {csv_path}")
     return 0
 

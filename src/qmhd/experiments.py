@@ -5,9 +5,11 @@ limit.
 Each sweep runs the final (limit) rung first, then one simulation per rung
 from shared initial data, measuring as each finishes its distances to the
 limit rung, its norm monitors, and the weak integrals of the terms that are
-supposed to vanish.  Those integrals pair each term with the diagnostics'
-fixed vector battery under its one envelope g(t) = (1 - t/T)^2, through
-one walk over the samples (``_battery_sums``) and the records of the test
+supposed to vanish.  A rung's result is its ``sweep_results.csv`` row,
+which ``_measure`` fills as it measures and ``qmhd sweep`` writes as it
+is.  The weak integrals pair each term with the diagnostics' fixed vector
+battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
+the samples (``_battery_sums``) and the records of the test
 fields phi e_c that the weak form reads too
 (:class:`qmhd.diagnostics._VectorTest`).  Both terms have components along
 the active axes only, so each pairs its component c with phi, or gives 0
@@ -293,24 +295,13 @@ class SweepSpec:
         return phys, reg, n
 
 
-@dataclass(frozen=True)
-class RungResult:
-    value: float
-    monitors_max: dict[str, float]
-    min_rho: float
-    capillary_energy_max: float
-    quantum_energy_max: float
-    weak_integrals: dict[str, float]
-    distance_to_reference: dict[str, float]
-    # mean per step; printed by ``qmhd sweep``, not written to its CSV
-    picard_iters_per_step: float
-    full_sweeps_per_step: float
-    tail_energy: float | None = None
-
-
 @dataclass
 class SweepResult:
-    rungs: list[RungResult]
+    # one CSV row per rung, as ``_measure`` fills it
+    rows: list[dict[str, float]]
+    # each rung's mean Picard iterations and full sweeps per step; printed by
+    # ``qmhd sweep``, not written to its CSV
+    counts: list[tuple[float, float]]
     convergence_orders: dict[str, float]
 
 
@@ -322,45 +313,34 @@ def _simulate(spec: SweepSpec, value) -> Trajectory:
     return run_simulation(state, phys, reg, spec.t_end, sample_every=spec.sample_every)
 
 
-def _measure(spec: SweepSpec, reference: Trajectory, value) -> RungResult:
-    """One rung's result; the limit rung is ``reference`` itself."""
+def _measure(spec: SweepSpec, reference: Trajectory, value) -> tuple[dict[str, float], tuple[float, float]]:
+    """One rung's CSV row, and its mean Picard iterations and full sweeps
+    per step; the limit rung is ``reference`` itself."""
     traj = reference if value == spec.values[-1] else _simulate(spec, value)
     phys, reg = traj.phys, traj.reg
 
-    monitors = {k: 0.0 for k in MONITOR_KEYS}
-    min_rho = np.inf
-    cap_max = 0.0
-    quant_max = 0.0
+    row = {"value": float(value), "min_rho": np.inf, "capillary_energy_max": 0.0, "quantum_energy_max": 0.0}
+    row.update({f"max_{k}": 0.0 for k in MONITOR_KEYS})
     for s in traj.states:
         f = DerivedFields.of(s, reg)
         mon = norm_monitor(s, phys, reg, f)
         for k in MONITOR_KEYS:
-            monitors[k] = max(monitors[k], mon[k])
-        min_rho = min(min_rho, float(s.rho.values.min()))
+            row[f"max_{k}"] = max(row[f"max_{k}"], mon[k])
+        row["min_rho"] = min(row["min_rho"], float(s.rho.values.min()))
         e = compute_energy(s, phys, reg, f)
-        cap_max = max(cap_max, e.capillary)
-        quant_max = max(quant_max, e.quantum)
+        row["capillary_energy_max"] = max(row["capillary_energy_max"], e.capillary)
+        row["quantum_energy_max"] = max(row["quantum_energy_max"], e.quantum)
 
+    row.update({f"dist_{k}": v for k, v in trajectory_distance(traj, reference).items()})
     weak: dict[str, float] = {}
     if spec.parameter == "kappa":
         weak = quantum_term_weak_integral(traj, phys.kappa)
     elif spec.parameter == "delta":
         weak = capillarity_term_weak_integral(traj, reg.delta, reg.s)
-    tail = float(np.sum(reference.final_state.velocity.values[int(value):] ** 2)) if spec.parameter == "n" else None
-
-    iters, sweeps = traj.mean_counts()
-    return RungResult(
-        value=float(value),
-        monitors_max=monitors,
-        min_rho=float(min_rho),
-        capillary_energy_max=cap_max,
-        quantum_energy_max=quant_max,
-        weak_integrals=weak,
-        distance_to_reference=trajectory_distance(traj, reference),
-        picard_iters_per_step=iters,
-        full_sweeps_per_step=sweeps,
-        tail_energy=tail,
-    )
+    row.update({f"weak_{k}": v for k, v in weak.items()})
+    if spec.parameter == "n":
+        row["tail_energy"] = float(np.sum(reference.final_state.velocity.values[int(value):] ** 2))
+    return row, traj.mean_counts()
 
 
 # the sweep and limit-rung trajectory of a pool worker, installed once per
@@ -373,7 +353,7 @@ def _install_sweep(spec: SweepSpec, reference: Trajectory) -> None:
     _worker_sweep = (spec, reference)
 
 
-def _measure_installed(value) -> RungResult:
+def _measure_installed(value) -> tuple[dict[str, float], tuple[float, float]]:
     return _measure(*_worker_sweep, value)
 
 
@@ -388,39 +368,26 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_install_sweep, initargs=(spec, reference)) as pool:
-            rungs = list(pool.map(_measure_installed, spec.values))
+            measured = list(pool.map(_measure_installed, spec.values))
     else:
-        rungs = [_measure(spec, reference, v) for v in spec.values]
+        measured = [_measure(spec, reference, v) for v in spec.values]
+    rows = [row for row, _ in measured]
 
     orders: dict[str, float] = {}
-    vals = np.array([r.value for r in rungs[:-1]], dtype=float)
+    vals = np.array([r["value"] for r in rows[:-1]])
     if spec.parameter != "n" and np.all(vals > 0):
         for key in StateDistance.__annotations__:
-            dists = np.array([r.distance_to_reference[key] for r in rungs[:-1]])
+            dists = np.array([r[f"dist_{key}"] for r in rows[:-1]])
             good = dists > 0
             if good.sum() >= 2:
                 slope, _ = np.polyfit(np.log(vals[good]), np.log(dists[good]), 1)
                 orders[key] = float(slope)
-    return SweepResult(rungs, orders)
+    return SweepResult(rows, [counts for _, counts in measured], orders)
 
 
 def sweep_rows(result: SweepResult) -> list[dict[str, float]]:
-    """Flat per-rung rows (for CSV emission)."""
-    rows = []
-    for rung in result.rungs:
-        row: dict[str, float] = {"value": rung.value, "min_rho": rung.min_rho}
-        row["capillary_energy_max"] = rung.capillary_energy_max
-        row["quantum_energy_max"] = rung.quantum_energy_max
-        for k, v in rung.monitors_max.items():
-            row[f"max_{k}"] = v
-        for k, v in rung.distance_to_reference.items():
-            row[f"dist_{k}"] = v
-        for k, v in rung.weak_integrals.items():
-            row[f"weak_{k}"] = v
-        if rung.tail_energy is not None:
-            row["tail_energy"] = rung.tail_energy
-        rows.append(row)
-    return rows
+    """The per-rung CSV rows."""
+    return result.rows
 
 
 def content_hash(path) -> str:

@@ -412,10 +412,13 @@ def divergence(v: VectorField) -> ScalarField:
 
 
 def curl(v: VectorField) -> VectorField:
+    """The curl, which transforms only the components ``_curl_operands``
+    names."""
     grid = v.grid
-    s = [c.spectrum for c in v.components]
+    operands = _curl_operands(grid.dim)
+    s = [c.spectrum if l in operands else None for l, c in enumerate(v.components)]
     out = _curl_spectra(s, grid)
-    ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(sp, grid) for sp in s)
+    ref = np.sqrt(grid.k_squared_max) * max(_spectral_norm(s[l], grid) for l in operands)
     comps = []
     for c in out:
         if c is None:

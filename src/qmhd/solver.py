@@ -50,14 +50,14 @@ forward transforms, like the velocity gradient's inverses, are box transforms
 (:mod:`qmhd.fields`).  Each iteration forms the magnetic midpoint field and
 the samples of its curl once: the residual reads them, and so does the next
 iteration's magnetic sweep, whose midpoint is the same field.
-``_reference_diffusivity`` is the one split of ``nu_b`` into the constant
-the magnetic sweep integrates exactly and its explicit remainder, and
-``cfl_report`` reads the same split.  ``_capillary_gradient`` is the one
-home of the capillarity force, which the residual assembles and the
-vanishing-regularization weak integral (:mod:`qmhd.experiments`) pairs with
-its test fields, and ``_div_b_bound`` is the one solenoidal rule, which
-``run_simulation`` applies after each step and ``qmhd check`` to the
-initial state.
+``_reference_diffusivity`` is the one rule for the constant part of
+``nu_b`` that the magnetic sweep integrates exactly, leaving the rest
+explicit, and ``cfl_report`` reads the same rule.  ``_capillary_gradient``
+is the one home of the capillarity force, which the residual assembles
+and the vanishing-regularization weak integral (:mod:`qmhd.experiments`)
+pairs with its test fields, and ``_div_b_bound`` is the one solenoidal
+rule, which ``run_simulation`` applies after each step and ``qmhd check``
+to the initial state.
 """
 
 from __future__ import annotations
@@ -305,18 +305,18 @@ def _magnetic_midpoint(b_old: VectorField, b_new: VectorField) -> tuple[VectorFi
     return mid, _curl_samples(mid)
 
 
-def _reference_diffusivity(rho_values: np.ndarray, phys: PhysParams) -> tuple[float, np.ndarray]:
-    """The reference nu_bar = mean nu_b(rho) and the remainder nu_b - nu_bar."""
-    nu_vals = magnetic_diffusivity(rho_values, phys)
-    nu_bar = float(nu_vals.mean())
-    return nu_bar, nu_vals - nu_bar
+def _reference_diffusivity(nu: np.ndarray) -> float:
+    """The reference nu_bar = mean nu_b of the samples ``nu`` of nu_b(rho);
+    the remainder is nu - nu_bar."""
+    return float(nu.mean())
 
 
 def _magnetic_diffusion(rho: ScalarField, phys: PhysParams, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a magnetic sweep reads of its density: the remainder nu_b -
     nu_bar and the heat factors of nu_bar over dt and dt/2."""
-    nu_bar, nu_fluct = _reference_diffusivity(rho.values, phys)
-    return (nu_fluct, *_heat_factors(rho.grid, nu_bar, dt))
+    nu = magnetic_diffusivity(rho.values, phys)
+    nu_bar = _reference_diffusivity(nu)
+    return (nu - nu_bar, *_heat_factors(rho.grid, nu_bar, dt))
 
 
 def solve_magnetic_step(
@@ -542,7 +542,7 @@ def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> Vec
     the stiff exponential decay; in this frame only the smooth forcing is
     extrapolated.  One inverse transform per component gives the samples."""
     grid = levels[0].rho.grid
-    nu_bar, _ = _reference_diffusivity(levels[0].rho.values, phys)
+    nu_bar = _reference_diffusivity(magnetic_diffusivity(levels[0].rho.values, phys))
     decay = _heat_factor(grid, nu_bar, dt)
     comps = []
     for axis in range(3):
@@ -839,7 +839,8 @@ def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, floa
     umax = max(float(np.max(np.abs(c))) for c in state.u.component_values())
     kmax2 = grid.k_squared_max
     kb = float(np.sqrt(np.max(state.basis.eigen_k2))) if state.basis.n else 0.0
-    nu_bar, nu_fluct = _reference_diffusivity(state.rho.values, phys)
+    nu = magnetic_diffusivity(state.rho.values, phys)
+    nu_bar = _reference_diffusivity(nu)
     rho_bar = float(state.rho.values.mean())
     sound = float(
         np.sqrt(phys.gamma * rho_bar ** (phys.gamma - 1.0) + cold_pressure_derivative(rho_bar, phys))
@@ -848,7 +849,7 @@ def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, floa
         "advective": umax * reg.dt / dx,
         "density_diffusion_exact": reg.epsilon * kmax2 * reg.dt,
         "magnetic_mean_exact": nu_bar * kmax2 * reg.dt,
-        "magnetic_fluctuation": float(np.max(np.abs(nu_fluct))) * kmax2 * reg.dt,
+        "magnetic_fluctuation": float(np.max(np.abs(nu - nu_bar))) * kmax2 * reg.dt,
         "hyperviscous_midpoint": reg.eta * kb**4 * reg.dt,
         "acoustic": sound * kb * reg.dt,
         "capillary_wave": float(np.sqrt(reg.delta * rho_bar)) * kb ** (2 * reg.s + 2) * reg.dt,

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmhd.cli import main
+from qmhd.cli import main, parse_sweep_manifest
+from qmhd.experiments import run_sweep, sweep_rows
 from qmhd.fields import VectorField
 from qmhd.snapshots import read_snapshot
 
@@ -248,6 +249,13 @@ def test_sweep_subcommand(tmp_path, capsys):
     manifest2 = _write(tmp_path, "sweep2.cfg", SWEEP_MANIFEST.format(out=out2))
     assert main(["sweep", manifest2]) == 0
     assert (out / "sweep_results.csv").read_bytes() == (out2 / "sweep_results.csv").read_bytes()
+    # the CSV is the sweep's rows: a header of each row's sorted keys, then
+    # one line per rung of the repr of each of its values
+    spec, _, _ = parse_sweep_manifest(manifest)
+    rows = sweep_rows(run_sweep(spec))
+    header, *lines = (out / "sweep_results.csv").read_text().splitlines()
+    assert all(header.split(",") == sorted(row) for row in rows)
+    assert [line.split(",") for line in lines] == [[repr(row[c]) for c in sorted(row)] for row in rows]
 
 
 def test_sweep_prints_each_rungs_iterations_and_full_sweeps(tmp_path, capsys):

@@ -34,7 +34,7 @@ from qmhd.fields import (
     spectral_resample,
 )
 
-from conftest import band_limited_scalar, band_limited_vector
+from conftest import band_limited_scalar, band_limited_vector, count_transforms, transform_counts
 
 
 def full_layout_spectrum(f):
@@ -483,6 +483,18 @@ def test_active_axis_kernels_equal_the_three_axis_formulas(shape):
     kv = (k[0] * s[0] + k[1] * s[1] + k[2] * s[2]) / grid.leray_k_squared
     for comp, c, ka in zip(project_divergence_free(v).components, s, k):
         assert np.array_equal(comp.spectrum, c - ka * kv)
+
+
+def test_a_1d_curl_transforms_only_its_operands(monkeypatch):
+    # in 1D the first component meets only inactive derivatives, so the curl
+    # of sample-only data forward-transforms the other two
+    grid = TorusGrid((32,))
+    x = grid.mesh[0]
+    v = VectorField.from_arrays(grid, [np.cos(x), np.sin(x), np.cos(2 * x)])
+    counts = count_transforms(monkeypatch)
+    for comp in curl(v).components:
+        comp.values
+    assert counts == transform_counts(forward_full=2, backward_full=2)
 
 
 def test_operator_formulas_have_one_home():
