@@ -10,7 +10,12 @@ g(t) = (1 - t/T)^2 (``envelope``), which vanishes at the final time T.
 Each vector test field is one scalar test phi in one component c, phi e_c,
 and is paired through one record (``_VectorTest``) of c, phi and the
 samples of the derivatives of phi the pairings read; a derivative that is
-zero everywhere is neither transformed nor paired.
+zero everywhere is neither transformed nor paired.  The records are built
+straight from the table of (c, phi) pairs (``_VECTOR_TESTS``) and the
+scalar battery (``_test_records``): each scalar test is transformed and
+differentiated once, and its gradient samples serve the continuity pairing
+and every vector record of that phi.  ``default_vector_battery`` builds the
+same fields with all three components, as a reference.
 
 Time derivatives of the functionals are centered differences on stored
 snapshots, so the residuals measure what the scheme actually produced; with
@@ -490,13 +495,13 @@ class BohmIdentityReport:
     divergence_vs_hessian: float
 
 
-def bohm_identity_check(rho: ScalarField, kappa: float, floor: float = 1e-8) -> BohmIdentityReport:
+def bohm_identity_check(rho: ScalarField, kappa: float) -> BohmIdentityReport:
     """Pairwise L2 distances of the three force forms, normalized by kappa^2."""
     if kappa == 0.0:
         return BohmIdentityReport(0.0, 0.0, 0.0)
-    f1 = bohm_force_primary(rho, kappa, floor)
-    f2 = bohm_force_divergence_form(rho, kappa, floor)
-    f3 = bohm_force_hessian_form(rho, kappa, floor)
+    f1 = bohm_force_primary(rho, kappa)
+    f2 = bohm_force_divergence_form(rho, kappa)
+    f3 = bohm_force_hessian_form(rho, kappa)
 
     def dist(a: VectorField, b: VectorField) -> float:
         return l2_norm(a - b) / kappa**2
@@ -534,7 +539,9 @@ _VECTOR_TESTS = {"e0_sin_x": (0, "sin_x"), "e1_cos_x": (1, "cos_x"), "e2_sin_x":
 
 def default_vector_battery(grid) -> dict[str, VectorField]:
     """The spatial factors phi(x) of the vector test functions, by name,
-    each a scalar test in one component (``_VECTOR_TESTS``)."""
+    each a scalar test in one component (``_VECTOR_TESTS``), with all three
+    components formed: the reference for the records the pairings read
+    (``_test_records``), which are built from the same table."""
     scalars, zero = default_scalar_battery(grid), ScalarField._adopt(grid, np.zeros(grid.shape))
     return {
         name: VectorField(grid, [scalars[phi] if l == c else zero for l in range(3)])
@@ -582,20 +589,27 @@ class _VectorTest:
     curl: list[np.ndarray | None]
 
     @classmethod
-    def of(cls, field: VectorField) -> "_VectorTest":
-        nonzero = [c for c, f in enumerate(field.components) if np.any(f.values)]
-        if len(nonzero) != 1:
-            raise ValueError("a vector test field is one scalar in one component")
-        c = nonzero[0]
-        phi = field.components[c]
-        grad = _test_gradient(phi)
+    def of(cls, c: int, phi: ScalarField, grad: list[np.ndarray | None]) -> "_VectorTest":
+        """The record of phi e_c, given the samples ``grad`` of phi's
+        gradient (``_test_gradient``), which the scalar test phi reads too."""
         along = grad + [None] * (3 - len(grad))  # d_j phi on all three axes
         curl = [None] * 3
         curl[(c + 1) % 3] = along[(c + 2) % 3]
         curl[(c + 2) % 3] = None if along[(c + 1) % 3] is None else -along[(c + 1) % 3]
-        if c >= field.grid.dim:
-            return cls(c, phi, grad, None, _samples(laplacian(phi)), None, curl)
-        return cls(c, phi, grad, grad[c], _samples(laplacian(phi)), _test_gradient(derivative(phi, c)), curl)
+        lap = _samples(laplacian(phi))
+        if c >= phi.grid.dim:
+            return cls(c, phi, grad, None, lap, None, curl)
+        return cls(c, phi, grad, grad[c], lap, _test_gradient(derivative(phi, c)), curl)
+
+
+def _test_records(grid) -> tuple[dict[str, tuple[ScalarField, list]], dict[str, _VectorTest]]:
+    """Both batteries' records, built from the scalar battery once: each
+    scalar test phi with the samples of its gradient, and each vector test
+    field's record (``_VECTOR_TESTS``), which reads phi and that gradient,
+    so each scalar test is transformed and differentiated once."""
+    scalars = {name: (phi, _test_gradient(phi)) for name, phi in default_scalar_battery(grid).items()}
+    vectors = {name: _VectorTest.of(c, *scalars[phi]) for name, (c, phi) in _VECTOR_TESTS.items() if phi in scalars}
+    return scalars, vectors
 
 
 def _interval_integrands(s0: State, s1: State, phys: PhysParams) -> tuple:
@@ -665,27 +679,23 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
     h = _require_uniform(traj)
     grid = traj.states[0].rho.grid
     t_final = traj.times[-1]
-    scalars = default_scalar_battery(grid)
-    vectors = default_vector_battery(grid)
-
-    scalar_grads = [_test_gradient(phi) for phi in scalars.values()]
-    vector_tests = [_VectorTest.of(phi) for phi in vectors.values()]
+    scalars, vectors = _test_records(grid)
 
     first, g_first = traj.states[0], envelope(traj.times[0], t_final)
     m_first = [first.rho.values * first.u.component_values()[l] for l in range(3)]
     b_first = first.magnetic.component_values()
-    continuity = [g_first * inner_product(first.rho, phi) for phi in scalars.values()]
-    momentum = [g_first * _pair(m_first[d.c], d.phi.values, grid) for d in vector_tests]
-    magnetic = [g_first * _pair(b_first[d.c], d.phi.values, grid) for d in vector_tests]
+    continuity = [g_first * inner_product(first.rho, phi) for phi, _ in scalars.values()]
+    momentum = [g_first * _pair(m_first[d.c], d.phi.values, grid) for d in vectors.values()]
+    magnetic = [g_first * _pair(b_first[d.c], d.phi.values, grid) for d in vectors.values()]
 
     for (s0, s1), (t0, t1) in zip(pairwise(traj.states), pairwise(traj.times)):
         rho_mid, mass_flux, m, m_flux, b, b_flux = _interval_integrands(s0, s1, traj.phys)
         g0, g1 = envelope(t0, t_final), envelope(t1, t_final)
         gmid = 0.5 * (g0 + g1)
-        for i, phi in enumerate(scalars.values()):
+        for i, (phi, grad) in enumerate(scalars.values()):
             continuity[i] += (g1 - g0) * inner_product(rho_mid, phi)
-            continuity[i] += h * gmid * _pair(mass_flux, scalar_grads[i], grid)
-        for i, d in enumerate(vector_tests):
+            continuity[i] += h * gmid * _pair(mass_flux, grad, grid)
+        for i, d in enumerate(vectors.values()):
             # column c of each momentum group meets the derivative of phi e_c
             # that the group meets, group by group, in the groups' order
             derivs = (d.grad, d.div, d.lap, d.grad_div, d.phi.values)

@@ -11,9 +11,10 @@ is.  The weak integrals pair each term with the diagnostics' fixed vector
 battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
 the samples (``_battery_sums``) and the records of the test
 fields phi e_c that the weak form reads too
-(:class:`qmhd.diagnostics._VectorTest`).  Both terms have components along
-the active axes only, so each pairs its component c with phi, or gives 0
-when c is not an active axis.  The quantum integral forms its two
+(:class:`qmhd.diagnostics._VectorTest`), built once per integral straight
+from the battery table (:func:`qmhd.diagnostics._test_records`).  Both
+terms have components along the active axes only, so each pairs its
+component c with phi, or gives 0 when c is not an active axis.  The quantum integral forms its two
 integrands once per sample (:func:`qmhd.diagnostics.quantum_flux`, which
 the weak form reads too).  The capillarity integral pairs the scheme's own
 force term (:func:`qmhd.solver._capillary_gradient`), so it costs one
@@ -34,9 +35,8 @@ from .diagnostics import (
     MONITOR_KEYS,
     DerivedFields,
     _pair,
-    _VectorTest,
+    _test_records,
     compute_energy,
-    default_vector_battery,
     envelope,
     norm_monitor,
     quantum_flux,
@@ -191,7 +191,7 @@ def _battery_sums(traj: Trajectory, pairing: Callable[[State], Callable]) -> lis
     ``pairing(state)`` derives what the state's pairings share and returns
     the pairing with one record."""
     t_final = traj.times[-1]
-    tests = [_VectorTest.of(phi) for phi in default_vector_battery(traj.states[0].rho.grid).values()]
+    tests = list(_test_records(traj.states[0].rho.grid)[1].values())
     acc = [0.0] * len(tests)
     for wt, s in zip(_trapezoid(traj), traj.states):
         g = envelope(s.time, t_final)

@@ -244,17 +244,8 @@ class ScalarField:
             self._spectrum = spec
         return self._spectrum
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField._adopt(self.grid, self.values + other.values)
-        return ScalarField._adopt(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField._adopt(self.grid, self.values - other.values)
-        return ScalarField._adopt(self.grid, self.values - other)
+    def __sub__(self, other: "ScalarField") -> "ScalarField":
+        return ScalarField._adopt(self.grid, self.values - other.values)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -294,16 +285,8 @@ class VectorField:
     def component_values(self) -> list[np.ndarray]:
         return [c.values for c in self.components]
 
-    def __add__(self, other):
-        return VectorField(self.grid, [a + b for a, b in zip(self.components, other.components)])
-
     def __sub__(self, other):
         return VectorField(self.grid, [a - b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, other):
-        return VectorField(self.grid, [c * other for c in self.components])
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"VectorField(shape={self.grid.shape})"
@@ -457,10 +440,8 @@ def vector_laplacian(v: VectorField) -> VectorField:
     )
 
 
-def dealias(f):
+def dealias(f: ScalarField) -> ScalarField:
     """Zero every coefficient with any |k_axis| > N_axis/3 (idempotent)."""
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, [dealias(c) for c in f.components])
     grid = f.grid
     return ScalarField._adopt(grid, None, np.where(grid.dealias_mask, f.spectrum, 0.0))
 
@@ -508,10 +489,8 @@ def l2_norm(f) -> float:
     return float(np.sqrt(max(inner_product(f, f), 0.0)))
 
 
-def sobolev_seminorm(f, order: int) -> float:
+def sobolev_seminorm(f: ScalarField, order: int) -> float:
     """L2 norm of the full order-``order`` derivative tensor, spectrally."""
-    if isinstance(f, VectorField):
-        return float(np.sqrt(sum(sobolev_seminorm(c, order) ** 2 for c in f.components)))
     grid = f.grid
     weight = grid.hermitian_weights * grid.k_squared**order
     return float(np.sqrt(grid.volume * np.sum(weight * np.abs(f.spectrum) ** 2)))

@@ -237,6 +237,34 @@ def test_inspect_of_data_the_field_types_reject_is_io_error(tmp_path, capsys, po
     assert err.startswith("i/o error: ") and str(path) in err and reason in err
 
 
+def test_inspect_of_an_unsupported_version_is_io_error(tmp_path, capsys):
+    from qmhd.snapshots import _HEADER, MAGIC
+
+    path = tmp_path / "future.qmhd"
+    path.write_bytes(_HEADER.pack(MAGIC, 2, 1, 8, 0, 0, 0, 0.0) + bytes(64))
+    assert main(["inspect", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and f"{path}: unsupported version 2" in err
+
+
+def test_inspect_of_a_vector_snapshot(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", RUN_CFG.format(out=out))
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    field, _ = read_snapshot(out / "magnetic_final.qmhd")
+    from qmhd.fields import l2_norm
+
+    assert main(["inspect", str(out / "magnetic_final.qmhd")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "vector" in lines[1]
+    components = [line for line in lines if line.startswith("  component")]
+    assert len(components) == 3
+    for i, (line, c) in enumerate(zip(components, field.components)):
+        assert line.startswith(f"  component {i}: L2 {l2_norm(c)!r} ")
+    assert lines[-1].startswith("  div L2")
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     out = tmp_path / "sweep_out"
     manifest = _write(tmp_path, "sweep.cfg", SWEEP_MANIFEST.format(out=out))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmhd import (
+    DensityFloorViolation,
     GalerkinBasis,
     NonuniformSampling,
     PhysParams,
@@ -29,13 +30,12 @@ from qmhd.diagnostics import (
     bohm_identity_check,
     compute_dissipation,
     compute_energy,
-    default_scalar_battery,
     default_vector_battery,
     energy_identity_residual,
     norm_monitor,
     weak_form_residual,
 )
-from qmhd.diagnostics import _test_gradient, _VectorTest
+from qmhd.diagnostics import _VECTOR_TESTS, _test_records
 from qmhd.fields import (
     ScalarField,
     VectorField,
@@ -271,6 +271,15 @@ def test_lorentz_induction_transfer_identity(rng):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def test_reports_refuse_a_density_below_the_floor():
+    grid = TorusGrid((32,))
+    basis = GalerkinBasis.lowest_modes(grid, 5)
+    state = benchmark_state("density_bump", grid, basis, RegParams())  # min rho 0.5
+    compute_energy(state, PhysParams(), RegParams(density_floor=0.5))
+    with pytest.raises(DensityFloorViolation, match="^diagnostics: density below the floor$"):
+        compute_energy(state, PhysParams(), RegParams(density_floor=0.6))
+
+
 # --------------------------------------------------------------------------
 # trajectory residual series
 
@@ -426,10 +435,8 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     counts = count_transforms(monkeypatch)
 
     def count(t, n_vector):
-        def battery(g):
-            return dict(list(default_vector_battery(g).items())[:n_vector])
-
-        monkeypatch.setattr("qmhd.diagnostics.default_vector_battery", battery)
+        table = dict(list(_VECTOR_TESTS.items())[:n_vector])
+        monkeypatch.setattr("qmhd.diagnostics._VECTOR_TESTS", table)
         before = counts.total()
         weak_form_residual(t)
         return counts.total() - before
@@ -441,13 +448,15 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8)])
 def test_vector_test_records_hold_the_nonzero_derivatives_only(shape):
-    # a record holds the derivatives of phi e_c that the three-component
-    # operators give, each array nonzero somewhere, and None where they
-    # give zero everywhere
+    # a record, built from the table, holds the derivatives of phi e_c that
+    # the three-component operators give on the reference battery, each
+    # array nonzero somewhere, and None where they give zero everywhere
     grid = TorusGrid(shape)
     dim = grid.dim
+    _, records = _test_records(grid)
+    assert list(records) == list(default_vector_battery(grid))
     for name, field in default_vector_battery(grid).items():
-        d = _VectorTest.of(field)
+        d = records[name]
         # c is the field's one nonzero component
         assert [bool(np.any(f.values)) for f in field.components] == [l == d.c for l in range(3)], name
         assert np.array_equal(d.phi.values, field.components[d.c].values)
@@ -467,26 +476,16 @@ def test_vector_test_records_hold_the_nonzero_derivatives_only(shape):
                 assert np.array_equal(got, expected), name
 
 
-def test_a_vector_test_field_is_one_scalar_in_one_component():
-    grid = TorusGrid((16, 16))
-    x, zero = grid.mesh[0], np.zeros(grid.shape)
-    for arrays in ([np.sin(x), np.cos(x), zero], [zero, zero, zero]):
-        with pytest.raises(ValueError, match="one scalar in one component"):
-            _VectorTest.of(VectorField.from_arrays(grid, arrays))
-
-
 def test_test_records_transform_only_their_nonzero_derivatives(monkeypatch):
-    # at 64^2: d_x of cos x and sin x and d_y of cos y for the scalar tests
-    # (none for const); d_x phi, d_x d_x phi and lap phi for e0_sin_x, and
-    # one first derivative and lap phi for each other vector test, whose
-    # curl reads its first derivatives.  Each battery's scalar fields are
-    # forwarded once: 4 + 3
-    grid = TorusGrid((64, 64))
-    scalars, vectors = default_scalar_battery(grid), default_vector_battery(grid)
+    # each scalar test is forwarded once (4, or 3 without cos y in 1D) and
+    # its nonzero first derivatives inverted once: d_x of cos x and sin x,
+    # and d_y of cos y, none for const.  The vector tests' curls read those;
+    # each adds lap phi, and e0_sin_x also d_x d_x phi
     counts = count_transforms(monkeypatch)
-    [_test_gradient(phi) for phi in scalars.values()]
-    [_VectorTest.of(phi) for phi in vectors.values()]
-    assert counts == transform_counts(backward_full=12, forward_full=7)
+    for shape, backward, forward in (((64, 64), 8, 4), ((16, 16, 16), 8, 4), ((64,), 6, 3)):
+        counts.clear()
+        _test_records(TorusGrid(shape))
+        assert counts == transform_counts(backward_full=backward, forward_full=forward), shape
 
 
 # --------------------------------------------------------------------------

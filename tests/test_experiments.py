@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,23 @@ def test_sweep_deterministic(tmp_path):
         seed=42,
     )
     assert run_sweep(spec).rows == run_sweep(spec).rows
+
+
+@pytest.mark.parametrize("parameter, values", [("epsilon", (0.02, 0.01, 0.0)), ("eta", (0.002, 0.001, 0.0))])
+def test_epsilon_and_eta_ladders(parameter, values):
+    base = RegParams(epsilon=0.01, eta=0.001, delta=1e-4, dt=1e-3, picard_tol=1e-11)
+    spec = SweepSpec(parameter, values, "random_smooth", dim=1, points=32, t_end=0.003, reg=base, n_modes=6)
+    # a rung sets the swept field alone
+    for v in values:
+        phys, reg, n = spec.rung_params(v)
+        assert (phys, n) == (spec.phys, spec.n_modes)
+        assert reg == replace(base, **{parameter: v})
+    rows = run_sweep(spec).rows
+    assert [r["value"] for r in rows] == list(values)
+    assert all(v == 0.0 for k, v in rows[-1].items() if k.startswith("dist_"))
+    assert all(r["dist_rho"] > 0.0 for r in rows[:-1])
+    # neither ladder has a vanishing term to pair with the test fields
+    assert not any(k.startswith("weak_") for r in rows for k in r)
 
 
 def test_delta_sweep_higher_capillarity_order():

@@ -361,6 +361,16 @@ def test_spectral_resample_keeps_coarse_nyquist(coarse, fine):
         assert np.max(np.abs(up.values[nodes] - f.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(16,), (16, 12), (8, 10, 12)])
+def test_spectral_resample_onto_its_own_grid_is_the_identity(shape):
+    # white noise has content on every Nyquist plane, which a resample onto
+    # an equal grid must neither split nor fold
+    grid = TorusGrid(shape)
+    f = ScalarField(grid, np.random.default_rng(5).standard_normal(shape))
+    same = spectral_resample(f, TorusGrid(shape))
+    assert np.array_equal(same.spectrum, f.spectrum)
+
+
 def test_from_spectrum_rejects_full_layout():
     grid = TorusGrid((16, 16))
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from qmhd import TorusGrid
 from qmhd.errors import SnapshotFormatError
 from qmhd.fields import ScalarField, VectorField
-from qmhd.snapshots import MAGIC, atomic_write, read_snapshot, write_snapshot
+from qmhd.snapshots import _HEADER, MAGIC, VERSION, atomic_write, read_snapshot, write_snapshot
 
 from conftest import band_limited_vector
 
@@ -65,6 +65,31 @@ def test_truncated_rejected(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
+
+
+def _header(dim=1, sizes=(8, 0, 0), kind=0, version=VERSION):
+    return _HEADER.pack(MAGIC, version, dim, *sizes, kind, 0.0)
+
+
+# each header the reader refuses, with a body of the length a scalar of
+# its sizes would have, so the named check is the one that fails
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (_header()[:40], "truncated header"),
+        (_header(version=2) + bytes(64), "unsupported version 2"),
+        (_header(dim=0) + bytes(64), "bad dimension 0"),
+        (_header(dim=4, sizes=(8, 8, 8)) + bytes(8 * 512), "bad dimension 4"),
+        (_header(dim=2, sizes=(8, 0, 0)) + bytes(64), "zero axis in shape (8, 0)"),
+        (_header(kind=2) + bytes(64), "bad field kind 2"),
+    ],
+)
+def test_unreadable_headers_are_rejected_naming_the_file(tmp_path, raw, reason):
+    path = tmp_path / "bad.qmhd"
+    path.write_bytes(raw)
+    with pytest.raises(SnapshotFormatError) as err:
+        read_snapshot(path)
+    assert str(err.value) == f"{path}: {reason}"
 
 
 def test_write_is_deterministic(tmp_path, rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -8,6 +10,7 @@ from qmhd import (
     MaximumPrincipleViolation,
     PhysParams,
     PicardDivergence,
+    QMHDError,
     RegParams,
     ResistivityParams,
     TorusGrid,
@@ -32,6 +35,7 @@ from qmhd.fields import (
 )
 from qmhd.solver import (
     _density_factors,
+    _div_b_bound,
     _div_norm,
     _extrapolate,
     _heat_factor,
@@ -1408,3 +1412,50 @@ def test_cfl_report_keys():
         "quantum_wave",
     }
     assert all(np.isfinite(v) and v >= 0 for v in rep.values())
+
+
+# --------------------------------------------------------------------------
+# safety stops
+
+
+def _stop_run(monkeypatch, spoil):
+    """Run two steps with each step's result passed through ``spoil``."""
+    import qmhd.solver as solver
+
+    grid, basis = _default_setup(n_modes=5, nx=32)
+    phys, reg = PhysParams(kappa=0.1), RegParams(epsilon=0.01, dt=1e-3)
+    advance = solver.advance_step
+
+    def spoiled(*args, **kwargs):
+        return spoil(*advance(*args, **kwargs))
+
+    monkeypatch.setattr(solver, "advance_step", spoiled)
+    return run_simulation(_benchmark_state(grid, basis, reg), phys, reg, 2e-3)
+
+
+def test_run_stops_when_mass_conservation_breaks(monkeypatch):
+    def leak(state, info):
+        grid = state.rho.grid
+        return replace(state, rho=ScalarField(grid, state.rho.values * (1.0 + 1e-8))), info
+
+    with pytest.raises(QMHDError, match=r"^mass conservation broke: relative drift 1\.000e-08$"):
+        _stop_run(monkeypatch, leak)
+
+
+def test_run_stops_when_the_magnetic_field_stops_being_solenoidal(monkeypatch):
+    def diverge(state, info):
+        return state, replace(info, div_b_norm=2.0 * _div_b_bound(state.magnetic))
+
+    with pytest.raises(QMHDError, match="^magnetic field stopped being solenoidal: "):
+        _stop_run(monkeypatch, diverge)
+
+
+def test_momentum_and_magnetic_solves_refuse_a_density_below_the_floor():
+    grid, basis = _default_setup(n_modes=5, nx=32)
+    rho = ScalarField(grid, 1.0 + 0.999999 * np.cos(grid.mesh[0]))  # min 1e-6
+    velocity, b = VelocityCoeffs(basis, np.zeros(basis.n)), VectorField.zero(grid)
+    reg = RegParams(density_floor=1e-3)
+    with pytest.raises(DensityFloorViolation, match="^momentum residual: density below the floor$"):
+        momentum_residual(rho, velocity, b, PhysParams(), reg)
+    with pytest.raises(DensityFloorViolation, match="^magnetic solve: density below the floor$"):
+        solve_magnetic_step(b, velocity.field, rho, 1e-3, PhysParams(), density_floor=1e-3)
