@@ -174,9 +174,8 @@ def cmd_check(args) -> int:
 
     mesh = grid.mesh
     rho = ScalarField(grid, 1.5 + 0.2 * np.cos(mesh[0]))
-    rep = bohm_identity_check(rho, kappa=1.0)
-    err = max(rep.primary_vs_divergence, rep.primary_vs_hessian)
-    ok &= _print_check("quantum force forms agree", err <= 1e-6, f"L2 discrepancy {err:.2e}")
+    err = bohm_identity_check(rho, kappa=1.0)
+    ok &= _print_check("scheme's quantum force = Bohm force", err <= 1e-6, f"L2 discrepancy {err:.2e}")
 
     gram = basis.gram(ScalarField(grid, np.ones(grid.shape)))
     err = float(np.max(np.abs(gram - np.eye(basis.n))))

@@ -1,5 +1,6 @@
 """Closed-form constitutive laws: pressure, cold pressure, enthalpies,
-density-dependent magnetic diffusivity, and the quantum (Bohm) force.
+density-dependent magnetic diffusivity, and the pointwise quantum (Bohm)
+force.
 
 The cold-pressure enthalpy is glued C1 at the reference density 1 and
 normalized so ``Hc(1) = Hc'(1) = 0``; the pair then satisfies
@@ -19,8 +20,8 @@ from .errors import DensityFloorViolation, NonpositiveDensity
 from .fields import (
     ScalarField,
     VectorField,
-    derivative,
-    dealiased_product,
+    derivative,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
+    dealiased_product,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     gradient,
     laplacian,
 )
@@ -164,64 +165,22 @@ def magnetic_diffusivity(rho, params: PhysParams):
     return np.where(arr < r.threshold, r.d0 * arr ** (-r.a), r.d2)
 
 
-def _checked_sqrt(rho: ScalarField, floor: float, context: str) -> ScalarField:
-    vals = rho.values
-    if vals.min() <= 0.0:
-        raise NonpositiveDensity(f"{context}: density must be strictly positive")
-    if vals.min() < floor:
-        raise DensityFloorViolation(
-            f"{context}: min density {vals.min():.3e} below floor {floor:.3e}"
-        )
-    return ScalarField._adopt(rho.grid, np.sqrt(vals))
-
-
-def bohm_force_primary(rho: ScalarField, kappa: float, floor: float = 1e-8) -> VectorField:
-    """2 kappa^2 rho grad(lap sqrt(rho) / sqrt(rho)), evaluated pointwise."""
+def bohm_force_primary(rho: ScalarField, kappa: float) -> VectorField:
+    """2 kappa^2 rho grad(lap sqrt(rho) / sqrt(rho)), evaluated pointwise:
+    the independent oracle the scheme's quantum stress is checked against
+    (:func:`qmhd.diagnostics.bohm_identity_check`)."""
     grid = rho.grid
     if kappa == 0.0:
         return VectorField.zero(grid)
-    w = _checked_sqrt(rho, floor, "bohm_force_primary")
+    vals = rho.values
+    if vals.min() <= 0.0:
+        raise NonpositiveDensity("bohm_force_primary: density must be strictly positive")
+    if vals.min() < 1e-8:
+        raise DensityFloorViolation(f"bohm_force_primary: min density {vals.min():.3e} below floor 1.000e-08")
+    w = ScalarField._adopt(grid, np.sqrt(vals))
     quot = ScalarField._adopt(grid, laplacian(w).values / w.values)
     g = gradient(quot)
     coef = 2.0 * kappa**2
     return VectorField.from_arrays(
         grid, [coef * rho.values * c.values for c in g.components]
     )
-
-
-def bohm_force_divergence_form(rho: ScalarField, kappa: float, floor: float = 1e-8) -> VectorField:
-    """Conservative form kappa^2 grad(lap rho) - 4 kappa^2 div(grad sqrt(rho) (x) grad sqrt(rho))."""
-    grid = rho.grid
-    if kappa == 0.0:
-        return VectorField.zero(grid)
-    w = _checked_sqrt(rho, floor, "bohm_force_divergence_form")
-    gw = gradient(w)
-    glap = gradient(laplacian(rho))
-    comps = []
-    for l in range(3):
-        acc = kappa**2 * glap.components[l].values
-        for j in range(grid.dim):
-            tens = dealiased_product(gw.components[j], gw.components[l])
-            acc = acc - 4.0 * kappa**2 * derivative(tens, j).values
-        comps.append(acc)
-    return VectorField.from_arrays(grid, comps)
-
-
-def bohm_force_hessian_form(rho: ScalarField, kappa: float, floor: float = 1e-8) -> VectorField:
-    """Middle form kappa^2 div(rho hess(log rho)), used as a cross-check."""
-    grid = rho.grid
-    if kappa == 0.0:
-        return VectorField.zero(grid)
-    _checked_sqrt(rho, floor, "bohm_force_hessian_form")
-    logr = ScalarField._adopt(grid, np.log(rho.values))
-    grads = [derivative(logr, j) for j in range(grid.dim)]
-    comps = []
-    for l in range(3):
-        acc = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            h_jl = derivative(grads[j], l) if l < grid.dim else None
-            if h_jl is None:
-                continue
-            acc = acc + derivative(dealiased_product(rho, h_jl), j).values
-        comps.append(kappa**2 * acc)
-    return VectorField.from_arrays(grid, comps)

@@ -1,7 +1,12 @@
 """Numerical verification of the conservation structure: the energy
 identity, the BD (Bresch-Desjardins) entropy identity, the quantum-force
-algebraic identity, weak-form residuals, and the norm monitors consumed by
-the limit experiments.
+identity, weak-form residuals, and the norm monitors consumed by the limit
+experiments.
+
+The quantum-force identity (``bohm_identity_check``) compares the pointwise
+Bohm force 2 kappa^2 rho grad(lap sqrt(rho) / sqrt(rho)) with the quantum
+part of the scheme's own momentum force, read at the full half spectrum
+(``solver._momentum_force``); no form of the force is written here.
 
 The weak form pairs each equation with test functions g(t) phi(x).  The
 spatial factors phi are two fixed batteries built from the grid alone, one
@@ -46,11 +51,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .basis import VelocityCoeffs
+from .basis import GalerkinBasis, VelocityCoeffs
 from .constitutive import (
     PhysParams,
-    bohm_force_divergence_form,
-    bohm_force_hessian_form,
     bohm_force_primary,
     cold_enthalpy,
     cold_enthalpy_second,
@@ -77,7 +80,7 @@ from .fields import (
     lp_norm,
     sobolev_seminorm,
 )
-from .solver import RegParams, State, Trajectory, _div_norm
+from .solver import RegParams, State, Trajectory, _div_norm, _momentum_force
 
 
 # --------------------------------------------------------------------------
@@ -485,28 +488,28 @@ def bd_entropy_residual(traj: Trajectory) -> tuple[ResidualSeries, list[BDEntrop
 
 
 # --------------------------------------------------------------------------
-# quantum force identity and inequality record
+# quantum force identity
 
 
-@dataclass(frozen=True)
-class BohmIdentityReport:
-    primary_vs_divergence: float
-    primary_vs_hessian: float
-    divergence_vs_hessian: float
-
-
-def bohm_identity_check(rho: ScalarField, kappa: float) -> BohmIdentityReport:
-    """Pairwise L2 distances of the three force forms, normalized by kappa^2."""
+def bohm_identity_check(rho: ScalarField, kappa: float) -> float:
+    """L2 distance, over kappa^2, of the pointwise quantum force
+    2 kappa^2 rho grad(lap sqrt(rho) / sqrt(rho)) (``bohm_force_primary``)
+    from the one the scheme runs: the full-window momentum force
+    (``solver._momentum_force``) at ``kappa`` less that at kappa = 0, both
+    with zero velocity and zero B."""
     if kappa == 0.0:
-        return BohmIdentityReport(0.0, 0.0, 0.0)
-    f1 = bohm_force_primary(rho, kappa)
-    f2 = bohm_force_divergence_form(rho, kappa)
-    f3 = bohm_force_hessian_form(rho, kappa)
+        return 0.0
+    grid = rho.grid
+    primary = bohm_force_primary(rho, kappa)
+    rest = VelocityCoeffs(GalerkinBasis.lowest_modes(grid, 1), np.zeros(1))
+    zero_b = VectorField.zero(grid)
 
-    def dist(a: VectorField, b: VectorField) -> float:
-        return l2_norm(a - b) / kappa**2
+    def force(phys: PhysParams) -> list[np.ndarray]:
+        return _momentum_force(rho, rest, zero_b, phys, RegParams(), None)
 
-    return BohmIdentityReport(dist(f1, f2), dist(f1, f3), dist(f2, f3))
+    quantum = [a - b for a, b in zip(force(PhysParams(kappa=kappa)), force(PhysParams()))]
+    scheme = VectorField(grid, [ScalarField._adopt(grid, None, s) for s in quantum])
+    return l2_norm(primary - scheme) / kappa**2
 
 
 # --------------------------------------------------------------------------

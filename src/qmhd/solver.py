@@ -45,9 +45,12 @@ diagnostics measure against.
 Each right-hand side is summed on the grid before it is transformed: the
 momentum force as one body force and one stress tensor, transformed per
 component and per entry, the induction source in one dealiased transform per
-component.  The projection reads the force only on the basis's box, so those
-forward transforms, like the velocity gradient's inverses, are box transforms
-(:mod:`qmhd.fields`).  Each iteration forms the magnetic midpoint field and
+component.  ``_momentum_force`` is the one home of the momentum force, its
+quantum stress included, at a window: the residual reads it at the basis's
+box, so those forward transforms, like the velocity gradient's inverses, are
+box transforms (:mod:`qmhd.fields`), and the quantum-force check
+(:func:`qmhd.diagnostics.bohm_identity_check`) reads it at the full half
+spectrum.  Each iteration forms the magnetic midpoint field and
 the samples of its curl once: the residual reads them, and so does the next
 iteration's magnetic sweep, whose midpoint is the same field.
 ``_reference_diffusivity`` is the one rule for the constant part of
@@ -88,6 +91,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _backward,
+    _box_index,
     _cross,
     _curl_operands,
     _curl_spectra,
@@ -372,28 +376,27 @@ def _capillary_gradient(rho: ScalarField, s: int) -> Iterator[np.ndarray]:
         yield _backward(-1j * grid.kvec[a] * cap_spec, grid)
 
 
-def momentum_residual(
+def _momentum_force(
     rho: ScalarField,
     velocity: VelocityCoeffs,
     B: VectorField,
     phys: PhysParams,
     reg: RegParams,
+    box: tuple | None,
     *,
     curl_b: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Weak momentum right-hand side tested against every basis mode.
-
-    The force is ``G - div T + kappa^2 grad lap rho``.  The body force ``G``
-    collects the Lorentz force, the diffusion-correction term and high-order
-    capillarity in its transposed form; the stress ``T`` collects
-    convection, viscosity, pressure and the conservative quantum stress.
-    Each is summed on the grid and transformed once per component or entry,
-    by a box transform, since the projection reads only the basis's box:
-    every basis mode lies inside the 2/3 mask, so the projection reads
-    nothing a per-term dealiasing would change.  ``kappa^2 grad lap rho`` is
-    exact in k, and hyperviscosity is added exactly on the eigenbasis.
-    ``curl_b`` gives the samples of curl B when the caller has them.
-    """
+) -> list[np.ndarray]:
+    """The spectra of the momentum force ``G - div T + kappa^2 grad lap rho``
+    of each component, at the window ``box``: a box block, as
+    :func:`qmhd.fields._forward` returns it, or the full half spectrum for
+    ``None``.  The body force ``G`` collects the Lorentz force, the
+    diffusion-correction term and high-order capillarity in its transposed
+    form; the stress ``T`` collects convection, viscosity, pressure and the
+    conservative quantum stress.  Each is summed on the grid and transformed
+    once per component or entry at the window, with no dealiasing: the
+    projection reads only modes inside the 2/3 mask, where a per-term
+    dealiasing changes nothing.  ``kappa^2 grad lap rho`` is exact in k.
+    ``curl_b`` gives the samples of curl B when the caller has them."""
     grid = rho.grid
     basis = velocity.basis
     if rho.values.min() < reg.density_floor:
@@ -404,11 +407,11 @@ def momentum_residual(
     rvals = rho.values
     k = grid.kvec
     dim = grid.dim
-    box = basis.box
-    k_box = basis.box_kvec
+    window = (slice(None),) if box is None else _box_index(box)
+    k_win = [kj[window] for kj in k[:dim]]
 
     # velocity gradient d_j u_l for active j, from the velocity's box blocks
-    du = _gradient_samples(velocity.spectra, k_box, grid, box)
+    du = _gradient_samples(velocity.spectra, basis.box_kvec, grid, basis.box)
 
     # body force G_l, accumulated on the grid: the Lorentz force (curl B) x B,
     body = _cross(_curl_samples(B) if curl_b is None else curl_b, B.component_values())
@@ -442,7 +445,7 @@ def momentum_residual(
     if phys.kappa:
         w_spec = _forward(np.sqrt(rvals), grid)
         dw = [2.0 * phys.kappa * _backward(1j * k[j] * w_spec, grid) for j in range(dim)]
-        lap_r = -grid.k_squared[basis.box_index] * rho.spectrum[basis.box_index]
+        lap_r = -grid.k_squared[window] * rho.spectrum[window]
     for l in range(3):
         for j in range(dim):
             t = mom[j] * uvals[l]
@@ -451,11 +454,26 @@ def momentum_residual(
                 t += p_tot
             if phys.kappa and l < dim:
                 t += dw[j] * dw[l]
-            force[l] -= 1j * k_box[j] * _forward(t, grid, box)
+            force[l] -= 1j * k_win[j] * _forward(t, grid, box)
         if phys.kappa and l < dim:
-            force[l] += phys.kappa**2 * 1j * k_box[l] * lap_r
+            force[l] += phys.kappa**2 * 1j * k_win[l] * lap_r
+    return force
 
-    entries = basis.project_force_spectra(force)
+
+def momentum_residual(
+    rho: ScalarField,
+    velocity: VelocityCoeffs,
+    B: VectorField,
+    phys: PhysParams,
+    reg: RegParams,
+    *,
+    curl_b: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Weak momentum right-hand side tested against every basis mode: the
+    force :func:`_momentum_force` at the basis's box, projected, plus
+    hyperviscosity, exact on the eigenbasis."""
+    basis = velocity.basis
+    entries = basis.project_force_spectra(_momentum_force(rho, velocity, B, phys, reg, basis.box, curl_b=curl_b))
     if reg.eta:
         # hyperviscosity is exact on the eigenbasis: -eta |k|^4 lambda
         entries -= reg.eta * basis.eigen_k2**2 * velocity.values

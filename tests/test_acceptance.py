@@ -79,7 +79,7 @@ def test_criterion_2_bohm_identity_refinement():
     for n in (32, 64, 128):
         grid = TorusGrid((n,))
         rho = ScalarField(grid, 2.0 + np.cos(grid.mesh[0]))
-        dists[n] = bohm_identity_check(rho, kappa=1.0).primary_vs_divergence
+        dists[n] = bohm_identity_check(rho, kappa=1.0)
     spectral = dists[64] <= dists[32] / 50.0
     floor = dists[128] <= 1e-8 and dists[128] <= max(10.0 * dists[64], 1e-9)
     _report(

@@ -33,6 +33,20 @@ def test_mode_count_limit():
         enumerate_modes(grid, 10_000)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda b: enumerate_modes(b.grid, 0), "need at least one mode"),
+        (lambda b: VelocityCoeffs(b, np.zeros(b.n + 1)), "expected 15 coefficients"),
+        (lambda b: VelocityCoeffs(b, np.full(b.n, np.nan)), "velocity coefficients must be finite"),
+    ],
+    ids=["no_mode", "coefficient_count", "coefficients_nonfinite"],
+)
+def test_basis_inputs_rejected(basis, make, message):
+    with pytest.raises(ValueError, match=message):
+        make(basis)
+
+
 @pytest.mark.parametrize("shape, n1, n2", [((32, 32), 140, 160), ((16, 16, 16), 300, 400)])
 def test_mode_counts_are_prefix_nested(shape, n1, n2):
     # each count takes the lowest |k|^2 of the whole dealias box, so a

@@ -167,8 +167,9 @@ def test_usage_exit_code():
     assert main(["frobnicate"]) == 1
 
 
-def test_check_passes_on_default_config(tmp_path, capsys):
-    cfg = _write(tmp_path, "chk.cfg", "[grid]\npoints = 32\nmodes = 6\n")
+@pytest.mark.parametrize("points, modes", [(32, 6), (16, 3)])
+def test_check_passes_on_default_config(tmp_path, capsys, points, modes):
+    cfg = _write(tmp_path, "chk.cfg", f"[grid]\npoints = {points}\nmodes = {modes}\n")
     assert main(["check", cfg]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
@@ -432,6 +433,26 @@ def test_snapshot_initial_time_is_checked_before_any_output(tmp_path, capsys, t0
     assert err.startswith("usage error:") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("swapped", ["rho", "velocity", "magnetic"])
+def test_snapshots_of_the_wrong_kind_are_an_io_error(tmp_path, capsys, swapped):
+    # each of the three snapshots replaced by one of the other kind
+    from qmhd import TorusGrid
+    from qmhd.experiments import benchmark_fields
+    from qmhd.snapshots import write_snapshot
+
+    rho, u, b = benchmark_fields("density_bump", TorusGrid((32,)))
+    fields = {"rho": rho, "velocity": u, "magnetic": b, **{swapped: u if swapped == "rho" else rho}}
+    initial = "[initial]\n"
+    for name, field in fields.items():
+        write_snapshot(tmp_path / f"{name}.qmhd", field, 0.0)
+        initial += f"{name}_path = {tmp_path / name}.qmhd\n"
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "kinds.cfg", _run_cfg(out, 0.005, 0, 1) + initial)
+    assert main(["run", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err == "i/o error: initial data must be one scalar and two vector snapshots\n"
 
 
 # a valid manifest; each case below breaks one line of it (dt is on line 11)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qmhd.config import RunConfig, canonical_text, parse_config, parse_config_text
+from qmhd.config import RunConfig, canonical_text, parse_config, parse_config_text, parse_manifest_text
 from qmhd.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -54,6 +54,20 @@ def test_key_outside_section_rejected():
 def test_duplicate_key_rejected():
     with pytest.raises(ParseError):
         parse_config_text("[grid]\npoints = 32\npoints = 64\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (parse_config_text, "[grid]\npoints\n", ParseError, "line 2: expected 'key = value', got 'points'"),
+        (parse_manifest_text, "[sweep]\nparameter = kappa\nvalues = 0.1, 0.05, 0\n", ValidationError, "output: must be set"),
+        (parse_manifest_text, "[sweep]\nvalues = 0.1, 0.05, 0\noutput = out\n", ValidationError, "parameter: must be set"),
+    ],
+    ids=["no_equals_sign", "manifest_output", "manifest_parameter"],
+)
+def test_config_errors_name_what_is_wrong(parse, text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        parse(text)
 
 
 def test_gamma_constraint():

@@ -6,8 +6,6 @@ from scipy.integrate import quad
 
 from qmhd import DensityFloorViolation, NonpositiveDensity, PhysParams, ResistivityParams, TorusGrid
 from qmhd.constitutive import (
-    bohm_force_divergence_form,
-    bohm_force_hessian_form,
     bohm_force_primary,
     cold_enthalpy,
     cold_enthalpy_derivative,
@@ -19,6 +17,7 @@ from qmhd.constitutive import (
     magnetic_diffusivity,
     pressure,
 )
+from qmhd.diagnostics import bohm_identity_check
 from qmhd.fields import ScalarField, l2_norm
 
 RHO_GRID = np.geomspace(1e-3, 1e3, 61)
@@ -174,12 +173,33 @@ def test_phys_validation():
         PhysParams(c1=0.0)
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: ResistivityParams(d0=0.0), ValueError, "d0 must be positive"),
+        (lambda: ResistivityParams(threshold=0.0), ValueError, "threshold must be positive"),
+        (lambda: PhysParams(gamma_minus=0.5), ValueError, "gamma_minus must be at least 1"),
+        (
+            lambda: bohm_force_primary(ScalarField(TorusGrid((16,)), np.zeros(16)), 1.0),
+            NonpositiveDensity,
+            "density must be strictly positive",
+        ),
+    ],
+    ids=["resistivity_d0", "resistivity_threshold", "gamma_minus", "bohm_nonpositive"],
+)
+def test_constitutive_inputs_rejected(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_bohm_constant_density_is_zero():
+    # the pointwise force, and the scheme's quantum force through its
+    # distance from it
     grid = TorusGrid((32,))
     rho = ScalarField(grid, np.full(grid.shape, 2.0))
-    for form in (bohm_force_primary, bohm_force_divergence_form, bohm_force_hessian_form):
-        f = form(rho, 1.0)
-        assert all(l2_norm(c) <= 1e-10 for c in f.components)
+    f = bohm_force_primary(rho, 1.0)
+    assert all(l2_norm(c) <= 1e-10 for c in f.components)
+    assert bohm_identity_check(rho, 1.0) <= 1e-10
 
 
 def test_bohm_zero_kappa_is_zero():
@@ -190,23 +210,24 @@ def test_bohm_zero_kappa_is_zero():
     assert all(l2_norm(c) == 0.0 for c in f.components)
 
 
-def _form_distance(n):
-    grid = TorusGrid((n,))
-    x = grid.mesh[0]
-    rho = ScalarField(grid, 2.0 + np.cos(x))
-    a = bohm_force_primary(rho, 1.0)
-    b = bohm_force_divergence_form(rho, 1.0)
-    return np.sqrt(sum(l2_norm(p - q) ** 2 for p, q in zip(a.components, b.components)))
+def _bumps(shape):
+    """2 + 0.5 cos x + 0.3 sin y (+ 0.2 cos z) on the grid of ``shape``."""
+    grid = TorusGrid(shape)
+    bumps = zip((0.5, 0.3, 0.2), (np.cos, np.sin, np.cos), grid.mesh)
+    return ScalarField(grid, 2.0 + sum(a * f(x) for a, f, x in bumps))
 
 
 def test_bohm_forms_converge_spectrally():
-    d32, d64 = _form_distance(32), _form_distance(64)
-    assert d64 <= d32 / 50.0
-    assert d64 <= 1e-8
+    # the pointwise force against the scheme's quantum stress, 16 -> 32
+    # points per axis; criterion 2 refines 2 + cos x from 32 to 128 points
+    for dim in (1, 2, 3):
+        coarse, fine = (bohm_identity_check(_bumps((n,) * dim), 1.0) for n in (16, 32))
+        assert fine <= coarse / 1e4, dim
+        assert fine <= 1e-9, dim
 
 
 def test_bohm_floor_violation():
     grid = TorusGrid((32,))
     rho = ScalarField(grid, np.full(grid.shape, 1e-9))
     with pytest.raises(DensityFloorViolation):
-        bohm_force_primary(rho, 1.0, floor=1e-8)
+        bohm_force_primary(rho, 1.0)

@@ -167,6 +167,12 @@ def test_capillarity_integral_matches_its_own_discretization(shape, n_modes):
         assert abs(got - ref) <= 1e-12 * abs(ref), (s_order, got, ref)
 
 
+@pytest.mark.parametrize("values", [(6, 6, 9), (12, 9, 6)], ids=["repeated", "decreasing"])
+def test_mode_count_ladder_rejected(values):
+    with pytest.raises(ValueError, match="mode-count ladders must be strictly increasing"):
+        SweepSpec("n", values, "density_bump", 1, 32, 0.01)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("kappa", (0.1, 0.05), "density_bump", 1, 32, 0.01)

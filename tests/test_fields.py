@@ -90,6 +90,31 @@ def test_field_rejects_nonfinite():
         ScalarField(grid, vals)
 
 
+def _nan_spectrum(grid):
+    spec = np.zeros(grid.spectral_shape, dtype=complex)
+    spec[1] = np.nan
+    return spec
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda g: ScalarField(g, np.zeros(5)), "values shape"),
+        (lambda g: ScalarField.from_spectrum(g, _nan_spectrum(g)), "spectral coefficients must be finite"),
+        (lambda g: VectorField(g, [ScalarField(g, np.zeros(g.shape))] * 2), "exactly 3 components"),
+        (
+            lambda g: VectorField(g, [ScalarField(g, np.zeros(g.shape))] * 2 + [ScalarField(TorusGrid((16,)), np.zeros(16))]),
+            "all components must share one grid",
+        ),
+        (lambda g: spectral_resample(ScalarField(g, np.zeros(g.shape)), TorusGrid((8, 8))), "cannot change the dimension"),
+    ],
+    ids=["scalar_shape", "spectrum_nonfinite", "vector_components", "vector_grids", "resample_dimension"],
+)
+def test_field_inputs_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make(TorusGrid((8,)))
+
+
 def test_gradient_sine(grid1d):
     x = grid1d.mesh[0]
     g = gradient(ScalarField(grid1d, np.sin(x)))

@@ -41,6 +41,7 @@ from qmhd.solver import (
     _heat_factor,
     _heat_factors,
     _magnetic_midpoint,
+    _momentum_force,
     _start_order,
     cfl_report,
     momentum_residual,
@@ -78,6 +79,23 @@ def test_density_constant_unchanged(grid1d):
     rho = ScalarField(grid1d, np.full(grid1d.shape, 3.0))
     new = solve_density_step(rho, VectorField.zero(grid1d), 0.2, 0.05)
     assert np.max(np.abs(new.values - 3.0)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"s": 0}, "capillarity order s must be a positive integer"),
+        ({"s": 1.5}, "capillarity order s must be a positive integer"),
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"picard_tol": 0.0}, "invalid fixed-point controls"),
+        ({"picard_max_iters": 0}, "invalid fixed-point controls"),
+        ({"density_floor": 0.0}, "density floor must be positive"),
+    ],
+    ids=["s_zero", "s_fractional", "dt", "picard_tol", "picard_max_iters", "density_floor"],
+)
+def test_reg_params_reject_bad_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RegParams(**kwargs)
 
 
 def test_density_mass_conserved_per_step(grid1d, rng):
@@ -493,6 +511,47 @@ def test_momentum_residual_matches_per_term_transforms(shape, n_modes, rng):
     entries = momentum_residual(rho, vel, b, phys, reg)
     ref = _per_term_residual(rho, vel, b, phys, reg)
     assert np.max(np.abs(entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape, n_modes", [((128,), 9), ((64, 64), 120), ((32, 32, 32), 27)])
+def test_full_window_force_read_at_the_box_is_the_box_force(shape, n_modes):
+    # every branch of the force runs; the box kernel keeps the full
+    # transform's entries bit for bit, and so does the residual built on it
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4)
+    phys = PhysParams(kappa=0.1)
+    state = benchmark_state("random_smooth", grid, basis, reg)
+    args = (state.rho, state.velocity, state.magnetic, phys, reg)
+    full = [f[basis.box_index] for f in _momentum_force(*args, None)]
+    for a, b in zip(full, _momentum_force(*args, basis.box)):
+        assert np.array_equal(a, b)
+    hyper = reg.eta * basis.eigen_k2**2 * state.velocity.values
+    assert np.array_equal(momentum_residual(*args), basis.project_force_spectra(full) - hyper)
+
+
+def _mean_momentum(state):
+    return np.array([np.mean(state.rho.values * c) for c in state.u.component_values()])
+
+
+@pytest.mark.parametrize("shape, n_modes", [((128,), 9), ((32, 32), 60), ((16, 16, 16), 81)])
+def test_momentum_is_conserved_per_step(shape, n_modes):
+    # with epsilon = delta = 0 every force term is a divergence, and
+    # hyperviscosity is zero on the constant modes, so each step keeps
+    # mean(rho u) to roundoff; the diffusion correction and capillarity,
+    # which are not divergences, move it by 1e-9 and more per step
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    drift = {}
+    for eps, delta in ((0.0, 0.0), (1e-2, 1e-4)):
+        reg = RegParams(epsilon=eps, eta=1e-3, delta=delta, dt=1e-3)
+        means = []
+        state = benchmark_state("random_smooth", grid, basis, reg)
+        run_simulation(state, PhysParams(kappa=0.1), reg, 20e-3, on_step=lambda step, s, info: means.append(_mean_momentum(s)))
+        assert len(means) == 21
+        drift[eps] = np.max(np.abs(np.diff(means, axis=0)))
+    assert drift[0.0] <= 1e-16
+    assert drift[1e-2] >= 1e-10
 
 
 # --------------------------------------------------------------------------
