@@ -280,10 +280,17 @@ class VelocityCoeffs:
         """The velocity's box blocks (:meth:`GalerkinBasis.box_spectra`)."""
         return self.basis.box_spectra(self.values)
 
+    def reconstruct(self) -> VectorField:
+        """The velocity's samples: its cached :attr:`spectra`, box-inverted.
+        Not cached, so a caller that reads them once frees them with the
+        field."""
+        return self.basis.reconstruct(self.values, self.spectra)
+
     @cached_property
     def field(self) -> VectorField:
-        """The velocity's samples: its cached :attr:`spectra`, box-inverted."""
-        return self.basis.reconstruct(self.values, self.spectra)
+        """:meth:`reconstruct`, cached: the solver's midpoint velocity, which
+        every sweep of an iteration reads."""
+        return self.reconstruct()
 
 
 class MassOperator:

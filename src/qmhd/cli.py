@@ -59,7 +59,8 @@ def cmd_run(args) -> int:
     atomic_write(os.path.join(out, "config_echo.cfg"), canonical_text(config).encode())
 
     def write_snapshots(s, stamp: str) -> None:
-        for name, field in (("rho", s.rho), ("velocity", s.u), ("magnetic", s.magnetic)):
+        # velocity samples formed for the file and freed with it, not cached on the state
+        for name, field in (("rho", s.rho), ("velocity", s.velocity.reconstruct()), ("magnetic", s.magnetic)):
             write_snapshot(os.path.join(out, f"{name}_{stamp}.qmhd"), field, s.time)
 
     print(f"qmhd {__version__}: advancing to t={config.t_end} (dt={config.reg.dt})")

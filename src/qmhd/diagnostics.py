@@ -28,9 +28,10 @@ the second-order stepper they shrink at second order in the step size.
 
 Each field is derived once and each physical term is written in one place.
 The fields of a state that several reports read live in one
-``DerivedFields`` record, derived on first read; the reports take it as
-their optional ``fields`` argument, and a CSV row builds one record for its
-energy, dissipation and monitor reports.  The BD report reuses the
+``DerivedFields`` record, derived on first read and never cached on the
+state; the reports take it as their optional ``fields`` argument, and a CSV
+row builds one record for its energy, dissipation and monitor reports, which
+read the velocity gradient only through |D(u)|^2.  The BD report reuses the
 dissipation terms and the state's energy report, with only the kinetic term
 taken at the shifted velocity u + grad(2 log rho).  The weak form forms
 each interval's integrands once, at the midpoint fields, grouped by the
@@ -137,12 +138,30 @@ def _pair(a, b, grid) -> float:
 # the fields the reports share
 
 
+def _gradient_part_sq(du: list[list[np.ndarray]], dim: int, symmetric: bool) -> np.ndarray:
+    """Pointwise |D(u)|^2 (``symmetric``) or |A(u)|^2 of the symmetric or
+    antisymmetric part of the full 3x3 velocity gradient, given its active
+    rows ``du[j][l]`` = d_j u_l."""
+    total = np.zeros(du[0][0].shape)
+    for j in range(3):
+        for l in range(3):
+            if j >= dim and l >= dim:
+                continue  # both entries vanish
+            a = du[j][l] if j < dim else 0.0
+            b = du[l][j] if l < dim else 0.0
+            total += (0.5 * (a + b if symmetric else a - b)) ** 2
+    return total
+
+
 @dataclass
 class DerivedFields:
     """The fields of one state that more than one report reads: the
-    floor-checked density samples, the velocity samples, sqrt(rho) and the
-    velocity gradient with its strain and spin squares.  Each is derived on
-    its first read, so at most once and only when a report reads it.
+    velocity samples ``u`` and, each derived on its first read, so at most
+    once and only when a report reads it, the floor-checked density
+    samples, sqrt(rho), the strain square |D(u)|^2 and, for the BD report,
+    the velocity gradient.  The record alone holds them, nothing is cached
+    on the state, and a CSV row keeps |D(u)|^2 but not the gradient, so a
+    row's fields are freed with its record.
 
     Every per-state report takes the record as ``fields`` and then reads the
     state only through it, so callers holding bare fields pass no state.
@@ -159,7 +178,9 @@ class DerivedFields:
 
     @classmethod
     def of(cls, state: State, reg: RegParams) -> "DerivedFields":
-        return cls(state.rho, state.u, state.magnetic, reg.density_floor, state.velocity)
+        """The record of ``state``, holding velocity samples of its own
+        (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`)."""
+        return cls(state.rho, state.velocity.reconstruct(), state.magnetic, reg.density_floor, state.velocity)
 
     @cached_property
     def rho_values(self) -> np.ndarray:
@@ -183,26 +204,23 @@ class DerivedFields:
             return [c.spectrum for c in self.u.components], grid.kvec, grid.k_squared, None
         return v.spectra, v.basis.box_kvec, grid.k_squared[v.basis.box_index], v.basis.box
 
-    @cached_property
-    def velocity_gradient(self) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-        """The velocity gradient d_j u_l (active j rows, all three components
-        l as columns) and, pointwise, |D(u)|^2 and |A(u)|^2 of its symmetric
-        and antisymmetric parts (full 3x3 tensor)."""
-        grid = self.u.grid
-        dim = grid.dim
+    def _derive_gradient(self) -> list[list[np.ndarray]]:
         spectra, k, _, box = self.velocity_spectra
-        du = _gradient_samples(spectra, k, grid, box)
-        strain = np.zeros(grid.shape)
-        spin = np.zeros(grid.shape)
-        for j in range(3):
-            for l in range(3):
-                if j >= dim and l >= dim:
-                    continue  # both entries vanish
-                a = du[j][l] if j < dim else 0.0
-                b = du[l][j] if l < dim else 0.0
-                strain += (0.5 * (a + b)) ** 2
-                spin += (0.5 * (a - b)) ** 2
-        return du, strain, spin
+        return _gradient_samples(spectra, k, self.u.grid, box)
+
+    @cached_property
+    def velocity_gradient(self) -> list[list[np.ndarray]]:
+        """The velocity gradient d_j u_l (active j rows, all three components
+        l as columns), which only the BD report reads whole."""
+        return self._derive_gradient()
+
+    @cached_property
+    def strain_sq(self) -> np.ndarray:
+        """|D(u)|^2 pointwise (``_gradient_part_sq``), from the gradient the
+        record holds if a report has derived it, else from one freed on
+        return: a CSV row holds this square, not the 3x3 tensor."""
+        du = self.__dict__.get("velocity_gradient") or self._derive_gradient()
+        return _gradient_part_sq(du, self.u.grid.dim, symmetric=True)
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +299,7 @@ def _dissipation(
     H^(2s+2) seminorm of rho."""
     grid = f.rho.grid
     rvals = f.rho_values
-    _, strain_sq, _ = f.velocity_gradient
+    strain_sq = f.strain_sq
     drho = [derivative(f.rho, j).values for j in range(grid.dim)]
     hess_enthalpy = enthalpy_second(rvals, phys) + cold_enthalpy_second(rvals, phys)
     pressure_gradient = _integral(hess_enthalpy * sum(d**2 for d in drho), grid)
@@ -408,11 +426,13 @@ def bd_entropy_report(
 ) -> BDEntropyReport:
     f = fields or DerivedFields.of(state, reg)
     grid = f.rho.grid
+    # derived before the dissipation terms, whose strain square reads it
+    du = f.velocity_gradient
     diss, shared = _dissipation(f, phys, reg)
     drho, curl_b, lap_u, logr, pressure_gradient, quantum_hessian, capillary_sq = shared
     rvals = f.rho_values
     uvals = f.u_values
-    du, _, spin_sq = f.velocity_gradient
+    spin_sq = _gradient_part_sq(du, grid.dim, symmetric=False)
     eps, eta, delta, kappa = reg.epsilon, reg.eta, reg.delta, phys.kappa
 
     # phi = 2 log rho; doubling is exact, so its spectrum is twice that of log rho
@@ -749,7 +769,7 @@ def norm_monitor(
     rg = ScalarField._adopt(grid, rvals ** (phys.gamma / 2.0))
     grad_w = sobolev_seminorm(w, 1)
     h2 = np.sqrt(l2_norm(w) ** 2 + grad_w**2 + sobolev_seminorm(w, 2) ** 2)
-    _, strain_sq, _ = f.velocity_gradient
+    strain_sq = f.strain_sq
     return {
         "rho_Lgamma": lp_norm(f.rho, phys.gamma),
         "inv_rho_Lgamma_minus": lp_norm(ScalarField._adopt(grid, 1.0 / rvals), phys.gamma_minus),

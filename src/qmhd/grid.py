@@ -55,9 +55,11 @@ class TorusGrid:
         """Coordinate values along each axis."""
         return tuple(np.arange(n) * (TAU / n) for n in self.shape)
 
-    @cached_property
+    @property
     def mesh(self) -> tuple[np.ndarray, ...]:
-        """Broadcast coordinate arrays, one per active axis."""
+        """Broadcast coordinate arrays, one per active axis.  Formed on each
+        read and not cached: only initial data and test batteries read
+        them, and a run need not hold them."""
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     @cached_property

@@ -50,9 +50,13 @@ quantum stress included, at a window: the residual reads it at the basis's
 box, so those forward transforms, like the velocity gradient's inverses, are
 box transforms (:mod:`qmhd.fields`), and the quantum-force check
 (:func:`qmhd.diagnostics.bohm_identity_check`) reads it at the full half
-spectrum.  Each iteration forms the magnetic midpoint field and
-the samples of its curl once: the residual reads them, and so does the next
-iteration's magnetic sweep, whose midpoint is the same field.
+spectrum.  Each iteration forms the samples of the magnetic midpoint field
+and of its curl once, the midpoint's spectra only for the curl: the residual
+reads them, and so does the next iteration's magnetic sweep, whose midpoint
+is the same field.  The magnetic sweep frees its source and curl spectra,
+and the force its capillary and sqrt(rho) spectra, once they are read, and
+only the iteration's midpoint velocity, which every sweep reads, caches its
+samples; a state does not.
 ``_reference_diffusivity`` is the one rule for the constant part of
 ``nu_b`` that the magnetic sweep integrates exactly, leaving the rest
 explicit, and ``cfl_report`` reads the same rule.  ``_capillary_gradient``
@@ -65,7 +69,7 @@ to the initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -295,18 +299,26 @@ def corridor_margin(rho_old: ScalarField, rho_new: ScalarField, sup: float, dt: 
     return float(max(below, above, 0.0))
 
 
-def _curl_samples(B: VectorField) -> list[np.ndarray]:
-    """Grid samples of curl B, one inverse transform per component that has
-    an active-axis term; the one without (the first in 1D) is zero samples."""
-    grid = B.grid
-    spectra = _curl_spectra([c.spectrum for c in B.components], grid)
-    return [np.zeros(grid.shape) if c is None else _backward(c, grid) for c in spectra]
+def _curl_samples(curl: Sequence[np.ndarray | None], grid: TorusGrid) -> list[np.ndarray]:
+    """Grid samples of the curl spectra ``curl``, as ``fields._curl_spectra``
+    forms them, one inverse transform each; the one that is None (the first
+    in 1D) is zero samples."""
+    return [np.zeros(grid.shape) if c is None else _backward(c, grid) for c in curl]
 
 
 def _magnetic_midpoint(b_old: VectorField, b_new: VectorField) -> tuple[VectorField, list[np.ndarray]]:
-    """The midpoint field of two levels and the samples of its curl."""
-    mid = VectorField(b_old.grid, [_midpoint(o, n) for o, n in zip(b_old.components, b_new.components)])
-    return mid, _curl_samples(mid)
+    """The midpoint field of two levels, as samples, and the samples of its
+    curl.  Its spectra are formed only to take the curl and are freed
+    before the curl is inverted: every reader of the midpoint reads its
+    samples."""
+    grid = b_old.grid
+    spectra = [None] * 3
+    for l in _curl_operands(grid.dim):
+        spectra[l] = 0.5 * (b_old.components[l].spectrum + b_new.components[l].spectrum)
+    curl = _curl_spectra(spectra, grid)
+    del spectra
+    mid = [0.5 * (o.values + n.values) for o, n in zip(b_old.components, b_new.components)]
+    return VectorField(grid, [ScalarField._adopt(grid, v) for v in mid]), _curl_samples(curl, grid)
 
 
 def _reference_diffusivity(nu: np.ndarray) -> float:
@@ -317,10 +329,12 @@ def _reference_diffusivity(nu: np.ndarray) -> float:
 
 def _magnetic_diffusion(rho: ScalarField, phys: PhysParams, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a magnetic sweep reads of its density: the remainder nu_b -
-    nu_bar and the heat factors of nu_bar over dt and dt/2."""
+    nu_bar, the heat factor of nu_bar over dt and ``dt`` times that over
+    dt/2, the factor of the source."""
     nu = magnetic_diffusivity(rho.values, phys)
     nu_bar = _reference_diffusivity(nu)
-    return (nu - nu_bar, *_heat_factors(rho.grid, nu_bar, dt))
+    full, half = _heat_factors(rho.grid, nu_bar, dt)
+    return nu - nu_bar, full, dt * half
 
 
 def solve_magnetic_step(
@@ -341,16 +355,17 @@ def solve_magnetic_step(
     map's fixed point.  ``mid`` is that midpoint with its curl samples, as
     ``_magnetic_midpoint`` makes them; it defaults to ``B_old``'s own.
     ``diffusion`` is ``_magnetic_diffusion`` of ``rho``, for a caller that
-    sweeps more than once at one density."""
+    sweeps more than once at one density.  Each grid-sized temporary (the
+    electromotive field, the dealiased source, the curl spectra) is freed
+    once it has been read, before the divergence-free projection."""
     grid = B_old.grid
     if rho.values.min() < density_floor:
         raise DensityFloorViolation("magnetic solve: density below the floor")
-    nu_fluct, full, half = _magnetic_diffusion(rho, phys, dt) if diffusion is None else diffusion
+    nu_fluct, full, dt_half = _magnetic_diffusion(rho, phys, dt) if diffusion is None else diffusion
 
     if mid is None:
         mid = _magnetic_midpoint(B_old, B_old)
     b_mid, curl_mid = mid
-    spec_old = [c.spectrum for c in B_old.components]
 
     # electromotive field u x B minus the variable-coefficient part of the
     # resistive term, nu' curl B, at the midpoint; the 2/3 mask is linear, so
@@ -360,8 +375,15 @@ def solve_magnetic_step(
     rhs = [None] * 3
     for l in _curl_operands(grid.dim):
         rhs[l] = _dealiased_forward(emf[l] - nu_fluct * curl_mid[l], grid)
+        emf[l] = None
+    del emf
     curl_rhs = _curl_spectra(rhs, grid)
-    spec_new = [full * so if cr is None else full * so + dt * half * cr for so, cr in zip(spec_old, curl_rhs)]
+    del rhs
+    spec_new = []
+    for axis, c in enumerate(B_old.components):
+        cr, curl_rhs[axis] = curl_rhs[axis], None
+        spec_new.append(full * c.spectrum if cr is None else full * c.spectrum + dt_half * cr)
+    del cr
     return project_divergence_free(VectorField(grid, [ScalarField._adopt(grid, None, s) for s in spec_new]))
 
 
@@ -414,19 +436,25 @@ def _momentum_force(
     du = _gradient_samples(velocity.spectra, basis.box_kvec, grid, basis.box)
 
     # body force G_l, accumulated on the grid: the Lorentz force (curl B) x B,
-    body = _cross(_curl_samples(B) if curl_b is None else curl_b, B.component_values())
+    if curl_b is None:
+        curl_b = _curl_samples(_curl_spectra([c.spectrum for c in B.components], grid), grid)
+    body = _cross(curl_b, B.component_values())
+    del curl_b
     # minus epsilon (grad rho . grad) u_l,
     if reg.epsilon:
         for j in range(dim):
             dr = reg.epsilon * _backward(1j * k[j] * rho.spectrum, grid)
             for l in range(3):
                 body[l] -= dr * du[j][l]
+        del dr
     # minus delta rho g_a, capillarity in transposed weak form; each axis's
-    # samples are freed before the next axis's are formed
+    # samples are freed before the next axis's are formed, and the
+    # capillary spectrum with the generator once the last axis is done
     if reg.delta:
         cap = _capillary_gradient(rho, reg.s)
         for a in range(dim):
             body[a] -= reg.delta * rvals * next(cap)
+        cap.close()
     force = [_forward(g, grid, box) for g in body]
     del body
     # the strain d_j u_l + d_l u_j of two active axes, formed in place once
@@ -445,6 +473,7 @@ def _momentum_force(
     if phys.kappa:
         w_spec = _forward(np.sqrt(rvals), grid)
         dw = [2.0 * phys.kappa * _backward(1j * k[j] * w_spec, grid) for j in range(dim)]
+        del w_spec
         lap_r = -grid.k_squared[window] * rho.spectrum[window]
     for l in range(3):
         for j in range(dim):
@@ -793,7 +822,9 @@ def _div_b_bound(b: VectorField) -> float:
 def _start_level(state: State) -> State:
     """``state`` as a later step's start reads it, as one of the levels in
     ``history``: lambda, rho's samples and B's spectra.  B's samples, rho's
-    spectrum and the velocity's cached blocks and samples are not kept."""
+    spectrum and the velocity's cached blocks and samples are not kept, and
+    ``run_simulation`` drops B (``magnetic=None``) once the level is past
+    the first ``_START_ORDER``, which are all ``_magnetic_start`` reads."""
     grid = state.rho.grid
     return State(
         state.time,
@@ -826,11 +857,15 @@ def run_simulation(
         on_step(0, state, None)
 
     # the levels before ``state`` that a start reads, at most five, so
-    # memory stays bounded in run length, each as ``_start_level`` keeps it
+    # memory stays bounded in run length, each as ``_start_level`` keeps it;
+    # B's spectra only on the first ``_START_ORDER``, the levels
+    # ``_magnetic_start`` reads, and dropped as a level moves past them
     history: list[State] = []
     for step in range(1, nsteps + 1):
         new, info = advance_step(state, phys, reg, history=history)
         history = [_start_level(state), *history][:_MAX_START_ORDER]
+        if len(history) > _START_ORDER:
+            history[_START_ORDER] = replace(history[_START_ORDER], magnetic=None)
         state = new
         traj.picard_iters += info.picard_iters
         traj.full_sweeps += info.full_sweeps
@@ -854,7 +889,8 @@ def cfl_report(state: State, phys: PhysParams, reg: RegParams) -> dict[str, floa
     """Advisory stability numbers for the configured step (no adaptivity)."""
     grid = state.rho.grid
     dx = min(grid.spacing)
-    umax = max(float(np.max(np.abs(c))) for c in state.u.component_values())
+    # samples freed on return, not cached on the state
+    umax = max(float(np.max(np.abs(c))) for c in state.velocity.reconstruct().component_values())
     kmax2 = grid.k_squared_max
     kb = float(np.sqrt(np.max(state.basis.eigen_k2))) if state.basis.n else 0.0
     nu = magnetic_diffusivity(state.rho.values, phys)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -78,6 +79,24 @@ def count_transforms(monkeypatch) -> Counter:
             if getattr(module, "__name__", "").split(".")[0] == "qmhd" and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def transient_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak, in bytes, of the memory it
+    allocated above what was live when it started, as ``tracemalloc`` traces
+    it: the working set of the call, whatever it returns or frees."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - live
 
 
 def transform_counts(backward_full=0, forward_full=0, backward_box=0, forward_box=0) -> Counter:

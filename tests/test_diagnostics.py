@@ -55,7 +55,7 @@ from qmhd.fields import (
 from qmhd.experiments import benchmark_state
 from qmhd.solver import Trajectory
 
-from conftest import band_limited_vector, count_transforms, transform_counts
+from conftest import band_limited_vector, count_transforms, transform_counts, transient_peak
 
 
 def smooth_state_fields(grid, rng, rho_amp=0.25):
@@ -576,22 +576,23 @@ def test_rows_reach_the_file_as_they_are_written(tmp_path):
 
 
 # (grid shape, velocity modes) -> transforms of one CSV row: the monitor,
-# energy and dissipation reports share sqrt(rho) and the velocity gradient,
-# whose 3d inverses, and the 3 of lap u, run on the basis's box; in 1D the
-# first component of curl B is zero by construction and takes no inverse
+# energy and dissipation reports share the velocity samples, sqrt(rho) and
+# the velocity gradient, whose 3 + 3d inverses, and the 3 of lap u, run on
+# the basis's box; in 1D the first component of curl B is zero by
+# construction and takes no inverse
 ROW_TRANSFORMS = {
-    ((128,), 9): transform_counts(backward_full=6, forward_full=4, backward_box=6),
-    ((64, 64), 120): transform_counts(backward_full=12, forward_full=4, backward_box=9),
-    ((32, 32, 32), 27): transform_counts(backward_full=18, forward_full=4, backward_box=12),
+    ((128,), 9): transform_counts(backward_full=6, forward_full=4, backward_box=9),
+    ((64, 64), 120): transform_counts(backward_full=12, forward_full=4, backward_box=12),
+    ((32, 32, 32), 27): transform_counts(backward_full=18, forward_full=4, backward_box=15),
 }
 
 
 def _row_state(shape, n_modes, reg):
-    """A seed-0 random_smooth state with its velocity, the spectrum of rho
-    and the samples of B already derived, as after a solver step."""
+    """A seed-0 random_smooth state with the spectrum of rho and the samples
+    of B already derived and no velocity samples, as after a solver step
+    and its run's checks."""
     grid = TorusGrid(shape)
     state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, n_modes), reg)
-    state.u.component_values()
     state.rho.spectrum
     state.magnetic.component_values()
     return state
@@ -606,6 +607,28 @@ def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_mode
     with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
         writer.write_row(state)
     assert counts == ROW_TRANSFORMS[(shape, n_modes)]
+
+
+# the working set of one CSV row of a 16^3, 27-mode density_bump state after
+# two steps at the benchmark physics, in grid arrays (tracemalloc's peak
+# above what was live at the call): 34.5 when the row cached the velocity
+# samples on the state and held the whole velocity gradient, 24.4 when its
+# record holds them and keeps only |D u|^2
+ROW_ARRAYS = 29
+
+
+def test_a_row_holds_only_what_its_next_reader_needs(tmp_path):
+    from qmhd.solver import run_simulation
+
+    grid = TorusGrid((16, 16, 16))
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
+    state = benchmark_state("density_bump", grid, GalerkinBasis.lowest_modes(grid, 27), reg)
+    state = run_simulation(state, phys, reg, 2 * reg.dt, sample_every=2).final_state
+    with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
+        _, peak = transient_peak(writer.write_row, state)
+    assert peak <= ROW_ARRAYS * grid.num_points * 8
+    assert state.velocity.__dict__.get("field") is None
 
 
 @pytest.mark.parametrize("shape, n_modes", [((128,), 9), ((32, 32), 60), ((16, 16, 16), 27)])

@@ -56,6 +56,7 @@ from conftest import (
     mode_profile,
     run_with_infos,
     transform_counts,
+    transient_peak,
 )
 
 
@@ -1223,6 +1224,58 @@ def test_a_run_keeps_the_velocity_as_samples_and_box_blocks():
         assert all(c._spectrum is None for c in level.u.components)
         block = np.stack([_forward(c.values, grid, basis.box) for c in level.u.components])
         assert np.max(np.abs(level.velocity.spectra - block)) <= 1e-13 * np.max(np.abs(block))
+
+
+def test_history_keeps_b_only_on_the_levels_a_start_reads(monkeypatch):
+    # B's start reads the first three levels before the current one, lambda
+    # and rho's up to five: after six steps three of the five levels hold B,
+    # and the run is bitwise the one whose levels are whole states
+    import qmhd.solver as solver
+
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    start = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    state, history = start, []
+    for _ in range(6):
+        new, _ = advance_step(state, phys, reg, history=history)
+        history = [state, *history][:5]
+        state = new
+
+    advance, with_b = solver.advance_step, []
+
+    def recorded(state, phys, reg, *, history):
+        with_b.append([level.magnetic is not None for level in history])
+        return advance(state, phys, reg, history=history)
+
+    monkeypatch.setattr(solver, "advance_step", recorded)
+    final = run_simulation(start, phys, reg, 6 * reg.dt, sample_every=6).final_state
+    assert with_b == [[True] * min(i, 3) + [False] * max(i - 3, 0) for i in range(6)]
+    assert np.array_equal(final.velocity.values, state.velocity.values)
+    assert np.array_equal(final.rho.values, state.rho.values)
+    for a, b in zip(final.magnetic.components, state.magnetic.components):
+        assert np.array_equal(a.spectrum, b.spectrum)
+
+
+# the working set of the second step of a 16^3, 27-mode density_bump run at
+# the benchmark physics, in grid arrays (tracemalloc's peak above what was
+# live at the call): 44.3 when each iteration held the magnetic midpoint's
+# spectra, the sweep's source and curl spectra until its projection, and the
+# force its capillary spectrum and last diffusion-correction term through
+# the body force and its sqrt(rho) spectrum through the stress loop; 39.6
+# when each is freed after its last reader
+STEP_ARRAYS = 42
+
+
+def test_a_3d_step_holds_only_what_its_next_reader_needs():
+    grid = TorusGrid((16, 16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 27)
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg, seed=0)
+    first, _ = advance_step(state, phys, reg)
+    (_, info), peak = transient_peak(advance_step, first, phys, reg, history=[state])
+    assert info.picard_iters > info.full_sweeps
+    assert peak <= STEP_ARRAYS * grid.num_points * 8
 
 
 def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
