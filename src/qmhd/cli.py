@@ -186,7 +186,7 @@ def cmd_check(args) -> int:
     err = _div_norm(state.magnetic)
     ok &= _print_check("initial B solenoidal", err <= _div_b_bound(state.magnetic), f"L2 div {err:.2e}")
     lam = state.velocity.values
-    err = float(np.linalg.norm(basis.project(state.u) - lam) / max(np.linalg.norm(lam), 1e-300))
+    err = float(np.linalg.norm(basis.project(state.velocity.reconstruct()) - lam) / max(np.linalg.norm(lam), 1e-300))
     ok &= _print_check("initial velocity in the span", err <= 1e-12, f"rel err {err:.2e}")
 
     return 0 if ok else 3

@@ -29,11 +29,16 @@ the second-order stepper they shrink at second order in the step size.
 Each field is derived once and each physical term is written in one place.
 The fields of a state that several reports read live in one
 ``DerivedFields`` record, derived on first read and never cached on the
-state; the reports take it as their optional ``fields`` argument, and a CSV
-row builds one record for its energy, dissipation and monitor reports, which
-read the velocity gradient only through |D(u)|^2.  The BD report reuses the
-dissipation terms and the state's energy report, with only the kinetic term
-taken at the shifted velocity u + grad(2 log rho).  The weak form forms
+state: the record reads the state through a view of its own
+(:func:`qmhd.solver._view`), so B's samples, which a sampled state holds as
+spectra only, and rho's spectrum, when derived, live on the record and are
+freed with it.  The reports take it as their optional ``fields`` argument,
+and a CSV row builds one record for its energy, dissipation and monitor
+reports, which read the velocity gradient only through |D(u)|^2.  The BD
+report reuses the dissipation terms and the state's energy report, with
+only the kinetic term taken at the shifted velocity u + grad(2 log rho).
+The weak form derives each state's samples once per pass, through a view
+of its own, and carries them from one interval into the next.  It forms
 each interval's integrands once, at the midpoint fields, grouped by the
 derivative of the test field each meets (grad phi, div phi, lap phi,
 grad div phi, phi, curl phi), and pairs column c of each group with each
@@ -81,7 +86,7 @@ from .fields import (
     lp_norm,
     sobolev_seminorm,
 )
-from .solver import RegParams, State, Trajectory, _div_norm, _momentum_force
+from .solver import RegParams, State, Trajectory, _div_norm, _momentum_force, _view
 
 
 # --------------------------------------------------------------------------
@@ -178,9 +183,13 @@ class DerivedFields:
 
     @classmethod
     def of(cls, state: State, reg: RegParams) -> "DerivedFields":
-        """The record of ``state``, holding velocity samples of its own
-        (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`)."""
-        return cls(state.rho, state.velocity.reconstruct(), state.magnetic, reg.density_floor, state.velocity)
+        """The record of ``state``, read through a view of its own
+        (:func:`qmhd.solver._view`): rho and B share the state's arrays, and
+        the record holds its own velocity samples
+        (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`), so B's samples or
+        rho's spectrum, when a report derives them, live on the record."""
+        view = _view(state)
+        return cls(view.rho, view.velocity.reconstruct(), view.magnetic, reg.density_floor, view.velocity)
 
     @cached_property
     def rho_values(self) -> np.ndarray:
@@ -300,14 +309,15 @@ def _dissipation(
     grid = f.rho.grid
     rvals = f.rho_values
     strain_sq = f.strain_sq
+    # the Hessian of log rho first, while none of the nine arrays below is live
+    logr = ScalarField._adopt(grid, np.log(rvals))
+    quantum_hessian = _integral(rvals * hessian_frobenius_sq(logr), grid)
     drho = [derivative(f.rho, j).values for j in range(grid.dim)]
     hess_enthalpy = enthalpy_second(rvals, phys) + cold_enthalpy_second(rvals, phys)
     pressure_gradient = _integral(hess_enthalpy * sum(d**2 for d in drho), grid)
     cb = [c.values for c in curl(f.magnetic).components]
     spectra, _, k2, box = f.velocity_spectra
     lap_u = [ScalarField._adopt(grid, _backward(-k2 * s, grid, box)) for s in spectra]
-    logr = ScalarField._adopt(grid, np.log(rvals))
-    quantum_hessian = _integral(rvals * hessian_frobenius_sq(logr), grid)
     capillary_sq = sobolev_seminorm(f.rho, 2 * (reg.s + 1)) ** 2
     report = DissipationReport(
         viscous=2.0 * _integral(rvals * strain_sq, grid),
@@ -635,26 +645,34 @@ def _test_records(grid) -> tuple[dict[str, tuple[ScalarField, list]], dict[str, 
     return scalars, vectors
 
 
-def _interval_integrands(s0: State, s1: State, phys: PhysParams) -> tuple:
+def _interval_end(state: State) -> tuple:
+    """What an interval reads of one of its end states, derived through a
+    view of its own (:func:`qmhd.solver._view`), so nothing is cached on the
+    state: the samples of rho, sqrt(rho), u and B.  ``weak_form_residual``
+    carries each end into the next interval, so each state is derived once
+    per pass."""
+    view = _view(state)
+    r = view.rho.values
+    return r, np.sqrt(r), view.velocity.reconstruct().component_values(), view.magnetic.component_values()
+
+
+def _interval_integrands(e0: tuple, e1: tuple, grid, phys: PhysParams) -> tuple:
     """What one interval pairs with the test fields, formed once at the
-    midpoint of its end states: rho and its flux rho u, which meet phi and
-    grad phi; the momentum and, for each column c, its flux grouped by the
-    derivative of the test field phi e_c each part meets (grad phi, div phi,
-    lap phi, grad div phi, phi); and B and its flux, which meet phi and
-    curl phi.  The midpoint fields are freed on return; only the integrands
-    are held."""
+    midpoint of its ends (``_interval_end``): rho and its flux rho u, which
+    meet phi and grad phi; the momentum and, for each column c, its flux
+    grouped by the derivative of the test field phi e_c each part meets
+    (grad phi, div phi, lap phi, grad div phi, phi); and B and its flux,
+    which meet phi and curl phi.  The midpoint fields are freed on return;
+    only the integrands are held."""
     from .fields import dealiased_product
 
-    grid = s0.rho.grid
+    (r0, w0, u0, b0), (r1, w1, u1, b1) = e0, e1
     dim = grid.dim
-    rho_mid = ScalarField._adopt(grid, 0.5 * (s0.rho.values + s1.rho.values))
+    rho_mid = ScalarField._adopt(grid, 0.5 * (r0 + r1))
     rv = rho_mid.values
-    uv = [0.5 * (a + b) for a, b in zip(s0.u.component_values(), s1.u.component_values())]
-    bv = [
-        0.5 * (a + b)
-        for a, b in zip(s0.magnetic.component_values(), s1.magnetic.component_values())
-    ]
-    wv = 0.5 * (np.sqrt(s0.rho.values) + np.sqrt(s1.rho.values))
+    uv = [0.5 * (a + b) for a, b in zip(u0, u1)]
+    bv = [0.5 * (a + b) for a, b in zip(b0, b1)]
+    wv = 0.5 * (w0 + w1)
     dw = [derivative(ScalarField._adopt(grid, wv), j).values for j in range(dim)]
     mv = [rv * uv[l] for l in range(3)]
     mass_flux = [
@@ -695,24 +713,32 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
 
     Quadrature is midpoint-in-time with the summation-by-parts pairing, so a
     conservative scheme telescopes the continuity item to solver tolerance
-    when the density diffusion is off.  One pass over the intervals forms
+    when the density diffusion is off.  One pass over the intervals derives
+    each state once, through a view of its own (``_interval_end``), forms
     each interval's integrands once (``_interval_integrands``) and pairs
-    each group of them with every test function once.
+    each group of them with every test function once.  Nothing is cached on
+    the trajectory's states.
     """
     h = _require_uniform(traj)
     grid = traj.states[0].rho.grid
     t_final = traj.times[-1]
     scalars, vectors = _test_records(grid)
 
-    first, g_first = traj.states[0], envelope(traj.times[0], t_final)
-    m_first = [first.rho.values * first.u.component_values()[l] for l in range(3)]
-    b_first = first.magnetic.component_values()
-    continuity = [g_first * inner_product(first.rho, phi) for phi, _ in scalars.values()]
+    # each end is derived once and carried into the next interval
+    ends = map(_interval_end, traj.states)
+    e0 = next(ends)
+    r, _, u, b = e0
+    g_first = envelope(traj.times[0], t_final)
+    m_first = [r * u[l] for l in range(3)]
+    continuity = [g_first * inner_product(traj.states[0].rho, phi) for phi, _ in scalars.values()]
     momentum = [g_first * _pair(m_first[d.c], d.phi.values, grid) for d in vectors.values()]
-    magnetic = [g_first * _pair(b_first[d.c], d.phi.values, grid) for d in vectors.values()]
+    magnetic = [g_first * _pair(b[d.c], d.phi.values, grid) for d in vectors.values()]
+    # only the carried end holds the first state's samples
+    del r, u, b, m_first
 
-    for (s0, s1), (t0, t1) in zip(pairwise(traj.states), pairwise(traj.times)):
-        rho_mid, mass_flux, m, m_flux, b, b_flux = _interval_integrands(s0, s1, traj.phys)
+    for e1, (t0, t1) in zip(ends, pairwise(traj.times)):
+        rho_mid, mass_flux, m, m_flux, b, b_flux = _interval_integrands(e0, e1, grid, traj.phys)
+        e0 = e1
         g0, g1 = envelope(t0, t_final), envelope(t1, t_final)
         gmid = 0.5 * (g0 + g1)
         for i, (phi, grad) in enumerate(scalars.values()):

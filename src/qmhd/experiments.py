@@ -18,8 +18,12 @@ component c with phi, or gives 0 when c is not an active axis.  The quantum inte
 integrands once per sample (:func:`qmhd.diagnostics.quantum_flux`, which
 the weak form reads too).  The capillarity integral pairs the scheme's own
 force term (:func:`qmhd.solver._capillary_gradient`), so it costs one
-inverse transform per axis and sample.  Everything is deterministic for a
-fixed configuration.
+inverse transform per axis and sample.  The distances, monitors and weak
+integrals read each sampled state through a view of its own
+(:func:`qmhd.solver._view`), so what they derive from it, the velocity's
+and B's samples or rho's spectrum, is freed with the view and nothing is
+cached on the state.  Everything is deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .fields import (
     spectral_resample,
 )
 from .grid import TorusGrid
-from .solver import RegParams, State, Trajectory, _capillary_gradient, initial_state, run_simulation
+from .solver import RegParams, State, Trajectory, _capillary_gradient, _view, initial_state, run_simulation
 
 BENCHMARK_NAMES = ("single_mode", "density_bump", "random_smooth")
 
@@ -124,10 +128,12 @@ class StateDistance:
 
 def compare_states(a: State, b: State) -> StateDistance:
     """L2 distances of the fields the limit theorems control, on the finer
-    of the two grids."""
+    of the two grids.  Each state is read through a view of its own
+    (:func:`qmhd.solver._view`), so nothing is cached on it."""
     fine = max(a.rho.grid, b.rho.grid, key=lambda g: g.num_points)
 
     def lift(s: State):
+        s = _view(s)
         if s.rho.grid.shape == fine.shape:
             return s.rho, s.u, s.magnetic
         rho = spectral_resample(s.rho, fine)
@@ -189,13 +195,14 @@ def _battery_sums(traj: Trajectory, pairing: Callable[[State], Callable]) -> lis
     """For each vector test field's record (:class:`qmhd.diagnostics._VectorTest`),
     the trapezoid sum over the samples of weight x envelope x pairing:
     ``pairing(state)`` derives what the state's pairings share and returns
-    the pairing with one record."""
+    the pairing with one record.  It reads each state through a view of its
+    own (:func:`qmhd.solver._view`), so nothing is cached on the state."""
     t_final = traj.times[-1]
     tests = list(_test_records(traj.states[0].rho.grid)[1].values())
     acc = [0.0] * len(tests)
     for wt, s in zip(_trapezoid(traj), traj.states):
         g = envelope(s.time, t_final)
-        pair = pairing(s)
+        pair = pairing(_view(s))
         for t, test in enumerate(tests):
             acc[t] += wt * g * pair(test)
     return acc

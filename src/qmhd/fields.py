@@ -228,6 +228,11 @@ class ScalarField:
         self._spectrum = spectrum
         return self
 
+    def _shared(self) -> "ScalarField":
+        """A field of the caller's own over this field's arrays: a form the
+        caller derives from it is cached on the new field, not on this one."""
+        return ScalarField._adopt(self.grid, self._values, self._spectrum)
+
     @property
     def values(self) -> np.ndarray:
         if self._values is None:

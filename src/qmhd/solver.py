@@ -56,7 +56,13 @@ reads them, and so does the next iteration's magnetic sweep, whose midpoint
 is the same field.  The magnetic sweep frees its source and curl spectra,
 and the force its capillary and sqrt(rho) spectra, once they are read, and
 only the iteration's midpoint velocity, which every sweep reads, caches its
-samples; a state does not.
+samples; a state does not (``State.u`` forms them on each read).  A state
+that outlives its step keeps each field once, in the form the step made
+it: ``run_simulation`` samples each state in its held form (``_held``),
+bare lambda, rho's samples and spectrum and B's spectra, and a start's
+history levels hold less (``_start_level``).  A reader of a held state
+derives through a view of its own (``_view``), so B's samples or rho's
+spectrum live in the reader's record and are freed with it.
 ``_reference_diffusivity`` is the one rule for the constant part of
 ``nu_b`` that the magnetic sweep integrates exactly, leaving the rest
 explicit, and ``cfl_report`` reads the same rule.  ``_capillary_gradient``
@@ -152,7 +158,9 @@ class State:
 
     @property
     def u(self) -> VectorField:
-        return self.velocity.field
+        """The velocity's samples, formed on each read and not cached
+        (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`)."""
+        return self.velocity.reconstruct()
 
     @property
     def basis(self) -> GalerkinBasis:
@@ -768,9 +776,10 @@ def advance_step(
 
 @dataclass
 class Trajectory:
-    """Sampled states of one run plus running totals of its steps' counts;
-    a caller that wants every step's :class:`StepInfo` takes it from
-    ``run_simulation(on_step=...)``."""
+    """The held forms of one run's sampled states (``_held``: B as spectra
+    only, no cached velocity) plus running totals of its steps' counts; a
+    caller that wants every step's :class:`StepInfo`, or a step's whole
+    state, takes it from ``run_simulation(on_step=...)``."""
 
     states: list[State]
     sample_every: int
@@ -819,19 +828,44 @@ def _div_b_bound(b: VectorField) -> float:
     return 1e-12 * max(l2_norm(b), 1.0)
 
 
-def _start_level(state: State) -> State:
-    """``state`` as a later step's start reads it, as one of the levels in
-    ``history``: lambda, rho's samples and B's spectra.  B's samples, rho's
-    spectrum and the velocity's cached blocks and samples are not kept, and
-    ``run_simulation`` drops B (``magnetic=None``) once the level is past
-    the first ``_START_ORDER``, which are all ``_magnetic_start`` reads."""
+def _held(state: State) -> State:
+    """``state`` as a trajectory holds it: bare lambda, rho as the step left
+    it, samples and spectrum, and B as spectra only.  B's samples are the
+    inverse transforms of its spectra, so a reader that derives them gets
+    bitwise the samples the step measured; rho keeps its spectrum, which is
+    the density sweep's own and differs at roundoff from a transform of its
+    samples."""
     grid = state.rho.grid
     return State(
         state.time,
-        ScalarField._adopt(grid, state.rho.values),
+        state.rho,
         VelocityCoeffs(state.basis, state.velocity.values),
         VectorField(grid, [ScalarField._adopt(grid, None, c.spectrum) for c in state.magnetic.components]),
     )
+
+
+def _view(state: State) -> State:
+    """``state`` with rho and B in fields of the reader's own, which share
+    the state's arrays, samples and spectra (``ScalarField._shared``):
+    whatever the reader derives from them, B's samples or rho's spectrum,
+    lives on those fields and is freed with them, never cached on
+    ``state``.  The velocity is the state's own, whose samples a reader
+    forms and frees (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`)."""
+    return State(
+        state.time,
+        state.rho._shared(),
+        state.velocity,
+        VectorField(state.rho.grid, [c._shared() for c in state.magnetic.components]),
+    )
+
+
+def _start_level(state: State) -> State:
+    """``state`` as a later step's start reads it, as one of the levels in
+    ``history``: its held form (``_held``) less rho's spectrum, so lambda,
+    rho's samples and B's spectra.  ``run_simulation`` drops B
+    (``magnetic=None``) once the level is past the first ``_START_ORDER``,
+    which are all ``_magnetic_start`` reads."""
+    return replace(_held(state), rho=ScalarField._adopt(state.rho.grid, state.rho.values))
 
 
 def run_simulation(
@@ -846,13 +880,14 @@ def run_simulation(
     """March from ``initial.time`` to ``t_end`` in fixed steps of ``reg.dt``,
     sampling every ``sample_every`` steps, which must divide the step count
     (``step_count``): the initial state is the first sample and the state at
-    ``t_end`` the last.  ``on_step(step, state, info)`` sees the initial
-    state (step 0, no info) and each state that passed the step's checks.
-    Deterministic for a fixed configuration."""
+    ``t_end`` the last, each held as ``_held`` keeps it.
+    ``on_step(step, state, info)`` sees the initial state (step 0, no info)
+    and each whole state that passed the step's checks.  Deterministic for
+    a fixed configuration."""
     nsteps = step_count(initial.time, t_end, reg.dt, sample_every)
     mass0 = initial.mass
     state = initial
-    traj = Trajectory([state], sample_every, phys, reg)
+    traj = Trajectory([_held(state)], sample_every, phys, reg)
     if on_step is not None:
         on_step(0, state, None)
 
@@ -878,7 +913,7 @@ def run_simulation(
             raise QMHDError(f"magnetic field stopped being solenoidal: {info.div_b_norm:.3e}")
 
         if step % sample_every == 0:
-            traj.states.append(state)
+            traj.states.append(_held(state))
         if on_step is not None:
             on_step(step, state, info)
 

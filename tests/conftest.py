@@ -1,3 +1,4 @@
+import gc
 import sys
 import tracemalloc
 from collections import Counter
@@ -97,6 +98,27 @@ def transient_peak(fn, *args, **kwargs):
         if not tracing:
             tracemalloc.stop()
     return result, peak - live
+
+
+def left_live(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the bytes still live once it has
+    returned, above what was live when it started, as ``tracemalloc``
+    traces them: what the call's result and any cache it filled hold.
+    Both readings follow a full collection, so freed objects that CPython's
+    free lists keep do not count."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, after - live
 
 
 def transform_counts(backward_full=0, forward_full=0, backward_box=0, forward_box=0) -> Counter:

@@ -52,8 +52,8 @@ from qmhd.fields import (
     project_divergence_free,
     spectral_resample,
 )
-from qmhd.experiments import benchmark_state
-from qmhd.solver import Trajectory
+from qmhd.experiments import SweepSpec, _measure, benchmark_state, trajectory_distance
+from qmhd.solver import State, Trajectory, VelocityCoeffs
 
 from conftest import band_limited_vector, count_transforms, transform_counts, transient_peak
 
@@ -428,8 +428,13 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     reg = RegParams(epsilon=0.01, dt=1e-3)
     traj = run_simulation(_mini_benchmark(grid, basis, reg), phys, reg, 8e-3)
     short = Trajectory(traj.states[:5], 1, phys, reg)
-    weak_form_residual(traj)  # fills the states' lazily computed samples
     counts = count_transforms(monkeypatch)
+    # a pass caches nothing on the states, so a second one costs exactly
+    # the transforms of the first
+    weak_form_residual(traj)
+    first = counts.copy()
+    weak_form_residual(traj)
+    assert counts - first == first
 
     def count(t, n_vector):
         table = dict(list(_VECTOR_TESTS.items())[:n_vector])
@@ -441,6 +446,56 @@ def test_weak_form_transforms_per_test_function_not_per_interval(monkeypatch):
     extra = [count(t, 4) - count(t, 1) for t in (short, traj)]
     assert extra[0] > 0
     assert extra[0] == extra[1]
+
+
+def _bare(state):
+    """``state`` with rho as samples only, B as spectra only and no cached
+    velocity, so that a reader must derive rho's spectrum and the samples
+    of B and u."""
+    grid = state.rho.grid
+    return State(
+        state.time,
+        ScalarField._adopt(grid, state.rho.values),
+        VelocityCoeffs(state.basis, state.velocity.values),
+        VectorField(grid, [ScalarField._adopt(grid, None, c.spectrum) for c in state.magnetic.components]),
+    )
+
+
+def _cached_forms(state):
+    """The grid-sized forms ``state`` holds: the samples and spectrum of rho
+    and of each B component, and the velocity's cached samples, each None
+    when absent."""
+    fields = (state.rho, *state.magnetic.components)
+    return [a for f in fields for a in (f._values, f._spectrum)] + [state.velocity.__dict__.get("field")]
+
+
+_PASSES = {
+    "energy": lambda traj, other: energy_identity_residual(traj),
+    "bd": lambda traj, other: bd_entropy_residual(traj),
+    "weak": lambda traj, other: weak_form_residual(traj),
+    "distance": lambda traj, other: trajectory_distance(traj, other),
+    # the limit rung is measured on the trajectory itself, with the
+    # capillarity weak integral, which reads rho's spectrum
+    "measure": lambda traj, other: _measure(
+        SweepSpec("delta", (4e-4, 2e-4, traj.reg.delta), dim=2, points=16), traj, traj.reg.delta
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PASSES))
+def test_a_pass_over_a_trajectory_caches_nothing_on_its_states(name):
+    # every form a pass derives, B's and u's samples and rho's spectrum,
+    # lives in its own records and is freed with them
+    grid = TorusGrid((16, 16))
+    basis = GalerkinBasis.lowest_modes(grid, 9)
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
+    run = run_simulation(benchmark_state("random_smooth", grid, basis, reg), phys, reg, 3e-3)
+    traj, other = (Trajectory([_bare(s) for s in run.states], 1, phys, reg) for _ in range(2))
+    before = [_cached_forms(s) for s in traj.states + other.states]
+    _PASSES[name](traj, other)
+    after = [_cached_forms(s) for s in traj.states + other.states]
+    assert all(a is b for x, y in zip(before, after) for a, b in zip(x, y, strict=True))
 
 
 @pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8)])
@@ -613,7 +668,10 @@ def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_mode
 # two steps at the benchmark physics, in grid arrays (tracemalloc's peak
 # above what was live at the call): 34.5 when the row cached the velocity
 # samples on the state and held the whole velocity gradient, 24.4 when its
-# record holds them and keeps only |D u|^2
+# record holds them and keeps only |D u|^2, 23.0 on that whole state when
+# the dissipation forms the Hessian of log rho before grad rho, curl B and
+# lap u; 26.1 on the run's held final sample, whose B samples the row
+# derives into its record (27.5 without that reorder)
 ROW_ARRAYS = 29
 
 

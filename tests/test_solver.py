@@ -53,6 +53,7 @@ from conftest import (
     band_limited_scalar,
     band_limited_vector,
     count_transforms,
+    left_live,
     mode_profile,
     run_with_infos,
     transform_counts,
@@ -781,8 +782,14 @@ def test_run_simulation_zero_steps():
     grid, basis = _default_setup()
     phys, reg = PhysParams(), RegParams(dt=1e-3)
     state = _benchmark_state(grid, basis, reg)
+    # the one sample is the initial state's held form: its time, lambda,
+    # rho and B's spectra
     traj = run_simulation(state, phys, reg, 0.0)
-    assert traj.final_state is state
+    final = traj.final_state
+    assert len(traj.states) == 1 and final.time == state.time
+    assert np.array_equal(final.velocity.values, state.velocity.values)
+    assert final.rho is state.rho
+    assert all(h._spectrum is c._spectrum for h, c in zip(final.magnetic.components, state.magnetic.components))
 
 
 def test_run_simulation_invariants_and_determinism():
@@ -1278,6 +1285,42 @@ def test_a_3d_step_holds_only_what_its_next_reader_needs():
     assert peak <= STEP_ARRAYS * grid.num_points * 8
 
 
+def _sampled_16_cubed():
+    """A 16^3, 27-mode density_bump start at the benchmark physics."""
+    grid = TorusGrid((16, 16, 16))
+    phys, reg = _benchmark_physics()
+    return benchmark_state("density_bump", grid, GalerkinBasis.lowest_modes(grid, 27), reg, seed=0), phys, reg
+
+
+def test_a_sampled_state_holds_b_as_spectra_and_no_velocity_samples():
+    # a run samples each state in its held form: B as spectra only, whose
+    # samples are the inverse transforms a reader derives, and a velocity
+    # with no cached samples
+    state, phys, reg = _sampled_16_cubed()
+    traj = run_simulation(state, phys, reg, 3 * reg.dt)
+    assert len(traj.states) == 4
+    for s in traj.states:
+        assert all(c._values is None and c._spectrum is not None for c in s.magnetic.components)
+        assert "field" not in s.velocity.__dict__
+
+
+# the bytes a run sampled at every step leaves live, per sampled state, in
+# grid arrays, on the 16^3 start above over six steps: a held sample keeps
+# rho's samples (1) and spectrum (1.125 at 16^3) and B's spectra (3.375),
+# 5.5 arrays, less on the initial sample, whose samples predate the run;
+# 4.77 measured, and 7.35 when each sample was the step's whole state,
+# B's samples included
+HELD_ARRAYS = 6
+
+
+def test_a_run_holds_only_the_held_form_of_each_sample():
+    state, phys, reg = _sampled_16_cubed()
+    run_simulation(state, phys, reg, 2 * reg.dt)  # warms the caches
+    traj, held = left_live(run_simulation, state, phys, reg, 6 * reg.dt)
+    assert len(traj.states) == 7
+    assert held <= HELD_ARRAYS * len(traj.states) * state.rho.grid.num_points * 8
+
+
 def test_residual_inside_a_step_reuses_the_level_spectra(monkeypatch):
     # the midpoint density and magnetic field average both levels' spectra,
     # and the step hands the residual the curl of the midpoint field, so every
@@ -1367,7 +1410,17 @@ def test_run_simulation_samples_end_at_t_end():
     infos = [info for _, _, info in seen[1:]]
     assert (traj.picard_iters, traj.full_sweeps) == (sum(i.picard_iters for i in infos), sum(i.full_sweeps for i in infos))
     assert traj.max_contraction_ratio == max(r for i in infos for r in i.contraction_ratios)
-    assert traj.states == [seen[k][1] for k in (0, 3, 6)]
+    # each sample is the held form of the state the hook saw: the same time,
+    # lambda's values, rho's arrays and B's spectrum objects, with no B
+    # samples and no cached velocity
+    assert len(traj.states) == 3
+    for held, (_, live, _) in zip(traj.states, [seen[k] for k in (0, 3, 6)]):
+        assert held.time == live.time
+        assert np.array_equal(held.velocity.values, live.velocity.values)
+        assert held.rho._values is live.rho._values and held.rho._spectrum is live.rho._spectrum
+        assert all(h._spectrum is l._spectrum for h, l in zip(held.magnetic.components, live.magnetic.components))
+        assert all(h._values is None for h in held.magnetic.components)
+        assert "field" not in held.velocity.__dict__
     assert traj.final_state.time == pytest.approx(0.006)
 
 
