@@ -29,16 +29,16 @@ the second-order stepper they shrink at second order in the step size.
 Each field is derived once and each physical term is written in one place.
 The fields of a state that several reports read live in one
 ``DerivedFields`` record, derived on first read and never cached on the
-state: the record reads the state through a view of its own
-(:func:`qmhd.solver._view`), so B's samples, which a sampled state holds as
-spectra only, and rho's spectrum, when derived, live on the record and are
-freed with it.  The reports take it as their optional ``fields`` argument,
-and a CSV row builds one record for its energy, dissipation and monitor
-reports, which read the velocity gradient only through |D(u)|^2.  The BD
-report reuses the dissipation terms and the state's energy report, with
-only the kinetic term taken at the shifted velocity u + grad(2 log rho).
-The weak form derives each state's samples once per pass, through a view
-of its own, and carries them from one interval into the next.  It forms
+state.  ``DerivedFields.of`` is the one reader of a state: the record holds
+rho and B in fields of its own over the state's arrays, so B's samples,
+which a sampled state holds as spectra only, and rho's spectrum, when
+derived, live on the record and are freed with it.  The reports take it as
+their optional ``fields`` argument, and a CSV row builds one record for its
+energy, dissipation and monitor reports, which read the velocity gradient
+only through |D(u)|^2.  The BD report reuses the dissipation terms and the
+state's energy report, with only the kinetic term taken at the shifted
+velocity u + grad(2 log rho).  The weak form reads each state through one
+record per pass and carries it from one interval into the next.  It forms
 each interval's integrands once, at the midpoint fields, grouped by the
 derivative of the test field each meets (grad phi, div phi, lap phi,
 grad div phi, phi, curl phi), and pairs column c of each group with each
@@ -86,7 +86,7 @@ from .fields import (
     lp_norm,
     sobolev_seminorm,
 )
-from .solver import RegParams, State, Trajectory, _div_norm, _momentum_force, _view
+from .solver import RegParams, State, Trajectory, _div_norm, _momentum_force
 
 
 # --------------------------------------------------------------------------
@@ -183,13 +183,16 @@ class DerivedFields:
 
     @classmethod
     def of(cls, state: State, reg: RegParams) -> "DerivedFields":
-        """The record of ``state``, read through a view of its own
-        (:func:`qmhd.solver._view`): rho and B share the state's arrays, and
-        the record holds its own velocity samples
+        """The record of ``state``, the one place a reader wraps a state's
+        fields: rho and B are fields of the record's own over the state's
+        arrays, samples and spectra (``ScalarField._shared``), and the record
+        holds its own velocity samples
         (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`), so B's samples or
-        rho's spectrum, when a report derives them, live on the record."""
-        view = _view(state)
-        return cls(view.rho, view.velocity.reconstruct(), view.magnetic, reg.density_floor, view.velocity)
+        rho's spectrum, when a report derives them, live on the record and
+        are freed with it, never cached on ``state``."""
+        grid = state.rho.grid
+        magnetic = VectorField(grid, [c._shared() for c in state.magnetic.components])
+        return cls(state.rho._shared(), state.velocity.reconstruct(), magnetic, reg.density_floor, state.velocity)
 
     @cached_property
     def rho_values(self) -> np.ndarray:
@@ -645,28 +648,19 @@ def _test_records(grid) -> tuple[dict[str, tuple[ScalarField, list]], dict[str, 
     return scalars, vectors
 
 
-def _interval_end(state: State) -> tuple:
-    """What an interval reads of one of its end states, derived through a
-    view of its own (:func:`qmhd.solver._view`), so nothing is cached on the
-    state: the samples of rho, sqrt(rho), u and B.  ``weak_form_residual``
-    carries each end into the next interval, so each state is derived once
-    per pass."""
-    view = _view(state)
-    r = view.rho.values
-    return r, np.sqrt(r), view.velocity.reconstruct().component_values(), view.magnetic.component_values()
-
-
-def _interval_integrands(e0: tuple, e1: tuple, grid, phys: PhysParams) -> tuple:
+def _interval_integrands(e0: DerivedFields, e1: DerivedFields, grid, phys: PhysParams) -> tuple:
     """What one interval pairs with the test fields, formed once at the
-    midpoint of its ends (``_interval_end``): rho and its flux rho u, which
-    meet phi and grad phi; the momentum and, for each column c, its flux
+    midpoint of its ends, read off their records: rho and its flux rho u,
+    which meet phi and grad phi; the momentum and, for each column c, its flux
     grouped by the derivative of the test field phi e_c each part meets
     (grad phi, div phi, lap phi, grad div phi, phi); and B and its flux,
     which meet phi and curl phi.  The midpoint fields are freed on return;
     only the integrands are held."""
     from .fields import dealiased_product
 
-    (r0, w0, u0, b0), (r1, w1, u1, b1) = e0, e1
+    (r0, w0, u0, b0), (r1, w1, u1, b1) = (
+        (e.rho.values, e.sqrt_rho.values, e.u_values, e.magnetic.component_values()) for e in (e0, e1)
+    )
     dim = grid.dim
     rho_mid = ScalarField._adopt(grid, 0.5 * (r0 + r1))
     rv = rho_mid.values
@@ -713,24 +707,24 @@ def weak_form_residual(traj: Trajectory) -> dict[str, dict[str, float]]:
 
     Quadrature is midpoint-in-time with the summation-by-parts pairing, so a
     conservative scheme telescopes the continuity item to solver tolerance
-    when the density diffusion is off.  One pass over the intervals derives
-    each state once, through a view of its own (``_interval_end``), forms
-    each interval's integrands once (``_interval_integrands``) and pairs
-    each group of them with every test function once.  Nothing is cached on
-    the trajectory's states.
+    when the density diffusion is off.  One pass over the intervals reads
+    each state through one record (``DerivedFields.of``), carried into the
+    next interval, forms each interval's integrands once
+    (``_interval_integrands``) and pairs each group of them with every test
+    function once.  Nothing is cached on the trajectory's states.
     """
     h = _require_uniform(traj)
     grid = traj.states[0].rho.grid
     t_final = traj.times[-1]
     scalars, vectors = _test_records(grid)
 
-    # each end is derived once and carried into the next interval
-    ends = map(_interval_end, traj.states)
+    # each end's record is derived once and carried into the next interval
+    ends = (DerivedFields.of(s, traj.reg) for s in traj.states)
     e0 = next(ends)
-    r, _, u, b = e0
+    r, u, b = e0.rho.values, e0.u_values, e0.magnetic.component_values()
     g_first = envelope(traj.times[0], t_final)
     m_first = [r * u[l] for l in range(3)]
-    continuity = [g_first * inner_product(traj.states[0].rho, phi) for phi, _ in scalars.values()]
+    continuity = [g_first * inner_product(e0.rho, phi) for phi, _ in scalars.values()]
     momentum = [g_first * _pair(m_first[d.c], d.phi.values, grid) for d in vectors.values()]
     magnetic = [g_first * _pair(b[d.c], d.phi.values, grid) for d in vectors.values()]
     # only the carried end holds the first state's samples

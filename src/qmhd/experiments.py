@@ -6,30 +6,34 @@ Each sweep runs the final (limit) rung first, then one simulation per rung
 from shared initial data, measuring as each finishes its distances to the
 limit rung, its norm monitors, and the weak integrals of the terms that are
 supposed to vanish.  A rung's result is its ``sweep_results.csv`` row,
-which ``_measure`` fills as it measures and ``qmhd sweep`` writes as it
-is.  The weak integrals pair each term with the diagnostics' fixed vector
-battery under its one envelope g(t) = (1 - t/T)^2, through one walk over
-the samples (``_battery_sums``) and the records of the test
-fields phi e_c that the weak form reads too
-(:class:`qmhd.diagnostics._VectorTest`), built once per integral straight
-from the battery table (:func:`qmhd.diagnostics._test_records`).  Both
-terms have components along the active axes only, so each pairs its
-component c with phi, or gives 0 when c is not an active axis.  The quantum integral forms its two
-integrands once per sample (:func:`qmhd.diagnostics.quantum_flux`, which
-the weak form reads too).  The capillarity integral pairs the scheme's own
-force term (:func:`qmhd.solver._capillary_gradient`), so it costs one
-inverse transform per axis and sample.  The distances, monitors and weak
-integrals read each sampled state through a view of its own
-(:func:`qmhd.solver._view`), so what they derive from it, the velocity's
-and B's samples or rho's spectrum, is freed with the view and nothing is
-cached on the state.  Everything is deterministic for a fixed
-configuration.
+which ``_measure`` fills and ``qmhd sweep`` writes as it is.  A rung is
+measured in one walk over its samples (``_walk``), with trapezoid weights
+in time: each sample is read through one record
+(:meth:`qmhd.diagnostics.DerivedFields.of`), and so is the limit rung's
+sample at the same time, and the monitors, the energy maxima, the
+distances (``compare_states``) and the weak pairing all read those records,
+so what they derive, the velocity's and B's samples or rho's spectrum, is
+derived once per sample, freed with its record and never cached on the
+state.  ``trajectory_distance`` and the two weak integrals are columns of
+the same walk.  The weak integrals pair each term with the diagnostics'
+fixed vector battery under its one envelope g(t) = (1 - t/T)^2, through
+the records of the test fields phi e_c that the weak form reads too
+(:class:`qmhd.diagnostics._VectorTest`), built once per walk straight from
+the battery table (:func:`qmhd.diagnostics._test_records`).  Both terms
+have components along the active axes only, so each pairs its component c
+with phi, or gives 0 when c is not an active axis.  The quantum integral
+forms its two integrands once per sample
+(:func:`qmhd.diagnostics.quantum_flux`, which the weak form reads too),
+from the record's sqrt(rho).  The capillarity integral pairs the scheme's
+own force term (:func:`qmhd.solver._capillary_gradient`), so it costs one
+inverse transform per axis and sample.  Everything is deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -58,7 +62,7 @@ from .fields import (
     spectral_resample,
 )
 from .grid import TorusGrid
-from .solver import RegParams, State, Trajectory, _capillary_gradient, _view, initial_state, run_simulation
+from .solver import RegParams, State, Trajectory, _capillary_gradient, initial_state, run_simulation
 
 BENCHMARK_NAMES = ("single_mode", "density_bump", "random_smooth")
 
@@ -126,19 +130,18 @@ class StateDistance:
         return asdict(self)
 
 
-def compare_states(a: State, b: State) -> StateDistance:
-    """L2 distances of the fields the limit theorems control, on the finer
-    of the two grids.  Each state is read through a view of its own
-    (:func:`qmhd.solver._view`), so nothing is cached on it."""
+def compare_states(a: DerivedFields, b: DerivedFields) -> StateDistance:
+    """L2 distances of the fields the limit theorems control, between the
+    records of two states (:meth:`qmhd.diagnostics.DerivedFields.of`), on
+    the finer of the two grids."""
     fine = max(a.rho.grid, b.rho.grid, key=lambda g: g.num_points)
 
-    def lift(s: State):
-        s = _view(s)
-        if s.rho.grid.shape == fine.shape:
-            return s.rho, s.u, s.magnetic
-        rho = spectral_resample(s.rho, fine)
-        u = VectorField(fine, [spectral_resample(c, fine) for c in s.u.components])
-        bb = VectorField(fine, [spectral_resample(c, fine) for c in s.magnetic.components])
+    def lift(f: DerivedFields):
+        if f.rho.grid.shape == fine.shape:
+            return f.rho, f.u, f.magnetic
+        rho = spectral_resample(f.rho, fine)
+        u = VectorField(fine, [spectral_resample(c, fine) for c in f.u.components])
+        bb = VectorField(fine, [spectral_resample(c, fine) for c in f.magnetic.components])
         return rho, u, bb
 
     (ra, ua, ba), (rb, ub, bb) = lift(a), lift(b)
@@ -162,85 +165,123 @@ def compare_states(a: State, b: State) -> StateDistance:
     )
 
 
-def _trapezoid(traj: Trajectory) -> list[float]:
-    """Trapezoid weights h/2, h, ..., h, h/2 of the trajectory's samples."""
-    h = traj.sampled_dt
-    weights = [h] * len(traj.states)
-    weights[0] = weights[-1] = 0.5 * h
-    return weights
+def _quantum_pairs(f: DerivedFields, tests: list) -> list[float]:
+    """The quantum force on ``f``'s sample paired with each test field's
+    record, its two integrands (:func:`qmhd.diagnostics.quantum_flux`)
+    formed once from the record's sqrt(rho)."""
+    grid, w = f.rho.grid, f.sqrt_rho
+    q_grad, q_grad_div = quantum_flux(w.values, [derivative(w, j).values for j in range(grid.dim)])
+    return [
+        _pair(q_grad_div, d.grad_div, grid) + _pair(q_grad[d.c], d.grad, grid) if d.c < grid.dim else 0.0 for d in tests
+    ]
+
+
+def _capillary_pairs(f: DerivedFields, tests: list, delta: float, s_order: int) -> list[float]:
+    """The scheme's capillarity force -delta rho g on ``f``'s sample
+    (:func:`qmhd.solver._capillary_gradient`) paired with each test field's
+    record."""
+    grid = f.rho.grid
+    force = [ScalarField._adopt(grid, -delta * f.rho.values * g) for g in _capillary_gradient(f.rho, s_order)]
+    return [inner_product(force[d.c], d.phi) if d.c < grid.dim else 0.0 for d in tests]
+
+
+def _walk(
+    traj: Trajectory, reference: Trajectory, parameter: str | None = None, coefficient: float = 0.0, s_order: int = 1
+) -> dict[str, float]:
+    """A rung's measured columns, in one walk over its samples: ``min_rho``,
+    the energy maxima, the monitor maxima ``max_*``, the space-time L2
+    distances ``dist_*`` to ``reference`` over the common sample times
+    (trapezoid), and, for ``parameter`` "kappa" or "delta", the weak
+    integral ``weak_*`` of the quantum term at kappa = ``coefficient`` or
+    of the capillarity term at delta = ``coefficient`` and ``s_order``.
+    Each sample and the reference's sample at its time are read through one
+    record each, whose floor check every sample must pass.  A trajectory is
+    at distance zero from itself, with no comparison, and a term whose
+    coefficient is 0 gives 0.0 without pairing."""
+    compared = traj is not reference
+    ta, tb = np.asarray(traj.times), np.asarray(reference.times)
+    if compared and (len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-10):
+        raise QMHDError("trajectories must share their sample times")
+    phys, reg = traj.phys, traj.reg
+    cols = {"min_rho": np.inf, "capillary_energy_max": 0.0, "quantum_energy_max": 0.0}
+    cols.update({f"max_{k}": 0.0 for k in MONITOR_KEYS})
+    sq = dict.fromkeys(StateDistance.__annotations__, 0.0)
+    pairs = None
+    if coefficient and parameter == "kappa":
+        pairs = _quantum_pairs
+    elif coefficient and parameter == "delta":
+        pairs = partial(_capillary_pairs, delta=coefficient, s_order=s_order)
+    tests = list(_test_records(traj.states[0].rho.grid)[1].values()) if pairs else []
+    acc = [0.0] * len(tests)
+    h, last, t_final = traj.sampled_dt, len(traj.states) - 1, traj.times[-1]
+
+    for i, s in enumerate(traj.states):
+        wt = 0.5 * h if i in (0, last) else h
+        f = DerivedFields.of(s, reg)
+        mon = norm_monitor(s, phys, reg, f)
+        for k in MONITOR_KEYS:
+            cols[f"max_{k}"] = max(cols[f"max_{k}"], mon[k])
+        cols["min_rho"] = min(cols["min_rho"], float(f.rho_values.min()))
+        e = compute_energy(s, phys, reg, f)
+        cols["capillary_energy_max"] = max(cols["capillary_energy_max"], e.capillary)
+        cols["quantum_energy_max"] = max(cols["quantum_energy_max"], e.quantum)
+        if compared:
+            d = compare_states(f, DerivedFields.of(reference.states[i], reference.reg)).as_dict()
+            for k in sq:
+                sq[k] += wt * d[k] ** 2
+        if pairs:
+            g = envelope(s.time, t_final)
+            for t, pair in enumerate(pairs(f, tests)):
+                acc[t] += wt * g * pair
+
+    cols.update({f"dist_{k}": float(np.sqrt(v)) for k, v in sq.items()})
+    # with a zero coefficient nothing was paired, and the sums are 0
+    if parameter == "kappa":
+        total = sum(2.0 * coefficient**2 * a for a in acc)
+        cols.update(weak_value=float(total), weak_per_kappa_sq=float(total / coefficient**2) if coefficient else 0.0)
+    elif parameter == "delta":
+        total, alpha = sum(acc), (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
+        scaled = total / coefficient ** ((1.0 - alpha) / 2.0) if coefficient else 0.0
+        cols.update(weak_value=float(total), weak_scaled=float(scaled))
+    return cols
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> dict[str, float]:
-    """Space-time L2 distances over the common sample times (trapezoid);
-    a trajectory is at distance zero from itself, with no comparison."""
-    keys = list(StateDistance.__annotations__)
-    if a is b:
-        return {k: 0.0 for k in keys}
-    ta, tb = np.asarray(a.times), np.asarray(b.times)
-    if len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-10:
-        raise QMHDError("trajectories must share their sample times")
-    sq = {k: 0.0 for k in keys}
-    for w, sa, sb in zip(_trapezoid(a), a.states, b.states):
-        d = compare_states(sa, sb).as_dict()
-        for k in keys:
-            sq[k] += w * d[k] ** 2
-    return {k: float(np.sqrt(v)) for k, v in sq.items()}
+    """Space-time L2 distances over the common sample times (trapezoid):
+    the ``dist_*`` columns of ``a``'s walk against ``b``.  A trajectory is
+    at distance zero from itself, with no comparison.  The walk measures
+    the whole rung, so this also forms the monitors and energies it
+    discards, and raises ``DensityFloorViolation`` on a sample of ``a`` or
+    ``b`` below the density floor."""
+    cols = _walk(a, b)
+    return {k: cols[f"dist_{k}"] for k in StateDistance.__annotations__}
 
 
 # --------------------------------------------------------------------------
 # weak integrals of the vanishing terms
 
 
-def _battery_sums(traj: Trajectory, pairing: Callable[[State], Callable]) -> list[float]:
-    """For each vector test field's record (:class:`qmhd.diagnostics._VectorTest`),
-    the trapezoid sum over the samples of weight x envelope x pairing:
-    ``pairing(state)`` derives what the state's pairings share and returns
-    the pairing with one record.  It reads each state through a view of its
-    own (:func:`qmhd.solver._view`), so nothing is cached on the state."""
-    t_final = traj.times[-1]
-    tests = list(_test_records(traj.states[0].rho.grid)[1].values())
-    acc = [0.0] * len(tests)
-    for wt, s in zip(_trapezoid(traj), traj.states):
-        g = envelope(s.time, t_final)
-        pair = pairing(_view(s))
-        for t, test in enumerate(tests):
-            acc[t] += wt * g * pair(test)
-    return acc
-
-
 def quantum_term_weak_integral(traj: Trajectory, kappa: float) -> dict[str, float]:
     """Space-time weak integral of the quantum force in its integrated-by-
     parts form, its two integrands (:func:`qmhd.diagnostics.quantum_flux`)
-    formed once per sample; reports the value and value/kappa^2."""
-    if kappa == 0.0:
-        return {"value": 0.0, "per_kappa_sq": 0.0}
-    grid = traj.states[0].rho.grid
-
-    def pairing(s: State):
-        w = ScalarField._adopt(grid, np.sqrt(s.rho.values))
-        q_grad, q_grad_div = quantum_flux(w.values, [derivative(w, j).values for j in range(grid.dim)])
-        return lambda d: _pair(q_grad_div, d.grad_div, grid) + _pair(q_grad[d.c], d.grad, grid) if d.c < grid.dim else 0.0
-
-    total = sum(2.0 * kappa**2 * a for a in _battery_sums(traj, pairing))
-    return {"value": float(total), "per_kappa_sq": float(total / kappa**2)}
+    formed once per sample: the ``weak_*`` columns of the trajectory's walk,
+    the value and value/kappa^2.  The walk measures the whole rung, so this
+    also forms the monitors and energies it discards, and raises
+    ``DensityFloorViolation`` on a sample below the density floor."""
+    cols = _walk(traj, traj, "kappa", kappa)
+    return {"value": cols["weak_value"], "per_kappa_sq": cols["weak_per_kappa_sq"]}
 
 
 def capillarity_term_weak_integral(traj: Trajectory, delta: float, s_order: int) -> dict[str, float]:
     """Space-time weak integral of the capillarity term: the scheme's own
     force -delta rho g (:func:`qmhd.solver._capillary_gradient`) paired with
-    each test field.  Reports the value and the value scaled by
-    delta^((1-alpha)/2) with alpha = (4s+2)/(4s+3)."""
-    if delta == 0.0:
-        return {"value": 0.0, "scaled": 0.0}
-    grid = traj.states[0].rho.grid
-
-    def pairing(st: State):
-        force = [ScalarField._adopt(grid, -delta * st.rho.values * g) for g in _capillary_gradient(st.rho, s_order)]
-        return lambda d: inner_product(force[d.c], d.phi) if d.c < grid.dim else 0.0
-
-    total = sum(_battery_sums(traj, pairing))
-    alpha = (4.0 * s_order + 2.0) / (4.0 * s_order + 3.0)
-    return {"value": float(total), "scaled": float(total / delta ** ((1.0 - alpha) / 2.0))}
+    each test field, the ``weak_*`` columns of the trajectory's walk.
+    Reports the value and the value scaled by delta^((1-alpha)/2) with
+    alpha = (4s+2)/(4s+3).  The walk measures the whole rung, so this also
+    forms the monitors and energies it discards, and raises
+    ``DensityFloorViolation`` on a sample below the density floor."""
+    cols = _walk(traj, traj, "delta", delta, s_order)
+    return {"value": cols["weak_value"], "scaled": cols["weak_scaled"]}
 
 
 # --------------------------------------------------------------------------
@@ -324,27 +365,8 @@ def _measure(spec: SweepSpec, reference: Trajectory, value) -> tuple[dict[str, f
     """One rung's CSV row, and its mean Picard iterations and full sweeps
     per step; the limit rung is ``reference`` itself."""
     traj = reference if value == spec.values[-1] else _simulate(spec, value)
-    phys, reg = traj.phys, traj.reg
-
-    row = {"value": float(value), "min_rho": np.inf, "capillary_energy_max": 0.0, "quantum_energy_max": 0.0}
-    row.update({f"max_{k}": 0.0 for k in MONITOR_KEYS})
-    for s in traj.states:
-        f = DerivedFields.of(s, reg)
-        mon = norm_monitor(s, phys, reg, f)
-        for k in MONITOR_KEYS:
-            row[f"max_{k}"] = max(row[f"max_{k}"], mon[k])
-        row["min_rho"] = min(row["min_rho"], float(s.rho.values.min()))
-        e = compute_energy(s, phys, reg, f)
-        row["capillary_energy_max"] = max(row["capillary_energy_max"], e.capillary)
-        row["quantum_energy_max"] = max(row["quantum_energy_max"], e.quantum)
-
-    row.update({f"dist_{k}": v for k, v in trajectory_distance(traj, reference).items()})
-    weak: dict[str, float] = {}
-    if spec.parameter == "kappa":
-        weak = quantum_term_weak_integral(traj, phys.kappa)
-    elif spec.parameter == "delta":
-        weak = capillarity_term_weak_integral(traj, reg.delta, reg.s)
-    row.update({f"weak_{k}": v for k, v in weak.items()})
+    coefficient = {"kappa": traj.phys.kappa, "delta": traj.reg.delta}.get(spec.parameter, 0.0)
+    row = {"value": float(value), **_walk(traj, reference, spec.parameter, coefficient, traj.reg.s)}
     if spec.parameter == "n":
         row["tail_energy"] = float(np.sum(reference.final_state.velocity.values[int(value):] ** 2))
     return row, traj.mean_counts()

@@ -61,7 +61,8 @@ that outlives its step keeps each field once, in the form the step made
 it: ``run_simulation`` samples each state in its held form (``_held``),
 bare lambda, rho's samples and spectrum and B's spectra, and a start's
 history levels hold less (``_start_level``).  A reader of a held state
-derives through a view of its own (``_view``), so B's samples or rho's
+derives through a record of its own
+(:meth:`qmhd.diagnostics.DerivedFields.of`), so B's samples or rho's
 spectrum live in the reader's record and are freed with it.
 ``_reference_diffusivity`` is the one rule for the constant part of
 ``nu_b`` that the magnetic sweep integrates exactly, leaving the rest
@@ -844,21 +845,6 @@ def _held(state: State) -> State:
     )
 
 
-def _view(state: State) -> State:
-    """``state`` with rho and B in fields of the reader's own, which share
-    the state's arrays, samples and spectra (``ScalarField._shared``):
-    whatever the reader derives from them, B's samples or rho's spectrum,
-    lives on those fields and is freed with them, never cached on
-    ``state``.  The velocity is the state's own, whose samples a reader
-    forms and frees (:meth:`qmhd.basis.VelocityCoeffs.reconstruct`)."""
-    return State(
-        state.time,
-        state.rho._shared(),
-        state.velocity,
-        VectorField(state.rho.grid, [c._shared() for c in state.magnetic.components]),
-    )
-
-
 def _start_level(state: State) -> State:
     """``state`` as a later step's start reads it, as one of the levels in
     ``history``: its held form (``_held``) less rho's spectrum, so lambda,
@@ -889,6 +875,9 @@ def run_simulation(
     state = initial
     traj = Trajectory([_held(state)], sample_every, phys, reg)
     if on_step is not None:
+        # the first step reads rho's spectrum and B's samples: derive them
+        # on the state now, so that on_step's reader shares them
+        initial.rho.spectrum, initial.magnetic.component_values()
         on_step(0, state, None)
 
     # the levels before ``state`` that a start reads, at most five, so

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -52,7 +54,14 @@ from qmhd.fields import (
     project_divergence_free,
     spectral_resample,
 )
-from qmhd.experiments import SweepSpec, _measure, benchmark_state, trajectory_distance
+from qmhd.experiments import (
+    SweepSpec,
+    _measure,
+    benchmark_state,
+    capillarity_term_weak_integral,
+    quantum_term_weak_integral,
+    trajectory_distance,
+)
 from qmhd.solver import State, Trajectory, VelocityCoeffs
 
 from conftest import band_limited_vector, count_transforms, transform_counts, transient_peak
@@ -474,6 +483,8 @@ _PASSES = {
     "bd": lambda traj, other: bd_entropy_residual(traj),
     "weak": lambda traj, other: weak_form_residual(traj),
     "distance": lambda traj, other: trajectory_distance(traj, other),
+    "quantum": lambda traj, other: quantum_term_weak_integral(traj, traj.phys.kappa),
+    "capillarity": lambda traj, other: capillarity_term_weak_integral(traj, traj.reg.delta, traj.reg.s),
     # the limit rung is measured on the trajectory itself, with the
     # capillarity weak integral, which reads rho's spectrum
     "measure": lambda traj, other: _measure(
@@ -496,6 +507,40 @@ def test_a_pass_over_a_trajectory_caches_nothing_on_its_states(name):
     _PASSES[name](traj, other)
     after = [_cached_forms(s) for s in traj.states + other.states]
     assert all(a is b for x, y in zip(before, after) for a, b in zip(x, y, strict=True))
+
+
+def _references(tree: ast.AST, name: str) -> list[str]:
+    """The enclosing definition, dotted, of each reference to ``name`` in
+    ``tree``: a name, an attribute or an import of it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)) or (
+                isinstance(child, ast.alias) and child.name == name
+            ):
+                found.append(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_derived_fields_is_the_one_reader_of_a_state():
+    # a reader wraps a state's fields in fields of its own in one place,
+    # DerivedFields.of, and only the solver makes a held state
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qmhd"
+    shared, held = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        shared |= {f"{path.stem}:{scope}" for scope in _references(tree, "_shared")}
+        if path.name != "solver.py":
+            held |= {f"{path.stem}:{scope}" for scope in _references(tree, "_held")}
+    assert shared == {"diagnostics:DerivedFields.of"}
+    assert held == set()
 
 
 @pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8)])
@@ -662,6 +707,32 @@ def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_mode
     with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
         writer.write_row(state)
     assert counts == ROW_TRANSFORMS[(shape, n_modes)]
+
+
+def test_a_runs_first_row_and_step_derive_the_initial_forms_once(tmp_path, monkeypatch):
+    # a run's first row and its first step both read the initial state's
+    # rho spectrum and B samples: run_simulation derives them on the state
+    # before on_step's row, so the row costs what it costs on a state
+    # holding them, and the step derives neither again (a row that derived
+    # both into its own record left the step to derive them again)
+    phys = PhysParams(kappa=0.1)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
+    grid = TorusGrid((128,))
+    counts = count_transforms(monkeypatch)
+
+    def first_step(row: bool):
+        state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, 9), reg)
+        counts.clear()
+        with DiagnosticsWriter(tmp_path / "diag.csv", phys, reg) as writer:
+
+            def on_step(step, s, info):
+                if row and step == 0:
+                    writer.write_row(s)
+
+            run_simulation(state, phys, reg, reg.dt, on_step=on_step)
+        return counts.copy()
+
+    assert first_step(row=True) - first_step(row=False) == ROW_TRANSFORMS[((128,), 9)]
 
 
 # the working set of one CSV row of a 16^3, 27-mode density_bump state after

@@ -19,7 +19,7 @@ from qmhd.experiments import (
     sweep_rows,
     trajectory_distance,
 )
-from qmhd.diagnostics import default_vector_battery, envelope
+from qmhd.diagnostics import DerivedFields, default_vector_battery, envelope
 from qmhd.fields import (
     ScalarField,
     VectorField,
@@ -31,6 +31,8 @@ from qmhd.fields import (
     l2_norm,
 )
 from qmhd.solver import VelocityCoeffs, initial_state, run_simulation
+
+from conftest import count_transforms, transform_counts
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -63,7 +65,8 @@ def test_compare_states_self_is_zero():
     basis = GalerkinBasis.lowest_modes(grid, 6)
     reg = RegParams(dt=1e-3)
     s = benchmark_state("density_bump", grid, basis, reg)
-    d = compare_states(s, s)
+    f = DerivedFields.of(s, reg)
+    d = compare_states(f, f)
     assert all(v == 0.0 for v in d.as_dict().values())
 
 
@@ -77,7 +80,7 @@ def test_compare_states_single_mode_perturbation():
     from qmhd.solver import State
 
     s2 = State(s.time, s.rho, VelocityCoeffs(basis, lam), s.magnetic)
-    d = compare_states(s, s2)
+    d = compare_states(DerivedFields.of(s, reg), DerivedFields.of(s2, reg))
     # orthonormal mode: velocity distance equals the coefficient change
     assert d.velocity == pytest.approx(1e-3, rel=1e-10)
     assert d.rho == 0.0
@@ -89,7 +92,7 @@ def test_compare_states_against_quadrature(rng):
     reg = RegParams(dt=1e-3)
     a = benchmark_state("random_smooth", grid, basis, reg, seed=1)
     b = benchmark_state("random_smooth", grid, basis, reg, seed=2)
-    d = compare_states(a, b)
+    d = compare_states(DerivedFields.of(a, reg), DerivedFields.of(b, reg))
     direct = np.sqrt(
         ((np.sqrt(a.rho.values) - np.sqrt(b.rho.values)) ** 2).mean() * grid.volume
     )
@@ -102,7 +105,7 @@ def test_compare_states_across_grids():
     reg = RegParams(dt=1e-3)
     a = benchmark_state("density_bump", coarse, GalerkinBasis.lowest_modes(coarse, 6), reg)
     b = benchmark_state("density_bump", fine, GalerkinBasis.lowest_modes(fine, 6), reg)
-    d = compare_states(a, b)
+    d = compare_states(DerivedFields.of(a, reg), DerivedFields.of(b, reg))
     # same analytic data on both grids: spectral injection makes them match
     assert d.rho <= 1e-10
     assert d.magnetic <= 1e-10
@@ -193,11 +196,12 @@ def test_sweep_spec_validation():
 
 def test_single_rung_reference_distance_is_zero(monkeypatch):
     # the limit rung is the reference itself: its distances are zeros that
-    # compare no state with itself
+    # compare no state with itself (a record carries its state's own
+    # velocity, so two records of one state share it)
     compared = []
 
     def recorded(a, b):
-        compared.append(a is b)
+        compared.append(a.velocity is b.velocity)
         return compare_states(a, b)
 
     monkeypatch.setattr(qmhd.experiments, "compare_states", recorded)
@@ -220,6 +224,31 @@ def test_single_rung_reference_distance_is_zero(monkeypatch):
     assert d[0] > d[1] > 0
     # a row holds Python floats only, so that the CSV writes their repr
     assert all(type(v) is float for row in rows for v in row.values())
+
+
+def test_a_rung_is_measured_in_one_walk_over_its_samples(monkeypatch):
+    # each of the rung's five samples, and the limit rung's sample at its
+    # time, is read through one record, which the monitors, the energies,
+    # the distances and the quantum pairing share: 51 full and 45 box
+    # inverse transforms and 18 forwards, the simulation excluded (66, 60
+    # and 23 when the monitors, the distances and the weak integral each
+    # walked the samples through a reader of their own)
+    spec = SweepSpec(
+        "kappa",
+        (0.2, 0.1, 0.0),
+        "density_bump",
+        dim=1,
+        points=32,
+        t_end=0.004,
+        reg=RegParams(dt=1e-3, picard_tol=1e-11),
+        n_modes=6,
+    )
+    reference, rung = (qmhd.experiments._simulate(spec, v) for v in (0.0, 0.1))
+    assert len(rung.states) == 5
+    monkeypatch.setattr(qmhd.experiments, "_simulate", lambda spec, value: rung)
+    counts = count_transforms(monkeypatch)
+    qmhd.experiments._measure(spec, reference, 0.1)
+    assert counts == transform_counts(backward_full=51, forward_full=18, backward_box=45)
 
 
 def test_n_sweep_tail_energy_monotone():

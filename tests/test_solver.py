@@ -1424,6 +1424,22 @@ def test_run_simulation_samples_end_at_t_end():
     assert traj.final_state.time == pytest.approx(0.006)
 
 
+def test_mean_counts_average_every_step_sampled_or_not():
+    # qmhd run and qmhd sweep print these means: the Picard iterations and
+    # full sweeps of every step's StepInfo over the step count, not over
+    # the samples
+    grid, basis = _default_setup()
+    phys, reg = _benchmark_physics()
+    state = benchmark_state("density_bump", grid, basis, reg)
+    traj, infos = run_with_infos(state, phys, reg, 0.006, sample_every=3)
+    assert len(infos) == 6 and len(traj.states) == 3
+    iters, sweeps = traj.mean_counts()
+    assert iters == sum(i.picard_iters for i in infos) / 6
+    assert sweeps == sum(i.full_sweeps for i in infos) / 6
+    # the run has magnetic-only iterations, so the two means differ
+    assert iters > sweeps
+
+
 def test_cfl_report_and_every_magnetic_sweep_share_one_reference_diffusivity(monkeypatch):
     # B's start splits nu_b(rho_n) once, each full sweep splits nu_b(rho_mid)
     # once, and the magnetic-only sweeps that follow it reuse that split
