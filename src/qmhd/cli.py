@@ -18,7 +18,7 @@ from . import __version__
 from .basis import GalerkinBasis
 from .config import RunConfig, canonical_text, parse_config, parse_manifest_text
 from .config import parse_config_text  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
-from .diagnostics import DiagnosticsWriter
+from .diagnostics import DerivedFields, DiagnosticsWriter
 from .errors import ConfigError, QMHDError, SnapshotFormatError, UsageError
 from .experiments import SweepSpec, benchmark_state, content_hash, run_sweep, sweep_rows
 from .fields import ScalarField, VectorField, divergence, l2_norm
@@ -59,8 +59,11 @@ def cmd_run(args) -> int:
     atomic_write(os.path.join(out, "config_echo.cfg"), canonical_text(config).encode())
 
     def write_snapshots(s, stamp: str) -> None:
-        # velocity samples formed for the file and freed with it, not cached on the state
-        for name, field in (("rho", s.rho), ("velocity", s.velocity.reconstruct()), ("magnetic", s.magnetic)):
+        # through a record of its own: the velocity's and B's samples are
+        # formed for the files and freed with them, not cached on the state,
+        # whose B the next step reads as spectra only
+        f = DerivedFields.of(s, config.reg)
+        for name, field in (("rho", f.rho), ("velocity", f.u), ("magnetic", f.magnetic)):
             write_snapshot(os.path.join(out, f"{name}_{stamp}.qmhd"), field, s.time)
 
     print(f"qmhd {__version__}: advancing to t={config.t_end} (dt={config.reg.dt})")

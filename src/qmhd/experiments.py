@@ -393,10 +393,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     its rung's value."""
     reference = _simulate(spec, spec.values[-1])
     if workers > 1:
-        # imported here, so that commands running no pool skip importing multiprocessing
+        # imported here, so that commands running no pool skip importing
+        # multiprocessing; workers are spawned, not forked, since a fork
+        # copies a process whose threads may hold locks
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_install_sweep, initargs=(spec, reference)) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_install_sweep,
+            initargs=(spec, reference),
+        ) as pool:
             measured = list(pool.map(_measure_installed, spec.values))
     else:
         measured = [_measure(spec, reference, v) for v in spec.values]

@@ -50,18 +50,24 @@ quantum stress included, at a window: the residual reads it at the basis's
 box, so those forward transforms, like the velocity gradient's inverses, are
 box transforms (:mod:`qmhd.fields`), and the quantum-force check
 (:func:`qmhd.diagnostics.bohm_identity_check`) reads it at the full half
-spectrum.  Each iteration forms the samples of the magnetic midpoint field
-and of its curl once, the midpoint's spectra only for the curl: the residual
-reads them, and so does the next iteration's magnetic sweep, whose midpoint
-is the same field.  The magnetic sweep frees its source and curl spectra,
-and the force its capillary and sqrt(rho) spectra, once they are read, and
-only the iteration's midpoint velocity, which every sweep reads, caches its
-samples; a state does not (``State.u`` forms them on each read).  A state
-that outlives its step keeps each field once, in the form the step made
-it: ``run_simulation`` samples each state in its held form (``_held``),
-bare lambda, rho's samples and spectrum and B's spectra, and a start's
-history levels hold less (``_start_level``).  A reader of a held state
-derives through a record of its own
+spectrum.  A step holds B in one form, its spectra, as a held state does:
+B's start, each sweep's new level and the state the step returns hold no
+samples, and B's update is measured on the spectra by Parseval.  Each
+iteration averages the two levels' spectra once, takes the curl from the
+average and inverts both, so the samples of the magnetic midpoint field and
+of its curl are formed once and the average is freed: the residual reads
+them, and so does the next iteration's magnetic sweep, whose midpoint is the
+same field.  The magnetic sweep frees its source and curl spectra, and the
+force its capillary and sqrt(rho) spectra, each diffusion-correction term
+and each P(rho u_j), once they are read; it symmetrizes the strain before
+capillarity, so the velocity gradient holds 6 arrays, not 9, in 3D while
+g_a is formed.  Only the iteration's midpoint velocity, which every sweep
+reads, caches its samples; a state does not (``State.u`` forms them on each
+read).  A state that outlives its step keeps each field once, in the form
+the step made it: ``run_simulation`` samples each state in its held form
+(``_held``), bare lambda, rho's samples and spectrum and B's spectra, and a
+start's history levels hold less (``_start_level``).  A reader of a held
+state, or of a step's whole state, derives through a record of its own
 (:meth:`qmhd.diagnostics.DerivedFields.of`), so B's samples or rho's
 spectrum live in the reader's record and are freed with it.
 ``_reference_diffusivity`` is the one rule for the constant part of
@@ -70,8 +76,8 @@ explicit, and ``cfl_report`` reads the same rule.  ``_capillary_gradient``
 is the one home of the capillarity force, which the residual assembles
 and the vanishing-regularization weak integral (:mod:`qmhd.experiments`)
 pairs with its test fields, and ``_div_b_bound`` is the one solenoidal
-rule, which ``run_simulation`` applies after each step and ``qmhd check``
-to the initial state.
+rule, read off B's spectra, which ``run_simulation`` applies after each step
+and ``qmhd check`` to the initial state.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ from .fields import (
     _spectral_norm,
     divergence,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     integrate,
-    l2_norm,
+    l2_norm,  # noqa: F401 -- unused; benchmarks/spans.py wraps this binding
     project_divergence_free,
 )
 from .grid import TorusGrid
@@ -317,17 +323,17 @@ def _curl_samples(curl: Sequence[np.ndarray | None], grid: TorusGrid) -> list[np
 
 def _magnetic_midpoint(b_old: VectorField, b_new: VectorField) -> tuple[VectorField, list[np.ndarray]]:
     """The midpoint field of two levels, as samples, and the samples of its
-    curl.  Its spectra are formed only to take the curl and are freed
-    before the curl is inverted: every reader of the midpoint reads its
-    samples."""
+    curl, all inverse transforms of the levels' averaged spectra, which are
+    formed once and freed as they are inverted: a step holds B as spectra,
+    and every reader of the midpoint reads its samples."""
     grid = b_old.grid
-    spectra = [None] * 3
-    for l in _curl_operands(grid.dim):
-        spectra[l] = 0.5 * (b_old.components[l].spectrum + b_new.components[l].spectrum)
+    spectra = [0.5 * (o.spectrum + n.spectrum) for o, n in zip(b_old.components, b_new.components)]
     curl = _curl_spectra(spectra, grid)
-    del spectra
-    mid = [0.5 * (o.values + n.values) for o, n in zip(b_old.components, b_new.components)]
-    return VectorField(grid, [ScalarField._adopt(grid, v) for v in mid]), _curl_samples(curl, grid)
+    mid = []
+    for axis in range(3):
+        mid.append(ScalarField._adopt(grid, _backward(spectra[axis], grid)))
+        spectra[axis] = None
+    return VectorField(grid, mid), _curl_samples(curl, grid)
 
 
 def _reference_diffusivity(nu: np.ndarray) -> float:
@@ -455,7 +461,16 @@ def _momentum_force(
             dr = reg.epsilon * _backward(1j * k[j] * rho.spectrum, grid)
             for l in range(3):
                 body[l] -= dr * du[j][l]
-        del dr
+            del dr
+    # the strain d_j u_l + d_l u_j of two active axes, formed in place once
+    # and shared by the entries (j, l) and (l, j), now that the last reader
+    # of d_j u_l alone is done, so that the gradient holds 6 arrays, not 9,
+    # in 3D while capillarity forms g_a; along an inactive axis l only
+    # d_j u_l remains
+    for j in range(dim):
+        for l in range(j, dim):
+            du[j][l] += du[l][j]
+            du[l][j] = du[j][l]
     # minus delta rho g_a, capillarity in transposed weak form; each axis's
     # samples are freed before the next axis's are formed, and the
     # capillary spectrum with the generator once the last axis is done
@@ -466,34 +481,31 @@ def _momentum_force(
         cap.close()
     force = [_forward(g, grid, box) for g in body]
     del body
-    # the strain d_j u_l + d_l u_j of two active axes, formed in place once
-    # and shared by the entries (j, l) and (l, j); along an inactive axis l
-    # only d_j u_l remains
-    for j in range(dim):
-        for l in range(j, dim):
-            du[j][l] += du[l][j]
-            du[l][j] = du[j][l]
 
     # stress T_jl = P(rho u_j) u_l - rho (d_j u_l + d_l u_j) + delta_jl (P + Pc)
-    # + 4 kappa^2 d_j sqrt(rho) d_l sqrt(rho), one entry at a time; along an
-    # inactive axis l nothing varies, so only the first two parts remain
-    mom = [_backward(_dealiased_forward(rvals * uvals[j], grid), grid) for j in range(dim)]
+    # + 4 kappa^2 d_j sqrt(rho) d_l sqrt(rho), one entry at a time and one
+    # P(rho u_j) at a time; each force[l] still sums its entries in j's
+    # order, then kappa^2 grad lap rho.  Along an inactive axis l nothing
+    # varies, so only the first two parts remain
     p_tot = pressure(rvals, phys) + cold_pressure(rvals, phys)
     if phys.kappa:
         w_spec = _forward(np.sqrt(rvals), grid)
         dw = [2.0 * phys.kappa * _backward(1j * k[j] * w_spec, grid) for j in range(dim)]
         del w_spec
-        lap_r = -grid.k_squared[window] * rho.spectrum[window]
-    for l in range(3):
-        for j in range(dim):
-            t = mom[j] * uvals[l]
+    for j in range(dim):
+        mom = _backward(_dealiased_forward(rvals * uvals[j], grid), grid)
+        for l in range(3):
+            t = mom * uvals[l]
             t -= rvals * du[j][l]
             if j == l:
                 t += p_tot
             if phys.kappa and l < dim:
                 t += dw[j] * dw[l]
             force[l] -= 1j * k_win[j] * _forward(t, grid, box)
-        if phys.kappa and l < dim:
+        del mom, t
+    if phys.kappa:
+        lap_r = -grid.k_squared[window] * rho.spectrum[window]
+        for l in range(dim):
             force[l] += phys.kappa**2 * 1j * k_win[l] * lap_r
     return force
 
@@ -527,6 +539,17 @@ def _relative_update(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> fl
     change = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(new, old)))
     scale = np.sqrt(sum(np.linalg.norm(a) ** 2 for a in new))
     return float(change / max(scale, _UPDATE_SCALE))
+
+
+def _spectral_update(new: VectorField, old: VectorField) -> float:
+    """``_relative_update`` of two fields' samples, read off their half
+    spectra by Parseval (``_spectral_norm``, with the Hermitian weights):
+    each spectral norm is the samples' over sqrt(N), and so is the floor."""
+    grid = new.grid
+    pairs = [(a.spectrum, b.spectrum) for a, b in zip(new.components, old.components)]
+    change = np.sqrt(sum(_spectral_norm(a - b, grid) ** 2 for a, b in pairs))
+    scale = np.sqrt(sum(_spectral_norm(a, grid) ** 2 for a, _ in pairs))
+    return float(change / max(scale, _UPDATE_SCALE / np.sqrt(grid.num_points)))
 
 
 def _midpoint(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -596,7 +619,7 @@ def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> Vec
     ``b_(n-j) - E b_(n-j-1)``: quadratic through four levels, lower through
     fewer, zero from ``x_n`` alone.  A polynomial in B itself cannot follow
     the stiff exponential decay; in this frame only the smooth forcing is
-    extrapolated.  One inverse transform per component gives the samples."""
+    extrapolated.  It holds B as spectra only and makes no transform."""
     grid = levels[0].rho.grid
     nu_bar = _reference_diffusivity(magnetic_diffusivity(levels[0].rho.values, phys))
     decay = _heat_factor(grid, nu_bar, dt)
@@ -606,7 +629,7 @@ def _magnetic_start(levels: Sequence[State], phys: PhysParams, dt: float) -> Vec
         start = decay * spec[0]
         if len(spec) > 1:
             start += _extrapolate([a - decay * b for a, b in zip(spec, spec[1:])])
-        comps.append(ScalarField._adopt(grid, _backward(start, grid), start))
+        comps.append(ScalarField._adopt(grid, None, start))
     return VectorField(grid, comps)
 
 
@@ -664,6 +687,14 @@ def advance_step(
     from ``E b_n`` plus the extrapolation of its increments in the frame of
     its exact mean diffusion (``_magnetic_start``), which reads up to the
     first ``_START_ORDER`` of the levels.
+
+    B is held as spectra throughout: the step reads only the spectra of
+    ``state``'s and the levels' B, its start and each sweep's new level
+    hold no samples, and so does the B it returns.  Each iteration forms
+    the samples of the magnetic midpoint and of its curl from the levels'
+    averaged spectra (``_magnetic_midpoint``), and B's update is measured
+    on the spectra by Parseval (``_spectral_update``), the same quantity as
+    on the samples.
 
     Each iteration appends its relative updates ``(lambda, rho, B)`` to one
     record, ``StepInfo.updates``, which the stopping rule, the switch and
@@ -733,7 +764,7 @@ def advance_step(
         b_next = solve_magnetic_step(
             b_old, u_mid, rho_mid, h, phys, density_floor=reg.density_floor, mid=b_mid, diffusion=diffusion
         )
-        b_upd = _relative_update(b_next.component_values(), b_new.component_values())
+        b_upd = _spectral_update(b_next, b_new)
         b_new = b_next
         # the residual and the next iteration's sweep share this midpoint
         b_mid = _magnetic_midpoint(b_old, b_new)
@@ -825,17 +856,19 @@ def step_count(t0: float, t_end: float, dt: float, every: int = 1) -> int:
 
 
 def _div_b_bound(b: VectorField) -> float:
-    """The largest L2 norm of div B a run accepts: 1e-12 max(||B||, 1)."""
-    return 1e-12 * max(l2_norm(b), 1.0)
+    """The largest L2 norm of div B a run accepts: 1e-12 max(||B||, 1), with
+    ||B|| from B's spectra (Parseval), so no transform derives B's samples."""
+    grid = b.grid
+    norm = np.sqrt(grid.volume * sum(_spectral_norm(c.spectrum, grid) ** 2 for c in b.components))
+    return 1e-12 * max(float(norm), 1.0)
 
 
 def _held(state: State) -> State:
     """``state`` as a trajectory holds it: bare lambda, rho as the step left
-    it, samples and spectrum, and B as spectra only.  B's samples are the
-    inverse transforms of its spectra, so a reader that derives them gets
-    bitwise the samples the step measured; rho keeps its spectrum, which is
-    the density sweep's own and differs at roundoff from a transform of its
-    samples."""
+    it, samples and spectrum, and B as spectra only, the one form a step
+    holds B in, whatever a reader of the whole state derived on it.  rho
+    keeps its spectrum, which is the density sweep's own and differs at
+    roundoff from a transform of its samples."""
     grid = state.rho.grid
     return State(
         state.time,
@@ -875,9 +908,10 @@ def run_simulation(
     state = initial
     traj = Trajectory([_held(state)], sample_every, phys, reg)
     if on_step is not None:
-        # the first step reads rho's spectrum and B's samples: derive them
-        # on the state now, so that on_step's reader shares them
-        initial.rho.spectrum, initial.magnetic.component_values()
+        # the first step reads rho's spectrum: derive it on the state now, so
+        # that on_step's reader shares it; a step reads B's spectra only, so
+        # a reader that wants B's samples derives them into its own record
+        initial.rho.spectrum
         on_step(0, state, None)
 
     # the levels before ``state`` that a start reads, at most five, so

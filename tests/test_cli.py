@@ -372,6 +372,24 @@ def test_snapshots_follow_their_own_cadence_and_finals_are_at_t_end(tmp_path):
         assert read_snapshot(out / f"{name}_final.qmhd")[1] == pytest.approx(0.006)
 
 
+def test_snapshots_and_rows_leave_b_as_spectra_on_the_state_a_step_reads(tmp_path, monkeypatch):
+    # a snapshot, like a row, reads a state through a record of its own, so
+    # every step starts from a state holding B as spectra only
+    import qmhd.solver
+
+    starts = []
+    advance = qmhd.solver.advance_step
+
+    def recorded(state, *args, **kwargs):
+        starts.append([c._values is None for c in state.magnetic.components])
+        return advance(state, *args, **kwargs)
+
+    monkeypatch.setattr(qmhd.solver, "advance_step", recorded)
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "run.cfg", _run_cfg(out, 0.004, 1, 1))]) == 0
+    assert starts == [[True] * 3] * 4
+
+
 RESUME_CFG = """
 [grid]
 dim = 2

@@ -689,8 +689,8 @@ ROW_TRANSFORMS = {
 
 def _row_state(shape, n_modes, reg):
     """A seed-0 random_smooth state with the spectrum of rho and the samples
-    of B already derived and no velocity samples, as after a solver step
-    and its run's checks."""
+    of B already derived and no velocity samples, so that a row derives
+    neither."""
     grid = TorusGrid(shape)
     state = benchmark_state("random_smooth", grid, GalerkinBasis.lowest_modes(grid, n_modes), reg)
     state.rho.spectrum
@@ -710,11 +710,13 @@ def test_row_derives_each_shared_field_once(tmp_path, monkeypatch, shape, n_mode
 
 
 def test_a_runs_first_row_and_step_derive_the_initial_forms_once(tmp_path, monkeypatch):
-    # a run's first row and its first step both read the initial state's
-    # rho spectrum and B samples: run_simulation derives them on the state
-    # before on_step's row, so the row costs what it costs on a state
-    # holding them, and the step derives neither again (a row that derived
-    # both into its own record left the step to derive them again)
+    # a step reads B as spectra only, so the first step derives no B
+    # samples and row 0 derives them into its record, never onto the
+    # state; run_simulation still derives the initial rho spectrum, which
+    # the row and the step both read, on the state.  With no row, a one-step
+    # run makes 50 full inverse transforms, 53 when run_simulation derived
+    # the initial B samples for the step (a step's own count is unchanged:
+    # the start's 3 inverses moved to its first midpoint)
     phys = PhysParams(kappa=0.1)
     reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, s=1, dt=1e-3)
     grid = TorusGrid((128,))
@@ -730,9 +732,14 @@ def test_a_runs_first_row_and_step_derive_the_initial_forms_once(tmp_path, monke
                     writer.write_row(s)
 
             run_simulation(state, phys, reg, reg.dt, on_step=on_step)
+        assert all(c._values is None for c in state.magnetic.components)
+        assert state.rho._spectrum is not None
         return counts.copy()
 
-    assert first_step(row=True) - first_step(row=False) == ROW_TRANSFORMS[((128,), 9)]
+    plain = first_step(row=False)
+    assert plain["backward", "full"] == 50
+    b_samples = transform_counts(backward_full=3)
+    assert first_step(row=True) - plain == ROW_TRANSFORMS[((128,), 9)] + b_samples
 
 
 # the working set of one CSV row of a 16^3, 27-mode density_bump state after

@@ -41,6 +41,7 @@ from qmhd.solver import (
     _heat_factor,
     _heat_factors,
     _magnetic_midpoint,
+    _magnetic_start,
     _momentum_force,
     _start_order,
     cfl_report,
@@ -432,17 +433,18 @@ def test_momentum_residual_transform_count_independent_of_mode_count(monkeypatch
 
 
 def test_magnetic_step_one_forward_per_component(monkeypatch, rng):
-    # 3 inverse transforms for curl B_mid, 3 dealiased forwards of
-    # u x B_mid - nu' curl B_mid
+    # given the midpoint's samples and those of its curl, the sweep's own
+    # transforms are the 3 dealiased forwards of u x B_mid - nu' curl B_mid
     grid = TorusGrid((16, 16, 16))
     phys = PhysParams(resistivity=ResistivityParams(d0=1.0, threshold=2.0))
     rho = _ready(ScalarField(grid, 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=4).values))
     b = _ready(band_limited_vector(grid, rng, max_mode=4))
     guess = _ready(band_limited_vector(grid, rng, max_mode=4))
     u = _ready(band_limited_vector(grid, rng, max_mode=4))
+    mid = _magnetic_midpoint(b, guess)
     counts = count_transforms(monkeypatch)
-    solve_magnetic_step(b, u, rho, 1e-3, phys, mid=_magnetic_midpoint(b, guess))
-    assert counts == transform_counts(backward_full=3, forward_full=3)
+    solve_magnetic_step(b, u, rho, 1e-3, phys, mid=mid)
+    assert counts == transform_counts(forward_full=3)
 
 
 def _per_term_residual(rho, velocity, B, phys, reg):
@@ -513,6 +515,73 @@ def test_momentum_residual_matches_per_term_transforms(shape, n_modes, rng):
     entries = momentum_residual(rho, vel, b, phys, reg)
     ref = _per_term_residual(rho, vel, b, phys, reg)
     assert np.max(np.abs(entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _parent_order_force(rho, velocity, B, phys, reg, box):
+    """The momentum force summed in its earlier order, kappa, epsilon and
+    delta on: the strain symmetrized after the capillary loop and every
+    P(rho u_j) formed before the stress loop, which runs l outer, j inner."""
+    from qmhd.constitutive import cold_pressure, pressure
+    from qmhd.fields import _backward, _box_index, _cross, _curl_spectra, _dealiased_forward, _forward, _gradient_samples
+
+    grid, basis = rho.grid, velocity.basis
+    uvals = velocity.field.component_values()
+    rvals, k, dim = rho.values, grid.kvec, grid.dim
+    window = (slice(None),) if box is None else _box_index(box)
+    k_win = [kj[window] for kj in k[:dim]]
+    du = _gradient_samples(velocity.spectra, basis.box_kvec, grid, basis.box)
+    curl_b = [np.zeros(grid.shape) if c is None else _backward(c, grid)
+              for c in _curl_spectra([c.spectrum for c in B.components], grid)]
+    body = _cross(curl_b, B.component_values())
+    for j in range(dim):
+        dr = reg.epsilon * _backward(1j * k[j] * rho.spectrum, grid)
+        for l in range(3):
+            body[l] -= dr * du[j][l]
+    cap_spec = np.where(grid.dealias_mask, (-1.0) ** (2 * reg.s + 1) * grid.k_squared ** (2 * reg.s + 1) * rho.spectrum, 0.0)
+    for a in range(dim):
+        body[a] -= reg.delta * rvals * _backward(-1j * k[a] * cap_spec, grid)
+    force = [_forward(g, grid, box) for g in body]
+    for j in range(dim):
+        for l in range(j, dim):
+            du[j][l] += du[l][j]
+            du[l][j] = du[j][l]
+    mom = [_backward(_dealiased_forward(rvals * uvals[j], grid), grid) for j in range(dim)]
+    p_tot = pressure(rvals, phys) + cold_pressure(rvals, phys)
+    w_spec = _forward(np.sqrt(rvals), grid)
+    dw = [2.0 * phys.kappa * _backward(1j * k[j] * w_spec, grid) for j in range(dim)]
+    lap_r = -grid.k_squared[window] * rho.spectrum[window]
+    for l in range(3):
+        for j in range(dim):
+            t = mom[j] * uvals[l]
+            t -= rvals * du[j][l]
+            if j == l:
+                t += p_tot
+            if l < dim:
+                t += dw[j] * dw[l]
+            force[l] -= 1j * k_win[j] * _forward(t, grid, box)
+        if l < dim:
+            force[l] += phys.kappa**2 * 1j * k_win[l] * lap_r
+    return force
+
+
+@pytest.mark.parametrize("shape, n_modes", [((64,), 9), ((32, 32), 60), ((16, 16, 16), 81)])
+def test_reordered_momentum_force_is_bitwise_the_earlier_order(shape, n_modes, rng):
+    # symmetrizing the strain before capillarity and taking one P(rho u_j)
+    # at a time free arrays without moving a sum: each body-force and
+    # force[l] sum keeps its order, so the force is bit for bit the same,
+    # at the basis's box and at the full half spectrum
+    grid = TorusGrid(shape)
+    basis = GalerkinBasis.lowest_modes(grid, n_modes)
+    edge = min(n // 3 for n in shape)
+    rho = ScalarField(grid, 1.5 + 0.3 * band_limited_scalar(grid, rng, max_mode=edge).values)
+    b = VectorField(grid, [0.3 * c for c in band_limited_vector(grid, rng, max_mode=edge).components])
+    vel = VelocityCoeffs(basis, 0.3 * rng.standard_normal(n_modes))
+    phys = PhysParams(kappa=0.3)
+    reg = RegParams(epsilon=0.05, eta=0.01, delta=1e-7, s=1)
+    for box in (basis.box, None):
+        new = _momentum_force(rho, vel, b, phys, reg, box)
+        for a, ref in zip(new, _parent_order_force(rho, vel, b, phys, reg, box)):
+            assert np.array_equal(a, ref)
 
 
 @pytest.mark.parametrize("shape, n_modes", [((128,), 9), ((64, 64), 120), ((32, 32, 32), 27)])
@@ -674,6 +743,39 @@ def test_low_density_step_converges_where_inner_loops_stalled():
     assert abs(traj.final_state.mass - mass0) <= 1e-10 * mass0
     assert all(i.div_b_norm <= 1e-12 for i in infos)
     assert all(i.corridor_margin <= 1e-8 for i in infos)
+
+
+# the near-vacuum frontier (ROADMAP item 1's probe): one cell per density
+# amplitude a, rho_min = 1 - a, and step dt.  Every cell that fails today
+# raises PicardDivergence and is a strict xfail, so a change that moves the
+# frontier drops the marks of the cells it turns into passes.  a = 0.7 at
+# dt = 1e-3 and 5e-4 stops at the 50-iteration cap while still contracting;
+# a >= 0.8 stops on the ratio rule, with the update largest in B
+NEAR_VACUUM_FAILS = pytest.mark.xfail(
+    strict=True, raises=PicardDivergence, reason="the magnetic sweep stops contracting at low density"
+)
+PROBE_CELLS = [
+    pytest.param(a, dt, marks=NEAR_VACUUM_FAILS) if a >= 0.8 or (a == 0.7 and dt > 2.5e-4) else (a, dt)
+    for a in (0.6, 0.7, 0.8, 0.9, 0.95)
+    for dt in (1e-3, 5e-4, 2.5e-4)
+]
+
+
+@pytest.mark.parametrize("a, dt", PROBE_CELLS)
+def test_low_density_probe_runs_forty_steps(a, dt):
+    grid, basis = _default_setup(nx=128)
+    x = grid.mesh[0]
+    z = np.zeros(grid.shape)
+    reg = RegParams(epsilon=1e-2, eta=1e-3, delta=1e-4, dt=dt)
+    state = initial_state(
+        ScalarField(grid, 1.0 + a * np.cos(x)),
+        VectorField.from_arrays(grid, [0.3 * np.sin(x), 0.2 * np.cos(x), z]),
+        VectorField.from_arrays(grid, [z, 0.5 * np.cos(x), 0.4 * np.sin(x)]),
+        basis,
+        reg,
+    )
+    traj = run_simulation(state, PhysParams(kappa=0.1), reg, 40 * dt)
+    assert traj.final_state.time == pytest.approx(40 * dt)
 
 
 def test_run_memory_does_not_grow_with_its_step_count():
@@ -1270,8 +1372,11 @@ def test_history_keeps_b_only_on_the_levels_a_start_reads(monkeypatch):
 # spectra, the sweep's source and curl spectra until its projection, and the
 # force its capillary spectrum and last diffusion-correction term through
 # the body force and its sqrt(rho) spectrum through the stress loop; 39.6
-# when each is freed after its last reader
-STEP_ARRAYS = 42
+# when each is freed after its last reader; 34.5 when the step holds B as
+# spectra (the new level held samples too), the force symmetrizes the
+# strain before capillarity and frees each diffusion-correction term and
+# P(rho u_j) before the next is formed
+STEP_ARRAYS = 35.5
 
 
 def test_a_3d_step_holds_only_what_its_next_reader_needs():
@@ -1290,6 +1395,20 @@ def _sampled_16_cubed():
     grid = TorusGrid((16, 16, 16))
     phys, reg = _benchmark_physics()
     return benchmark_state("density_bump", grid, GalerkinBasis.lowest_modes(grid, 27), reg, seed=0), phys, reg
+
+
+def test_a_step_holds_b_as_spectra_and_its_start_makes_no_transform(monkeypatch):
+    # a step reads only its levels' spectra of B, starts B as spectra and
+    # returns B as spectra only, the form a held state keeps
+    state, phys, reg = _sampled_16_cubed()
+    first, _ = advance_step(state, phys, reg)
+    new, _ = advance_step(first, phys, reg, history=[state])
+    for s in (state, first, new):
+        assert all(c._values is None and c._spectrum is not None for c in s.magnetic.components)
+    counts = count_transforms(monkeypatch)
+    start = _magnetic_start([new, first, state], phys, reg.dt)
+    assert counts.total() == 0
+    assert all(c._values is None for c in start.components)
 
 
 def test_a_sampled_state_holds_b_as_spectra_and_no_velocity_samples():

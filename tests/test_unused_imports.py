@@ -21,6 +21,7 @@ ALLOWED = {
     ("experiments.py", "divergence"): "benchmarks/spans.py wraps this binding",
     ("experiments.py", "gradient"): "benchmarks/spans.py wraps this binding",
     ("solver.py", "divergence"): "benchmarks/spans.py wraps this binding",
+    ("solver.py", "l2_norm"): "benchmarks/spans.py wraps this binding",
 }
 
 
